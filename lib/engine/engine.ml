@@ -65,9 +65,8 @@ type t = {
          touched blocks' generations, so untouched entries stay valid
          and warm across updates *)
   lock : Parallel.Lock.t;
-      (* guards every cache and counter touch during [evaluate_batch];
-         the sequential entry points run on one domain and need it only
-         because a batch may be in flight on the same engine *)
+      (* guards every cache and counter touch of a pooled
+         [evaluate_batch] lane *)
   c : counters;
   mutable invalidations : int;
       (* monotone across rehosts by design: it counts hosting
@@ -113,14 +112,18 @@ let absorb_delta t (event : Secure.System.delta_event) =
         (List.length event.Secure.System.touched_blocks)
         (List.length event.Secure.System.dropped_blocks))
 
-(* Bind the engine to a hosting: refresh the statistics snapshot and
-   arm the invalidation hooks that fire when this hosting is superseded
-   — wholesale on update/rotate, per-block on apply_delta. *)
-let attach t system =
-  t.system <- system;
-  t.est <- Estimate.of_server (Secure.System.server system);
-  Secure.System.on_rehost system (fun () -> flush t);
-  Secure.System.on_delta system (fun event -> absorb_delta t event)
+(* Follow a hosting: when it is superseded (update, rotate, delta —
+   whoever calls it), invalidate — wholesale on a full re-host,
+   per-block on a delta — then bind to the successor, refresh the
+   statistics snapshot and follow that one in turn. *)
+let rec follow t system =
+  Secure.System.on_succession system (fun next delta ->
+      (match delta with
+       | None -> flush t
+       | Some event -> absorb_delta t event);
+      t.system <- next;
+      t.est <- Estimate.of_server (Secure.System.server next);
+      follow t next)
 
 let create ?(config = default_config) system =
   let cap c = if config.caches then Int.max 0 c else 0 in
@@ -135,32 +138,11 @@ let create ?(config = default_config) system =
       c = make_counters ();
       invalidations = 0 }
   in
-  Secure.System.on_rehost system (fun () -> flush t);
-  Secure.System.on_delta system (fun event -> absorb_delta t event);
+  follow t system;
   t
 
 let system t = t.system
 let registry t = t.c.reg
-
-let update t edit =
-  (* System.update fires the old hosting's rehost hooks, which flush
-     this engine's caches; attach then re-arms on the new hosting. *)
-  let next, cost = Secure.System.update t.system edit in
-  attach t next;
-  cost
-
-let rotate t ~new_master =
-  let next, cost = Secure.System.rotate t.system ~new_master in
-  attach t next;
-  cost
-
-let apply_delta t edit =
-  (* System.apply_delta fires the old hosting's delta hooks (or, when
-     it falls back to a full rebuild, its rehost hooks) before
-     returning; attach then re-arms both on the new hosting. *)
-  let next, cost = Secure.System.apply_delta t.system edit in
-  attach t next;
-  cost
 
 (* The cache key IS the wire request: the ciphertext encoding of the
    translated query (Vernam tokens + OPESS ranges) that the server
@@ -176,24 +158,6 @@ let timed f =
   let start = now_ms () in
   let result = f () in
   result, now_ms () -. start
-
-let plan_for t req squery =
-  match Lru.find t.plans req with
-  | Some plan -> plan, (if t.config.caches then Hit else Bypass)
-  | None ->
-    let plan = Planner.compile ~reorder:t.config.planner t.est squery in
-    Obs.Metric.incr t.c.plans_compiled;
-    Obs.Metric.add t.c.steps_reordered (Plan.reorder_span plan);
-    Lru.put t.plans req plan;
-    plan, (if t.config.caches then Miss else Bypass)
-
-let run_for t req plan squery =
-  match Lru.find t.results req with
-  | Some run -> run, (if t.config.caches then Hit else Bypass)
-  | None ->
-    let run = Exec.run (Secure.System.server t.system) plan squery in
-    Lru.put t.results req run;
-    run, (if t.config.caches then Miss else Bypass)
 
 type report = {
   plan : Plan.t;
@@ -216,73 +180,110 @@ type report = {
 
 let server_decrypt_ms r = r.server_ms +. r.decrypt_ms
 
-(* One ledger round per engine evaluation, recorded on the bound
-   system's ledger.  Cache outcomes are server-visible: the plan cache
-   and result memo live server-side, and a client block-cache hit means
-   one fewer block crossed the wire. *)
+(* One ledger round per engine evaluation.  Cache outcomes are
+   server-visible: the plan cache and result memo live server-side, and
+   a client block-cache hit means one fewer block crossed the wire. *)
 let one_if = function Hit -> 1 | Miss | Bypass -> 0
 let miss_if = function Miss -> 1 | Hit | Bypass -> 0
 
-let record_round t (response : Secure.Server.response) report =
-  let ledger = Secure.System.ledger t.system in
+let record_round ledger (response : Secure.Server.response) ~request_bytes
+    ~shipped_bytes ~cache_hits ~cache_misses =
   if Obs.Ledger.enabled ledger then
     Obs.Ledger.record ledger
-      (Obs.Ledger.round "engine" ~bytes_up:report.request_bytes
-         ~bytes_down:(report.transmit_bytes - report.request_bytes)
+      (Obs.Ledger.round "engine" ~bytes_up:request_bytes ~bytes_down:shipped_bytes
          ~intervals_touched:response.Secure.Server.candidate_intervals
          ~btree_hits:response.Secure.Server.btree_hits
-         ~blocks_returned:report.blocks_returned
+         ~blocks_returned:(List.length response.Secure.Server.blocks)
          ~block_ids:
            (List.map
               (fun b -> b.Secure.Encrypt.id)
               response.Secure.Server.blocks)
-         ~cache_hits:
-           (one_if report.plan_outcome + one_if report.result_outcome
-           + report.block_hits)
-         ~cache_misses:
-           (miss_if report.plan_outcome + miss_if report.result_outcome
-           + report.block_misses))
+         ~cache_hits ~cache_misses)
 
-let evaluate_report t query =
-  Obs.Metric.incr t.c.queries;
-  let trace = Secure.System.tracer t.system in
-  Obs.span trace "engine.evaluate" @@ fun () ->
-  let client = Secure.System.client t.system in
+(* A pooled lane touches the caches and counters under [t.lock]; a
+   sequential one runs alone on its domain. *)
+let locked t ~pooled f = if pooled then Parallel.Lock.protect t.lock f else f ()
+
+(* One cache lookup, computing and storing on a miss; only the cache
+   touches are locked, never [compute]. *)
+let cached t ~pooled cache key compute =
+  match locked t ~pooled (fun () -> Lru.find cache key) with
+  | Some v -> v, if t.config.caches then Hit else Bypass
+  | None ->
+    let v = compute () in
+    locked t ~pooled (fun () -> Lru.put cache key v);
+    v, if t.config.caches then Miss else Bypass
+
+(* Translation, on the calling domain: OPESS translation memoises
+   inside each catalog's OPE instance, which pool workers would race
+   on. *)
+let prepare t query =
   let squery, translate_ms =
-    timed (fun () -> Secure.Client.translate client query)
+    timed (fun () -> Secure.Client.translate (Secure.System.client t.system) query)
   in
-  let req = Secure.Protocol.encode_request squery in
+  query, squery, Secure.Protocol.encode_request squery, translate_ms
+
+(* The engine's one evaluation body: plan, execute, block cache,
+   post-process, and the round's ledger row.  A sequential lane traces
+   under the hosting's tracer and records on its ledger.  A pooled lane
+   runs on a pool worker: it traces nothing and records on [ledger], a
+   private one the caller merges in query order, and it takes the lock
+   only around cache and counter touches — plan compilation, server
+   execution, block decryption and post-processing run outside it. *)
+let lane t ~pooled ~ledger (query, squery, req, translate_ms) =
+  let span name f =
+    if pooled then f () else Obs.span (Secure.System.tracer t.system) name f
+  in
+  locked t ~pooled (fun () -> Obs.Metric.incr t.c.queries);
+  let client = Secure.System.client t.system in
   let (plan, plan_outcome), plan_ms =
-    Obs.span trace "engine.plan" (fun () -> timed (fun () -> plan_for t req squery))
+    span "engine.plan" @@ fun () ->
+    timed (fun () ->
+        cached t ~pooled t.plans req (fun () ->
+            let plan = Planner.compile ~reorder:t.config.planner t.est squery in
+            locked t ~pooled (fun () ->
+                Obs.Metric.incr t.c.plans_compiled;
+                Obs.Metric.add t.c.steps_reordered (Plan.reorder_span plan));
+            plan))
   in
   let (run, result_outcome), server_ms =
-    Obs.span trace "engine.exec" (fun () -> timed (fun () -> run_for t req plan squery))
+    span "engine.exec" @@ fun () ->
+    timed (fun () ->
+        cached t ~pooled t.results req (fun () ->
+            Exec.run (Secure.System.server t.system) plan squery))
   in
+  let response = run.Exec.response in
   (* Client-side block cache: a cached block is neither re-shipped nor
      re-decrypted, so both byte and decrypt accounting follow it. *)
-  let hits_before = Lru.hits t.blocks in
-  let misses_before = Lru.misses t.blocks in
-  let shipped = ref 0 in
+  let shipped = ref 0 and hits = ref 0 and misses = ref 0 in
   let decrypted, decrypt_ms =
     timed (fun () ->
         List.map
           (fun b ->
             let id = b.Secure.Encrypt.id in
             let key = id, b.Secure.Encrypt.generation in
-            match Lru.find t.blocks key with
-            | Some tree -> id, tree
+            match locked t ~pooled (fun () -> Lru.find t.blocks key) with
+            | Some tree ->
+              incr hits;
+              id, tree
             | None ->
+              incr misses;
               shipped :=
                 !shipped
                 + String.length b.Secure.Encrypt.ciphertext
                 + Secure.Encrypt.block_header_bytes;
               let tree = Secure.Client.decrypt_block client b in
-              Lru.put t.blocks key tree;
+              locked t ~pooled (fun () -> Lru.put t.blocks key tree);
               id, tree)
-          run.Exec.response.Secure.Server.blocks)
+          response.Secure.Server.blocks)
   in
-  let block_hits = Lru.hits t.blocks - hits_before in
-  let block_misses = Lru.misses t.blocks - misses_before in
+  (* The ledger row takes wire facts only — request size, shipped
+     bytes, cache outcomes — never the report, which also carries the
+     post-processing results. *)
+  record_round ledger response ~request_bytes:(String.length req)
+    ~shipped_bytes:!shipped
+    ~cache_hits:(one_if plan_outcome + one_if result_outcome + !hits)
+    ~cache_misses:(miss_if plan_outcome + miss_if result_outcome + !misses);
   let answers, postprocess_ms =
     timed (fun () -> Secure.Client.evaluate_with client ~decrypted query)
   in
@@ -292,20 +293,23 @@ let evaluate_report t query =
       result_outcome;
       steps = run.Exec.steps;
       request_bytes = String.length req;
-      block_hits;
-      block_misses;
+      block_hits = !hits;
+      block_misses = !misses;
       translate_ms;
       plan_ms;
       server_ms;
       transmit_bytes = String.length req + !shipped;
       decrypt_ms;
       postprocess_ms;
-      blocks_returned = List.length run.Exec.response.Secure.Server.blocks;
-      blocks_decrypted = block_misses;
+      blocks_returned = List.length response.Secure.Server.blocks;
+      blocks_decrypted = !misses;
       answer_count = List.length answers }
   in
-  record_round t run.Exec.response report;
   answers, report
+
+let evaluate_report t query =
+  Obs.span (Secure.System.tracer t.system) "engine.evaluate" @@ fun () ->
+  lane t ~pooled:false ~ledger:(Secure.System.ledger t.system) (prepare t query)
 
 let evaluate t query = fst (evaluate_report t query)
 
@@ -313,106 +317,26 @@ let evaluate t query = fst (evaluate_report t query)
    cache-independent, so result [i] is exactly [evaluate t queries.(i)];
    only the cache accounting can differ from a sequential replay
    (concurrent lanes may both miss on the same key and compile or
-   decrypt twice — the last put wins, and both values are equal).
-   Every cache and counter touch goes through [t.lock]; the expensive
-   work — plan compilation, server execution, block decryption,
-   post-processing — runs outside it.  Translation stays on the
-   calling domain: OPESS translation memoises inside each catalog's
-   OPE instance. *)
+   decrypt twice — the last put wins, and both values are equal).  Each
+   lane records its ledger row on a private ledger; the rows are copied
+   onto the hosting's on the calling domain, in query order. *)
 let evaluate_batch t queries =
-  let locked f = Parallel.Lock.protect t.lock f in
-  let lane (query, squery, req, translate_ms) =
-    locked (fun () -> Obs.Metric.incr t.c.queries);
-    let client = Secure.System.client t.system in
-    let (plan, plan_outcome), plan_ms =
-      timed (fun () ->
-          match locked (fun () -> Lru.find t.plans req) with
-          | Some plan -> plan, (if t.config.caches then Hit else Bypass)
-          | None ->
-            let plan = Planner.compile ~reorder:t.config.planner t.est squery in
-            locked (fun () ->
-                Obs.Metric.incr t.c.plans_compiled;
-                Obs.Metric.add t.c.steps_reordered (Plan.reorder_span plan);
-                Lru.put t.plans req plan);
-            plan, (if t.config.caches then Miss else Bypass))
-    in
-    let (run, result_outcome), server_ms =
-      timed (fun () ->
-          match locked (fun () -> Lru.find t.results req) with
-          | Some run -> run, (if t.config.caches then Hit else Bypass)
-          | None ->
-            let run = Exec.run (Secure.System.server t.system) plan squery in
-            locked (fun () -> Lru.put t.results req run);
-            run, (if t.config.caches then Miss else Bypass))
-    in
-    let shipped = ref 0 in
-    let block_hits = ref 0 in
-    let block_misses = ref 0 in
-    let decrypted, decrypt_ms =
-      timed (fun () ->
-          List.map
-            (fun b ->
-              let id = b.Secure.Encrypt.id in
-              let key = id, b.Secure.Encrypt.generation in
-              match locked (fun () -> Lru.find t.blocks key) with
-              | Some tree ->
-                incr block_hits;
-                id, tree
-              | None ->
-                incr block_misses;
-                shipped :=
-                  !shipped
-                  + String.length b.Secure.Encrypt.ciphertext
-                  + Secure.Encrypt.block_header_bytes;
-                let tree = Secure.Client.decrypt_block client b in
-                locked (fun () -> Lru.put t.blocks key tree);
-                id, tree)
-            run.Exec.response.Secure.Server.blocks)
-    in
-    let answers, postprocess_ms =
-      timed (fun () -> Secure.Client.evaluate_with client ~decrypted query)
-    in
-    ( answers,
-      { plan;
-        plan_outcome;
-        result_outcome;
-        steps = run.Exec.steps;
-        request_bytes = String.length req;
-        block_hits = !block_hits;
-        block_misses = !block_misses;
-        translate_ms;
-        plan_ms;
-        server_ms;
-        transmit_bytes = String.length req + !shipped;
-        decrypt_ms;
-        postprocess_ms;
-        blocks_returned = List.length run.Exec.response.Secure.Server.blocks;
-        blocks_decrypted = !block_misses;
-        answer_count = List.length answers },
-      run.Exec.response )
-  in
   match Secure.System.pool t.system with
   | Some p when Parallel.Pool.size p > 1 ->
-    let client = Secure.System.client t.system in
-    let translated =
-      Array.map
-        (fun q ->
-          let squery, translate_ms =
-            timed (fun () -> Secure.Client.translate client q)
-          in
-          q, squery, Secure.Protocol.encode_request squery, translate_ms)
-        queries
+    let ledger = Secure.System.ledger t.system in
+    let lanes =
+      Parallel.Pool.map p
+        (fun job ->
+          let own = Obs.Ledger.create ~enabled:(Obs.Ledger.enabled ledger) () in
+          lane t ~pooled:true ~ledger:own job, own)
+        (Array.map (prepare t) queries)
     in
-    let results = Parallel.Pool.map p lane translated in
-    (* Ledger rounds are recorded after the deterministic merge, on the
-       calling domain — the tracer/ledger are single-domain structures
-       and pool workers never touch them. *)
     Array.map
-      (fun (answers, report, response) ->
-        record_round t response report;
-        answers, report)
-      results
-  | Some _ | None -> Array.map (fun q -> evaluate_report t q) queries
+      (fun (result, own) ->
+        List.iter (Obs.Ledger.record ledger) (Obs.Ledger.rounds own);
+        result)
+      lanes
+  | Some _ | None -> Array.map (evaluate_report t) queries
 
 let stats t =
   { Stats.queries = Obs.Metric.value t.c.queries;

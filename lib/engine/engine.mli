@@ -15,15 +15,25 @@
     Every cache key is a ciphertext artifact the server already
     observes (the encoded request of Vernam tokens and OPESS ranges, or
     a block id and its content generation); plaintext never reaches a
-    key.  All three caches are flushed by the
-    {!Secure.System.on_rehost} hook, so answers after {!update} /
-    {!rotate} are computed against fresh artifacts only.  The
-    incremental path ({!apply_delta}) instead invalidates selectively
-    through {!Secure.System.on_delta}: the result memo is flushed, but
-    compiled plans and the decrypted subtrees of untouched blocks stay
-    warm — only the superseded (id, generation) entries are dropped.
-    See docs/SECURITY.md ("What the engine's caches add") for the
-    leakage analysis. *)
+    key.
+
+    The engine follows its hosting through
+    {!Secure.System.on_succession}: whoever supersedes the bound
+    hosting — {!Secure.System.update}, {!Secure.System.rotate},
+    {!Secure.System.apply_delta}, or {!Secure.Persist.journal_update}
+    over them — the engine invalidates and re-binds to the successor.
+    A full re-host flushes all three caches, so answers afterwards are
+    computed against fresh artifacts only.  A delta invalidates
+    selectively: the result memo is flushed, but compiled plans and the
+    decrypted subtrees of untouched blocks stay warm — only the
+    superseded (id, generation) entries are dropped — and no counters
+    reset (their survival across the update is part of the contract,
+    pinned by the cache-survival test).  See
+    docs/SECURITY.md ("What the engine's caches add") for the leakage
+    analysis.
+
+    {!evaluate_report} and {!evaluate_batch} share one evaluation
+    body; the batch runs it on the pool's workers. *)
 
 module Lru = Lru
 module Stats = Stats
@@ -53,10 +63,11 @@ val outcome_to_string : outcome -> string
 type t
 
 val create : ?config:config -> Secure.System.t -> t
-(** Bind an engine to a hosting and arm its invalidation hook. *)
+(** Bind an engine to a hosting and follow its successors. *)
 
 val system : t -> Secure.System.t
-(** The hosting currently bound (changes on {!update} / {!rotate}). *)
+(** The hosting currently bound: the latest successor of the one the
+    engine was created on. *)
 
 val registry : t -> Obs.Metric.registry
 (** The engine's private (always-enabled) metric registry —
@@ -64,25 +75,9 @@ val registry : t -> Obs.Metric.registry
     Reset wholesale by {!flush}, so its counters always describe the
     current hosting generation. *)
 
-val update : t -> Secure.Update.edit -> Secure.System.setup_cost
-(** {!Secure.System.update} + cache flush + re-bind, in one step: the
-    old hosting's rehost hook flushes all three caches before the new
-    hosting is attached. *)
-
-val rotate : t -> new_master:string -> Secure.System.setup_cost
-
-val apply_delta : t -> Secure.Update.edit -> Secure.System.delta_cost
-(** {!Secure.System.apply_delta} + selective invalidation + re-bind.
-    The old hosting's delta hook flushes the result memo and evicts
-    only the touched blocks' (id, generation) cache entries; plans and
-    untouched decrypted blocks survive, and no counters are reset
-    (their survival across the update is part of the contract — see
-    the cache-survival test).  When the system falls back to a full
-    rebuild, the rehost hook fires instead and all caches flush as in
-    {!update}. *)
-
 val flush : t -> unit
-(** Manual invalidation (counted like a rehost-triggered one). *)
+(** Manual invalidation, counted like a re-host: empties all three
+    caches and resets every counter except [invalidations]. *)
 
 val wire_request : t -> Xpath.Ast.path -> string
 (** The ciphertext request encoding used as the plan/result cache key —
@@ -128,7 +123,8 @@ val evaluate_batch :
     counter touch is serialised through an internal lock, so only the
     hit/miss accounting can differ from a sequential replay (two lanes
     may concurrently miss on the same key and duplicate a compile or a
-    decrypt — both compute equal values). *)
+    decrypt — both compute equal values).  Ledger rounds are recorded
+    in query order after the merge. *)
 
 val stats : t -> Stats.t
 (** Snapshot of the current hosting generation's counters.  A rehost

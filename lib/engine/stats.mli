@@ -2,8 +2,8 @@
 
     Cache counters are hit/miss/eviction triples per cache (compiled
     plans, server-side result memos, client-side decrypted blocks);
-    [invalidations] counts whole-cache flushes triggered by re-hosting
-    ({!Secure.System.on_rehost}). *)
+    [invalidations] counts the hosting successions the engine followed
+    ({!Secure.System.on_succession}) and manual flushes. *)
 
 type t = {
   queries : int;

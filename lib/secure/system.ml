@@ -57,13 +57,12 @@ type t = {
   trace : Obs.Trace.t;    (* shared with the server; disabled by default *)
   ledger : Obs.Ledger.t;  (* per-round server-visible facts *)
   generation : int;
-  rehost_hooks : (unit -> unit) list ref;
-      (* observers (caches, engines) to notify when this hosting is
-         superseded by update/update_all/rotate; shared by the
-         with_faults record copy, which is the same hosting rewired *)
-  delta_hooks : (delta_event -> unit) list ref;
-      (* observers to notify when a delta supersedes this hosting with
-         a block-level changelist instead of a wholesale re-host *)
+  observers : (t -> delta_event option -> unit) list ref;
+      (* caches and engines to hand the successor hosting when this
+         one is superseded by update/rotate/apply_delta — with the
+         delta's changelist, or None for a wholesale re-host; shared by
+         the with_faults and reset_link record copies, which are the
+         same hosting rewired *)
 }
 
 (* Re-hosting replaces every ciphertext artifact (blocks, tokens, OPE
@@ -77,17 +76,12 @@ let next_generation () =
 
 let generation t = t.generation
 
-let on_rehost t f = t.rehost_hooks := f :: !(t.rehost_hooks)
+let on_succession t f = t.observers := f :: !(t.observers)
 
-let fire_rehost t =
-  List.iter (fun f -> f ()) !(t.rehost_hooks);
-  t.rehost_hooks := []
-
-let on_delta t f = t.delta_hooks := f :: !(t.delta_hooks)
-
-let fire_delta t event =
-  List.iter (fun f -> f event) !(t.delta_hooks);
-  t.delta_hooks := []
+let supersede t next delta =
+  let observers = !(t.observers) in
+  t.observers := [];
+  List.iter (fun f -> f next delta) observers
 
 type cost = {
   translate_ms : float;
@@ -183,8 +177,7 @@ let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
       trace;
       ledger;
       generation = next_generation ();
-      rehost_hooks = ref [];
-      delta_hooks = ref [] }
+      observers = ref [] }
   in
   let cost =
     { scheme_build_ms;
@@ -224,8 +217,7 @@ let restore ~master ?(cipher = Crypto.Cipher.Xtea)
     trace;
     ledger = Obs.Ledger.create ();
     generation = next_generation ();
-    rehost_hooks = ref [];
-    delta_hooks = ref [] }
+    observers = ref [] }
 
 (* Rewire the same hosted system behind a chaotic link.  The server
    state is shared; only the wire path (and retry policy) changes. *)
@@ -264,188 +256,199 @@ let client t = t.client
 let server t = t.server
 let pool t = t.pool
 
-let cost_of ?(attempts = 1) ?(retransmitted_bytes = 0) ?(faults_absorbed = 0)
-    ?(replays = 0) ?(degraded = false) ~translate_ms ~server_ms ~bytes ~decrypt_ms
-    ~postprocess_ms ~blocks ~answers () =
+(* ------------------------------------------------------------------ *)
+(* The read pipeline                                                   *)
+
+(* Every read is one Figure 1 round: the client translates, the server
+   prunes and ships candidate blocks, the client decrypts and
+   post-processes.  The entry points below differ only in what they
+   ship and how they evaluate; the round itself ([ship]), the client
+   step ([deliver]), the ledger row ([record]), the cost record
+   ([cost_of]) and the degradation ladder ([degrade]) exist once. *)
+
+(* What the server side of the wire saw of one read: byte counts, index
+   statistics, the shipped blocks and the session counters the read
+   moved.  Pure wire facts — block ids and sizes are response-header
+   fields, never decrypted content — so ledger rows are built from
+   this record alone. *)
+type shipment = {
+  bytes_up : int;
+  bytes_down : int;
+  intervals_touched : int;
+  btree_hits : int;
+  blocks : Encrypt.block list;  (* in shipping order *)
+  server_ms : float;
+  attempts : int;
+  retransmitted_bytes : int;
+  faults_absorbed : int;
+  replays : int;  (* retransmitted frames the endpoint linked *)
+  degraded : bool;
+}
+
+(* A read that crossed no wire: one clean attempt, nothing shipped. *)
+let nothing =
+  { bytes_up = 0; bytes_down = 0; intervals_touched = 0; btree_hits = 0;
+    blocks = []; server_ms = 0.0; attempts = 1; retransmitted_bytes = 0;
+    faults_absorbed = 0; replays = 0; degraded = false }
+
+let add ?(bytes_up = 0) s (r : Server.response) =
+  { s with
+    bytes_up = s.bytes_up + bytes_up;
+    bytes_down = s.bytes_down + r.Server.bytes;
+    intervals_touched = s.intervals_touched + r.Server.candidate_intervals;
+    btree_hits = s.btree_hits + r.Server.btree_hits;
+    blocks = s.blocks @ r.Server.blocks }
+
+(* What the naive path ships: every stored block, read from the server
+   state directly (no metadata round trip to fail). *)
+let everything t =
+  let blocks = Server.all_blocks t.server in
+  { nothing with
+    bytes_down =
+      List.fold_left
+        (fun acc b ->
+          acc + String.length b.Encrypt.ciphertext + Encrypt.block_header_bytes)
+        0 blocks;
+    blocks }
+
+(* Session counters around a group of calls.  The replay-cache hits the
+   endpoint saw are the retransmit-linkability count of the leakage
+   ledger (retransmitted frames are byte-identical; see
+   docs/SECURITY.md). *)
+let snapshot link =
+  Session.stats link.session, (Session.endpoint_stats link.endpoint).Session.replayed
+
+let moved link (before, replays_before) s =
+  let after = Session.stats link.session in
+  { s with
+    attempts = after.Session.attempts - before.Session.attempts;
+    retransmitted_bytes =
+      after.Session.retransmitted_bytes - before.Session.retransmitted_bytes;
+    faults_absorbed = Session.faults_absorbed after - Session.faults_absorbed before;
+    replays = (Session.endpoint_stats link.endpoint).Session.replayed - replays_before }
+
+(* Shipped-block ids in shipping order — the access pattern the ledger
+   records and the adversary simulator replays. *)
+let ids_of blocks = List.map (fun b -> b.Encrypt.id) blocks
+
+let record t label s =
+  if Obs.Ledger.enabled t.ledger then
+    Obs.Ledger.record t.ledger
+      (Obs.Ledger.round label ~bytes_up:s.bytes_up ~bytes_down:s.bytes_down
+         ~intervals_touched:s.intervals_touched ~btree_hits:s.btree_hits
+         ~blocks_returned:(List.length s.blocks) ~block_ids:(ids_of s.blocks)
+         ~attempts:s.attempts ~replays:s.replays ~degraded:s.degraded)
+
+let cost_of s ~translate_ms ~decrypt_ms ~postprocess_ms ~answers =
+  let bytes = s.bytes_up + s.bytes_down in
   { translate_ms;
-    server_ms;
+    server_ms = s.server_ms;
     transmit_bytes = bytes;
     transmit_ms = float_of_int bytes /. link_bytes_per_ms;
     decrypt_ms;
     postprocess_ms;
-    blocks_returned = blocks;
+    blocks_returned = List.length s.blocks;
     answer_count = answers;
-    attempts;
-    retransmitted_bytes;
-    faults_absorbed;
-    replays;
-    degraded }
+    attempts = s.attempts;
+    retransmitted_bytes = s.retransmitted_bytes;
+    faults_absorbed = s.faults_absorbed;
+    replays = s.replays;
+    degraded = s.degraded }
 
-(* Session-stat deltas around a group of calls, for the cost report. *)
-let session_snapshot t = Session.stats t.link.session
+let translate t query =
+  Obs.span t.trace "client.translate" @@ fun () ->
+  timed (fun () -> Client.translate t.client query)
 
-(* Replay-cache hits the endpoint saw since [before] — the
-   retransmit-linkability count of the leakage ledger (retransmitted
-   frames are byte-identical; see docs/SECURITY.md). *)
-let replays_since t before =
-  (Session.endpoint_stats t.link.endpoint).Session.replayed - before
-
-let endpoint_replays t = (Session.endpoint_stats t.link.endpoint).Session.replayed
-
-let robustness_since t (before : Session.stats) =
-  let after = Session.stats t.link.session in
-  ( after.Session.attempts - before.Session.attempts,
-    after.Session.retransmitted_bytes - before.Session.retransmitted_bytes,
-    Session.faults_absorbed after - Session.faults_absorbed before )
-
-(* One verified round trip: frame, exchange (with retries), unframe,
-   decode.  A response that authenticates but fails protocol decoding
-   is reported as Malformed rather than letting the exception escape —
-   under a surviving fault schedule the caller must never crash. *)
-let exchange_raw link request =
-  match Session.call link.session request with
-  | Error e -> Error e
-  | Ok payload ->
-    (match Protocol.decode_response payload with
-     | exception Protocol.Malformed _ -> Error Session.Malformed
-     | response -> Ok (String.length request, response))
-
-let exchange_on link squery = exchange_raw link (Protocol.encode_request squery)
-let exchange t squery = exchange_on t.link squery
-
-(* Shipped-block ids in shipping order — the access pattern the ledger
-   records and the adversary simulator replays.  A pure wire fact: ids
-   are response-header fields, never decrypted content. *)
-let ids_of blocks = List.map (fun b -> b.Encrypt.id) blocks
-
-(* The single candidate-block decrypt step shared by every evaluation
-   path: metadata protocol, naive fallback, unions and aggregates.
-   Per-block verify+decrypt is independent (nonce and MAC are keyed by
-   the block id) and results keep list order, so the pooled fan-out
-   returns exactly what the sequential fold would.  When called from
-   inside a pool worker (see [evaluate_batch]) the nested map degrades
-   to sequential on that worker — correct either way. *)
-let decrypt_blocks t blocks =
-  timed (fun () ->
-      let keys = Client.keys t.client in
-      let one b = b.Encrypt.id, Encrypt.decrypt_block ~keys b in
-      match t.pool with
-      | Some p when Parallel.Pool.size p > 1 -> Parallel.Pool.map_list p one blocks
-      | Some _ | None -> List.map one blocks)
-
-let decrypt_response t (response : Server.response) =
-  decrypt_blocks t response.Server.blocks
-
-let try_evaluate t query =
-  (* Every exchange crosses the wire format: the server decodes the
-     request bytes, the client decodes the response bytes — exactly the
-     Figure 1 data flow, now framed and retried by the session layer. *)
-  Obs.span t.trace "system.evaluate" @@ fun () ->
-  let squery, translate_ms =
-    Obs.span t.trace "client.translate" @@ fun () ->
-    timed (fun () -> Client.translate t.client query)
+(* The verified round: per request, in order — frame, exchange (with
+   retries), unframe, decode; the first failure aborts.  A response
+   that authenticates but fails protocol decoding is reported as
+   Malformed rather than letting the exception escape — under a
+   surviving fault schedule the caller must never crash. *)
+let ship t requests =
+  Obs.span t.trace "wire.exchange" @@ fun () ->
+  let before = snapshot t.link in
+  let rec go s = function
+    | [] -> Ok s
+    | request :: rest ->
+      (match Session.call t.link.session request with
+       | Error e -> Error e
+       | Ok payload ->
+         (match Protocol.decode_response payload with
+          | exception Protocol.Malformed _ -> Error Session.Malformed
+          | response -> go (add ~bytes_up:(String.length request) s response) rest))
   in
-  let before = session_snapshot t in
-  let replays_before = endpoint_replays t in
-  match
-    Obs.span t.trace "wire.exchange" @@ fun () ->
-    timed (fun () -> exchange t squery)
-  with
+  match timed (fun () -> go nothing requests) with
   | Error e, _ -> Error e
-  | Ok (request_bytes, response), server_ms ->
-    let attempts, retransmitted_bytes, faults_absorbed = robustness_since t before in
-    let replays = replays_since t replays_before in
-    let decrypted, decrypt_ms =
-      Obs.span t.trace "client.decrypt" @@ fun () -> decrypt_response t response
-    in
-    let answers, postprocess_ms =
-      Obs.span t.trace "client.postprocess" @@ fun () ->
-      timed (fun () -> Client.evaluate_with t.client ~decrypted query)
-    in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "evaluate" ~bytes_up:request_bytes
-           ~bytes_down:response.Server.bytes
-           ~intervals_touched:response.Server.candidate_intervals
-           ~btree_hits:response.Server.btree_hits
-           ~blocks_returned:(List.length response.Server.blocks)
-           ~block_ids:(ids_of response.Server.blocks)
-           ~attempts ~replays);
-    Ok
-      ( answers,
-        cost_of ~attempts ~retransmitted_bytes ~faults_absorbed ~replays
-          ~translate_ms ~server_ms
-          ~bytes:(request_bytes + response.Server.bytes)
-          ~decrypt_ms ~postprocess_ms
-          ~blocks:(List.length response.Server.blocks)
-          ~answers:(List.length answers) () )
+  | Ok s, server_ms -> Ok (moved t.link before { s with server_ms })
 
-(* What the naive path ships: every stored block.  These are wire
-   facts of the ciphertext store alone, computed outside the
-   answer-producing closures so ledger rounds can record them without
-   projecting anything out of the (secret) answer tuple. *)
-let shipped_facts t =
-  let blocks = Server.all_blocks t.server in
-  let bytes =
-    List.fold_left
-      (fun acc b ->
-        acc + String.length b.Encrypt.ciphertext + Encrypt.block_header_bytes)
-      0 blocks
+(* The client step, then the round's ledger row and cost.  Per-block
+   verify+decrypt is independent (nonce and MAC are keyed by the block
+   id) and results keep list order, so the pooled fan-out returns
+   exactly what the sequential fold would; called from inside a pool
+   worker (a batch lane) the nested map degrades to sequential on that
+   worker — correct either way. *)
+let deliver t ~label ~translate_ms s eval =
+  let decrypted, decrypt_ms =
+    Obs.span t.trace "client.decrypt" @@ fun () ->
+    timed (fun () ->
+        let keys = Client.keys t.client in
+        let one b = b.Encrypt.id, Encrypt.decrypt_block ~keys b in
+        match t.pool with
+        | Some p when Parallel.Pool.size p > 1 -> Parallel.Pool.map_list p one s.blocks
+        | Some _ | None -> List.map one s.blocks)
   in
-  blocks, bytes, List.length blocks
-
-(* [record = false] also skips tracing: the batch path may run this on
-   a pool worker, and the tracer/ledger are single-domain structures. *)
-let naive_impl ~record t query =
-  let shipped, shipped_bytes, shipped_count = shipped_facts t in
-  let run () =
-    let decrypted, decrypt_ms = decrypt_blocks t shipped in
-    let answers, postprocess_ms =
-      timed (fun () -> Client.evaluate_with t.client ~decrypted query)
-    in
-    ( answers,
-      cost_of ~translate_ms:0.0 ~server_ms:0.0 ~bytes:shipped_bytes ~decrypt_ms
-        ~postprocess_ms ~blocks:shipped_count
-        ~answers:(List.length answers) () )
+  let answers, postprocess_ms =
+    Obs.span t.trace "client.postprocess" @@ fun () -> timed (fun () -> eval decrypted)
   in
-  if not record then run ()
-  else begin
-    let answers, cost = Obs.span t.trace "system.naive_evaluate" run in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "naive" ~bytes_down:shipped_bytes
-           ~blocks_returned:shipped_count ~block_ids:(ids_of shipped));
-    answers, cost
-  end
+  record t label s;
+  answers, cost_of s ~translate_ms ~decrypt_ms ~postprocess_ms ~answers:(List.length answers)
 
-let naive_evaluate t query = naive_impl ~record:true t query
+let answers_of t query decrypted = Client.evaluate_with t.client ~decrypted query
+
+let union_of t queries decrypted =
+  Client.evaluate_union_with t.client ~decrypted queries
+
+(* Every exchange crosses the wire format: the server decodes the
+   request bytes, the client decodes the response bytes — exactly the
+   Figure 1 data flow, framed and retried by the session layer. *)
+let wire_read t ~label ~translate_ms requests eval =
+  Result.map (fun s -> deliver t ~label ~translate_ms s eval) (ship t requests)
 
 (* Degradation ladder: the metadata path retries inside Session.call;
    if it still fails, fall back to the naive ship-everything semantics
    evaluated from the server state directly (no metadata round trip to
-   fail), so answers stay exact under any survivable fault schedule. *)
-let evaluate t query =
-  let before = session_snapshot t in
-  let replays_before = endpoint_replays t in
-  match try_evaluate t query with
+   fail), so answers stay exact under any survivable fault schedule.
+   The fallback's row and cost carry what the failed attempt cost on
+   [link] since [before]. *)
+let degrade t ~link ~before err eval =
+  Log.warn (fun m ->
+      m "metadata path failed (%s): degrading to naive evaluation"
+        (Session.error_to_string err));
+  Obs.Metric.incr M.degraded;
+  Obs.span t.trace "system.degraded" @@ fun () ->
+  deliver t ~label:"degraded" ~translate_ms:0.0
+    (moved link before { (everything t) with degraded = true })
+    eval
+
+let with_ladder t eval attempt =
+  let before = snapshot t.link in
+  match attempt () with
   | Ok result -> result
-  | Error err ->
-    Log.warn (fun m ->
-        m "metadata path failed (%s): degrading to naive evaluation"
-          (Session.error_to_string err));
-    Obs.Metric.incr M.degraded;
-    let answers, cost = naive_impl ~record:false t query in
-    let shipped, shipped_bytes, shipped_count = shipped_facts t in
-    let attempts, retransmitted_bytes, faults_absorbed = robustness_since t before in
-    let replays = replays_since t replays_before in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "degraded" ~bytes_down:shipped_bytes
-           ~blocks_returned:shipped_count ~block_ids:(ids_of shipped)
-           ~attempts ~replays ~degraded:true);
-    ( answers,
-      { cost with
-        degraded = true; attempts; retransmitted_bytes; faults_absorbed; replays } )
+  | Error err -> degrade t ~link:t.link ~before err eval
+
+let try_evaluate t query =
+  Obs.span t.trace "system.evaluate" @@ fun () ->
+  let squery, translate_ms = translate t query in
+  wire_read t ~label:"evaluate" ~translate_ms
+    [ Protocol.encode_request squery ]
+    (answers_of t query)
+
+let naive_evaluate t query =
+  Obs.span t.trace "system.naive_evaluate" @@ fun () ->
+  deliver t ~label:"naive" ~translate_ms:0.0 (everything t) (answers_of t query)
+
+let evaluate t query =
+  with_ladder t (answers_of t query) (fun () -> try_evaluate t query)
 
 (* ------------------------------------------------------------------ *)
 (* Mitigation primitives (the Mitigate layer's wire operations)        *)
@@ -455,27 +458,11 @@ let evaluate t query =
    decrypt/postprocess time and no answers. *)
 let fetch_blocks t ids =
   Obs.span t.trace "system.fetch" @@ fun () ->
-  let before = session_snapshot t in
-  let replays_before = endpoint_replays t in
-  match timed (fun () -> exchange_raw t.link (Protocol.encode_fetch ids)) with
-  | Error e, _ -> Error e
-  | Ok (request_bytes, response), server_ms ->
-    let attempts, retransmitted_bytes, faults_absorbed = robustness_since t before in
-    let replays = replays_since t replays_before in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "fetch" ~bytes_up:request_bytes
-           ~bytes_down:response.Server.bytes
-           ~blocks_returned:(List.length response.Server.blocks)
-           ~block_ids:(ids_of response.Server.blocks)
-           ~attempts ~replays);
-    Ok
-      (cost_of ~attempts ~retransmitted_bytes ~faults_absorbed ~replays
-         ~translate_ms:0.0 ~server_ms
-         ~bytes:(request_bytes + response.Server.bytes)
-         ~decrypt_ms:0.0 ~postprocess_ms:0.0
-         ~blocks:(List.length response.Server.blocks)
-         ~answers:0 ())
+  Result.map
+    (fun s ->
+      record t "fetch" s;
+      cost_of s ~translate_ms:0.0 ~decrypt_ms:0.0 ~postprocess_ms:0.0 ~answers:0)
+    (ship t [ Protocol.encode_fetch ids ])
 
 (* The padded twin of [try_evaluate]: the shipment is widened to the
    requested envelope but stays a superset of the honest answer, and
@@ -484,132 +471,28 @@ let fetch_blocks t ids =
    round. *)
 let try_evaluate_padded t ~extra query =
   Obs.span t.trace "system.evaluate_padded" @@ fun () ->
-  let squery, translate_ms =
-    Obs.span t.trace "client.translate" @@ fun () ->
-    timed (fun () -> Client.translate t.client query)
-  in
-  let before = session_snapshot t in
-  let replays_before = endpoint_replays t in
-  match
-    Obs.span t.trace "wire.exchange" @@ fun () ->
-    timed (fun () -> exchange_raw t.link (Protocol.encode_padded squery extra))
-  with
-  | Error e, _ -> Error e
-  | Ok (request_bytes, response), server_ms ->
-    let attempts, retransmitted_bytes, faults_absorbed = robustness_since t before in
-    let replays = replays_since t replays_before in
-    let decrypted, decrypt_ms =
-      Obs.span t.trace "client.decrypt" @@ fun () -> decrypt_response t response
-    in
-    let answers, postprocess_ms =
-      Obs.span t.trace "client.postprocess" @@ fun () ->
-      timed (fun () -> Client.evaluate_with t.client ~decrypted query)
-    in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "padded" ~bytes_up:request_bytes
-           ~bytes_down:response.Server.bytes
-           ~intervals_touched:response.Server.candidate_intervals
-           ~btree_hits:response.Server.btree_hits
-           ~blocks_returned:(List.length response.Server.blocks)
-           ~block_ids:(ids_of response.Server.blocks)
-           ~attempts ~replays);
-    Ok
-      ( answers,
-        cost_of ~attempts ~retransmitted_bytes ~faults_absorbed ~replays
-          ~translate_ms ~server_ms
-          ~bytes:(request_bytes + response.Server.bytes)
-          ~decrypt_ms ~postprocess_ms
-          ~blocks:(List.length response.Server.blocks)
-          ~answers:(List.length answers) () )
+  let squery, translate_ms = translate t query in
+  wire_read t ~label:"padded" ~translate_ms
+    [ Protocol.encode_padded squery extra ]
+    (answers_of t query)
 
-(* Union queries: one server round per branch, one combined block set,
-   one client-side union evaluation (node-level dedup). *)
+(* Union queries: one server round per branch, one combined block set
+   (a block two branches share ships twice but decrypts once), one
+   client-side union evaluation (node-level dedup). *)
 let try_evaluate_union t queries =
   Obs.span t.trace "system.evaluate_union" @@ fun () ->
-  let start = now_ms () in
-  let before = session_snapshot t in
-  let replays_before = endpoint_replays t in
-  let rec rounds acc = function
-    | [] -> Ok (List.rev acc)
-    | q :: rest ->
-      (match exchange t (Client.translate t.client q) with
-       | Error e -> Error e
-       | Ok round -> rounds (round :: acc) rest)
-  in
-  match rounds [] queries with
-  | Error e -> Error e
-  | Ok responses ->
-    let server_ms = now_ms () -. start in
-    let attempts, retransmitted_bytes, faults_absorbed = robustness_since t before in
-    let blocks =
-      List.sort_uniq
-        (fun a b -> compare a.Encrypt.id b.Encrypt.id)
-        (List.concat_map (fun (_, r) -> r.Server.blocks) responses)
-    in
-    let bytes =
-      List.fold_left (fun acc (req, r) -> acc + req + r.Server.bytes) 0 responses
-    in
-    let decrypted, decrypt_ms = decrypt_blocks t blocks in
-    let answers, postprocess_ms =
-      timed (fun () -> Client.evaluate_union_with t.client ~decrypted queries)
-    in
-    let replays = replays_since t replays_before in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "union"
-           ~bytes_up:(List.fold_left (fun acc (req, _) -> acc + req) 0 responses)
-           ~bytes_down:
-             (List.fold_left (fun acc (_, r) -> acc + r.Server.bytes) 0 responses)
-           ~intervals_touched:
-             (List.fold_left
-                (fun acc (_, r) -> acc + r.Server.candidate_intervals)
-                0 responses)
-           ~btree_hits:
-             (List.fold_left (fun acc (_, r) -> acc + r.Server.btree_hits) 0 responses)
-           ~blocks_returned:(List.length blocks) ~block_ids:(ids_of blocks)
-           ~attempts ~replays);
-    Ok
-      ( answers,
-        cost_of ~attempts ~retransmitted_bytes ~faults_absorbed ~replays
-          ~translate_ms:0.0 ~server_ms ~bytes ~decrypt_ms ~postprocess_ms
-          ~blocks:(List.length blocks)
-          ~answers:(List.length answers) () )
+  let translated = List.map (translate t) queries in
+  let translate_ms = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 translated in
+  Result.map
+    (fun s ->
+      let blocks =
+        List.sort_uniq (fun a b -> Int.compare a.Encrypt.id b.Encrypt.id) s.blocks
+      in
+      deliver t ~label:"union" ~translate_ms { s with blocks } (union_of t queries))
+    (ship t (List.map (fun (squery, _) -> Protocol.encode_request squery) translated))
 
 let evaluate_union t queries =
-  let before = session_snapshot t in
-  let replays_before = endpoint_replays t in
-  match try_evaluate_union t queries with
-  | Ok result -> result
-  | Error err ->
-    Log.warn (fun m ->
-        m "union metadata path failed (%s): degrading to naive evaluation"
-          (Session.error_to_string err));
-    Obs.Metric.incr M.degraded;
-    let blocks = Server.all_blocks t.server in
-    let bytes =
-      List.fold_left
-        (fun acc b ->
-          acc + String.length b.Encrypt.ciphertext + Encrypt.block_header_bytes)
-        0 blocks
-    in
-    let decrypted, decrypt_ms = decrypt_blocks t blocks in
-    let answers, postprocess_ms =
-      timed (fun () -> Client.evaluate_union_with t.client ~decrypted queries)
-    in
-    let attempts, retransmitted_bytes, faults_absorbed = robustness_since t before in
-    let replays = replays_since t replays_before in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "degraded" ~bytes_down:bytes
-           ~blocks_returned:(List.length blocks) ~block_ids:(ids_of blocks)
-           ~attempts ~replays ~degraded:true);
-    ( answers,
-      cost_of ~attempts ~retransmitted_bytes ~faults_absorbed ~replays
-        ~degraded:true ~translate_ms:0.0 ~server_ms:0.0 ~bytes ~decrypt_ms
-        ~postprocess_ms
-        ~blocks:(List.length blocks)
-        ~answers:(List.length answers) () )
+  with_ladder t (union_of t queries) (fun () -> try_evaluate_union t queries)
 
 (* ------------------------------------------------------------------ *)
 (* Batched evaluation                                                  *)
@@ -622,24 +505,25 @@ let evaluate_union t queries =
      order: OPESS translation memoises inside each catalog's OPE
      instance, which parallel translation would race on;
 
-   - each lane gets a private session link (the system's own session
-     is stateful: sequence numbers, stats), built over the same
-     endpoint handler, so every request/response crosses the same wire
-     format and the server answers from the same read-only state;
+   - each lane is the system behind a private session link (the
+     system's own session is stateful: sequence numbers, stats), built
+     over the same endpoint handler, so every request/response crosses
+     the same wire format and the server answers from the same
+     read-only state;
 
    - results merge by input index (the pool's deterministic-merge
      contract), so answers and costs line up with the query array.
 
-   A chaotic link serialises: retry schedules are deterministic per
-   session, and interleaving lanes over a shared fault schedule would
-   change which faults hit which query. *)
+   Lanes never trace, and record their ledger row on a private ledger:
+   the tracer, the ledger and the metric registry are single-domain
+   structures.  The rows (label "batch"), and any fallback down the
+   degradation ladder, are taken after the merge, on the calling
+   domain, in query order.  A chaotic link serialises: retry schedules
+   are deterministic per session, and interleaving lanes over a shared
+   fault schedule would change which faults hit which query. *)
 let evaluate_batch t queries =
-  let sequentially () = Array.map (fun q -> evaluate t q) queries in
   match t.pool with
-  | None -> sequentially ()
-  | Some _ when t.link.faulty -> sequentially ()
-  | Some p when Parallel.Pool.size p <= 1 -> sequentially ()
-  | Some p ->
+  | Some p when Parallel.Pool.size p > 1 && not t.link.faulty ->
     let keys = Client.keys t.client in
     (* Lane links derive the session MAC key from the (mutable) key
        ring memo: warm it before fanning out. *)
@@ -647,64 +531,31 @@ let evaluate_batch t queries =
     let translated =
       Array.map (fun q -> q, timed (fun () -> Client.translate t.client q)) queries
     in
-    let results =
+    let lanes =
       Parallel.Pool.map p
-      (fun (query, (squery, translate_ms)) ->
-        let lane = make_link keys t.server in
-        let before = Session.stats lane.session in
-        match timed (fun () -> exchange_on lane squery) with
-        | Ok (request_bytes, response), server_ms ->
-          let attempts, retransmitted_bytes, faults_absorbed =
-            let after = Session.stats lane.session in
-            ( after.Session.attempts - before.Session.attempts,
-              after.Session.retransmitted_bytes - before.Session.retransmitted_bytes,
-              Session.faults_absorbed after - Session.faults_absorbed before )
+        (fun (query, (squery, translate_ms)) ->
+          let lane =
+            { t with
+              link = make_link keys t.server;
+              trace = Obs.Trace.create ();
+              ledger = Obs.Ledger.create ~enabled:(Obs.Ledger.enabled t.ledger) () }
           in
-          let decrypted, decrypt_ms = decrypt_response t response in
-          let answers, postprocess_ms =
-            timed (fun () -> Client.evaluate_with t.client ~decrypted query)
-          in
-          (* The lane returns the ledger's wire facts next to the
-             result pair: they come from the request/response framing,
-             never from the answer tuple, so recording them after the
-             merge stays clean of the decrypted material. *)
-          ( ( answers,
-              cost_of ~attempts ~retransmitted_bytes ~faults_absorbed
-                ~translate_ms ~server_ms
-                ~bytes:(request_bytes + response.Server.bytes)
-                ~decrypt_ms ~postprocess_ms
-                ~blocks:(List.length response.Server.blocks)
-                ~answers:(List.length answers) () ),
-            (false, request_bytes + response.Server.bytes,
-             ids_of response.Server.blocks, attempts) )
-        | Error err, _ ->
-          Log.warn (fun m ->
-              m "batch lane failed (%s): degrading to naive evaluation"
-                (Session.error_to_string err));
-          let answers, cost = naive_impl ~record:false t query in
-          let shipped, shipped_bytes, _ = shipped_facts t in
-          (* attempts 1 matches the naive cost's [cost_of] default. *)
-          ( (answers, { cost with degraded = true }),
-            (true, shipped_bytes, ids_of shipped, 1) ))
+          let before = snapshot lane.link in
+          ( wire_read lane ~label:"batch" ~translate_ms
+              [ Protocol.encode_request squery ]
+              (answers_of t query),
+            lane,
+            before ))
         translated
     in
-    (* Metric and ledger updates happen after the deterministic merge,
-       on the calling domain — the default registry's counters are not
-       atomic, and lane endpoints (with their replay caches) are
-       private and discarded, so per-round replay counts are 0 here. *)
-    Array.iter
-      (fun (_, (lane_degraded, _, _, _)) ->
-        if lane_degraded then Obs.Metric.incr M.degraded)
-      results;
-    if Obs.Ledger.enabled t.ledger then
-      Array.iter
-        (fun (_, (lane_degraded, lane_bytes, lane_ids, lane_attempts)) ->
-          Obs.Ledger.record t.ledger
-            (Obs.Ledger.round "batch" ~bytes_down:lane_bytes
-               ~blocks_returned:(List.length lane_ids) ~block_ids:lane_ids
-               ~attempts:lane_attempts ~degraded:lane_degraded))
-        results;
-    Array.map fst results
+    Array.map2
+      (fun query (result, lane, before) ->
+        List.iter (Obs.Ledger.record t.ledger) (Obs.Ledger.rounds lane.ledger);
+        match result with
+        | Ok result -> result
+        | Error err -> degrade t ~link:lane.link ~before err (answers_of t query))
+      queries lanes
+  | Some _ | None -> Array.map (evaluate t) queries
 
 let reference_union t queries =
   List.map (fun n -> Doc.subtree t.doc n) (Xpath.Eval.eval_union t.doc queries)
@@ -740,7 +591,8 @@ let extreme direction values =
   | v :: rest -> Some (List.fold_left better v rest)
 
 let aggregate t direction query =
-  let squery, translate_ms = timed (fun () -> Client.translate t.client query) in
+  Obs.span t.trace "system.aggregate" @@ fun () ->
+  let squery, translate_ms = translate t query in
   match
     (* The no-decryption fast path needs the server's candidate set to
        be exact, which structural joins guarantee only in the absence
@@ -754,28 +606,18 @@ let aggregate t direction query =
     let answers, cost = evaluate t query in
     extreme direction (leaf_values answers), cost
   | Some key_range ->
+    (* The extreme-entry exchange has no wire encoding yet: the server
+       answers in-process, so nothing goes up the wire. *)
     let response, server_ms =
       timed (fun () -> Server.answer_extreme t.server squery ~key_range ~direction)
     in
-    let decrypted, decrypt_ms = decrypt_response t response in
-    let result, postprocess_ms =
-      timed (fun () ->
-          extreme direction
-            (leaf_values (Client.evaluate_with t.client ~decrypted query)))
+    let answers, cost =
+      deliver t ~label:"aggregate" ~translate_ms
+        { (add nothing response) with server_ms }
+        (answers_of t query)
     in
-    if Obs.Ledger.enabled t.ledger then
-      Obs.Ledger.record t.ledger
-        (Obs.Ledger.round "aggregate" ~bytes_down:response.Server.bytes
-           ~intervals_touched:response.Server.candidate_intervals
-           ~btree_hits:response.Server.btree_hits
-           ~blocks_returned:(List.length response.Server.blocks)
-           ~block_ids:(ids_of response.Server.blocks));
-    ( result,
-      cost_of ~translate_ms ~server_ms ~bytes:response.Server.bytes ~decrypt_ms
-        ~postprocess_ms
-        ~blocks:(List.length response.Server.blocks)
-        ~answers:(match result with Some _ -> 1 | None -> 0)
-        () )
+    let result = extreme direction (leaf_values answers) in
+    result, { cost with answer_count = (match result with Some _ -> 1 | None -> 0) }
 
 let count t query =
   (* COUNT cannot be answered from the index (splitting and scaling
@@ -789,35 +631,24 @@ let reference_aggregate t direction query =
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)
 
+(* A full re-host of [doc] under [master], keeping [t]'s constraints,
+   scheme kind, cipher and pool; [t]'s observers follow the result. *)
+let rehost t ~master doc =
+  let next, cost =
+    setup ~master ~cipher:t.cipher ?pool:t.pool doc t.constraints t.scheme.Scheme.kind
+  in
+  supersede t next None;
+  next, cost
+
 (* Key rotation: re-host the same document under a fresh master secret
    (new block keys, pads, OPE keys, weights — everything re-derives).
    Old persisted bundles stop authenticating, by construction. *)
-let rotate t ~new_master =
-  let result =
-    setup ~master:new_master ~cipher:t.cipher ?pool:t.pool t.doc t.constraints
-      t.scheme.Scheme.kind
-  in
-  fire_rehost t;
-  result
+let rotate t ~new_master = rehost t ~master:new_master t.doc
 
 let update t edit =
   Log.info (fun m -> m "update: %s; re-hosting" (Update.describe edit));
   let edited = Doc.of_tree (Update.apply t.doc edit) in
-  let result =
-    setup ~master:t.master ~cipher:t.cipher ?pool:t.pool edited t.constraints
-      t.scheme.Scheme.kind
-  in
-  fire_rehost t;
-  result
-
-let update_all t edits =
-  let edited = Update.apply_all t.doc edits in
-  let result =
-    setup ~master:t.master ~cipher:t.cipher ?pool:t.pool edited t.constraints
-      t.scheme.Scheme.kind
-  in
-  fire_rehost t;
-  result
+  rehost t ~master:t.master edited
 
 (* ------------------------------------------------------------------ *)
 (* Incremental delta updates                                           *)
@@ -937,8 +768,7 @@ let apply_delta t edit =
         server;
         link = make_link keys server;
         generation = next_generation ();
-        rehost_hooks = ref [];
-        delta_hooks = ref [] }
+        observers = ref [] }
     in
     let event =
       { touched_blocks =
@@ -956,7 +786,7 @@ let apply_delta t edit =
           (List.length t.db.Encrypt.blocks)
           (List.length !dropped)
           (stats.Metadata.rows_removed + stats.Metadata.rows_added));
-    fire_delta t event;
+    supersede t t' (Some event);
     ( t',
       { plan_ms;
         reencrypt_ms;

@@ -11,7 +11,18 @@
 
     {!naive_evaluate} is the Section 7.3 baseline: the server ships
     every block, the client decrypts everything and evaluates
-    locally. *)
+    locally.
+
+    Every read entry point is a thin caller of one private pipeline:
+    one verified round, one client step (decrypt, post-process), one
+    builder each for the ledger row and the {!cost} record, and one
+    degradation ladder.  The entry points differ only in what they ship
+    and how the client evaluates it, so their ledger rows carry the
+    same fields.
+
+    A hosting is superseded by {!update}, {!rotate} or {!apply_delta}.
+    Observers registered with {!on_succession} are handed the
+    successor, which is how {!Engine} follows its hosting. *)
 
 type t
 
@@ -62,8 +73,8 @@ val setup :
     fan out across its domains during hosting, and the system keeps the
     pool for candidate-block decryption and {!evaluate_batch}.  All
     outputs — ciphertexts, metadata, answers — are byte-identical to a
-    pool-less setup; systems derived by {!update} / {!rotate} inherit
-    the pool.
+    pool-less setup; systems derived by {!update} / {!rotate} /
+    {!apply_delta} inherit the pool.
     @raise Invalid_argument when the scheme cannot enforce the SCs
     (should not happen for the four built-in kinds). *)
 
@@ -102,13 +113,6 @@ val generation : t -> int
     artifacts (cached plans, memoised candidates, decrypted blocks) is
     valid for exactly one generation. *)
 
-val on_rehost : t -> (unit -> unit) -> unit
-(** Register an invalidation hook on this hosting.  All hooks fire
-    (once, then are dropped) when the system is superseded by
-    {!update}, {!update_all} or {!rotate} — the moment every derived
-    ciphertext artifact becomes stale.  {!with_faults} shares the hook
-    list of the system it rewires. *)
-
 type delta_event = {
   touched_blocks : (int * int * int) list;
       (** (block id, old generation, new generation) for every block
@@ -124,12 +128,16 @@ type delta_event = {
     which derived artifacts (decrypted-block caches) can be invalidated
     selectively instead of wholesale. *)
 
-val on_delta : t -> (delta_event -> unit) -> unit
-(** Register a delta hook.  Hooks fire (once, then are dropped) when
-    the system is superseded by {!apply_delta} — carrying the
-    changelist, so observers keep artifacts derived from untouched
-    blocks.  A full re-host ({!update}/{!rotate}) fires the
-    {!on_rehost} hooks instead, never these. *)
+val on_succession : t -> (t -> delta_event option -> unit) -> unit
+(** [on_succession t f] registers an observer of this hosting.  When
+    {!update}, {!rotate} or {!apply_delta} supersedes it, every
+    observer is called once (then dropped) with the successor and the
+    delta's changelist — [None] for a full re-host, after which every
+    derived ciphertext artifact is stale; [Some] for a delta, so
+    observers keep artifacts derived from untouched blocks.  An
+    observer that wants to follow the successor registers on it.
+    {!with_faults} and {!reset_link} share the observers of the system
+    they rewire. *)
 
 (** {2 Transport faults and the session layer}
 
@@ -155,7 +163,7 @@ val reset_link :
     to the new endpoint, never a replay hit.  [faults] rewires the new
     link through {!Transport.faulty}; omitting it yields a perfect
     loopback (how a tripped tenant repairs itself).  Server state,
-    ledger, tracer and rehost hooks are shared with [t]. *)
+    ledger, tracer and succession observers are shared with [t]. *)
 
 val session_stats : t -> Session.stats
 val transport_stats : t -> Transport.stats
@@ -169,8 +177,9 @@ val endpoint_stats : t -> Session.endpoint_stats
     cost one boolean test per instrumentation point; enable them with
     [Obs.Trace.set_enabled] / [Obs.Ledger.set_enabled].  The pooled
     {!evaluate_batch} path records ledger rounds after the
-    deterministic merge (label ["batch"]) and never traces from pool
-    workers; {!with_faults} shares both with the system it rewires.
+    deterministic merge (label ["batch"], the same fields as a
+    sequential ["evaluate"] round) and never traces from pool workers;
+    {!with_faults} shares both with the system it rewires.
     See docs/OBSERVABILITY.md. *)
 
 val tracer : t -> Obs.Trace.t
@@ -211,16 +220,17 @@ val evaluate_batch : t -> Xpath.Ast.path array -> (Xmlcore.Tree.t list * cost) a
 (** Evaluate independent queries of a workload, fanning them across
     the system's pool against the shared read-only server (one private
     session lane per query).  Result [i] — answers, protocol bytes,
-    blocks returned — is exactly what [evaluate t queries.(i)] returns;
-    only wall-clock changes.  Without a pool (or behind a
+    blocks returned — is exactly what [evaluate t queries.(i)] returns,
+    and so is its ledger round but for the label; only wall-clock
+    changes.  Without a pool (or behind a
     {!with_faults} link, whose deterministic fault schedule is
     per-session) the queries run sequentially. *)
 
 val evaluate_union : t -> Xpath.Ast.path list -> Xmlcore.Tree.t list * cost
 (** Union query ([p1 | p2 | ...], cf. {!Xpath.Parser.parse_union}): one
     server round per branch, a single combined decryption and a
-    node-deduplicated union evaluation.  [translate_ms] is folded into
-    [server_ms] in the reported cost. *)
+    node-deduplicated union evaluation.  [translate_ms] sums the
+    branches' translations. *)
 
 val try_evaluate_union :
   t -> Xpath.Ast.path list -> (Xmlcore.Tree.t list * cost, Session.error) result
@@ -267,16 +277,16 @@ val reference_aggregate : t -> [ `Min | `Max ] -> Xpath.Ast.path -> string optio
     incremental protocol would use instead. *)
 
 val update : t -> Update.edit -> t * setup_cost
-(** Apply one edit and re-host.
+(** Apply one edit and re-host; the {!on_succession} observers get the
+    result with [None].
     @raise Invalid_argument on impossible edits (see {!Update.apply})
     or if the edited document no longer satisfies setup's checks. *)
-
-val update_all : t -> Update.edit list -> t * setup_cost
 
 val rotate : t -> new_master:string -> t * setup_cost
 (** Re-host under a fresh master secret: every derived key, pad, OPE
     mapping and DSI weight changes; bundles persisted under the old
-    master no longer authenticate. *)
+    master no longer authenticate.  Observers are handed the result as
+    for {!update}. *)
 
 (** {2 Incremental delta updates}
 
@@ -310,8 +320,8 @@ val apply_delta : t -> Update.edit -> t * delta_cost
 (** Apply one edit incrementally.  Answers over the result are exactly
     those of a fresh {!setup} of the edited document (pinned by the
     differential suite); server-visible artifacts differ only in the
-    touched blocks.  Fires the {!on_delta} hooks with the block
-    changelist (or, when falling back, the {!on_rehost} hooks via
+    touched blocks.  Hands the {!on_succession} observers the result
+    with the block changelist (or, when falling back, with [None] via
     {!update}).  The superseded system's metadata shares its B-tree
     with the result and must not be queried afterwards.
     @raise Invalid_argument on impossible edits (see {!Update.apply}). *)

@@ -364,17 +364,10 @@ let relink t ~tenant ?session ?faults () =
 
 let rehost t ~tenant ~new_master =
   let tn = find t tenant in
-  let cost =
-    match tn.route, tn.engine with
-    | `Engine, Some eng ->
-      let cost = Engine.rotate eng ~new_master in
-      tn.sys <- Engine.system eng;
-      cost
-    | _ ->
-      let sys', cost = Secure.System.rotate tn.sys ~new_master in
-      tn.sys <- sys';
-      cost
-  in
+  (* An [`Engine] tenant's engine follows the rotation itself: its
+     caches flush and it re-binds to the new hosting. *)
+  let sys', cost = Secure.System.rotate tn.sys ~new_master in
+  tn.sys <- sys';
   Limiter.reset tn.bucket;
   Breaker.reset tn.breaker;
   cost

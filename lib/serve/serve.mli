@@ -174,8 +174,8 @@ val relink :
 
 val rehost : t -> tenant:string -> new_master:string -> Secure.System.setup_cost
 (** Online re-encryption of one tenant between rounds: rebuild its
-    hosting under [new_master] ({!Secure.System.rotate}; through
-    {!Engine.rotate} on the [`Engine] route so caches flush under the
-    rehost hook), swap it into the registry and reset the tenant's
+    hosting under [new_master] ({!Secure.System.rotate}; on the
+    [`Engine] route the tenant's engine flushes its caches and follows
+    the new hosting), swap it into the registry and reset the tenant's
     bucket and breaker.  Other tenants are untouched; every subsequent
     answer for this tenant carries the new {!generation}. *)

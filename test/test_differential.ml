@@ -15,7 +15,14 @@
    The main sweep is fully deterministic — fixed document seeds, fixed
    query-generator seeds — and covers >= 200 (doc, scheme, query)
    cases; a qcheck property re-runs the core comparison on arbitrary
-   documents on top. *)
+   documents on top.
+
+   The update sweep applies each edit chain once, through
+   [System.apply_deltas]; a warm engine created on the first hosting
+   follows the chain of successors by itself.  A pin renders what the
+   server sees on every read path of one fixed hosting (ledger rows,
+   integer cost fields, answer digests) into one dump whose digest is a
+   constant. *)
 
 module System = Secure.System
 module Scheme = Secure.Scheme
@@ -198,17 +205,20 @@ let update_queries =
 let update_cases = ref 0
 
 (* One (doc, edit-sequence, scheme) cell: host, warm an engine, apply
-   the deltas everywhere, then compare every path against a fresh
-   re-host of the mutated plaintext. *)
+   the deltas, then compare every path against a fresh re-host of the
+   mutated plaintext. *)
 let update_equiv_cell ~seed doc edits kind =
   let sys0, _ = System.setup ~master:"diff-update" doc scs kind in
   let eng = Engine.create sys0 in
   (* Warm the engine's plan/result/block caches on the pre-update
      document so the post-update runs cross a warm cache. *)
   List.iter (fun q -> ignore (Engine.evaluate eng q)) update_queries;
-  let sysn, costs = System.apply_deltas sys0 edits in
-  List.iter (fun e -> ignore (Engine.apply_delta eng e)) edits;
-  ignore costs;
+  (* The engine follows the chain of successors by itself. *)
+  let sysn, _costs = System.apply_deltas sys0 edits in
+  Alcotest.(check bool)
+    (Printf.sprintf "update %Ld %s: engine follows" seed (Scheme.kind_to_string kind))
+    true
+    (Engine.system eng == sysn);
   let fresh, _ =
     System.setup ~master:(System.master sysn) (System.doc sysn)
       (System.constraints sysn) kind
@@ -255,6 +265,101 @@ let update_equivalence_sweep () =
     true
     (!update_cases >= 100)
 
+(* ------------------------------------------------------------------ *)
+(* What the server sees, pinned.  One fixed hosting per scheme, no
+   pool, every read path run once, in a fixed order: the ledger rows,
+   the integer cost fields and an answer digest per call are rendered
+   into one dump whose digest is a constant.  Timing fields are left
+   out.  A change to what any read path puts on the wire, ships or
+   records shows up here as a digest mismatch, and the dump is printed
+   so the difference can be read. *)
+
+module Ledger = Obs.Ledger
+
+let pin_doc = Workload.Health.generate ~patients:30 ()
+let pin_scs = Workload.Health.constraints ()
+
+let answer_digest trees =
+  Digest.to_hex (Digest.string (String.concat "\n" (Helpers.norm_trees trees)))
+
+let cost_line (c : System.cost) =
+  Printf.sprintf
+    "bytes=%d blocks=%d answers=%d attempts=%d retransmitted=%d faults=%d \
+     replays=%d degraded=%b"
+    c.System.transmit_bytes c.System.blocks_returned c.System.answer_count
+    c.System.attempts c.System.retransmitted_bytes c.System.faults_absorbed
+    c.System.replays c.System.degraded
+
+let report_line (r : Engine.report) =
+  Printf.sprintf
+    "plan=%s result=%s request=%d hits=%d misses=%d bytes=%d blocks=%d \
+     decrypted=%d answers=%d"
+    (Engine.outcome_to_string r.Engine.plan_outcome)
+    (Engine.outcome_to_string r.Engine.result_outcome)
+    r.Engine.request_bytes r.Engine.block_hits r.Engine.block_misses
+    r.Engine.transmit_bytes r.Engine.blocks_returned r.Engine.blocks_decrypted
+    r.Engine.answer_count
+
+let pin_kind buf kind =
+  let line fmt = Printf.bprintf buf (fmt ^^ "\n") in
+  let sys, _ = System.setup ~master:"pin-master" pin_doc pin_scs kind in
+  let ledger = System.ledger sys in
+  Ledger.set_enabled ledger true;
+  let q = Xpath.Parser.parse "//patient[age>=40]/pname" in
+  let q2 = Xpath.Parser.parse "//treat/disease" in
+  let answered name (answers, cost) =
+    line "%s %s %s" name (answer_digest answers) (cost_line cost)
+  in
+  let strict name = function
+    | Ok result -> answered name result
+    | Error e -> line "%s error %s" name (Secure.Session.error_to_string e)
+  in
+  line "scheme %s" (Scheme.kind_to_string kind);
+  answered "evaluate" (System.evaluate sys q);
+  strict "try_evaluate" (System.try_evaluate sys q);
+  strict "try_evaluate_padded"
+    (System.try_evaluate_padded sys ~extra:[ 0; 2; 5; 9 ] q);
+  (match System.fetch_blocks sys [ 1; 3; 4 ] with
+   | Ok cost -> line "fetch_blocks %s" (cost_line cost)
+   | Error e -> line "fetch_blocks error %s" (Secure.Session.error_to_string e));
+  answered "naive_evaluate" (System.naive_evaluate sys q);
+  (let n, cost = System.count sys q2 in
+   line "count %d %s" n (cost_line cost));
+  answered "evaluate_union" (System.evaluate_union sys [ q; q2 ]);
+  strict "try_evaluate_union" (System.try_evaluate_union sys [ q; q2 ]);
+  Array.iter (answered "evaluate_batch") (System.evaluate_batch sys [| q; q2 |]);
+  List.iter
+    (fun (name, dir, query) ->
+      let v, cost = System.aggregate sys dir (Xpath.Parser.parse query) in
+      line "%s %s %s" name (Option.value v ~default:"-") (cost_line cost))
+    [ "aggregate/fast", `Max, "//patient/age";
+      "aggregate/fallback", `Min, "//patient[age>=40]/age" ];
+  let faulty =
+    System.with_faults ~profile:(Secure.Transport.chaos ~drop:0.9 ()) ~seed:5L sys
+  in
+  answered "faulty/evaluate" (System.evaluate faulty q);
+  answered "faulty/evaluate_union" (System.evaluate_union faulty [ q; q2 ]);
+  let eng = Engine.create sys in
+  List.iter
+    (fun name ->
+      let answers, report = Engine.evaluate_report eng q in
+      line "%s %s %s" name (answer_digest answers) (report_line report))
+    [ "engine/cold"; "engine/warm" ];
+  line "ledger %s" (Obs.Json.to_string (Ledger.to_json ledger))
+
+(* Captured on the tree before the read pipeline was shared; must not
+   change with it. *)
+let pinned_view = "37e8055ae8590f7fd11b906da9fc9da6"
+
+let server_view_pinned () =
+  let buf = Buffer.create 4096 in
+  List.iter (pin_kind buf) [ Scheme.Opt; Scheme.Top ];
+  let dump = Buffer.contents buf in
+  let got = Digest.to_hex (Digest.string dump) in
+  if got <> pinned_view then
+    Alcotest.failf "server view changed (digest %s, pinned %s):\n%s" got
+      pinned_view dump
+
 (* Arbitrary documents on top of the fixed seeds: the same all-paths
    agreement, qcheck-generated.  Kept smaller per run (two schemes, the
    generated queries only) so the whole suite stays fast. *)
@@ -285,4 +390,7 @@ let () =
       ( "updates",
         [ Alcotest.test_case "delta-vs-fresh-host equivalence sweep" `Slow
             update_equivalence_sweep ] );
+      ( "pin",
+        [ Alcotest.test_case "server view of every read path" `Quick
+            server_view_pinned ] );
       Helpers.qsuite "property" [ arbitrary_doc_agreement ] ]

@@ -1,6 +1,7 @@
 (* Engine tests: LRU mechanics, planner shape, answer equality across
    schemes and cache configurations (including immediately after an
-   update), eviction behaviour at tiny capacities, the server-side
+   update), eviction behaviour at tiny capacities, the engine following
+   its hosting through every kind of succession, the server-side
    sortedness invariant behind the lookup fast path, and cache-key
    hygiene (the key is exactly the wire request; plaintext never
    reaches it). *)
@@ -151,8 +152,8 @@ let update_invalidates () =
   let _, warm = Engine.evaluate_report eng q in
   Alcotest.(check bool) "warm run hits the result memo" true
     (warm.Engine.result_outcome = Engine.Hit);
-  let _cost =
-    Engine.update eng (Secure.Update.Set_value (parse "//patient/age", "61"))
+  let _next, _cost =
+    System.update sys (Secure.Update.Set_value (parse "//patient/age", "61"))
   in
   let answers, post = Engine.evaluate_report eng q in
   Alcotest.(check bool) "post-update run misses" true
@@ -162,12 +163,12 @@ let update_invalidates () =
   Alcotest.(check bool) "invalidation counted" true
     ((Engine.stats eng).Engine.Stats.invalidations >= 1)
 
-(* The incremental-update contract: Engine.apply_delta flushes the
-   result memo but keeps compiled plans and every untouched block's
-   decrypted-subtree entry — only the touched blocks' (id, generation)
-   keys are evicted, and no counters reset.  This is the cache-survival
-   pin: before this path existed, ANY update flushed all three caches
-   wholesale. *)
+(* The incremental-update contract: a delta applied to the engine's
+   hosting flushes the result memo but keeps compiled plans and every
+   untouched block's decrypted-subtree entry — only the touched blocks'
+   (id, generation) keys are evicted, and no counters reset.  This is
+   the cache-survival pin: before this path existed, ANY update flushed
+   all three caches wholesale. *)
 let delta_preserves_untouched_block_cache () =
   let sys, _ = System.setup ~master:"test-engine-delta" doc scs Scheme.Opt in
   let eng = Engine.create sys in
@@ -187,8 +188,8 @@ let delta_preserves_untouched_block_cache () =
     (warm.Engine.block_misses = 0 && warm.Engine.block_hits > 0);
   let hits_before = (Engine.stats eng).Engine.Stats.block_hits in
   (* Edit patient b's insurance block through the incremental path. *)
-  let cost =
-    Engine.apply_delta eng
+  let _next, cost =
+    System.apply_delta sys
       (Secure.Update.Set_value
          (parse (Printf.sprintf "//patient[pname='%s']//policy#" b), "91234"))
   in
@@ -222,6 +223,64 @@ let delta_preserves_untouched_block_cache () =
          | Xmlcore.Tree.Element (_, [ Xmlcore.Tree.Text v ]) -> v = "91234"
          | _ -> false)
        answers)
+
+(* The engine follows its hosting, whoever supersedes it.  Probe: on
+   the paper's fixture a warmed engine, then an edit setting Betty's
+   age to 99 applied to the engine's hosting directly.  The successor's
+   plaintext answers //patient[age>=40]/pname with 2 nodes, while an
+   engine left bound to the superseded hosting answers with 0.  [bind]
+   picks the hosting the engine is created on and how it is
+   superseded. *)
+let follow_case name ~expected bind () =
+  let sys, _ =
+    System.setup ~master:"test-engine-follow" (Workload.Health.doc ())
+      (Workload.Health.constraints ()) Scheme.Opt
+  in
+  let path = Filename.temp_file "sxq-engine" ".host" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Secure.Persist.log_path path ])
+    (fun () ->
+      let hosting, supersede = bind sys path in
+      let eng = Engine.create hosting in
+      let q = parse "//patient[age>=40]/pname" in
+      ignore (Engine.evaluate eng q);
+      ignore (Engine.evaluate eng q);
+      let next =
+        supersede
+          (Secure.Update.Set_value (parse "//patient[pname='Betty']/age", "99"))
+      in
+      Alcotest.(check bool) (name ^ ": engine bound to the successor") true
+        (Engine.system eng == next);
+      let reference = System.reference next q in
+      Alcotest.(check int) (name ^ ": successor's reference") expected
+        (List.length reference);
+      Helpers.check_trees_equal (name ^ ": engine answers") reference
+        (Engine.evaluate eng q))
+
+let follows_apply_delta =
+  follow_case "apply_delta" ~expected:2 (fun sys _ ->
+      sys, fun edit -> fst (System.apply_delta sys edit))
+
+let follows_update =
+  follow_case "update" ~expected:2 (fun sys _ ->
+      sys, fun edit -> fst (System.update sys edit))
+
+(* Rotation re-hosts the same document: Matt (40) is the only match. *)
+let follows_rotate =
+  follow_case "rotate" ~expected:1 (fun sys _ ->
+      sys, fun _ -> fst (System.rotate sys ~new_master:"test-engine-follow-2"))
+
+let follows_journal_update =
+  follow_case "journal_update" ~expected:2 (fun sys path ->
+      Secure.Persist.save sys path;
+      let j = Secure.Persist.journal_open ~master:"test-engine-follow" path in
+      ( Secure.Persist.journal_system j,
+        fun edit ->
+          ignore (Secure.Persist.journal_update j edit);
+          Secure.Persist.journal_system j ))
 
 let tiny_capacity_eviction () =
   (* Capacities of 1/1/2 force constant eviction; answers must not
@@ -325,6 +384,11 @@ let () =
             delta_preserves_untouched_block_cache;
           Alcotest.test_case "tiny capacities" `Quick tiny_capacity_eviction ]
       );
+      ( "follow",
+        [ Alcotest.test_case "apply_delta" `Quick follows_apply_delta;
+          Alcotest.test_case "update" `Quick follows_update;
+          Alcotest.test_case "rotate" `Quick follows_rotate;
+          Alcotest.test_case "journal_update" `Quick follows_journal_update ] );
       ( "server-invariants",
         [ Alcotest.test_case "lookup fast path sorted" `Quick
             lookup_fast_path_sorted ] );

@@ -3,12 +3,16 @@
    Property tests for the obs library itself (histogram bucketing vs a
    reference fold, span-tree well-formedness under random
    instrumentation sequences, registry idempotence, JSON round-trips)
-   plus the two cross-layer agreements this PR pins:
+   plus the cross-layer agreements it pins:
 
    - the leakage ledger's per-round replay counts sum exactly to the
      session endpoint's replay-cache hits (and therefore to what
      {!Secure.Audit} is fed) under seeded transport faults;
-   - a rehost ({!Engine.update} / {!Engine.rotate}) resets every engine
+   - a pooled {!Secure.System.evaluate_batch} records, per query, the
+     same ledger round as a sequential evaluation, but for its
+     ["batch"] label;
+   - a rehost ({!Secure.System.update} / {!Secure.System.rotate} of the
+     engine's hosting, which the engine follows) resets every engine
      counter except [invalidations], so stats always describe the
      current hosting generation. *)
 
@@ -390,6 +394,52 @@ let replay_accounting_agrees () =
   Alcotest.(check int) "audit channel fed from the endpoint agrees"
     ledger_replays (Audit.analyze audit).Audit.replayed_frames
 
+(* --- Pooled batch rows = sequential rows ------------------------------ *)
+
+(* A pooled [evaluate_batch] lane is the same read as a sequential
+   [evaluate], so its ledger round must carry the same server-visible
+   facts — a row with zero bytes_up, intervals_touched or btree_hits
+   under-reports what the server learned; only the label differs. *)
+let pooled_batch_rows_match_sequential () =
+  let doc = Workload.Health.generate ~patients:30 () in
+  let scs = Workload.Health.constraints () in
+  let pool = Parallel.Pool.create ~domains:2 () in
+  Fun.protect
+    ~finally:(fun () -> Parallel.Pool.shutdown pool)
+    (fun () ->
+      let sys, _ = System.setup ~master:"obs-batch" ~pool doc scs Secure.Scheme.Opt in
+      let ledger = System.ledger sys in
+      Ledger.set_enabled ledger true;
+      let queries =
+        Array.of_list
+          (Xpath.Parser.parse "//patient[age>=40]/pname"
+          :: Workload.Querygen.generate ~seed:5L doc Workload.Querygen.Qm ~count:4)
+      in
+      let rows f =
+        Ledger.clear ledger;
+        f ();
+        List.map (fun r -> { r with Ledger.label = "" }) (Ledger.rounds ledger)
+      in
+      let sequential =
+        rows (fun () -> Array.iter (fun q -> ignore (System.evaluate sys q)) queries)
+      in
+      let labels = ref [] in
+      let pooled =
+        rows (fun () ->
+            ignore (System.evaluate_batch sys queries);
+            labels := List.map (fun r -> r.Ledger.label) (Ledger.rounds ledger))
+      in
+      Alcotest.(check (list string)) "pooled rows keep the batch label"
+        (List.map (fun _ -> "batch") sequential) !labels;
+      Alcotest.(check int) "one row per query" (Array.length queries)
+        (List.length pooled);
+      List.iter2
+        (fun s p ->
+          Alcotest.(check string) "pooled row = sequential row"
+            (Json.to_string (Ledger.round_to_json s))
+            (Json.to_string (Ledger.round_to_json p)))
+        sequential pooled)
+
 (* --- Engine counters reset on rehost --------------------------------- *)
 
 let engine_counters_reset_on_rehost () =
@@ -405,7 +455,7 @@ let engine_counters_reset_on_rehost () =
   Alcotest.(check bool) "warm run hit a cache" true
     (warm.Engine.Stats.result_hits >= 1);
   ignore
-    (Engine.update eng
+    (System.update sys
        (Secure.Update.Set_value (Xpath.Parser.parse "//patient/age", "61")));
   let fresh = Engine.stats eng in
   (* The pinned fix: before this PR these counters accumulated across
@@ -427,7 +477,7 @@ let engine_counters_reset_on_rehost () =
     (report.Engine.result_outcome = Engine.Miss);
   Alcotest.(check int) "counting resumes in the new generation" 1
     (Engine.stats eng).Engine.Stats.queries;
-  ignore (Engine.rotate eng ~new_master:"obs-engine-2");
+  ignore (System.rotate (Engine.system eng) ~new_master:"obs-engine-2");
   let rotated = Engine.stats eng in
   Alcotest.(check int) "rotate also resets" 0 rotated.Engine.Stats.queries;
   Alcotest.(check bool) "rotate adds an invalidation" true
@@ -537,7 +587,9 @@ let () =
           Alcotest.test_case "disabled ledger inert" `Quick
             ledger_disabled_is_inert;
           Alcotest.test_case "replay accounting agrees" `Quick
-            replay_accounting_agrees ] );
+            replay_accounting_agrees;
+          Alcotest.test_case "pooled batch rows = sequential rows" `Quick
+            pooled_batch_rows_match_sequential ] );
       ( "label",
         [ Alcotest.test_case "sanitize" `Quick label_sanitize;
           Alcotest.test_case "tenant metric names" `Quick
