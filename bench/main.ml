@@ -1792,9 +1792,38 @@ let micro () =
   let cbc_key = Crypto.Cbc.prepare "bench-key" in
   let ope = Crypto.Ope.create ~key:"bench" ~domain_bits:32 in
   let query = Xpath.Parser.parse "//person[address/city='Seoul']/name" in
+  (* Kernel fixtures: one hosted XMark block (the unit a wide read
+     decrypts 3000 of), a 96-byte block-MAC input, 64 KiB of CBC
+     ciphertext, and a 576 KiB payload (a wide read's response). *)
+  let xmark_sys, _ =
+    Secure.System.setup ~master:"bench"
+      (Workload.Xmark.generate ~persons:60 ())
+      (Workload.Xmark.constraints ()) Secure.Scheme.Opt
+  in
+  let block_keys = Secure.Client.keys (Secure.System.client xmark_sys) in
+  let xmark_block = List.hd (Secure.System.db xmark_sys).Secure.Encrypt.blocks in
+  let mac_prepared = Crypto.Hmac.prepare ~key:"bench-mac" in
+  let block_96 = String.init 96 (fun i -> Char.chr (i land 0xFF)) in
+  let payload_ct = Crypto.Cbc.encrypt_prepared cbc_key ~nonce:"n" payload in
+  let response = String.init (576 * 1024) (fun i -> Char.chr ((i * 31) land 0xFF)) in
+  let frame_key = "bench-session" in
   let tests =
     Test.make_grouped ~name:"primitives"
-      [ Test.make ~name:"dsi-assign-10k-nodes"
+      [ Test.make ~name:"hmac-prepared-96B"
+          (Staged.stage (fun () -> Crypto.Hmac.mac_prepared mac_prepared block_96));
+        Test.make ~name:"decrypt-block-xmark"
+          (Staged.stage (fun () -> Secure.Encrypt.decrypt_block ~keys:block_keys xmark_block));
+        Test.make ~name:"cbc-decrypt-64KiB"
+          (Staged.stage (fun () ->
+               Crypto.Cbc.decrypt_prepared cbc_key ~nonce:"n" payload_ct));
+        Test.make ~name:"session-frame-roundtrip-576KiB"
+          (Staged.stage (fun () ->
+               Secure.Session.decode_frame ~mac_key:frame_key ~expect:Secure.Session.Response
+                 (Secure.Session.encode_frame ~mac_key:frame_key
+                    ~kind:Secure.Session.Response ~seq:1L response)));
+        Test.make ~name:"sha256-576KiB"
+          (Staged.stage (fun () -> Crypto.Sha256.digest response));
+        Test.make ~name:"dsi-assign-10k-nodes"
           (Staged.stage (fun () -> Dsi.Assign.assign ~key:"x" doc_10k));
         Test.make ~name:"structural-join-10k"
           (Staged.stage (fun () ->

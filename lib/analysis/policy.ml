@@ -169,8 +169,9 @@ let default =
         sources =
           [ "Crypto.Keys.";
             "Crypto.Cipher.decrypt";
-            "Crypto.Xtea.decrypt";
-            "Crypto.Xtea.decrypt_prepared";
+            "Crypto.Cbc.decrypt";
+            "Crypto.Cbc.decrypt_prepared";
+            "Crypto.Xtea.decrypt_block";
             "Crypto.Aes.decrypt_block";
             "Crypto.Vernam.decrypt";
             "Crypto.Ope.decrypt";
@@ -211,7 +212,8 @@ let default =
             "Crypto.Hmac.mac", "key";
             "Crypto.Hmac.prepare", "key";
             "Crypto.Cipher.prepare", "key";
-            "Crypto.Xtea.prepare", "key";
+            "Crypto.Cbc.prepare", "key";
+            "Crypto.Xtea.key_of_raw", "s";
             "Crypto.Vernam.keystream", "key";
             "Crypto.Vernam.encrypt", "key";
             "Crypto.Vernam.decrypt", "key";
@@ -220,14 +222,16 @@ let default =
            of these is ciphertext, a MAC tag, or a sanitized label. *)
         declassifiers =
           [ "Crypto.Cipher.encrypt";
-            "Crypto.Xtea.encrypt";
-            "Crypto.Xtea.encrypt_prepared";
+            "Crypto.Cbc.encrypt";
+            "Crypto.Cbc.encrypt_prepared";
+            "Crypto.Xtea.encrypt_block";
             "Crypto.Aes.encrypt_block";
             "Crypto.Vernam.encrypt";
             "Crypto.Vernam.encrypt_hex";
             "Crypto.Ope.encrypt";
             "Crypto.Hmac.mac";
             "Crypto.Hmac.mac_prepared";
+            "Crypto.Hmac.mac_slice";
             "Crypto.Hmac.mac_hex";
             "Crypto.Hmac.prf64";
             "Crypto.Hmac.prf64_prepared";

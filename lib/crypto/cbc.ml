@@ -1,4 +1,4 @@
-let block_bytes = 8
+let block_bytes = Xtea.block_bytes
 
 type prepared = {
   cipher_key : Xtea.key;
@@ -8,66 +8,62 @@ type prepared = {
 let prepare key =
   { cipher_key = Xtea.key_of_string key; iv_mac = Hmac.prepare ~key }
 
-let iv_of_prepared p ~nonce = Hmac.prf64_prepared p.iv_mac ("cbc-iv\x00" ^ nonce)
+(* The IV is the first 8 bytes of the keyed PRF tag of the nonce. *)
+let iv_of_prepared p ~nonce =
+  Bytes.unsafe_of_string
+    (Hmac.mac_slice p.iv_mac ~prefix:"cbc-iv\x00" nonce 0 (String.length nonce))
 
-let get64 s off =
-  let byte i = Int64.of_int (Char.code s.[off + i]) in
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (byte i)
-  done;
-  !acc
-
-let set64 b off v =
-  for i = 0 to 7 do
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical v ((7 - i) * 8)) 0xFFL) in
-    Bytes.set b (off + i) (Char.chr byte)
-  done
-
-let pad plaintext =
-  let len = String.length plaintext in
-  let pad_len = block_bytes - (len mod block_bytes) in
-  let out = Bytes.make (len + pad_len) (Char.chr pad_len) in
-  Bytes.blit_string plaintext 0 out 0 len;
-  Bytes.unsafe_to_string out
-
-let unpad padded =
-  let len = String.length padded in
-  if len = 0 then invalid_arg "Cbc.decrypt: empty plaintext";
-  let pad_len = Char.code padded.[len - 1] in
-  if pad_len = 0 || pad_len > block_bytes || pad_len > len then
-    invalid_arg "Cbc.decrypt: malformed padding";
-  for i = len - pad_len to len - 1 do
-    if Char.code padded.[i] <> pad_len then invalid_arg "Cbc.decrypt: malformed padding"
-  done;
-  String.sub padded 0 (len - pad_len)
+(* [dst.(o .. o+7)] <- [dst.(o .. o+7)] xor [src.(so .. so+7)]. *)
+let[@inline] xor8 dst o src so =
+  Bytes.set_int64_ne dst o (Int64.logxor (Bytes.get_int64_ne dst o) (Bytes.get_int64_ne src so))
 
 let encrypt_prepared p ~nonce plaintext =
-  let padded = pad plaintext in
-  let n = String.length padded / block_bytes in
-  let out = Bytes.create (String.length padded) in
-  let prev = ref (iv_of_prepared p ~nonce) in
-  for i = 0 to n - 1 do
-    let block = Int64.logxor (get64 padded (i * block_bytes)) !prev in
-    let enc = Xtea.encrypt_block p.cipher_key block in
-    set64 out (i * block_bytes) enc;
-    prev := enc
+  let len = String.length plaintext in
+  let pad_len = block_bytes - (len mod block_bytes) in
+  let buf = Bytes.make (len + pad_len) (Char.chr pad_len) in
+  Bytes.blit_string plaintext 0 buf 0 len;
+  xor8 buf 0 (iv_of_prepared p ~nonce) 0;
+  Xtea.encrypt_block p.cipher_key buf 0;
+  for i = 1 to ((len + pad_len) / block_bytes) - 1 do
+    let o = i * block_bytes in
+    xor8 buf o buf (o - block_bytes);
+    Xtea.encrypt_block p.cipher_key buf o
   done;
-  Bytes.unsafe_to_string out
+  Bytes.unsafe_to_string buf
 
-let decrypt_prepared p ~nonce ciphertext =
-  let len = String.length ciphertext in
-  if len = 0 || len mod block_bytes <> 0 then
+(* The last block is decrypted first, into a scratch block, so that the
+   padding is known before the output is allocated at its exact
+   length; every other block is copied once, from the ciphertext
+   straight into its place in the output. *)
+let decrypt_prepared p ~nonce ?len ciphertext =
+  let len = Option.value len ~default:(String.length ciphertext) in
+  if len > String.length ciphertext then invalid_arg "Cbc.decrypt: length out of bounds";
+  if len <= 0 || len mod block_bytes <> 0 then
     invalid_arg "Cbc.decrypt: ciphertext length must be a positive multiple of 8";
-  let out = Bytes.create len in
-  let prev = ref (iv_of_prepared p ~nonce) in
-  for i = 0 to (len / block_bytes) - 1 do
-    let enc = get64 ciphertext (i * block_bytes) in
-    let dec = Int64.logxor (Xtea.decrypt_block p.cipher_key enc) !prev in
-    set64 out (i * block_bytes) dec;
-    prev := enc
+  let src = Bytes.unsafe_of_string ciphertext in
+  let iv = iv_of_prepared p ~nonce in
+  let unchain dst o at =
+    if at = 0 then xor8 dst o iv 0 else xor8 dst o src (at - block_bytes)
+  in
+  let last = len - block_bytes in
+  let tail = Bytes.create block_bytes in
+  Bytes.set_int64_ne tail 0 (Bytes.get_int64_ne src last);
+  Xtea.decrypt_block p.cipher_key tail 0;
+  unchain tail 0 last;
+  let pad_len = Char.code (Bytes.get tail (block_bytes - 1)) in
+  if pad_len = 0 || pad_len > block_bytes then invalid_arg "Cbc.decrypt: malformed padding";
+  for i = block_bytes - pad_len to block_bytes - 1 do
+    if Char.code (Bytes.get tail i) <> pad_len then invalid_arg "Cbc.decrypt: malformed padding"
   done;
-  unpad (Bytes.unsafe_to_string out)
+  let out = Bytes.create (len - pad_len) in
+  for i = 0 to (last / block_bytes) - 1 do
+    let o = i * block_bytes in
+    Bytes.set_int64_ne out o (Bytes.get_int64_ne src o);
+    Xtea.decrypt_block p.cipher_key out o;
+    unchain out o o
+  done;
+  Bytes.blit tail 0 out last (block_bytes - pad_len);
+  Bytes.unsafe_to_string out
 
 let encrypt ~key ~nonce plaintext = encrypt_prepared (prepare key) ~nonce plaintext
 

@@ -14,7 +14,10 @@ type prepared
 val prepare : string -> prepared
 
 val encrypt_prepared : prepared -> nonce:string -> string -> string
-val decrypt_prepared : prepared -> nonce:string -> string -> string
+
+val decrypt_prepared : prepared -> nonce:string -> ?len:int -> string -> string
+(** Decrypts the first [len] bytes of the ciphertext (default: all of
+    it) where they lie; only the plaintext is allocated. *)
 
 val encrypt : key:string -> nonce:string -> string -> string
 (** [encrypt ~key ~nonce plaintext] returns the ciphertext (the IV is
@@ -25,7 +28,8 @@ val decrypt : key:string -> nonce:string -> string -> string
 (** Inverse of {!encrypt} for the same [key] and [nonce].
 
     @raise Invalid_argument if the ciphertext length is not a positive
-    multiple of 8 or the padding is malformed. *)
+    multiple of 8, the padding is malformed, or the length given to
+    {!decrypt_prepared} exceeds the ciphertext. *)
 
 val ciphertext_length : int -> int
 (** [ciphertext_length n] is the ciphertext size for an [n]-byte

@@ -64,11 +64,11 @@ let aes_encrypt ~key ~iv_mac ~nonce plaintext =
   done;
   Bytes.unsafe_to_string buf
 
-let aes_decrypt ~key ~iv_mac ~nonce ciphertext =
-  let len = String.length ciphertext in
-  if len = 0 || len mod aes_block <> 0 then
+let aes_decrypt ~key ~iv_mac ~nonce ~len ciphertext =
+  if len > String.length ciphertext then invalid_arg "Cipher.decrypt: length out of bounds";
+  if len <= 0 || len mod aes_block <> 0 then
     invalid_arg "Cipher.decrypt: ciphertext length must be a positive multiple of 16";
-  let buf = Bytes.of_string ciphertext in
+  let buf = Bytes.sub (Bytes.unsafe_of_string ciphertext) 0 len in
   let prev = Bytes.of_string (String.sub (aes_iv iv_mac ~nonce) 0 aes_block) in
   let scratch = Bytes.create aes_block in
   for b = 0 to (len / aes_block) - 1 do
@@ -87,10 +87,11 @@ let encrypt prepared ~nonce plaintext =
   | P_xtea p -> Cbc.encrypt_prepared p ~nonce plaintext
   | P_aes { key; iv_mac } -> aes_encrypt ~key ~iv_mac ~nonce plaintext
 
-let decrypt prepared ~nonce ciphertext =
+let decrypt prepared ~nonce ?len ciphertext =
+  let len = Option.value len ~default:(String.length ciphertext) in
   match prepared with
-  | P_xtea p -> Cbc.decrypt_prepared p ~nonce ciphertext
-  | P_aes { key; iv_mac } -> aes_decrypt ~key ~iv_mac ~nonce ciphertext
+  | P_xtea p -> Cbc.decrypt_prepared p ~nonce ~len ciphertext
+  | P_aes { key; iv_mac } -> aes_decrypt ~key ~iv_mac ~nonce ~len ciphertext
 
 let ciphertext_length suite n =
   match suite with

@@ -21,8 +21,12 @@ val prepare : suite -> string -> prepared
 val suite_of : prepared -> suite
 
 val encrypt : prepared -> nonce:string -> string -> string
-val decrypt : prepared -> nonce:string -> string -> string
-(** @raise Invalid_argument on malformed ciphertext or padding. *)
+
+val decrypt : prepared -> nonce:string -> ?len:int -> string -> string
+(** Decrypts the first [len] bytes of the ciphertext (default: all of
+    it), so a trailing tag need not be cut off first.
+    @raise Invalid_argument on malformed ciphertext or padding, or a
+    [len] beyond the ciphertext. *)
 
 val ciphertext_length : suite -> int -> int
 (** Ciphertext size for an n-byte plaintext under the suite's block

@@ -26,23 +26,23 @@ let prepare ~key =
   Sha256.update outer (xor_pad key 0x5c);
   { inner; outer }
 
-let mac_prepared p msg =
+(* One scratch context serves both passes: the inner hash absorbs the
+   prefix and the slice where they lie, then the context is reset to
+   the outer pad state. *)
+let mac_slice p ~prefix msg off len =
   let ctx = Sha256.copy p.inner in
-  Sha256.update ctx msg;
-  let digest = Sha256.finalize ctx in
-  let ctx = Sha256.copy p.outer in
-  Sha256.update ctx digest;
+  Sha256.update ctx prefix;
+  Sha256.update_sub ctx msg off len;
+  let inner = Sha256.finalize ctx in
+  Sha256.reset ctx ~from:p.outer;
+  Sha256.update ctx inner;
   Sha256.finalize ctx
+
+let mac_prepared p msg = mac_slice p ~prefix:"" msg 0 (String.length msg)
 
 let mac ~key msg = mac_prepared (prepare ~key) msg
 
-let first64 tag =
-  let byte i = Int64.of_int (Char.code tag.[i]) in
-  let acc = ref 0L in
-  for i = 0 to 7 do
-    acc := Int64.logor (Int64.shift_left !acc 8) (byte i)
-  done;
-  !acc
+let first64 tag = String.get_int64_be tag 0
 
 let prf64_prepared p label = first64 (mac_prepared p label)
 

@@ -14,6 +14,14 @@ type prepared
 
 val prepare : key:string -> prepared
 val mac_prepared : prepared -> string -> string
+
+val mac_slice : prepared -> prefix:string -> string -> int -> int -> string
+(** [mac_slice p ~prefix msg off len] is
+    [mac_prepared p (prefix ^ String.sub msg off len)], computed without
+    building that string: block MACs and session frames hash their
+    bytes in place.
+    @raise Invalid_argument if the range is not within [msg]. *)
+
 val prf64_prepared : prepared -> string -> int64
 
 val mac_hex : key:string -> string -> string

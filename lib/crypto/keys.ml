@@ -3,10 +3,12 @@ type t = {
   suite : Cipher.suite;
   derived : (string, string) Hashtbl.t;     (* label -> subkey memo *)
   mutable block_cipher : Cipher.prepared option;
+  mutable block_mac : Hmac.prepared option;
 }
 
 let create ?(suite = Cipher.Xtea) ~master () =
-  { master; suite; derived = Hashtbl.create 16; block_cipher = None }
+  { master; suite; derived = Hashtbl.create 16; block_cipher = None;
+    block_mac = None }
 
 let suite t = t.suite
 
@@ -28,6 +30,14 @@ let block_cipher t =
     t.block_cipher <- Some prepared;
     prepared
 
+let block_mac_key t =
+  match t.block_mac with
+  | Some prepared -> prepared
+  | None ->
+    let prepared = Hmac.prepare ~key:(derive t "block-mac") in
+    t.block_mac <- Some prepared;
+    prepared
+
 (* The nonce only needs to be unique per (block, content version); the
    IV derivation is keyed downstream, so the identifiers themselves
    suffice.  Generation 0 keeps the historical shape so freshly hosted
@@ -35,8 +45,8 @@ let block_cipher t =
    blocks (incremental updates) bump the generation and therefore never
    reuse a nonce under the same key with different plaintext. *)
 let block_nonce _t ?(generation = 0) ~block_id () =
-  if generation = 0 then Printf.sprintf "blk-%d" block_id
-  else Printf.sprintf "blk-%d.%d" block_id generation
+  if generation = 0 then "blk-" ^ string_of_int block_id
+  else String.concat "" [ "blk-"; string_of_int block_id; "."; string_of_int generation ]
 
 let tag_key t = derive t "tag-vernam"
 

@@ -27,6 +27,10 @@ val block_cipher : t -> Cipher.prepared
 (** Prepared (schedule-expanded) form of {!block_key} under the ring's
     suite, cached. *)
 
+val block_mac_key : t -> Hmac.prepared
+(** The block-MAC key (the ["block-mac"] subkey) with its HMAC pads
+    pre-absorbed, cached like {!block_cipher}. *)
+
 val block_nonce : t -> ?generation:int -> block_id:int -> unit -> string
 (** Per-block CBC nonce, unique per (block, generation); keyed
     downstream.  [generation] defaults to [0] (a freshly hosted block)

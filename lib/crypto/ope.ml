@@ -3,9 +3,10 @@ type t = {
   domain_bits : int;
   domain_max : int64;
   range_max : int64;
-  (* Memoised range split points keyed by "depth:dlo"; encryption of a
-     sorted batch revisits the same prefix path repeatedly. *)
-  splits : (string, int64) Hashtbl.t;
+  (* Memoised 53-bit split fractions keyed by [depth lsl 41 lor dlo]
+     (depth <= 40, dlo < 2^40); encryption of a sorted batch revisits
+     the same prefix path repeatedly. *)
+  splits : (int, int) Hashtbl.t;
 }
 
 let headroom_bits = 16
@@ -24,19 +25,25 @@ let range_max t = t.range_max
 
 (* Keyed fraction in [1/4, 3/4) used to split a range interval. *)
 let split_fraction t ~depth ~dlo =
-  let label = Printf.sprintf "ope-split\x00%d\x00%Ld" depth dlo in
-  match Hashtbl.find_opt t.splits label with
-  | Some cached -> Int64.to_float cached /. 9007199254740992.0
-  | None ->
-    let bits = Int64.shift_right_logical (Hmac.prf64_prepared t.key label) 11 in
-    Hashtbl.replace t.splits label bits;
-    Int64.to_float bits /. 9007199254740992.0
+  let memo_key = (depth lsl 41) lor Int64.to_int dlo in
+  let bits =
+    match Hashtbl.find_opt t.splits memo_key with
+    | Some bits -> bits
+    | None ->
+      let label =
+        String.concat "" [ "ope-split\x00"; string_of_int depth; "\x00"; Int64.to_string dlo ]
+      in
+      let bits = Int64.to_int (Int64.shift_right_logical (Hmac.prf64_prepared t.key label) 11) in
+      Hashtbl.replace t.splits memo_key bits;
+      bits
+  in
+  Float.of_int bits /. 9007199254740992.0
 
 (* Offset of the ciphertext inside a leaf range interval of size [size]. *)
 let leaf_offset t ~dlo size =
   if size <= 1L then 0L
   else
-    let label = Printf.sprintf "ope-leaf\x00%Ld" dlo in
+    let label = "ope-leaf\x00" ^ Int64.to_string dlo in
     Int64.rem (Int64.shift_right_logical (Hmac.prf64_prepared t.key label) 1) size
 
 (* Split range [rlo, rhi) for domain halves of sizes [ldom] and [rdom]:

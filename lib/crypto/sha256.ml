@@ -1,6 +1,8 @@
 (* FIPS 180-4 SHA-256.  Words are native ints masked to 32 bits —
    unboxed arithmetic matters because HMAC (hence key derivation, DSI
-   weights, OPESS randomness and Vernam tokens) sits on hot paths. *)
+   weights, OPESS randomness, block MACs and session frames) sits on
+   hot paths.  Absorbing and finalizing allocate nothing; only the
+   32-byte digest is fresh. *)
 
 let mask = 0xFFFFFFFF
 
@@ -23,7 +25,7 @@ type ctx = {
   h : int array;            (* 8 chaining words *)
   buf : Bytes.t;            (* 64-byte block buffer *)
   mutable buf_len : int;    (* bytes currently in [buf] *)
-  mutable total : int64;    (* total message bytes absorbed *)
+  mutable total : int;      (* total message bytes absorbed *)
   w : int array;            (* message schedule scratch *)
 }
 
@@ -32,7 +34,7 @@ let init () =
            0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
     buf = Bytes.create 64;
     buf_len = 0;
-    total = 0L;
+    total = 0;
     w = Array.make 64 0 }
 
 let copy ctx =
@@ -42,52 +44,100 @@ let copy ctx =
     total = ctx.total;
     w = Array.make 64 0 }
 
-let rotr x n = ((x lsr n) lor (x lsl (32 - n))) land mask
+let reset ctx ~from =
+  Array.blit from.h 0 ctx.h 0 8;
+  Bytes.blit from.buf 0 ctx.buf 0 from.buf_len;
+  ctx.buf_len <- from.buf_len;
+  ctx.total <- from.total
 
-(* Compress one 64-byte block held in [block] at offset [off]. *)
+(* Rotations of a 32-bit word [x] by 1..31 are read off the doubled
+   word [x lor (x lsl 32)]: a 63-bit int keeps bits 0-62 of it, which
+   is every bit such a rotation needs. *)
+let[@inline] big_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)) land mask
+
+let[@inline] big_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)) land mask
+
+let[@inline] small_sigma0 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask
+
+let[@inline] small_sigma1 x =
+  let xx = x lor (x lsl 32) in
+  ((xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)) land mask
+
+let[@inline] ch e f g = g lxor (e land (f lxor g))
+let[@inline] maj a b c = (a land b) lor (c land (a lor b))
+let[@inline] kw w i = Array.unsafe_get k i + Array.unsafe_get w i
+
+(* Compress the 64-byte block of [block] at [off]. *)
 let compress ctx block off =
   let w = ctx.w in
   for i = 0 to 15 do
-    let b j = Char.code (Bytes.unsafe_get block (off + (i * 4) + j)) in
-    w.(i) <- (b 0 lsl 24) lor (b 1 lsl 16) lor (b 2 lsl 8) lor b 3
+    Array.unsafe_set w i (Int32.to_int (Bytes.get_int32_be block (off + (i * 4))) land mask)
   done;
   for i = 16 to 63 do
-    let x15 = w.(i - 15) and x2 = w.(i - 2) in
-    let s0 = rotr x15 7 lxor rotr x15 18 lxor (x15 lsr 3) in
-    let s1 = rotr x2 17 lxor rotr x2 19 lxor (x2 lsr 10) in
-    w.(i) <- (w.(i - 16) + s0 + w.(i - 7) + s1) land mask
+    Array.unsafe_set w i
+      ((Array.unsafe_get w (i - 16)
+        + small_sigma0 (Array.unsafe_get w (i - 15))
+        + Array.unsafe_get w (i - 7)
+        + small_sigma1 (Array.unsafe_get w (i - 2)))
+       land mask)
   done;
-  let a = ref ctx.h.(0) and b = ref ctx.h.(1) and c = ref ctx.h.(2)
-  and d = ref ctx.h.(3) and e = ref ctx.h.(4) and f = ref ctx.h.(5)
-  and g = ref ctx.h.(6) and h = ref ctx.h.(7) in
-  for i = 0 to 63 do
-    let s1 = rotr !e 6 lxor rotr !e 11 lxor rotr !e 25 in
-    let ch = (!e land !f) lxor (lnot !e land !g) in
-    let t1 = (!h + s1 + ch + k.(i) + w.(i)) land mask in
-    let s0 = rotr !a 2 lxor rotr !a 13 lxor rotr !a 22 in
-    let maj = (!a land !b) lxor (!a land !c) lxor (!b land !c) in
-    let t2 = (s0 + maj) land mask in
-    h := !g; g := !f; f := !e; e := (!d + t1) land mask;
-    d := !c; c := !b; b := !a; a := (t1 + t2) land mask
+  let h0 = ctx.h in
+  let a = ref h0.(0) and b = ref h0.(1) and c = ref h0.(2) and d = ref h0.(3)
+  and e = ref h0.(4) and f = ref h0.(5) and g = ref h0.(6) and h = ref h0.(7) in
+  (* Eight rounds per step.  A round only rewrites the words in the
+     roles of d and h; instead of shifting all eight words along, the
+     roles rotate one place per round and are back home after eight. *)
+  for step = 0 to 7 do
+    let i = step * 8 in
+    let t1 = !h + big_sigma1 !e + ch !e !f !g + kw w i in
+    d := (!d + t1) land mask;
+    h := (t1 + big_sigma0 !a + maj !a !b !c) land mask;
+    let t1 = !g + big_sigma1 !d + ch !d !e !f + kw w (i + 1) in
+    c := (!c + t1) land mask;
+    g := (t1 + big_sigma0 !h + maj !h !a !b) land mask;
+    let t1 = !f + big_sigma1 !c + ch !c !d !e + kw w (i + 2) in
+    b := (!b + t1) land mask;
+    f := (t1 + big_sigma0 !g + maj !g !h !a) land mask;
+    let t1 = !e + big_sigma1 !b + ch !b !c !d + kw w (i + 3) in
+    a := (!a + t1) land mask;
+    e := (t1 + big_sigma0 !f + maj !f !g !h) land mask;
+    let t1 = !d + big_sigma1 !a + ch !a !b !c + kw w (i + 4) in
+    h := (!h + t1) land mask;
+    d := (t1 + big_sigma0 !e + maj !e !f !g) land mask;
+    let t1 = !c + big_sigma1 !h + ch !h !a !b + kw w (i + 5) in
+    g := (!g + t1) land mask;
+    c := (t1 + big_sigma0 !d + maj !d !e !f) land mask;
+    let t1 = !b + big_sigma1 !g + ch !g !h !a + kw w (i + 6) in
+    f := (!f + t1) land mask;
+    b := (t1 + big_sigma0 !c + maj !c !d !e) land mask;
+    let t1 = !a + big_sigma1 !f + ch !f !g !h + kw w (i + 7) in
+    e := (!e + t1) land mask;
+    a := (t1 + big_sigma0 !b + maj !b !c !d) land mask
   done;
-  ctx.h.(0) <- (ctx.h.(0) + !a) land mask;
-  ctx.h.(1) <- (ctx.h.(1) + !b) land mask;
-  ctx.h.(2) <- (ctx.h.(2) + !c) land mask;
-  ctx.h.(3) <- (ctx.h.(3) + !d) land mask;
-  ctx.h.(4) <- (ctx.h.(4) + !e) land mask;
-  ctx.h.(5) <- (ctx.h.(5) + !f) land mask;
-  ctx.h.(6) <- (ctx.h.(6) + !g) land mask;
-  ctx.h.(7) <- (ctx.h.(7) + !h) land mask
+  h0.(0) <- (h0.(0) + !a) land mask;
+  h0.(1) <- (h0.(1) + !b) land mask;
+  h0.(2) <- (h0.(2) + !c) land mask;
+  h0.(3) <- (h0.(3) + !d) land mask;
+  h0.(4) <- (h0.(4) + !e) land mask;
+  h0.(5) <- (h0.(5) + !f) land mask;
+  h0.(6) <- (h0.(6) + !g) land mask;
+  h0.(7) <- (h0.(7) + !h) land mask
 
-let update_bytes ctx b off len =
-  assert (off >= 0 && len >= 0 && off + len <= Bytes.length b);
-  ctx.total <- Int64.add ctx.total (Int64.of_int len);
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then
+    invalid_arg "Sha256.update_sub";
+  ctx.total <- ctx.total + len;
   let pos = ref off and remaining = ref len in
   (* Fill the partial buffer first. *)
   if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need !remaining in
-    Bytes.blit b !pos ctx.buf ctx.buf_len take;
+    let take = min (64 - ctx.buf_len) !remaining in
+    Bytes.blit_string s !pos ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
     pos := !pos + take;
     remaining := !remaining - take;
@@ -96,39 +146,37 @@ let update_bytes ctx b off len =
       ctx.buf_len <- 0
     end
   end;
+  (* Whole blocks are compressed straight from [s]. *)
   while !remaining >= 64 do
-    compress ctx b !pos;
+    compress ctx (Bytes.unsafe_of_string s) !pos;
     pos := !pos + 64;
     remaining := !remaining - 64
   done;
   if !remaining > 0 then begin
-    Bytes.blit b !pos ctx.buf 0 !remaining;
+    Bytes.blit_string s !pos ctx.buf 0 !remaining;
     ctx.buf_len <- !remaining
   end
 
-let update ctx s = update_bytes ctx (Bytes.unsafe_of_string s) 0 (String.length s)
+let update ctx s = update_sub ctx s 0 (String.length s)
 
+(* Pad in the block buffer: 0x80, zeros up to byte 56 (spilling into a
+   second block when fewer than 9 bytes are free), then the 64-bit
+   big-endian bit length. *)
 let finalize ctx =
-  let bit_len = Int64.mul ctx.total 8L in
-  (* Append 0x80, pad with zeros to 56 mod 64, then the 64-bit length. *)
-  let pad_len =
-    let r = (ctx.buf_len + 1 + 8) mod 64 in
-    if r = 0 then 1 else 1 + (64 - r)
-  in
-  let pad = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set pad 0 '\x80';
-  for i = 0 to 7 do
-    let byte = Int64.to_int (Int64.logand (Int64.shift_right_logical bit_len ((7 - i) * 8)) 0xFFL) in
-    Bytes.set pad (pad_len + i) (Char.chr byte)
-  done;
-  update_bytes ctx pad 0 (Bytes.length pad);
-  assert (ctx.buf_len = 0);
+  let buf = ctx.buf and n = ctx.buf_len in
+  Bytes.unsafe_set buf n '\x80';
+  if n >= 56 then begin
+    Bytes.fill buf (n + 1) (63 - n) '\000';
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end
+  else Bytes.fill buf (n + 1) (55 - n) '\000';
+  Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total lsl 3));
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
   let out = Bytes.create 32 in
   for i = 0 to 7 do
-    let word = ctx.h.(i) in
-    for j = 0 to 3 do
-      Bytes.set out ((i * 4) + j) (Char.chr ((word lsr ((3 - j) * 8)) land 0xFF))
-    done
+    Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.h.(i))
   done;
   Bytes.unsafe_to_string out
 

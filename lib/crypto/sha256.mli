@@ -15,15 +15,22 @@ val copy : ctx -> ctx
 (** Independent clone of the running state — lets a fixed prefix (e.g.
     an HMAC pad) be absorbed once and reused. *)
 
+val reset : ctx -> from:ctx -> unit
+(** [reset ctx ~from] overwrites the running state of [ctx] with that
+    of [from], which is left untouched: a finalized context becomes
+    reusable without allocating a new one. *)
+
 val update : ctx -> string -> unit
 (** [update ctx s] absorbs the bytes of [s]. *)
 
-val update_bytes : ctx -> bytes -> int -> int -> unit
-(** [update_bytes ctx b off len] absorbs [len] bytes of [b] from [off]. *)
+val update_sub : ctx -> string -> int -> int -> unit
+(** [update_sub ctx s off len] absorbs [len] bytes of [s] from [off],
+    in place.
+    @raise Invalid_argument if the range is not within [s]. *)
 
 val finalize : ctx -> string
-(** [finalize ctx] returns the 32-byte digest. The context must not be
-    used afterwards. *)
+(** [finalize ctx] returns the 32-byte digest.  Afterwards [ctx] may
+    only be {!reset}. *)
 
 val digest : string -> string
 (** [digest s] is the 32-byte SHA-256 of [s]. *)

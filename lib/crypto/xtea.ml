@@ -1,53 +1,58 @@
 (* 32-bit words are kept in native ints (masked), avoiding boxed Int32
    arithmetic on the hot path — block en/decryption dominates the
-   system's measured costs. *)
+   system's measured costs.  Blocks are read and written in place. *)
 
-type key = int array (* 4 words, each in [0, 2^32) *)
+let block_bytes = 8
 
 let mask = 0xFFFFFFFF
-
-let key_of_string s =
-  let h = Sha256.digest s in
-  let word i =
-    let byte j = Char.code h.[(i * 4) + j] in
-    (byte 0 lsl 24) lor (byte 1 lsl 16) lor (byte 2 lsl 8) lor byte 3
-  in
-  [| word 0; word 1; word 2; word 3 |]
 
 let rounds = 32
 let delta = 0x9E3779B9
 
-let split_block b =
-  ( Int64.to_int (Int64.shift_right_logical b 32) land mask,
-    Int64.to_int b land mask )
+(* The schedule: the 64 half-round constants (sum + key word) land
+   mask, in encryption order.  Entry 2r belongs to the first half of
+   round r, entry 2r+1 to the second half. *)
+type key = int array
 
-let join_block v0 v1 =
-  Int64.logor
-    (Int64.shift_left (Int64.of_int v0) 32)
-    (Int64.of_int v1)
-
-(* The XTEA Feistel half-round term: ((v<<4 ^ v>>5) + v) ^ (sum + k). *)
-let round_term v sum key_word =
-  let shifted = ((v lsl 4) land mask) lxor (v lsr 5) in
-  ((shifted + v) land mask) lxor ((sum + key_word) land mask)
-
-let encrypt_block key b =
-  let v0, v1 = split_block b in
-  let v0 = ref v0 and v1 = ref v1 and sum = ref 0 in
-  for _ = 1 to rounds do
-    v0 := (!v0 + round_term !v1 !sum key.(!sum land 3)) land mask;
+let expand k =
+  let table = Array.make (2 * rounds) 0 in
+  let sum = ref 0 in
+  for r = 0 to rounds - 1 do
+    table.(2 * r) <- (!sum + k.(!sum land 3)) land mask;
     sum := (!sum + delta) land mask;
-    v1 := (!v1 + round_term !v0 !sum key.((!sum lsr 11) land 3)) land mask
+    table.((2 * r) + 1) <- (!sum + k.((!sum lsr 11) land 3)) land mask
   done;
-  join_block !v0 !v1
+  table
 
-let decrypt_block key b =
-  let v0, v1 = split_block b in
-  let v0 = ref v0 and v1 = ref v1 in
-  let sum = ref ((delta * rounds) land mask) in
-  for _ = 1 to rounds do
-    v1 := (!v1 - round_term !v0 !sum key.((!sum lsr 11) land 3)) land mask;
-    sum := (!sum - delta) land mask;
-    v0 := (!v0 - round_term !v1 !sum key.(!sum land 3)) land mask
+let words s = Array.init 4 (fun i -> Int32.to_int (String.get_int32_be s (i * 4)) land mask)
+
+let key_of_raw s =
+  if String.length s <> 16 then invalid_arg "Xtea.key_of_raw: need 16 bytes";
+  expand (words s)
+
+let key_of_string s = expand (words (Sha256.digest s))
+
+let[@inline] get32 b off = Int32.to_int (Bytes.get_int32_be b off) land mask
+let[@inline] set32 b off v = Bytes.set_int32_be b off (Int32.of_int v)
+
+(* The Feistel half-round term ((v<<4 ^ v>>5) + v) ^ constant; the high
+   bits it leaves above bit 31 die at the caller's mask. *)
+let[@inline] term v c = (((v lsl 4) lxor (v lsr 5)) + v) lxor c
+
+let encrypt_block key b off =
+  let v0 = ref (get32 b off) and v1 = ref (get32 b (off + 4)) in
+  for r = 0 to rounds - 1 do
+    v0 := (!v0 + term !v1 (Array.unsafe_get key (2 * r))) land mask;
+    v1 := (!v1 + term !v0 (Array.unsafe_get key ((2 * r) + 1))) land mask
   done;
-  join_block !v0 !v1
+  set32 b off !v0;
+  set32 b (off + 4) !v1
+
+let decrypt_block key b off =
+  let v0 = ref (get32 b off) and v1 = ref (get32 b (off + 4)) in
+  for r = rounds - 1 downto 0 do
+    v1 := (!v1 - term !v0 (Array.unsafe_get key ((2 * r) + 1))) land mask;
+    v0 := (!v0 - term !v1 (Array.unsafe_get key (2 * r))) land mask
+  done;
+  set32 b off !v0;
+  set32 b (off + 4) !v1

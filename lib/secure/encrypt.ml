@@ -66,19 +66,19 @@ exception Tampered of int
 
 let mac_tag_bytes = 16
 
-(* Truncated encrypt-then-MAC tag binding the ciphertext to its block
-   id and content generation (prevents corruption, block-swapping and
-   rollback to a superseded generation).  Generation 0 keeps the
-   historical MAC input so freshly hosted blocks stay byte-identical;
-   the "#" separator cannot collide with it because ids render as bare
-   digits. *)
-let block_mac ~keys ~id ?(generation = 0) ciphertext =
-  let input =
-    if generation = 0 then Printf.sprintf "%d\x00%s" id ciphertext
-    else Printf.sprintf "%d#%d\x00%s" id generation ciphertext
+(* Truncated encrypt-then-MAC tag over the first [len] bytes of
+   [ciphertext], binding them to their block id and content generation
+   (prevents corruption, block-swapping and rollback to a superseded
+   generation).  Generation 0 keeps the historical MAC input so freshly
+   hosted blocks stay byte-identical; the "#" separator cannot collide
+   with it because ids render as bare digits. *)
+let block_mac ~keys ~id ~generation ciphertext len =
+  let prefix =
+    if generation = 0 then string_of_int id ^ "\x00"
+    else String.concat "" [ string_of_int id; "#"; string_of_int generation; "\x00" ]
   in
   String.sub
-    (Crypto.Hmac.mac ~key:(Crypto.Keys.derive keys "block-mac") input)
+    (Crypto.Hmac.mac_slice (Crypto.Keys.block_mac_key keys) ~prefix ciphertext 0 len)
     0 mac_tag_bytes
 
 let encrypt_one ~keys ?(generation = 0) doc ~id root =
@@ -92,7 +92,7 @@ let encrypt_one ~keys ?(generation = 0) doc ~id root =
         ~nonce:(Crypto.Keys.block_nonce keys ~generation ~block_id:id ())
         serialized
     in
-    body ^ block_mac ~keys ~id ~generation body
+    body ^ block_mac ~keys ~id ~generation body (String.length body)
   in
   { id;
     root;
@@ -155,7 +155,7 @@ let server_blocks db = db.blocks
    only ever read them. *)
 let prewarm_block_keys ~keys =
   ignore (Crypto.Keys.block_cipher keys);
-  ignore (Crypto.Keys.derive keys "block-mac");
+  ignore (Crypto.Keys.block_mac_key keys);
   ignore (Crypto.Keys.decoy_key keys)
 
 (* Assemble a db around a document and its (already encrypted) blocks:
@@ -208,22 +208,25 @@ let reencrypt_blocks ?pool ~keys doc jobs =
     Parallel.Pool.mapi p (fun _ job -> re job) jobs
   | Some _ | None -> Array.map re jobs
 
+(* The body is the ciphertext minus its trailing tag; it is MAC'd and
+   decrypted where it lies, never copied out. *)
 let decrypt_block ~keys block =
-  let total = String.length block.ciphertext in
-  if total < mac_tag_bytes then raise (Tampered block.id);
-  let body = String.sub block.ciphertext 0 (total - mac_tag_bytes) in
-  let tag = String.sub block.ciphertext (total - mac_tag_bytes) mac_tag_bytes in
+  let ciphertext = block.ciphertext in
+  let body_len = String.length ciphertext - mac_tag_bytes in
+  if body_len < 0 then raise (Tampered block.id);
+  let tag = String.sub ciphertext body_len mac_tag_bytes in
   if
     not
       (Crypto.Eq.constant_time tag
-         (block_mac ~keys ~id:block.id ~generation:block.generation body))
+         (block_mac ~keys ~id:block.id ~generation:block.generation ciphertext
+            body_len))
   then raise (Tampered block.id);
   let serialized =
     Crypto.Cipher.decrypt (Crypto.Keys.block_cipher keys)
       ~nonce:
         (Crypto.Keys.block_nonce keys ~generation:block.generation
            ~block_id:block.id ())
-      body
+      ~len:body_len ciphertext
   in
   let tree = Xmlcore.Parser.parse serialized in
   if block.has_decoy then strip_decoy tree else tree

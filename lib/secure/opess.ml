@@ -124,10 +124,10 @@ let build ~key ~attr_id ~tag histogram =
   (* Collect displaced reals, then fix a global monotone real->int map. *)
   let displaced =
     List.mapi
-      (fun i (_, num, _) ->
+      (fun i ((_, num, _), sizes) ->
         let d = delta i in
-        List.mapi (fun j _size -> num +. (prefix.(j + 1) *. d)) (List.nth decompositions i))
-      positioned
+        List.mapi (fun j _size -> num +. (prefix.(j + 1) *. d)) sizes)
+      (List.combine positioned decompositions)
   in
   let lo = if k = 0 then 0.0 else positions.(0) in
   let hi =

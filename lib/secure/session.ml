@@ -73,45 +73,53 @@ let magic = "SXSF1"
 let mac_len = 32
 let kind_byte = function Request -> '\000' | Response -> '\001'
 
+(* Wire layout: magic | kind | seq (i64 LE) | payload length (i64 LE) |
+   payload | HMAC-SHA-256 of everything before it.  Encoding allocates
+   the frame once and MACs it in place; decoding verifies the MAC over
+   the received bytes in place and copies out only the payload. *)
+let header_len = String.length magic + 1 + 8 + 8
+
 let encode_frame ~mac_key ~kind ~seq payload =
-  let b = Buffer.create (String.length payload + 64) in
-  Buffer.add_string b magic;
-  Buffer.add_char b (kind_byte kind);
-  Codec.W.i64 b seq;
-  Codec.W.string b payload;
-  let body = Buffer.contents b in
-  body ^ Crypto.Hmac.mac ~key:mac_key body
+  let body_len = header_len + String.length payload in
+  let frame = Bytes.create (body_len + mac_len) in
+  Bytes.blit_string magic 0 frame 0 (String.length magic);
+  Bytes.set frame (String.length magic) (kind_byte kind);
+  Bytes.set_int64_le frame (String.length magic + 1) seq;
+  Bytes.set_int64_le frame (String.length magic + 9) (Int64.of_int (String.length payload));
+  Bytes.blit_string payload 0 frame header_len (String.length payload);
+  (* The string view of the frame is only read, during this call. *)
+  let tag =
+    Crypto.Hmac.mac_slice (Crypto.Hmac.prepare ~key:mac_key) ~prefix:""
+      (Bytes.unsafe_to_string frame) 0 body_len
+  in
+  Bytes.blit_string tag 0 frame body_len mac_len;
+  Bytes.unsafe_to_string frame
 
 let decode_frame ~mac_key ~expect ?expect_seq data =
   let magic_len = String.length magic in
+  let body_len = String.length data - mac_len in
   (* Structural minimum: magic + kind + seq + payload length + MAC. *)
-  if String.length data < magic_len + 1 + 8 + 8 + mac_len then Error Malformed
-  else if String.sub data 0 magic_len <> magic then Error Malformed
+  if body_len < header_len then Error Malformed
+  else if not (String.starts_with ~prefix:magic data) then Error Malformed
+  else if
+    not
+      (Crypto.Eq.constant_time
+         (Crypto.Hmac.mac_slice (Crypto.Hmac.prepare ~key:mac_key) ~prefix:"" data 0
+            body_len)
+         (String.sub data body_len mac_len))
+  then Error Tampered
   else begin
-    let body_len = String.length data - mac_len in
-    let body = String.sub data 0 body_len in
-    let mac = String.sub data body_len mac_len in
-    if not (Crypto.Eq.constant_time (Crypto.Hmac.mac ~key:mac_key body) mac)
-    then Error Tampered
-    else begin
-      (* MAC verified: the body is exactly what the peer framed, so any
-         parse failure below means a protocol bug, not line noise —
-         still reported as Malformed rather than an escaped exception. *)
-      match
-        let r = Codec.R.make body (magic_len + 1) in
-        let seq = Codec.R.i64 r in
-        let payload = Codec.R.string r in
-        if not (Codec.R.at_end r) then raise (Codec.Error "trailing bytes");
-        seq, payload
-      with
-      | exception Codec.Error _ -> Error Malformed
-      | seq, payload ->
-        if body.[magic_len] <> kind_byte expect then Error Malformed
-        else
-          match expect_seq with
-          | Some want when not (Int64.equal want seq) -> Error Stale
-          | Some _ | None -> Ok (seq, payload)
-    end
+    (* MAC verified: the body is exactly what the peer framed, so a
+       length that disagrees with it means a protocol bug, not line
+       noise — still reported as Malformed rather than accepted. *)
+    let seq = String.get_int64_le data (magic_len + 1) in
+    let payload_len = Int64.to_int (String.get_int64_le data (magic_len + 9)) in
+    if payload_len <> body_len - header_len then Error Malformed
+    else if data.[magic_len] <> kind_byte expect then Error Malformed
+    else
+      match expect_seq with
+      | Some want when not (Int64.equal want seq) -> Error Stale
+      | Some _ | None -> Ok (seq, String.sub data header_len (body_len - header_len))
   end
 
 (* --- Client -------------------------------------------------------- *)

@@ -1,5 +1,13 @@
 (* Crypto substrate tests: published vectors plus property tests. *)
 
+let hex_to_string h =
+  String.init (String.length h / 2) (fun i ->
+      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
+
+let bytes_to_hex b =
+  String.concat ""
+    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
+
 let sha256_vectors () =
   let cases =
     [ "", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855";
@@ -29,6 +37,22 @@ let sha256_incremental () =
         (Crypto.Sha256.to_hex (Crypto.Sha256.finalize ctx)))
     [ 0; 1; 55; 56; 63; 64; 65; 127; 128; 200; 300 ]
 
+(* Byte pins over every padding case.  Message [m_n] for n = 0..200
+   covers the short, exactly-56, one-block and two-block tails of the
+   padding; the expected values come from Python's hashlib and hmac. *)
+let sweep_messages =
+  List.init 201 (fun n -> String.init n (fun i -> Char.chr ((i * 7 + 3) land 0xFF)))
+
+let fold_digests f = Crypto.Sha256.hex (String.concat "" (List.map f sweep_messages))
+
+let sha256_padding_sweep () =
+  Alcotest.(check string) "sha256 over lengths 0..200"
+    "3275febb4612d86d586eb9f11cd21e648a9fc7d95e0f6b8d362786e28c9c5b79"
+    (fold_digests Crypto.Sha256.digest);
+  Alcotest.(check string) "hmac over lengths 0..200"
+    "8f2e06f56b60d7c22c1f04045803bae78359ae384ff6a53b49da93cc0d865e52"
+    (fold_digests (Crypto.Hmac.mac ~key:"slice-key"))
+
 let hmac_vectors () =
   (* RFC 4231 test case 2 and the classic quick-brown-fox vector. *)
   Alcotest.(check string) "rfc4231 tc2"
@@ -53,20 +77,58 @@ let hmac_prepared_agrees =
       (* lint: allow mac-compare *)
       = Crypto.Hmac.mac_prepared (Crypto.Hmac.prepare ~key) msg)
 
+let hmac_slice_agrees =
+  QCheck.Test.make ~name:"hmac slice = prepared over the concatenation" ~count:300
+    QCheck.(triple (pair string string) string (pair small_nat small_nat))
+    (fun ((key, prefix), msg, (a, b)) ->
+      let n = String.length msg in
+      let off = a mod (n + 1) in
+      let len = b mod (n - off + 1) in
+      let p = Crypto.Hmac.prepare ~key in
+      Crypto.Eq.constant_time
+        (Crypto.Hmac.mac_slice p ~prefix msg off len)
+        (Crypto.Hmac.mac_prepared p (prefix ^ String.sub msg off len)))
+
+let xtea_encrypt key block =
+  let b = Bytes.create 8 in
+  Bytes.set_int64_be b 0 block;
+  Crypto.Xtea.encrypt_block key b 0;
+  Bytes.get_int64_be b 0
+
 let xtea_roundtrip =
   QCheck.Test.make ~name:"xtea decrypt after encrypt = id" ~count:500
     QCheck.(pair string int64)
     (fun (key_material, block) ->
       let key = Crypto.Xtea.key_of_string key_material in
-      Crypto.Xtea.decrypt_block key (Crypto.Xtea.encrypt_block key block) = block)
+      let b = Bytes.create 8 in
+      Bytes.set_int64_be b 0 (xtea_encrypt key block);
+      Crypto.Xtea.decrypt_block key b 0;
+      Bytes.get_int64_be b 0 = block)
 
 let xtea_differs () =
   let k1 = Crypto.Xtea.key_of_string "one" in
   let k2 = Crypto.Xtea.key_of_string "two" in
-  Alcotest.(check bool) "not identity" false
-    (Crypto.Xtea.encrypt_block k1 42L = 42L);
+  Alcotest.(check bool) "not identity" false (xtea_encrypt k1 42L = 42L);
   Alcotest.(check bool) "key-dependent" false
-    (Crypto.Xtea.encrypt_block k1 42L = Crypto.Xtea.encrypt_block k2 42L)
+    (xtea_encrypt k1 42L = xtea_encrypt k2 42L)
+
+(* Known answers, reproduced by an independent Python XTEA. *)
+let xtea_known_answers () =
+  let check key pt expected =
+    let b = Bytes.of_string (hex_to_string pt) in
+    Crypto.Xtea.encrypt_block key b 0;
+    Alcotest.(check string) pt expected (bytes_to_hex b);
+    Crypto.Xtea.decrypt_block key b 0;
+    Alcotest.(check string) (pt ^ " inverse") pt (bytes_to_hex b)
+  in
+  let key = Crypto.Xtea.key_of_raw (hex_to_string "000102030405060708090a0b0c0d0e0f") in
+  check key "4142434445464748" "497df3d072612cb5";
+  check key "4141414141414141" "e78f2d13744341d8";
+  check (Crypto.Xtea.key_of_raw (String.make 16 '\000')) "0000000000000000"
+    "dee9d4d8f7131ed9";
+  Alcotest.check_raises "raw key length"
+    (Invalid_argument "Xtea.key_of_raw: need 16 bytes")
+    (fun () -> ignore (Crypto.Xtea.key_of_raw "short"))
 
 let cbc_roundtrip =
   QCheck.Test.make ~name:"cbc decrypt after encrypt = id" ~count:300
@@ -157,14 +219,6 @@ let ope_rejects_invalid () =
 
 (* --- AES and cipher suites ---------------------------------------- *)
 
-let hex_to_string h =
-  String.init (String.length h / 2) (fun i ->
-      Char.chr (int_of_string ("0x" ^ String.sub h (2 * i) 2)))
-
-let bytes_to_hex b =
-  String.concat ""
-    (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Char.code (Bytes.get b i))))
-
 let aes_vectors () =
   (* FIPS-197 Appendix B. *)
   let key = Crypto.Aes.key_of_raw (hex_to_string "2b7e151628aed2a6abf7158809cf4f3c") in
@@ -196,6 +250,15 @@ let cipher_suite_roundtrips =
       Crypto.Cipher.decrypt prepared ~nonce:"n" ct = plaintext
       && String.length ct
          = Crypto.Cipher.ciphertext_length suite (String.length plaintext))
+
+let cipher_prefix_agrees =
+  QCheck.Test.make ~name:"cipher prefix decrypt = whole decrypt" ~count:200
+    QCheck.(triple (oneofl [ Crypto.Cipher.Xtea; Crypto.Cipher.Aes ]) string string)
+    (fun (suite, trailer, plaintext) ->
+      let prepared = Crypto.Cipher.prepare suite "k" in
+      let ct = Crypto.Cipher.encrypt prepared ~nonce:"n" plaintext in
+      Crypto.Cipher.decrypt prepared ~nonce:"n" ~len:(String.length ct) (ct ^ trailer)
+      = plaintext)
 
 let cipher_suites_differ () =
   let xtea = Crypto.Cipher.prepare Crypto.Cipher.Xtea "k" in
@@ -250,13 +313,15 @@ let () =
   Alcotest.run "crypto"
     [ ( "sha256",
         [ Alcotest.test_case "FIPS vectors" `Quick sha256_vectors;
-          Alcotest.test_case "incremental" `Quick sha256_incremental ] );
+          Alcotest.test_case "incremental" `Quick sha256_incremental;
+          Alcotest.test_case "padding sweep" `Quick sha256_padding_sweep ] );
       ( "hmac",
         Alcotest.test_case "vectors" `Quick hmac_vectors
-        :: List.map QCheck_alcotest.to_alcotest [ hmac_prepared_agrees ] );
+        :: List.map QCheck_alcotest.to_alcotest [ hmac_prepared_agrees; hmac_slice_agrees ] );
       ( "xtea",
-        Alcotest.test_case "sanity" `Quick xtea_differs
-        :: List.map QCheck_alcotest.to_alcotest [ xtea_roundtrip ] );
+        [ Alcotest.test_case "sanity" `Quick xtea_differs;
+          Alcotest.test_case "known answers" `Quick xtea_known_answers ]
+        @ List.map QCheck_alcotest.to_alcotest [ xtea_roundtrip ] );
       ( "cbc",
         [ Alcotest.test_case "nonce matters" `Quick cbc_nonce_matters;
           Alcotest.test_case "malformed input" `Quick cbc_malformed ]
@@ -272,7 +337,8 @@ let () =
       ( "aes",
         [ Alcotest.test_case "FIPS/NIST vectors" `Quick aes_vectors;
           Alcotest.test_case "suites differ" `Quick cipher_suites_differ ]
-        @ List.map QCheck_alcotest.to_alcotest [ cipher_suite_roundtrips ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ cipher_suite_roundtrips; cipher_prefix_agrees ] );
       ( "prng",
         Alcotest.test_case "deterministic" `Quick prng_deterministic
         :: List.map QCheck_alcotest.to_alcotest

@@ -504,13 +504,45 @@ let log_compaction () =
       let j2 = Persist.journal_open ~master:"persist-master" path in
       Alcotest.(check int) "reopen after compaction" n (Persist.journal_seq j2))
 
+(* Byte pin: the bundle of one fixed hosting under each cipher suite,
+   captured before the crypto kernels were rewritten for speed.  An
+   equal digest means every ciphertext, block MAC, IV, OPE code and
+   the bundle MAC are unchanged; loading the pinned bytes must still
+   answer like the plaintext reference. *)
+let pinned_bundles =
+  [ Crypto.Cipher.Xtea, "25fc4b8c4feed10c88f85a8db84061677697c537ef37377ddce96130b584cc6f";
+    Crypto.Cipher.Aes, "f48fe0e431f6f6de05ad544fce8a32f0e145f60a46f6bbd071a4e6573d773d9d" ]
+
+let bundle_pin () =
+  let doc = Workload.Health.generate ~patients:30 () in
+  let scs = Workload.Health.constraints () in
+  let query = parse "//patient[age>=50]/pname" in
+  List.iter
+    (fun (cipher, expected) ->
+      let suite = Crypto.Cipher.suite_to_string cipher in
+      let sys, _ = System.setup ~master:"pin-master" ~cipher doc scs Secure.Scheme.Opt in
+      let path = Filename.temp_file "sxq-pin" ".host" in
+      Fun.protect
+        ~finally:(fun () -> Sys.remove path)
+        (fun () ->
+          Persist.save sys path;
+          let stored = In_channel.with_open_bin path In_channel.input_all in
+          Alcotest.(check string) (suite ^ " bundle") expected (Crypto.Sha256.hex stored);
+          let restored = Persist.load ~master:"pin-master" path in
+          let answers = fst (System.evaluate restored query) in
+          Alcotest.(check int) (suite ^ " answer count") 15 (List.length answers);
+          Helpers.check_trees_equal (suite ^ " pinned answers")
+            (System.reference sys query) answers))
+    pinned_bundles
+
 let () =
   Alcotest.run "persist"
     [ ( "roundtrip",
         [ Alcotest.test_case "answers preserved" `Quick roundtrip_preserves_answers;
           Alcotest.test_case "file io" `Quick roundtrip_via_file;
           Alcotest.test_case "deterministic" `Quick stable_encoding;
-          Alcotest.test_case "after update" `Quick updated_system_persists ] );
+          Alcotest.test_case "after update" `Quick updated_system_persists;
+          Alcotest.test_case "pinned bytes" `Quick bundle_pin ] );
       ( "integrity",
         [ Alcotest.test_case "wrong master" `Quick wrong_master_rejected;
           Alcotest.test_case "tampering" `Quick tampering_rejected;

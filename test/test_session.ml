@@ -69,6 +69,22 @@ let frame_direction_and_seq () =
   | Ok _ -> Alcotest.fail "wrong key accepted"
   | Error e -> Alcotest.failf "unexpected %s" (Session.error_to_string e)
 
+(* Byte pin, captured before framing was rewritten to work in place:
+   a short frame in full and a multi-block one by digest. *)
+let frame_pin () =
+  let mac_key = "pin-session-key" in
+  Alcotest.(check string) "short frame"
+    "5358534631000300000000000000030000000000000070696eb532f6a068923aa6\
+     24eb002d753ce5544249b4649278f80b45c4cf22862740f5"
+    (Crypto.Sha256.to_hex
+       (Session.encode_frame ~mac_key ~kind:Session.Request ~seq:3L "pin"));
+  let payload = String.init 100 (fun i -> Char.chr ((i * 13 + 5) land 0xFF)) in
+  let frame = Session.encode_frame ~mac_key ~kind:Session.Response ~seq:7L payload in
+  Alcotest.(check int) "frame length" 154 (String.length frame);
+  Alcotest.(check string) "frame digest"
+    "e95be7269e9b63ff2747c4072d85de9afdfd454aa0f59ffddb6a04d49e0d255a"
+    (Crypto.Sha256.hex frame)
+
 (* --- Client retry policy ------------------------------------------- *)
 
 let echo_endpoint () =
@@ -329,7 +345,8 @@ let () =
         [ Alcotest.test_case "roundtrip" `Quick frame_roundtrip;
           Alcotest.test_case "tamper detected" `Quick frame_tamper_detected;
           Alcotest.test_case "truncation detected" `Quick frame_truncation_detected;
-          Alcotest.test_case "direction and seq" `Quick frame_direction_and_seq ] );
+          Alcotest.test_case "direction and seq" `Quick frame_direction_and_seq;
+          Alcotest.test_case "pinned bytes" `Quick frame_pin ] );
       ( "retry",
         [ Alcotest.test_case "clean call" `Quick clean_call;
           Alcotest.test_case "absorbs transient drop" `Quick retry_absorbs_transient_drop;
