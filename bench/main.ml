@@ -58,47 +58,21 @@ let trials = 5
 (* ------------------------------------------------------------------ *)
 (* Machine-readable output (--json <path>)                             *)
 
-type jv =
-  | S of string
-  | F of float
-  | I of int
-  | B of bool
-
-let json_rows : (string * jv) list list ref = ref []
+let json_rows : (string * Obs.Json.t) list list ref = ref []
 
 (* Every experiment that measures something appends flat rows here; the
    driver serializes them when --json was given (collection is cheap
    enough to do unconditionally). *)
 let json_row fields = json_rows := fields :: !json_rows
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
+(* A JSON array with one row object per line. *)
 let json_write path =
   let oc = open_out path in
-  let field (k, v) =
-    Printf.sprintf "\"%s\": %s" (json_escape k)
-      (match v with
-       | S s -> "\"" ^ json_escape s ^ "\""
-       | F f -> if Float.is_finite f then Printf.sprintf "%.6g" f else "null"
-       | I i -> string_of_int i
-       | B b -> if b then "true" else "false")
-  in
   output_string oc "[\n";
   List.iteri
     (fun i row ->
       if i > 0 then output_string oc ",\n";
-      output_string oc ("  {" ^ String.concat ", " (List.map field row) ^ "}"))
+      output_string oc ("  " ^ Obs.Json.to_string (Obs.Json.Obj row)))
     (List.rev !json_rows);
   output_string oc "\n]\n";
   close_out oc
@@ -118,24 +92,12 @@ let json_write path =
    jitter), every other float must agree to the %.6g precision the
    snapshot was written with. *)
 
-let jv_of_json = function
-  | Obs.Json.Int i -> Some (I i)
-  | Obs.Json.Float f -> Some (F f)
-  | Obs.Json.Str s -> Some (S s)
-  | Obs.Json.Bool b -> Some (B b)
-  | Obs.Json.Null | Obs.Json.List _ | Obs.Json.Obj _ -> None
+let is_float = function Obs.Json.Float _ -> true | _ -> false
 
-let jv_print = function
-  | S s -> "\"" ^ json_escape s ^ "\""
-  | F f -> Printf.sprintf "%.6g" f
-  | I i -> string_of_int i
-  | B b -> string_of_bool b
-
-let row_key row =
-  List.filter (fun (_, v) -> match v with F _ -> false | _ -> true) row
+let row_key row = List.filter (fun (_, v) -> not (is_float v)) row
 
 let key_print key =
-  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ jv_print v) key)
+  String.concat " " (List.map (fun (k, v) -> k ^ "=" ^ Obs.Json.to_string v) key)
 
 let floats_agree field prev cur =
   match Float.is_finite prev, Float.is_finite cur with
@@ -161,11 +123,12 @@ let json_compare path =
         (function
           | Obs.Json.Obj fields ->
             Some
-              (List.filter_map
-                 (fun (k, v) ->
-                   match jv_of_json v with
-                   | Some jv -> Some (k, jv)
-                   | None -> None)
+              (List.filter
+                 (fun (_, v) ->
+                   match v with
+                   | Obs.Json.Int _ | Obs.Json.Float _ | Obs.Json.Str _ | Obs.Json.Bool _ ->
+                     true
+                   | Obs.Json.Null | Obs.Json.List _ | Obs.Json.Obj _ -> false)
                  fields)
           | _ -> None)
         rows
@@ -177,23 +140,21 @@ let json_compare path =
       exit 2
   in
   let current = List.rev !json_rows in
-  (* %.6g prints integral floats without a decimal point, and the
-     parser reads those back as ints — so decide float-ness per field
-     name from this run's rows and coerce the baseline to match,
-     otherwise a row with e.g. a 0.0 rate never finds its partner. *)
+  (* Snapshots written with %.6g print integral floats without a
+     decimal point, and the parser reads those back as ints — so decide
+     float-ness per field name from this run's rows and coerce the
+     baseline to match, otherwise a row with e.g. a 0.0 rate never finds
+     its partner. *)
   let float_fields =
     List.concat_map
-      (fun row ->
-        List.filter_map
-          (fun (k, v) -> match v with F _ -> Some k | _ -> None)
-          row)
+      (fun row -> List.filter_map (fun (k, v) -> if is_float v then Some k else None) row)
       current
   in
   let normalize row =
     List.map
       (fun (k, v) ->
         match v with
-        | I i when List.mem k float_fields -> (k, F (float_of_int i))
+        | Obs.Json.Int i when List.mem k float_fields -> (k, Obs.Json.Float (float_of_int i))
         | v -> (k, v))
       row
   in
@@ -222,14 +183,14 @@ let json_compare path =
           List.iter
             (fun (field, bv) ->
               match bv, List.assoc_opt field crow with
-              | F prev, Some (F cur) ->
+              | Obs.Json.Float prev, Some (Obs.Json.Float cur) ->
                 if not (floats_agree field prev cur) then
                   fail "{%s} %s: baseline %.6g, current %.6g" (key_print key)
                     field prev cur
-              | F prev, (Some _ | None) ->
+              | Obs.Json.Float prev, _ ->
                 fail "{%s} %s: baseline %.6g, current row lacks the float"
                   (key_print key) field prev
-              | (S _ | I _ | B _), _ -> ())
+              | _ -> ())
             brow
       end)
     baseline;
@@ -451,17 +412,17 @@ let e2 scale =
                 (p.p_server +. p.p_decrypt +. p.p_post)
                 p.p_transmit;
               json_row
-                [ "experiment", S "e2";
-                  "dataset", S ds.name;
-                  "scheme", S (Scheme.kind_to_string kind);
-                  "family", S (Qg.family_to_string fam);
-                  "queries", I n;
-                  "server_ms", F p.p_server;
-                  "transmit_ms", F p.p_transmit;
-                  "decrypt_ms", F p.p_decrypt;
-                  "postprocess_ms", F p.p_post;
-                  "total_ms", F p.p_total;
-                  "transmit_bytes", F p.p_bytes ])
+                Obs.Json.[ "experiment", Str "e2";
+                           "dataset", Str ds.name;
+                           "scheme", Str (Scheme.kind_to_string kind);
+                           "family", Str (Qg.family_to_string fam);
+                           "queries", Int n;
+                           "server_ms", Float p.p_server;
+                           "transmit_ms", Float p.p_transmit;
+                           "decrypt_ms", Float p.p_decrypt;
+                           "postprocess_ms", Float p.p_post;
+                           "total_ms", Float p.p_total;
+                           "transmit_bytes", Float p.p_bytes ])
             Scheme.all_kinds;
           print_newline ())
         [ Qg.Qs; Qg.Qm; Qg.Ql ])
@@ -496,13 +457,13 @@ let e3 scale =
           Printf.printf "%-4s %8.2f %8.2f %8.2f %8.2f\n" (Qg.family_to_string fam)
             (ratio tt ta) (ratio ts ta) (ratio tt topt) (ratio ts topt);
           json_row
-            [ "experiment", S "e3";
-              "dataset", S ds.name;
-              "family", S (Qg.family_to_string fam);
-              "saving_app_over_top", F (ratio tt ta);
-              "saving_app_over_sub", F (ratio ts ta);
-              "saving_opt_over_top", F (ratio tt topt);
-              "saving_opt_over_sub", F (ratio ts topt) ])
+            Obs.Json.[ "experiment", Str "e3";
+                       "dataset", Str ds.name;
+                       "family", Str (Qg.family_to_string fam);
+                       "saving_app_over_top", Float (ratio tt ta);
+                       "saving_app_over_sub", Float (ratio ts ta);
+                       "saving_opt_over_top", Float (ratio tt topt);
+                       "saving_opt_over_sub", Float (ratio ts topt) ])
         [ Qg.Qs; Qg.Qm; Qg.Ql ])
     (datasets scale);
   Printf.printf
@@ -684,24 +645,24 @@ let e7 () =
   Printf.printf "  disease: k=%d n=%d: %s\n" k n
     (String.concat " -> "
        (List.map (Printf.sprintf "%.2e")
-          (Secure.Attack.belief_sequence ~k ~n ~queries:4)));
+          (Attack.Static.belief_sequence ~k ~n ~queries:4)));
   Printf.printf "\nFrequency attack crack rates (Section 4.1's motivation):\n";
   List.iter
     (fun tag ->
       let known = Xmlcore.Stats.value_histogram doc ~tag in
       if known <> [] then begin
         let broken =
-          Secure.Attack.frequency_attack ~known
-            ~observed:(Secure.Attack.deterministic_leaf_histogram known)
+          Attack.Static.frequency_attack ~known
+            ~observed:(Attack.Static.deterministic_leaf_histogram known)
         in
         let cat = Secure.Opess.build ~key:"e7c" ~attr_id:0 ~tag known in
         let secured =
-          Secure.Attack.frequency_attack ~known
+          Attack.Static.frequency_attack ~known
             ~observed:(Secure.Opess.scaled_histogram cat)
         in
         Printf.printf "  %-12s naive %3.0f%%  opess %3.0f%%\n" tag
-          (100.0 *. broken.Secure.Attack.crack_rate)
-          (100.0 *. secured.Secure.Attack.crack_rate)
+          (100.0 *. broken.Attack.Static.crack_rate)
+          (100.0 *. secured.Attack.Static.crack_rate)
       end)
     [ "disease"; "doctor"; "pname"; "@coverage"; "age" ];
   Printf.printf
@@ -730,9 +691,9 @@ let e8 () =
             (Secure.Opess.entries cat)
         in
         let describe observed =
-          let r = Secure.Attack.coalescing_attack ~known:known_ordered ~observed in
-          if r.Secure.Attack.unique then "CRACKED"
-          else Printf.sprintf "%d partitions" r.Secure.Attack.valid_partitions
+          let r = Attack.Static.coalescing_attack ~known:known_ordered ~observed in
+          if r.Attack.Static.unique then "CRACKED"
+          else Printf.sprintf "%d partitions" r.Attack.Static.valid_partitions
         in
         Printf.printf "%-22s %14s %14s\n" tag
           (describe (Secure.Opess.ciphertext_histogram cat))
@@ -852,15 +813,14 @@ let e8 () =
     List.map (fun (token, ivs) -> token, List.length ivs) meta2.Secure.Metadata.dsi_table
   in
   let r =
-    Secure.Attack.tag_distribution_attack
-      ~known_census:(Xmlcore.Stats.tag_census doc) ~observed
+    Attack.Static.frequency_attack ~known:(Xmlcore.Stats.tag_census doc) ~observed
   in
   Printf.printf
     "  %d/%d tags re-identified by a census-equipped attacker — confirming \
      the paper's\n  declared limitation (grouping only partially erodes the \
      signal)\n"
-    (List.length r.Secure.Attack.identified)
-    r.Secure.Attack.tag_domain;
+    (List.length r.Attack.Static.cracked)
+    r.Attack.Static.domain_size;
   (* (h) update cost: the re-host strategy pays full setup per edit. *)
   Printf.printf "\n(h) update cost (re-host strategy)\n";
   let scs_h = Workload.Health.constraints () in
@@ -1102,20 +1062,20 @@ let e10 scale =
         (Engine.Stats.block_hit_rate stats)
         stats.Engine.Stats.invalidations;
       json_row
-        [ "experiment", S "e10";
-          "dataset", S ds.name;
-          "scheme", S (Scheme.kind_to_string Scheme.Opt);
-          "distinct_queries", I (List.length distinct);
-          "warm_passes", I warm_passes;
-          "cold_server_decrypt_ms", F cold_ms;
-          "warm_server_decrypt_ms", F warm_ms;
-          "speedup", F speedup;
-          "cold_transmit_bytes", F cold_bytes;
-          "warm_transmit_bytes", F warm_bytes;
-          "plan_hit_rate", F (Engine.Stats.plan_hit_rate stats);
-          "result_hit_rate", F (Engine.Stats.result_hit_rate stats);
-          "block_hit_rate", F (Engine.Stats.block_hit_rate stats);
-          "answers_exact", B exact ];
+        Obs.Json.[ "experiment", Str "e10";
+                   "dataset", Str ds.name;
+                   "scheme", Str (Scheme.kind_to_string Scheme.Opt);
+                   "distinct_queries", Int (List.length distinct);
+                   "warm_passes", Int warm_passes;
+                   "cold_server_decrypt_ms", Float cold_ms;
+                   "warm_server_decrypt_ms", Float warm_ms;
+                   "speedup", Float speedup;
+                   "cold_transmit_bytes", Float cold_bytes;
+                   "warm_transmit_bytes", Float warm_bytes;
+                   "plan_hit_rate", Float (Engine.Stats.plan_hit_rate stats);
+                   "result_hit_rate", Float (Engine.Stats.result_hit_rate stats);
+                   "block_hit_rate", Float (Engine.Stats.block_hit_rate stats);
+                   "answers_exact", Bool exact ];
       (* The ISSUE's acceptance bar; tiny runs are noise-dominated, so
          only the equality assertions gate there. *)
       if scale.label <> "tiny" && speedup < 2.0 then
@@ -1226,18 +1186,18 @@ let e11 scale =
                 ds.name domains host_ms host_speedup (Array.length queries)
                 batch_ms batch_speedup;
               json_row
-                [ "experiment", S "e11";
-                  "dataset", S ds.name;
-                  "scheme", S (Scheme.kind_to_string Scheme.Opt);
-                  "domains", I domains;
-                  "queries", I (Array.length queries);
-                  "seq_host_ms", F seq_host_ms;
-                  "host_ms", F host_ms;
-                  "host_speedup", F host_speedup;
-                  "seq_batch_ms", F seq_batch_ms;
-                  "batch_ms", F batch_ms;
-                  "batch_speedup", F batch_speedup;
-                  "answers_exact", B true ];
+                Obs.Json.[ "experiment", Str "e11";
+                           "dataset", Str ds.name;
+                           "scheme", Str (Scheme.kind_to_string Scheme.Opt);
+                           "domains", Int domains;
+                           "queries", Int (Array.length queries);
+                           "seq_host_ms", Float seq_host_ms;
+                           "host_ms", Float host_ms;
+                           "host_speedup", Float host_speedup;
+                           "seq_batch_ms", Float seq_batch_ms;
+                           "batch_ms", Float batch_ms;
+                           "batch_speedup", Float batch_speedup;
+                           "answers_exact", Bool true ];
               (* The ISSUE's acceptance bar.  Tiny runs are
                  noise-dominated, and on machines without at least four
                  cores extra domains only add scheduling overhead, so
@@ -1338,15 +1298,15 @@ let e12 scale =
          median compute %.3f ms (%.4f%%)\n"
         ds.name nq sites_per_query per_site_ns overhead_ms median_ms pct;
       json_row
-        [ "experiment", S "e12";
-          "dataset", S ds.name;
-          "scheme", S (Scheme.kind_to_string Scheme.Opt);
-          "queries", I nq;
-          "sites_per_query", F sites_per_query;
-          "per_site_ns", F per_site_ns;
-          "overhead_ms", F overhead_ms;
-          "median_compute_ms", F median_ms;
-          "overhead_pct", F pct ];
+        Obs.Json.[ "experiment", Str "e12";
+                   "dataset", Str ds.name;
+                   "scheme", Str (Scheme.kind_to_string Scheme.Opt);
+                   "queries", Int nq;
+                   "sites_per_query", Float sites_per_query;
+                   "per_site_ns", Float per_site_ns;
+                   "overhead_ms", Float overhead_ms;
+                   "median_compute_ms", Float median_ms;
+                   "overhead_pct", Float pct ];
       if overhead_ms >= 0.03 *. median_ms then
         failwith
           (Printf.sprintf
@@ -1464,19 +1424,19 @@ let e13 scale =
           Printf.printf "%-10d %-10s %9d %9d %9d %9.3f %9.3f %9.3f\n" offered
             id acc n rej rej_rate (pct 0.50) (pct 0.95);
           json_row
-            [ "experiment", S "e13";
-              "tenant", S id;
-              "tenants", I (List.length ids);
-              "rounds", I rounds;
-              "offered_per_round", I offered;
-              "admission_limit", I refill;
-              "queue_depth", I queue_depth;
-              "accepted", I acc;
-              "served", I n;
-              "rejected", I rej;
-              "rejection_rate", F rej_rate;
-              "p50_ms", F (pct 0.50);
-              "p95_ms", F (pct 0.95) ];
+            Obs.Json.[ "experiment", Str "e13";
+                       "tenant", Str id;
+                       "tenants", Int (List.length ids);
+                       "rounds", Int rounds;
+                       "offered_per_round", Int offered;
+                       "admission_limit", Int refill;
+                       "queue_depth", Int queue_depth;
+                       "accepted", Int acc;
+                       "served", Int n;
+                       "rejected", Int rej;
+                       "rejection_rate", Float rej_rate;
+                       "p50_ms", Float (pct 0.50);
+                       "p95_ms", Float (pct 0.95) ];
           (* The gate: backpressure appears exactly when offered load
              crosses the admission limit, and nothing is ever lost —
              every accepted query is served. *)
@@ -1547,7 +1507,7 @@ let e14 scale =
           bytes := !bytes + cost.System.transmit_bytes)
         (Attack.Mitigate.evaluate_batch mit sys queries)
     done;
-    (List.rev !answers, !ms, !bytes, Attack.Trace.of_ledger (System.ledger sys))
+    (List.rev !answers, !ms, !bytes, Obs.Ledger.rounds (System.ledger sys))
   in
   let min_class findings c =
     match
@@ -1568,7 +1528,7 @@ let e14 scale =
   let baseline = ref None in
   List.iter
     (fun (name, config) ->
-      let answers, ms, bytes, trace = run_config config in
+      let answers, ms, bytes, rounds = run_config config in
       (* The differential gate: whatever the mitigation spends, the
          answers must be byte-identical to the unmitigated run. *)
       (match !baseline with
@@ -1580,7 +1540,7 @@ let e14 scale =
                 "e14 [%s]: mitigated answers differ from the unmitigated \
                  baseline"
                 name));
-      let findings = Attack.Passes.run_all trace in
+      let findings = Attack.Passes.run_all rounds in
       let sc = Attack.Budget.score budget findings in
       let violations = List.length sc.Attack.Budget.violations in
       let _, _, base_bytes =
@@ -1599,17 +1559,17 @@ let e14 scale =
         (show "frequency") (show "size") (show "cooccurrence") violations ms
         bytes (100.0 *. overhead);
       json_row
-        [ "experiment", S "e14";
-          "mitigations", S name;
-          "frequency_min",
-          I (Option.value ~default:0 (min_class findings "frequency"));
-          "size_min", I (Option.value ~default:0 (min_class findings "size"));
-          "cooccurrence_min",
-          I (Option.value ~default:0 (min_class findings "cooccurrence"));
-          "violations", I violations;
-          "ms", F ms;
-          "transmit_bytes", I bytes;
-          "bytes_overhead", F overhead ];
+        Obs.Json.[ "experiment", Str "e14";
+                   "mitigations", Str name;
+                   "frequency_min",
+                   Int (Option.value ~default:0 (min_class findings "frequency"));
+                   "size_min", Int (Option.value ~default:0 (min_class findings "size"));
+                   "cooccurrence_min",
+                   Int (Option.value ~default:0 (min_class findings "cooccurrence"));
+                   "violations", Int violations;
+                   "ms", Float ms;
+                   "transmit_bytes", Int bytes;
+                   "bytes_overhead", Float overhead ];
       (* The budget gates: the unmitigated run must exhibit the leakage
          the adversary passes exist to find, and the declaration's
          bought mitigation must actually buy it back. *)
@@ -1737,15 +1697,15 @@ let e15 scale =
      %d dropped, %d fallback(s)\n"
     !delta_ms !rehost_ms speedup !touched !dropped !fell_back;
   json_row
-    [ "experiment", S "e15";
-      "patients", I patients;
-      "edits", I (List.length edits);
-      "blocks_touched", I !touched;
-      "blocks_dropped", I !dropped;
-      "blocks_total", I !blocks_total;
-      "fallbacks", I !fell_back;
-      "delta_ms", F !delta_ms;
-      "rehost_ms", F !rehost_ms ];
+    Obs.Json.[ "experiment", Str "e15";
+               "patients", Int patients;
+               "edits", Int (List.length edits);
+               "blocks_touched", Int !touched;
+               "blocks_dropped", Int !dropped;
+               "blocks_total", Int !blocks_total;
+               "fallbacks", Int !fell_back;
+               "delta_ms", Float !delta_ms;
+               "rehost_ms", Float !rehost_ms ];
   (* The value edits must stay incremental: a silent fallback would
      make the comparison measure the re-host path against itself. *)
   if !fell_back > 0 then

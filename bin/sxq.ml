@@ -565,9 +565,9 @@ let xquery_cmd =
 
 (* The adversary simulator (lib/attack).  Three modes:
    - live (default): host a document, run a workload through the
-     mitigation layer, then recast the captured leakage ledger as the
-     server's observation trace, run the inference passes over it and
-     score the candidate sets against the budget declaration;
+     mitigation layer, then run the inference passes over the captured
+     leakage ledger's rounds (the server's observation trace) and score
+     the candidate sets against the budget declaration;
    - [--trace FILE]: replay an exported ledger capture offline (a bare
      ledger object or the {"tenants":[...]} wrapper that
      [sxq serve --trace-out] writes);
@@ -626,21 +626,21 @@ let attack_cmd =
     if known = [] then Printf.printf "no values under tag %S\n" tag
     else begin
       let broken =
-        Secure.Attack.frequency_attack ~known
-          ~observed:(Secure.Attack.deterministic_leaf_histogram known)
+        Attack.Static.frequency_attack ~known
+          ~observed:(Attack.Static.deterministic_leaf_histogram known)
       in
       let cat = Secure.Opess.build ~key:"sxq-attack" ~attr_id:0 ~tag known in
       let secured =
-        Secure.Attack.frequency_attack ~known
+        Attack.Static.frequency_attack ~known
           ~observed:(Secure.Opess.scaled_histogram cat)
       in
       Printf.printf
         "frequency attack on %S (%d distinct values):\n\
         \  deterministic per-leaf encryption: %3.0f%% cracked\n\
         \  OPESS split+scale index:           %3.0f%% cracked\n"
-        tag broken.Secure.Attack.domain_size
-        (100.0 *. broken.Secure.Attack.crack_rate)
-        (100.0 *. secured.Secure.Attack.crack_rate)
+        tag broken.Attack.Static.domain_size
+        (100.0 *. broken.Attack.Static.crack_rate)
+        (100.0 *. secured.Attack.Static.crack_rate)
     end
   in
   let load_budget path =
@@ -676,12 +676,13 @@ let attack_cmd =
     @ (if c.Attack.Mitigate.dummies > 0 then [ "dummy" ] else [])
     @ if c.Attack.Mitigate.shuffle then [ "shuffle" ] else []
   in
-  (* Score one trace.  Returns (budget met, json report, text report). *)
-  let audit ~label (budget : Attack.Budget.t) trace =
+  (* Score one ledger's rounds.  Returns (budget met, json report, text
+     report). *)
+  let audit ~label (budget : Attack.Budget.t) rounds =
     let required c =
       Option.value ~default:(-1) (List.assoc_opt c budget.Attack.Budget.minimums)
     in
-    match Attack.Budget.check budget trace with
+    match Attack.Budget.check budget rounds with
     | Error msg ->
       ( false,
         Obs.Json.Obj
@@ -689,7 +690,7 @@ let attack_cmd =
             "error", Obs.Json.Str msg ],
         [ Printf.sprintf "leakage audit (%s): %s" label msg ] )
     | Ok sc ->
-      let findings = Attack.Passes.run_all trace in
+      let findings = Attack.Passes.run_all rounds in
       let rows =
         List.map
           (fun c ->
@@ -708,7 +709,7 @@ let attack_cmd =
         Obs.Json.Obj
           [ "trace", Obs.Json.Str label;
             "ok", Obs.Json.Bool ok;
-            "rounds", Obs.Json.Int (Attack.Trace.length trace);
+            "rounds", Obs.Json.Int (List.length rounds);
             "findings", Obs.Json.Int sc.Attack.Budget.findings;
             "classes",
             Obs.Json.Obj
@@ -741,7 +742,7 @@ let attack_cmd =
       let text =
         Printf.sprintf
           "leakage audit (%s): %d round(s), %d finding(s), %d violation(s)"
-          label (Attack.Trace.length trace) sc.Attack.Budget.findings
+          label (List.length rounds) sc.Attack.Budget.findings
           (List.length violations)
         :: List.map
              (fun (c, n, mn) ->
@@ -795,7 +796,7 @@ let attack_cmd =
     for _ = 1 to rounds do
       ignore (Attack.Mitigate.evaluate_batch mit sys batch)
     done;
-    let trace = Attack.Trace.of_ledger (Secure.System.ledger sys) in
+    let trace = Obs.Ledger.rounds (Secure.System.ledger sys) in
     let ok, jv, text = audit ~label:"live" budget trace in
     if json then print_json_checked jv
     else begin
@@ -867,7 +868,7 @@ let attack_cmd =
                 file name;
               exit 2
             end;
-            audit ~label:name budget (Attack.Trace.of_ledger ledger))
+            audit ~label:name budget (Obs.Ledger.rounds ledger))
         entries
     in
     if json then

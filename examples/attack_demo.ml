@@ -15,15 +15,15 @@ let () =
 
   (* (a) Broken scheme: each leaf deterministically encrypted, no
      decoy.  Ciphertext frequencies mirror plaintext frequencies. *)
-  let observed_naive = Secure.Attack.deterministic_leaf_histogram known in
-  let broken = Secure.Attack.frequency_attack ~known ~observed:observed_naive in
+  let observed_naive = Attack.Static.deterministic_leaf_histogram known in
+  let broken = Attack.Static.frequency_attack ~known ~observed:observed_naive in
   Printf.printf
     "\n[broken scheme] deterministic per-leaf encryption: cracked %d/%d values (%.0f%%)\n"
-    (List.length broken.Secure.Attack.cracked) broken.Secure.Attack.domain_size
-    (100.0 *. broken.Secure.Attack.crack_rate);
+    (List.length broken.Attack.Static.cracked) broken.Attack.Static.domain_size
+    (100.0 *. broken.Attack.Static.crack_rate);
   List.iter
     (fun (v, f) -> Printf.printf "  identified %-14s by frequency %d\n" v f)
-    broken.Secure.Attack.cracked;
+    broken.Attack.Static.cracked;
 
   (* (b) This system: the only value-bearing thing the server sees is
      the OPESS-split-and-scaled B-tree distribution. *)
@@ -37,11 +37,11 @@ let () =
           (List.map (fun (_, c) -> string_of_int c)
              (Secure.Opess.ciphertext_histogram cat))));
   let secure =
-    Secure.Attack.frequency_attack ~known
+    Attack.Static.frequency_attack ~known
       ~observed:(Secure.Opess.scaled_histogram cat)
   in
   Printf.printf "[OPESS] frequency attack on the scaled index: cracked %d/%d values\n"
-    (List.length secure.Secure.Attack.cracked) secure.Secure.Attack.domain_size;
+    (List.length secure.Attack.Static.cracked) secure.Attack.Static.domain_size;
 
   (* Size-based attack: candidate databases that differ in encrypted
      size are eliminated — indistinguishability (Definition 3.1)
@@ -55,11 +55,11 @@ let () =
   (* Candidate databases: permutations of which patient has which
      disease — same multiset of values, hence same encrypted size. *)
   let candidates = List.init 20 (fun _ -> target) in
-  let r = Secure.Attack.size_attack ~candidate_sizes:(99 :: candidates) ~target_size:target in
+  let r = Attack.Static.size_attack ~candidate_sizes:(99 :: candidates) ~target_size:target in
   Printf.printf
     "\n[size attack] %d candidates, %d survive (all value-permuted candidates \
      encrypt to identical size; only a malformed one is eliminated)\n"
-    r.Secure.Attack.candidates r.Secure.Attack.survivors;
+    r.Attack.Static.candidates r.Attack.Static.survivors;
 
   (* Theorem 6.1: observing queries does not increase belief. *)
   let k = Xmlcore.Stats.distinct_count known in
@@ -68,5 +68,5 @@ let () =
     "\n[belief] association attacker, k=%d plaintext / n=%d ciphertext values:\n  %s\n"
     k n
     (String.concat " -> "
-       (List.map (Printf.sprintf "%.2e") (Secure.Attack.belief_sequence ~k ~n ~queries:5)));
+       (List.map (Printf.sprintf "%.2e") (Attack.Static.belief_sequence ~k ~n ~queries:5)));
   print_endline "\nattack demo done."

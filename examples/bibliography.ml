@@ -1,7 +1,8 @@
 (* A conference consortium hosts its submission/review database (DBLP-like,
    five levels deep) on an untrusted provider: author identities and review
    scores are protected.  Demonstrates the newer surface — union queries,
-   document-order axes, FLWOR, explain, and the access-pattern audit.
+   document-order axes, FLWOR, explain, and an access-pattern audit of
+   the leakage ledger.
 
      dune exec examples/bibliography.exe
 *)
@@ -58,22 +59,27 @@ let () =
     (Option.value ~default:"-" best)
     agg_cost.System.blocks_returned;
 
-  (* What the provider's logs reveal: run a session and audit it. *)
-  let log = Secure.Audit.create () in
+  (* What the provider's logs reveal: run a session with the leakage
+     ledger on, then let the simulated adversary analyse it. *)
+  let ledger = System.ledger sys in
+  Obs.Ledger.set_enabled ledger true;
   List.iter
-    (fun qs ->
-      let q = parse qs in
-      let squery = Secure.Client.translate (System.client sys) q in
-      Secure.Audit.record log
-        ~request:(Secure.Protocol.encode_request squery)
-        ~response:(Secure.Server.answer (System.server sys) squery))
+    (fun qs -> ignore (System.evaluate sys (parse qs)))
     [ "//inproceedings[title='nothing']"; "//review[score='5']/reviewer";
       "//review[score='5']/reviewer"; "//series/venue";
       "//review[score='5']/reviewer" ];
-  let a = Secure.Audit.analyze log in
+  let rounds = Obs.Ledger.rounds ledger in
+  let patterns =
+    List.sort_uniq compare (List.map (fun r -> r.Obs.Ledger.block_ids) rounds)
+  in
+  let findings = Attack.Passes.run_all rounds in
+  let pinned =
+    List.filter (fun f -> f.Attack.Passes.candidates = 1) findings
+  in
   Printf.printf
-    "\naudit: %d queries, %d distinct — the provider links %d repeats and \
-     sees %d access patterns\n"
-    a.Secure.Audit.queries a.Secure.Audit.distinct_requests
-    a.Secure.Audit.repeated_requests a.Secure.Audit.distinct_patterns;
+    "\naudit: %d queries, %d access patterns — the provider links %d repeats \
+     by the blocks they fetch;\n%d of %d inferences pin a unique candidate\n"
+    (List.length rounds) (List.length patterns)
+    (List.length rounds - List.length patterns)
+    (List.length pinned) (List.length findings);
   print_endline "bibliography demo done."

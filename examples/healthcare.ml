@@ -109,5 +109,5 @@ let () =
     k n
     (String.concat " -> "
        (List.map (Printf.sprintf "%.3g")
-          (Secure.Attack.belief_sequence ~k ~n ~queries:3)));
+          (Attack.Static.belief_sequence ~k ~n ~queries:3)));
   print_endline "\nhealthcare walkthrough done."

@@ -1,10 +1,10 @@
 (** Adversary simulator: replay leakage-ledger traces as the
     honest-but-curious server, score achieved candidate sets against a
     declared budget, and buy back indistinguishability with priced
-    mitigations.  See docs/SECURITY.md, "Adversary model & enforced
-    budgets". *)
+    mitigations; plus the paper's attacks on the stored data.  See
+    docs/SECURITY.md, "Adversary model & enforced budgets". *)
 
-module Trace = Trace
+module Static = Static
 module Passes = Passes
 module Budget = Budget
 module Mitigate = Mitigate

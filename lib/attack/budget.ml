@@ -101,10 +101,10 @@ let score t findings =
   in
   { violations; findings = List.length findings }
 
-let check ?census t trace =
-  if Trace.is_empty trace then
+let check t rounds =
+  if rounds = [] then
     Error "empty trace: no rounds observed, nothing to certify (failing closed)"
-  else Ok (score t (Passes.run_all ?census trace))
+  else Ok (score t (Passes.run_all rounds))
 
 let render_violation v =
   if v.required < 0 then

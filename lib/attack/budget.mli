@@ -43,8 +43,9 @@ type score = {
 
 val score : t -> Passes.finding list -> score
 
-val check : ?census:(string * int) list -> t -> Trace.t -> (score, string) result
-(** Run {!Passes.run_all} and score it.  [Error] on an empty trace —
-    fail closed: no observations certify nothing. *)
+val check : t -> Obs.Ledger.round list -> (score, string) result
+(** Run {!Passes.run_all} over the ledger's rounds and score it.
+    [Error] on an empty trace — fail closed: no observations certify
+    nothing. *)
 
 val render_violation : violation -> string

@@ -5,6 +5,8 @@ type finding = {
   witness : string list;
 }
 
+type round = Obs.Ledger.round
+
 (* Witnesses cite the observed rounds hop by hop; long citation lists
    are elided past this many entries to keep findings readable. *)
 let max_cited = 4
@@ -14,9 +16,7 @@ let cite_rounds verb rounds =
   let elided = List.length rounds - List.length shown in
   Printf.sprintf "%s %s%s" verb
     (String.concat ", "
-       (List.map
-          (fun (r : Trace.round) -> Printf.sprintf "round %d [%s]" r.Trace.seq r.Trace.label)
-          shown))
+       (List.map (fun (r : round) -> Printf.sprintf "round %d [%s]" r.seq r.label) shown))
     (if elided > 0 then Printf.sprintf " (+%d more)" elided else "")
 
 let bump tbl key =
@@ -32,18 +32,17 @@ let class_size tbl key = Option.value ~default:1 (Hashtbl.find_opt tbl key)
    under a distinctness-based candidate-set measure, noise folded into
    the histogram could only split classes, never merge them, and buying
    dummy traffic would (absurdly) score worse than buying nothing. *)
-let query_rounds trace =
-  List.filter (fun (r : Trace.round) -> r.Trace.label <> "fetch") (Trace.rounds trace)
+let is_query (r : round) = r.label <> "fetch"
 
 (* --- Frequency analysis (Theorem 4.1 channel) ---------------------- *)
 
-let frequency ?census trace =
-  let rs = query_rounds trace in
+let frequency ?census rounds =
+  let rs = List.filter is_query rounds in
   let total = List.length rs in
   let tally = Hashtbl.create 64 in
   List.iter
-    (fun (r : Trace.round) ->
-      List.iter (fun id -> bump tally id) (List.sort_uniq compare r.Trace.block_ids))
+    (fun (r : round) ->
+      List.iter (fun id -> bump tally id) (List.sort_uniq compare r.block_ids))
     rs;
   let counts =
     List.sort compare (Hashtbl.fold (fun id c acc -> (id, c) :: acc) tally [])
@@ -53,9 +52,7 @@ let frequency ?census trace =
   List.map
     (fun (id, c) ->
       let cls = class_size classes c in
-      let sightings =
-        List.filter (fun (r : Trace.round) -> List.mem id r.Trace.block_ids) rs
-      in
+      let sightings = List.filter (fun (r : round) -> List.mem id r.block_ids) rs in
       let base =
         [ cite_rounds (Printf.sprintf "block %d shipped in" id) sightings;
           Printf.sprintf "histogram: %d fetch%s across %d rounds" c
@@ -91,43 +88,58 @@ let frequency ?census trace =
 
 (* --- Size/interval analysis (Theorem 5.1/5.2 channel) -------------- *)
 
-let size trace =
-  let rs = query_rounds trace in
-  let total = Trace.length trace in
+(* Pair each round with its 1-based rank by response size among all
+   rounds, largest first, ties by sequence number then position: at a
+   fixed link speed this is the latency order a wall-clock observer
+   sees, computed without a wall clock so replays are deterministic. *)
+let timing_ranks rounds =
+  let ranks = Array.make (List.length rounds) 0 in
+  List.mapi (fun i r -> r, i) rounds
+  |> List.stable_sort (fun ((a : round), _) ((b : round), _) ->
+         match compare b.bytes_down a.bytes_down with
+         | 0 -> compare a.seq b.seq
+         | c -> c)
+  |> List.iteri (fun rank (_, i) -> ranks.(i) <- rank + 1);
+  List.mapi (fun i r -> r, ranks.(i)) rounds
+
+let size rounds =
+  let total = List.length rounds in
+  let ranked = List.filter (fun (r, _) -> is_query r) (timing_ranks rounds) in
+  let fingerprint (r : round) = r.bytes_down, r.blocks_returned in
   let classes = Hashtbl.create 16 in
-  List.iter (fun (r : Trace.round) -> bump classes (r.Trace.bytes_down, r.Trace.blocks_returned)) rs;
+  List.iter (fun (r, _) -> bump classes (fingerprint r)) ranked;
   List.map
-    (fun (r : Trace.round) ->
-      let cls = class_size classes (r.Trace.bytes_down, r.Trace.blocks_returned) in
+    (fun ((r : round), rank) ->
+      let cls = class_size classes (fingerprint r) in
       { pass = "size";
-        subject = Printf.sprintf "round %d" r.Trace.seq;
+        subject = Printf.sprintf "round %d" r.seq;
         candidates = cls;
         witness =
           [ Printf.sprintf
               "round %d [%s]: %d bytes down, %d blocks — the OPESS-displaced response shape"
-              r.Trace.seq r.Trace.label r.Trace.bytes_down r.Trace.blocks_returned;
+              r.seq r.label r.bytes_down r.blocks_returned;
             Printf.sprintf "timing rank %d/%d (transmission-dominated latency order)"
-              r.Trace.timing_rank total;
+              rank total;
             Printf.sprintf
               "size class: %d round%s share%s this (bytes, blocks) fingerprint -> candidate set %d"
               cls
               (if cls = 1 then "" else "s")
             (if cls = 1 then "s" else "")
               cls ] })
-    rs
+    ranked
 
 (* --- Co-occurrence clustering -------------------------------------- *)
 
-let cooccurrence trace =
+let cooccurrence rounds =
   let membership = Hashtbl.create 64 in
   List.iter
-    (fun (r : Trace.round) ->
+    (fun (r : round) ->
       List.iter
         (fun id ->
           Hashtbl.replace membership id
-            (r.Trace.seq :: Option.value ~default:[] (Hashtbl.find_opt membership id)))
-        (List.sort_uniq compare r.Trace.block_ids))
-    (query_rounds trace);
+            (r.seq :: Option.value ~default:[] (Hashtbl.find_opt membership id)))
+        (List.sort_uniq compare r.block_ids))
+    (List.filter is_query rounds);
   let vector id =
     List.sort compare (Option.value ~default:[] (Hashtbl.find_opt membership id))
   in
@@ -157,23 +169,23 @@ let cooccurrence trace =
               cls ] })
     ids
 
-(* --- Replay linkability (Audit channel) ---------------------------- *)
+(* --- Replay linkability -------------------------------------------- *)
 
-let linkability trace =
-  List.filter (fun (r : Trace.round) -> r.Trace.replays > 0) (Trace.rounds trace)
-  |> List.map (fun (r : Trace.round) ->
+let linkability rounds =
+  List.filter (fun (r : round) -> r.replays > 0) rounds
+  |> List.map (fun (r : round) ->
          { pass = "linkability";
-           subject = Printf.sprintf "round %d" r.Trace.seq;
+           subject = Printf.sprintf "round %d" r.seq;
            candidates = 1;
            witness =
-             [ Printf.sprintf "round %d [%s]: %d replay-cache hit%s" r.Trace.seq
-                 r.Trace.label r.Trace.replays
-                 (if r.Trace.replays = 1 then "" else "s");
+             [ Printf.sprintf "round %d [%s]: %d replay-cache hit%s" r.seq
+                 r.label r.replays
+                 (if r.replays = 1 then "" else "s");
                "retransmitted frames are byte-identical — the server links them to \
                 their original with certainty -> candidate set 1" ] })
 
-let run_all ?census trace =
-  frequency ?census trace @ size trace @ cooccurrence trace @ linkability trace
+let run_all rounds =
+  frequency rounds @ size rounds @ cooccurrence rounds @ linkability rounds
 
 let render f =
   Printf.sprintf "[%s] %s: candidate set %d\n    %s" f.pass f.subject f.candidates

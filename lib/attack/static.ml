@@ -5,23 +5,16 @@ type frequency_result = {
 }
 
 let frequency_attack ~known ~observed =
-  let count_of table =
+  (* [occurs_once counts c]: exactly one entry of [counts] has count [c]. *)
+  let occurs_once counts =
     let h = Hashtbl.create 16 in
     List.iter
-      (fun f -> Hashtbl.replace h f (1 + Option.value ~default:0 (Hashtbl.find_opt h f)))
-      table;
-    h
+      (fun (_, c) -> Hashtbl.replace h c (1 + Option.value ~default:0 (Hashtbl.find_opt h c)))
+      counts;
+    fun c -> Hashtbl.find_opt h c = Some 1
   in
-  let plaintext_freqs = count_of (List.map snd known) in
-  let ciphertext_freqs = count_of (List.map snd observed) in
-  let cracked =
-    List.filter_map
-      (fun (v, f) ->
-        let unique_plain = Hashtbl.find_opt plaintext_freqs f = Some 1 in
-        let unique_cipher = Hashtbl.find_opt ciphertext_freqs f = Some 1 in
-        if unique_plain && unique_cipher then Some (v, f) else None)
-      known
-  in
+  let in_known = occurs_once known and in_observed = occurs_once observed in
+  let cracked = List.filter (fun (_, c) -> in_known c && in_observed c) known in
   let domain_size = List.length known in
   { domain_size;
     cracked;
@@ -65,37 +58,6 @@ let coalescing_attack ~known ~observed =
   let valid = ways.(n).(k) in
   { valid_partitions = valid; unique = valid = 1 }
 
-type tag_result = {
-  tag_domain : int;
-  identified : (string * int) list;
-  identification_rate : float;
-}
-
-let tag_distribution_attack ~known_census ~observed =
-  let count_multiplicity pairs =
-    let h = Hashtbl.create 16 in
-    List.iter
-      (fun (_, c) ->
-        Hashtbl.replace h c (1 + Option.value ~default:0 (Hashtbl.find_opt h c)))
-      pairs;
-    h
-  in
-  let known_mult = count_multiplicity known_census in
-  let observed_mult = count_multiplicity observed in
-  let identified =
-    List.filter
-      (fun (_, c) ->
-        Hashtbl.find_opt known_mult c = Some 1
-        && Hashtbl.find_opt observed_mult c = Some 1)
-      known_census
-  in
-  let tag_domain = List.length known_census in
-  { tag_domain;
-    identified;
-    identification_rate =
-      (if tag_domain = 0 then 0.0
-       else float_of_int (List.length identified) /. float_of_int tag_domain) }
-
 type size_result = {
   candidates : int;
   survivors : int;
@@ -107,5 +69,5 @@ let size_attack ~candidate_sizes ~target_size =
 
 let belief_sequence ~k ~n ~queries =
   let prior = 1.0 /. float_of_int k in
-  let after = exp (-.Counting.log_compositions_count ~n ~k) in
+  let after = exp (-.Secure.Counting.log_compositions_count ~n ~k) in
   prior :: List.init queries (fun _ -> after)

@@ -1,35 +1,42 @@
-(** Attack simulators for the Section 3.3 threat model.
+(** Attacks on the stored data, for the Section 3.3 threat model.
 
     These play the honest-but-curious server armed with exact knowledge
-    of domain values and occurrence frequencies, and measure how much
-    it can actually recover — the empirical counterpart of Theorems
-    4.1, 5.1, 5.2 and 6.1.
+    of domain values and occurrence frequencies, working from what it
+    stores: the value index, the DSI table, the encrypted database's
+    size.  They measure how much it can actually recover — the
+    empirical counterpart of Theorems 4.1, 5.1, 5.2 and 6.1.
+    {!Passes} attacks the query trace instead.
 
-    The frequency attack matches observed ciphertext-side frequencies
-    against the known plaintext histogram: any plaintext value whose
-    frequency is unique in the histogram is cracked as soon as some
-    ciphertext unit exhibits the same frequency.  Against a {e broken}
-    scheme (deterministic per-leaf encryption, no decoy, no OPESS) this
-    recovers most of the domain; against this system's value index the
-    split-and-scaled distribution admits no frequency matches. *)
+    Known distributions are [(plaintext, count)] lists (a value
+    histogram or a tag census); observed ones pair a server-side key —
+    a B-tree cipher, a DSI table token — with its count. *)
 
 type frequency_result = {
   domain_size : int;             (** distinct plaintext values *)
   cracked : (string * int) list; (** plaintext values uniquely re-identified,
-                                     with the matched frequency *)
+                                     with the matched count *)
   crack_rate : float;            (** |cracked| / domain_size *)
 }
 
 val frequency_attack :
-  known:Xmlcore.Stats.histogram -> observed:(int64 * int) list -> frequency_result
-(** [frequency_attack ~known ~observed]: [known] is the attacker's
-    exact plaintext histogram; [observed] the ciphertext-side frequency
-    table (e.g. B-tree key frequencies).  A plaintext value [v] with
-    frequency [f] is cracked iff [f] is unique among plaintext
-    frequencies {e and} exactly one observed ciphertext frequency
-    equals [f]. *)
+  known:(string * int) list -> observed:('a * int) list -> frequency_result
+(** [frequency_attack ~known ~observed] matches counts: a plaintext
+    value with count [c] is cracked iff [c] is unique among the known
+    counts {e and} exactly one observed count equals [c].  Two uses:
 
-val deterministic_leaf_histogram : Xmlcore.Stats.histogram -> (int64 * int) list
+    - value frequencies (Section 4.1): [known] is an attribute's exact
+      plaintext histogram, [observed] the ciphertext-side frequency
+      table (e.g. B-tree key frequencies).  Against a {e broken} scheme
+      (deterministic per-leaf encryption, no decoy, no OPESS) this
+      recovers most of the domain; against this system's value index
+      the split-and-scaled distribution admits no matches.
+    - the tag census (Section 8, future work 2 — the attacker the paper
+      does {e not} defend against): [known] maps tags to node counts,
+      [observed] maps each DSI table token to its interval count.
+      Every tag whose count is unique is re-identified, unless grouping
+      has collapsed counts. *)
+
+val deterministic_leaf_histogram : (string * int) list -> (int64 * int) list
 (** The ciphertext histogram a {e broken} scheme would expose:
     deterministic encryption maps each value to one ciphertext with an
     unchanged count.  Feed to {!frequency_attack} to reproduce the
@@ -44,7 +51,7 @@ type coalescing_result = {
 }
 
 val coalescing_attack :
-  known:Xmlcore.Stats.histogram -> observed:(int64 * int) list -> coalescing_result
+  known:(string * int) list -> observed:(int64 * int) list -> coalescing_result
 (** The Section 5.2.1 re-aggregation attack that motivates {e scaling}:
     splitting preserves totals and order, so an attacker who knows the
     ordered plaintext frequencies can try to coalesce adjacent
@@ -53,24 +60,6 @@ val coalescing_attack :
     scaling destroys the sums, leaving zero valid partitions.  [known]
     must be ordered the same way the index orders values (numerically
     when the domain is numeric — pass the OPESS entry order). *)
-
-type tag_result = {
-  tag_domain : int;                 (** distinct encrypted tags *)
-  identified : (string * int) list; (** tags re-identified by interval count *)
-  identification_rate : float;
-}
-
-val tag_distribution_attack :
-  known_census:(string * int) list ->
-  observed:(string * int) list ->
-  tag_result
-(** The attacker the paper explicitly does {e not} defend against
-    (Section 8, future work 2): one who knows the tag census.  Matching
-    known per-tag node counts against the DSI table's per-token
-    interval counts re-identifies every tag whose count is unique —
-    unless grouping has collapsed counts.  [known_census] is the
-    attacker's tag → node count knowledge; [observed] maps each table
-    token to its interval count. *)
 
 type size_result = {
   candidates : int;

@@ -803,13 +803,17 @@ let journal_compact j =
   let lp = log_path j.j_path in
   if Sys.file_exists lp then Sys.remove lp
 
+(* Append first, publish after: the record is fsynced before the live
+   system and sequence number move, so an append that fails leaves the
+   journal exactly as it was and the next update reuses the sequence
+   number — a failed append can never open a gap in the log. *)
 let journal_update j edit =
+  let edited = Xmlcore.Doc.of_tree (Update.apply (System.doc j.j_system) edit) in
+  append_record ~master:j.j_master j.j_path
+    { seq = j.j_seq + 1; edit; digest = doc_digest ~master:j.j_master edited };
   let next, cost = System.apply_delta j.j_system edit in
   j.j_system <- next;
   j.j_seq <- j.j_seq + 1;
-  append_record ~master:j.j_master j.j_path
-    { seq = j.j_seq; edit;
-      digest = doc_digest ~master:j.j_master (System.doc next) };
   let lp = log_path j.j_path in
   if Sys.file_exists lp && (Unix.stat lp).Unix.st_size > j.j_threshold then
     journal_compact j;

@@ -160,10 +160,14 @@ val journal_seq : journal -> int
 (** Sequence number of the last applied update. *)
 
 val journal_update : journal -> Update.edit -> System.delta_cost
-(** Apply one edit incrementally ({!System.apply_delta}), append its
-    log record (fsynced before returning), and compact if the log
-    outgrew the threshold.  A crash between the in-memory apply and
-    the append loses that edit entirely — never half of it. *)
+(** Append one edit's log record (fsynced), then apply it incrementally
+    ({!System.apply_delta}), and compact if the log outgrew the
+    threshold.  An edit that fails to append — an impossible edit
+    ([Invalid_argument], see {!Update.apply}) or an I/O error
+    ([Sys_error]) — leaves {!journal_system} and {!journal_seq}
+    unchanged, so the next update continues the log without a gap.  A
+    crash after the append keeps the edit: {!journal_open} replays
+    it. *)
 
 val journal_compact : journal -> unit
 (** Fold the log into the bundle: {!save} with the current applied

@@ -182,8 +182,8 @@ let audit t =
       match tn.budget with
       | None -> None
       | Some budget ->
-        let trace = Attack.Trace.of_ledger (Secure.System.ledger tn.sys) in
-        Some (tn.id, Attack.Budget.check budget trace))
+        let rounds = Obs.Ledger.rounds (Secure.System.ledger tn.sys) in
+        Some (tn.id, Attack.Budget.check budget rounds))
     t.order
 
 let pool_contended t =

@@ -1,14 +1,15 @@
-(* Adversary-simulator tests: trace building from the leakage ledger,
-   the inference passes' candidate-set semantics (a known-plaintext
-   fixture where frequency analysis pins a unique candidate and the
-   budget gate fires; a padded rerun where it must not), the
-   fail-closed budget parser/scorer, mitigation determinism, and the
-   differential pin that mitigated answers are byte-identical to the
-   unmitigated path across schemes. *)
+(* Adversary-simulator tests: the leakage ledger's rounds as the
+   adversary's trace, the inference passes' candidate-set semantics (a
+   known-plaintext fixture where frequency analysis pins a unique
+   candidate and the budget gate fires; a padded rerun where it must
+   not), the pinned rendering of every finding, the fail-closed budget
+   parser/scorer, mitigation determinism, the differential pin that
+   mitigated answers are byte-identical to the unmitigated path across
+   schemes, and the paper's attacks on the stored data. *)
 
 module System = Secure.System
 module Scheme = Secure.Scheme
-module Trace = Attack.Trace
+module Static = Attack.Static
 module Passes = Attack.Passes
 module Budget = Attack.Budget
 module Mitigate = Attack.Mitigate
@@ -39,40 +40,45 @@ let gate_budget () =
   | Ok b -> b
   | Error msg -> Alcotest.fail ("gate budget must parse: " ^ msg)
 
-(* --- Trace building ------------------------------------------------- *)
+(* --- The ledger's rounds as the adversary's trace ------------------ *)
+
+(* The timing-rank hop of a size finding's witness. *)
+let timing_rank (f : Passes.finding) =
+  List.find_map
+    (fun hop -> Scanf.sscanf_opt hop "timing rank %d/%d" (fun r n -> r, n))
+    f.Passes.witness
 
 let trace_from_ledger () =
   let sys = hosted Scheme.Opt in
   Array.iter (fun q -> ignore (System.evaluate sys q)) workload;
-  let trace = Trace.of_ledger (System.ledger sys) in
+  let rounds = Obs.Ledger.rounds (System.ledger sys) in
   Alcotest.(check int) "one round per query" (Array.length workload)
-    (Trace.length trace);
-  Alcotest.(check bool) "non-empty" false (Trace.is_empty trace);
-  let universe = Trace.universe trace in
-  Alcotest.(check bool) "blocks observed" true (universe <> []);
-  Alcotest.(check (list int)) "universe is sorted and distinct"
-    (List.sort_uniq compare universe) universe;
-  List.iter
-    (fun (id, c) ->
-      Alcotest.(check bool) "histogram ids come from the universe" true
-        (List.mem id universe);
-      Alcotest.(check bool) "histogram counts are positive" true (c >= 1))
-    (Trace.fetch_counts trace);
+    (List.length rounds);
+  Alcotest.(check bool) "blocks observed" true
+    (List.exists (fun (r : Obs.Ledger.round) -> r.Obs.Ledger.block_ids <> []) rounds);
   (* Timing ranks are a permutation of 1..n ordered by bytes_down. *)
-  let rounds = Trace.rounds trace in
-  let ranks = List.map (fun (r : Trace.round) -> r.Trace.timing_rank) rounds in
+  let ranked =
+    List.map2
+      (fun (r : Obs.Ledger.round) f ->
+        match timing_rank f with
+        | Some (rank, total) ->
+          Alcotest.(check int) "ranked among every round" (List.length rounds) total;
+          r, rank
+        | None -> Alcotest.fail "size witness lacks a timing rank")
+      rounds (Passes.size rounds)
+  in
   Alcotest.(check (list int)) "ranks are a permutation of 1..n"
     (List.init (List.length rounds) (fun i -> i + 1))
-    (List.sort compare ranks);
+    (List.sort compare (List.map snd ranked));
   List.iter
-    (fun (a : Trace.round) ->
+    (fun ((a : Obs.Ledger.round), ra) ->
       List.iter
-        (fun (b : Trace.round) ->
-          if a.Trace.timing_rank < b.Trace.timing_rank then
+        (fun ((b : Obs.Ledger.round), rb) ->
+          if ra < rb then
             Alcotest.(check bool) "rank order follows bytes_down" true
-              (a.Trace.bytes_down >= b.Trace.bytes_down))
-        rounds)
-    rounds
+              (a.Obs.Ledger.bytes_down >= b.Obs.Ledger.bytes_down))
+        ranked)
+    ranked
 
 (* --- Known-plaintext fixture: frequency analysis pins a block ------- *)
 
@@ -87,12 +93,12 @@ let pinned_rounds () =
       ~block_ids:[ 7 ] "evaluate" ]
 
 let frequency_pins_unique_candidate () =
-  let trace = Trace.of_rounds (pinned_rounds ()) in
+  let rounds = pinned_rounds () in
   let pinned =
     List.filter
       (fun (f : Passes.finding) ->
         f.Passes.pass = "frequency" && f.Passes.candidates = 1)
-      (Passes.frequency trace)
+      (Passes.frequency rounds)
   in
   (match pinned with
    | [ f ] ->
@@ -122,7 +128,7 @@ let frequency_pins_unique_candidate () =
        (Printf.sprintf "expected exactly one pinned block, got %d"
           (List.length fs)));
   (* ... and the budget gate fires on it, with the witness attached. *)
-  match Budget.check (gate_budget ()) trace with
+  match Budget.check (gate_budget ()) rounds with
   | Error msg -> Alcotest.fail ("scoring must succeed: " ^ msg)
   | Ok sc ->
     Alcotest.(check bool) "under-budget trace is caught" true
@@ -137,14 +143,14 @@ let frequency_pins_unique_candidate () =
       sc.Budget.violations
 
 let census_names_the_tag () =
-  let trace = Trace.of_rounds (pinned_rounds ()) in
+  let rounds = pinned_rounds () in
   (* Known plaintext: the tag universe and expected occurrence counts.
      Only "SSN" occurs twice, so block 7 resolves to it by name. *)
   let census = [ "SSN", 2; "pname", 1; "doctor", 1 ] in
   let pinned =
     List.filter
       (fun (f : Passes.finding) -> f.Passes.subject = "block 7")
-      (Passes.frequency ~census trace)
+      (Passes.frequency ~census rounds)
   in
   match pinned with
   | [ f ] ->
@@ -163,6 +169,48 @@ let census_names_the_tag () =
       (Printf.sprintf "expected one finding for block 7, got %d"
          (List.length fs))
 
+(* --- Pinned adversary output ------------------------------------- *)
+
+(* Every finding of [Passes.run_all] and every violation of
+   [Budget.check] under the gate budget, rendered one per line: the
+   text the adversary prints, which the hashes below pin byte for
+   byte. *)
+let rendered rounds =
+  let findings = List.map Passes.render (Passes.run_all rounds) in
+  let violations =
+    match Budget.check (gate_budget ()) rounds with
+    | Ok sc -> List.map Budget.render_violation sc.Budget.violations
+    | Error msg -> [ "error: " ^ msg ]
+  in
+  String.concat "\n" (findings @ violations)
+
+let health_rounds config =
+  let sys = hosted Scheme.Opt in
+  let mit = Mitigate.create ~seed:7L config in
+  for _ = 1 to 2 do
+    ignore (Mitigate.evaluate_batch mit sys workload)
+  done;
+  Obs.Ledger.rounds (System.ledger sys)
+
+let adversary_output_pinned () =
+  (* A cover fetch larger than any query round: the passes skip it, but
+     it still takes timing rank 1 of 3. *)
+  let with_fetch =
+    pinned_rounds ()
+    @ [ Obs.Ledger.round ~bytes_up:24 ~bytes_down:500 ~blocks_returned:2
+          ~block_ids:[ 3; 7 ] "fetch" ]
+  in
+  List.iter
+    (fun (name, rounds, expected) ->
+      Alcotest.(check string) name expected (Crypto.Sha256.hex (rendered rounds)))
+    [ "pinned rounds plus a fetch", with_fetch,
+      "0035db16cab0892e5e6dd339d844b183c5e4c7256939f53e681dfc060cd942e9";
+      "health, unmitigated", health_rounds Mitigate.off,
+      "12edded206383cb66db9ec18b3f5212ad5b78ba0a15f1e8965e62e30a939a930";
+      "health, gate mitigations",
+      health_rounds (Mitigate.of_budget (gate_budget ())),
+      "691c2d81cba134a100c350e6a507d3f97c9793d5e31b9c50f7587d3e81a45c2e" ]
+
 (* --- Mitigations: the padded rerun must pass the gate --------------- *)
 
 let padded_rerun_meets_budget () =
@@ -172,7 +220,7 @@ let padded_rerun_meets_budget () =
   let off = Mitigate.create ~seed:7L Mitigate.off in
   ignore (Mitigate.evaluate_batch off sys workload);
   ignore (Mitigate.evaluate_batch off sys workload);
-  (match Budget.check budget (Trace.of_ledger (System.ledger sys)) with
+  (match Budget.check budget (Obs.Ledger.rounds (System.ledger sys)) with
    | Error msg -> Alcotest.fail ("unmitigated scoring must succeed: " ^ msg)
    | Ok sc ->
      Alcotest.(check bool) "unmitigated run violates the budget" true
@@ -184,7 +232,7 @@ let padded_rerun_meets_budget () =
   in
   ignore (Mitigate.evaluate_batch pad sys workload);
   ignore (Mitigate.evaluate_batch pad sys workload);
-  match Budget.check budget (Trace.of_ledger (System.ledger sys)) with
+  match Budget.check budget (Obs.Ledger.rounds (System.ledger sys)) with
   | Error msg -> Alcotest.fail ("padded scoring must succeed: " ^ msg)
   | Ok sc ->
     Alcotest.(check (list string)) "padded rerun has no violations" []
@@ -281,7 +329,7 @@ let budget_parse_fails_closed () =
 let budget_fails_closed_on_scoring () =
   let budget = gate_budget () in
   (* An empty trace certifies nothing. *)
-  (match Budget.check budget (Trace.of_rounds []) with
+  (match Budget.check budget [] with
    | Error _ -> ()
    | Ok _ -> Alcotest.fail "empty trace must fail closed");
   (* A finding of an undeclared class is a violation by definition. *)
@@ -341,15 +389,125 @@ let ledger_json_round_trips () =
    | Ok ledger ->
      Alcotest.(check bool) "to_json (of_json j) = j" true
        (Obs.Json.equal (Obs.Ledger.to_json ledger) j);
-     (* The replayed trace sees exactly the recorded access patterns. *)
-     let a = Trace.of_ledger (System.ledger sys) in
-     let b = Trace.of_ledger ledger in
-     Alcotest.(check int) "same length" (Trace.length a) (Trace.length b);
-     Alcotest.(check (list (pair int int))) "same histogram"
-       (Trace.fetch_counts a) (Trace.fetch_counts b));
+     (* The replayed trace yields exactly the recorded findings. *)
+     let findings l = List.map Passes.render (Passes.run_all (Obs.Ledger.rounds l)) in
+     Alcotest.(check (list string)) "same findings"
+       (findings (System.ledger sys)) (findings ledger));
   match Obs.Ledger.of_json (Obs.Json.Str "nope") with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "of_json must reject non-ledger JSON"
+
+(* --- Attacks on the stored data --------------------------------- *)
+
+let frequency_attack_breaks_naive () =
+  let known = [ "flu", 5; "cold", 9; "rare", 1; "odd", 3 ] in
+  let observed = Static.deterministic_leaf_histogram known in
+  let result = Static.frequency_attack ~known ~observed in
+  (* All four frequencies are unique: full crack. *)
+  Alcotest.(check int) "all cracked" 4 (List.length result.Static.cracked);
+  Alcotest.(check (float 1e-9)) "rate" 1.0 result.Static.crack_rate
+
+let frequency_attack_fails_on_opess () =
+  let known = [ "flu", 15; "cold", 9; "rare", 21; "odd", 3 ] in
+  let cat = Secure.Opess.build ~key:"fa" ~attr_id:1 ~tag:"t" known in
+  let observed = Secure.Opess.scaled_histogram cat in
+  let result = Static.frequency_attack ~known ~observed in
+  Alcotest.(check int) "nothing cracked" 0 (List.length result.Static.cracked)
+
+let coalescing_attack_cases () =
+  (* Hand-checkable: plaintext frequencies (5, 7) in order; split-only
+     ciphertext counts (2,3, 3,4) admit exactly the one partition
+     [2+3 | 3+4]. *)
+  let known = [ "a", 5; "b", 7 ] in
+  let split_only = [ 1L, 2; 2L, 3; 3L, 3; 4L, 4 ] in
+  let r = Static.coalescing_attack ~known ~observed:split_only in
+  Alcotest.(check bool) "unique partition cracks" true r.Static.unique;
+  (* With positive counts and fixed order, matching sums force a unique
+     partition — the dangerous case.  After scaling the sums no longer
+     match any partition. *)
+  let scaled = [ 1L, 4; 2L, 6; 3L, 9; 4L, 12 ] in
+  let r = Static.coalescing_attack ~known ~observed:scaled in
+  Alcotest.(check int) "scaling kills all partitions" 0 r.Static.valid_partitions;
+  (* End-to-end via OPESS. *)
+  let hist = [ "10", 14; "20", 9; "30", 23; "40", 11 ] in
+  let cat = Secure.Opess.build ~key:"coal" ~attr_id:0 ~tag:"t" hist in
+  let known_ordered =
+    List.map (fun e -> e.Secure.Opess.value, e.Secure.Opess.count)
+      (Secure.Opess.entries cat)
+  in
+  let split = Static.coalescing_attack ~known:known_ordered
+      ~observed:(Secure.Opess.ciphertext_histogram cat) in
+  Alcotest.(check bool) "split-only crackable" true split.Static.unique;
+  let full = Static.coalescing_attack ~known:known_ordered
+      ~observed:(Secure.Opess.scaled_histogram cat) in
+  Alcotest.(check bool) "split+scale safe" false full.Static.unique
+
+(* The key range spanning an attribute's chunks, which a MIN/MAX
+   aggregate scans: the server sees the domain's ciphertext envelope,
+   never its plaintext bounds. *)
+let opess_full_range () =
+  let hist = [ "10", 14; "20", 9; "30", 23 ] in
+  let cat = Secure.Opess.build ~key:"fr" ~attr_id:5 ~tag:"t" hist in
+  (match Secure.Opess.full_range cat with
+   | None -> Alcotest.fail "expected a range"
+   | Some (lo, hi) ->
+     Alcotest.(check bool) "ordered" true (lo < hi);
+     (* Every chunk cipher falls inside. *)
+     List.iter
+       (fun (c, _) -> Alcotest.(check bool) "covered" true (c >= lo && c <= hi))
+       (Secure.Opess.ciphertext_histogram cat));
+  let empty = Secure.Opess.build ~key:"fr" ~attr_id:5 ~tag:"t" [] in
+  Alcotest.(check bool) "empty catalog" true (Secure.Opess.full_range empty = None)
+
+let tag_distribution_attack_cases () =
+  (* The paper's acknowledged limitation (Section 8): an attacker with
+     tag-census knowledge can match unique per-tag counts against table
+     token counts. *)
+  let doc = Workload.Health.doc () in
+  let scs = Workload.Health.constraints () in
+  let keys = Crypto.Keys.create ~master:"tagatk" () in
+  let db = Secure.Encrypt.encrypt ~keys doc (Secure.Scheme.build doc scs Secure.Scheme.Opt) in
+  let meta = Secure.Metadata.build ~keys db in
+  let known_census = Xmlcore.Stats.tag_census doc in
+  let observed =
+    List.map (fun (token, ivs) -> token, List.length ivs) meta.Secure.Metadata.dsi_table
+  in
+  let r = Static.frequency_attack ~known:known_census ~observed in
+  (* Some tags are re-identifiable — the attack "works" as the paper
+     warns — though grouping erodes it (grouped tokens have fewer
+     intervals than nodes). *)
+  Alcotest.(check bool) "attack is a real threat" true
+    (r.Static.crack_rate > 0.0);
+  (* Sanity on the arithmetic: a census with all-unique counts against
+     an identical observation identifies everything. *)
+  let census = [ "a", 3; "b", 5; "c", 9 ] in
+  let full =
+    Static.frequency_attack ~known:census ~observed:census
+  in
+  Alcotest.(check (float 1e-9)) "full identification" 1.0
+    full.Static.crack_rate;
+  (* Duplicate counts block identification. *)
+  let census = [ "a", 3; "b", 3 ] in
+  let none =
+    Static.frequency_attack ~known:census ~observed:census
+  in
+  Alcotest.(check int) "ambiguous counts identify nothing" 0
+    (List.length none.Static.cracked)
+
+let size_attack_cases () =
+  let r = Static.size_attack ~candidate_sizes:[ 100; 100; 90; 100 ] ~target_size:100 in
+  Alcotest.(check int) "survivors" 3 r.Static.survivors;
+  Alcotest.(check int) "candidates" 4 r.Static.candidates
+
+let belief_sequence_monotone () =
+  let beliefs = Static.belief_sequence ~k:5 ~n:15 ~queries:10 in
+  (match beliefs with
+   | prior :: after_first :: rest ->
+     Alcotest.(check (float 1e-9)) "prior 1/k" 0.2 prior;
+     Alcotest.(check (float 1e-6)) "posterior 1/C(14,4)" (1.0 /. 1001.0) after_first;
+     (* Theorem 6.1: never increases. *)
+     List.iter (fun b -> Alcotest.(check (float 1e-12)) "stable" after_first b) rest
+   | _ -> Alcotest.fail "sequence too short")
 
 let () =
   Alcotest.run "attack"
@@ -361,7 +519,9 @@ let () =
         [ Alcotest.test_case "frequency pins a unique candidate" `Quick
             frequency_pins_unique_candidate;
           Alcotest.test_case "census names the tag" `Quick
-            census_names_the_tag ] );
+            census_names_the_tag;
+          Alcotest.test_case "adversary output pinned" `Quick
+            adversary_output_pinned ] );
       ( "budget",
         [ Alcotest.test_case "parses the declaration format" `Quick
             budget_parse_accepts_the_format;
@@ -378,4 +538,12 @@ let () =
             equal_seeds_equal_traces ] );
       ( "serve",
         [ Alcotest.test_case "audit scores budgeted tenants, fails closed"
-            `Quick serve_audit_fails_closed ] ) ]
+            `Quick serve_audit_fails_closed ] );
+      ( "attacks",
+        [ Alcotest.test_case "breaks naive scheme" `Quick frequency_attack_breaks_naive;
+          Alcotest.test_case "fails on OPESS" `Quick frequency_attack_fails_on_opess;
+          Alcotest.test_case "coalescing attack" `Quick coalescing_attack_cases;
+          Alcotest.test_case "tag-distribution attack" `Quick tag_distribution_attack_cases;
+          Alcotest.test_case "opess full range" `Quick opess_full_range;
+          Alcotest.test_case "size attack" `Quick size_attack_cases;
+          Alcotest.test_case "belief sequence" `Quick belief_sequence_monotone ] ) ]

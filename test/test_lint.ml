@@ -266,9 +266,9 @@ let boundary_rejects_plaintext_in_attack () =
   check_rules "attack mitigate may not render plaintext answers"
     [ "layering"; "trust-boundary" ]
     "lib/attack/mitigate.ml" "let peek t = Xmlcore.Printer.tree_to_string t";
-  check_rules "attack trace may not touch the key ring" [ "trust-boundary" ]
-    "lib/attack/trace.ml" "let k keys = Crypto.Keys.block_key keys 0";
-  check_rules "ledger-only inputs are fine" [] "lib/attack/trace.ml"
+  check_rules "attack budget may not touch the key ring" [ "trust-boundary" ]
+    "lib/attack/budget.ml" "let k keys = Crypto.Keys.block_key keys 0";
+  check_rules "ledger-only inputs are fine" [] "lib/attack/budget.ml"
     "let n l = List.length (Obs.Ledger.rounds l)\n\
      let u = Crypto.Prng.create ~seed:1L"
 
@@ -389,6 +389,7 @@ let suppression_does_not_leak_down () =
 (* --- Secret flow ---------------------------------------------------- *)
 
 module Taint = Analysis.Taint
+module Flowgraph = Analysis.Flowgraph
 
 let secret_flow findings =
   List.filter (fun f -> f.Finding.rule = "secret-flow") findings
@@ -578,6 +579,50 @@ let declared_values root ~lib ~unit_name =
         | _ -> None)
       (List.init (max 0 (n - 1)) Fun.id)
 
+(* A [source_params] entry seeds taint only where the analysis sees the
+   callee's body: a top-level function of an analysed (untrusted)
+   [lib/] unit that binds a parameter of the declared name.  Anything
+   else — a function in a trusted file, a stale parameter name — seeds
+   nothing, silently. *)
+let seedable_source_params root =
+  let policy = Policy.default in
+  let analysed rel =
+    String.starts_with ~prefix:"lib/" rel
+    && Filename.check_suffix rel ".ml"
+    && not
+         (List.exists
+            (fun prefix -> String.starts_with ~prefix rel)
+            policy.flow.trusted_files)
+  in
+  let graphs =
+    List.filter_map
+      (fun rel ->
+        if not (analysed rel) then None
+        else
+          let src =
+            In_channel.with_open_bin (Filename.concat root rel) In_channel.input_all
+          in
+          Some
+            (Flowgraph.build ~rel ~modpath:(Taint.modpath_of policy rel)
+               (Lexer.tokenize src)))
+      (Lint.source_files ~root)
+  in
+  fun (qfn, pname) ->
+    List.exists
+      (fun (g : Flowgraph.t) ->
+        List.exists
+          (fun (b : Flowgraph.binding) ->
+            b.toplevel
+            && Flowgraph.qualify g [ b.name ] = qfn
+            &&
+            let groups = List.concat_map (fun (s : Flowgraph.slot) -> s.groups) b.slots in
+            List.exists
+              (fun (p : Flowgraph.binding) ->
+                p.is_param && p.name = pname && List.mem p.group groups)
+              g.bindings)
+          g.bindings)
+      graphs
+
 let policy_names_are_declared () =
   match find_repo_root () with
   | None -> ()
@@ -599,7 +644,10 @@ let policy_names_are_declared () =
     Alcotest.(check (list string)) "policy names missing from their .mli" []
       (List.filter undeclared
          (flow.sources @ List.map fst flow.source_params @ flow.declassifiers
-        @ flow.sinks))
+        @ flow.sinks));
+    let seeds = seedable_source_params root in
+    Alcotest.(check (list (pair string string))) "source params that seed nothing" []
+      (List.filter (fun sp -> not (seeds sp)) flow.source_params)
 
 let () =
   Alcotest.run "lint"

@@ -435,6 +435,42 @@ let log_reseeds_after_total_tear () =
                (fst (System.evaluate (Persist.journal_system j2) (parse q)))))
         log_queries)
 
+(* An append that fails — here a directory squats on the log path, so
+   opening it raises [Sys_error] — must leave the journal as it was:
+   the next update then reuses the sequence number, and reopening finds
+   no gap in the log. *)
+let failed_append_leaves_no_gap () =
+  with_journal [] (fun path sys j ->
+      let edit = List.hd log_edits in
+      let lp = Persist.log_path path in
+      let before = Persist.to_string (Persist.journal_system j) in
+      Sys.mkdir lp 0o755;
+      let failed =
+        Fun.protect
+          ~finally:(fun () -> Sys.rmdir lp)
+          (fun () ->
+            match Persist.journal_update j edit with
+            | (_ : System.delta_cost) -> false
+            | exception Sys_error _ -> true)
+      in
+      Alcotest.(check bool) "append into a directory fails" true failed;
+      let seq_after = Persist.journal_seq j in
+      let state_after = Persist.to_string (Persist.journal_system j) in
+      ignore (Persist.journal_update j edit);
+      let j2 = Persist.journal_open ~master:"persist-master" path in
+      Alcotest.(check int) "failed update leaves the seq" 0 seq_after;
+      Alcotest.(check bool) "failed update leaves the system" true
+        (String.equal before state_after);
+      Alcotest.(check int) "reopen replays the retried edit" 1
+        (Persist.journal_seq j2);
+      List.iter
+        (fun q ->
+          Alcotest.(check (list string)) ("retried " ^ q)
+            (oracle_answers sys 1 q)
+            (Helpers.norm_trees
+               (fst (System.evaluate (Persist.journal_system j2) (parse q)))))
+        log_queries)
+
 let log_tampering_battery () =
   with_journal log_edits (fun path _sys _j ->
       let lp = Persist.log_path path in
@@ -558,5 +594,7 @@ let () =
           Alcotest.test_case "truncation battery" `Quick log_truncation_battery;
           Alcotest.test_case "reseed after total tear" `Quick
             log_reseeds_after_total_tear;
+          Alcotest.test_case "failed append leaves no gap" `Quick
+            failed_append_leaves_no_gap;
           Alcotest.test_case "tampering battery" `Quick log_tampering_battery;
           Alcotest.test_case "compaction" `Quick log_compaction ] ) ]

@@ -1,6 +1,6 @@
 (* Unit tests for the secure library's components: counting, SCs,
    constraint graph, vertex cover, schemes, encryption, OPESS,
-   metadata, attacks. *)
+   access patterns, metadata. *)
 
 module Doc = Xmlcore.Doc
 module Tree = Xmlcore.Tree
@@ -613,143 +613,49 @@ let metadata_tokens_hide_tags () =
         [ "insurance"; "policy#"; "@coverage"; "pname" ])
     meta.Secure.Metadata.dsi_table
 
-(* --- Attacks ------------------------------------------------------ *)
-
-let frequency_attack_breaks_naive () =
-  let known = [ "flu", 5; "cold", 9; "rare", 1; "odd", 3 ] in
-  let observed = Secure.Attack.deterministic_leaf_histogram known in
-  let result = Secure.Attack.frequency_attack ~known ~observed in
-  (* All four frequencies are unique: full crack. *)
-  Alcotest.(check int) "all cracked" 4 (List.length result.Secure.Attack.cracked);
-  Alcotest.(check (float 1e-9)) "rate" 1.0 result.Secure.Attack.crack_rate
-
-let frequency_attack_fails_on_opess () =
-  let known = [ "flu", 15; "cold", 9; "rare", 21; "odd", 3 ] in
-  let cat = Secure.Opess.build ~key:"fa" ~attr_id:1 ~tag:"t" known in
-  let observed = Secure.Opess.scaled_histogram cat in
-  let result = Secure.Attack.frequency_attack ~known ~observed in
-  Alcotest.(check int) "nothing cracked" 0 (List.length result.Secure.Attack.cracked)
-
-let coalescing_attack_cases () =
-  (* Hand-checkable: plaintext frequencies (5, 7) in order; split-only
-     ciphertext counts (2,3, 3,4) admit exactly the one partition
-     [2+3 | 3+4]. *)
-  let known = [ "a", 5; "b", 7 ] in
-  let split_only = [ 1L, 2; 2L, 3; 3L, 3; 4L, 4 ] in
-  let r = Secure.Attack.coalescing_attack ~known ~observed:split_only in
-  Alcotest.(check bool) "unique partition cracks" true r.Secure.Attack.unique;
-  (* With positive counts and fixed order, matching sums force a unique
-     partition — the dangerous case.  After scaling the sums no longer
-     match any partition. *)
-  let scaled = [ 1L, 4; 2L, 6; 3L, 9; 4L, 12 ] in
-  let r = Secure.Attack.coalescing_attack ~known ~observed:scaled in
-  Alcotest.(check int) "scaling kills all partitions" 0 r.Secure.Attack.valid_partitions;
-  (* End-to-end via OPESS. *)
-  let hist = [ "10", 14; "20", 9; "30", 23; "40", 11 ] in
-  let cat = Secure.Opess.build ~key:"coal" ~attr_id:0 ~tag:"t" hist in
-  let known_ordered =
-    List.map (fun e -> e.Secure.Opess.value, e.Secure.Opess.count)
-      (Secure.Opess.entries cat)
-  in
-  let split = Secure.Attack.coalescing_attack ~known:known_ordered
-      ~observed:(Secure.Opess.ciphertext_histogram cat) in
-  Alcotest.(check bool) "split-only crackable" true split.Secure.Attack.unique;
-  let full = Secure.Attack.coalescing_attack ~known:known_ordered
-      ~observed:(Secure.Opess.scaled_histogram cat) in
-  Alcotest.(check bool) "split+scale safe" false full.Secure.Attack.unique
-
-let opess_full_range () =
-  let hist = [ "10", 14; "20", 9; "30", 23 ] in
-  let cat = Secure.Opess.build ~key:"fr" ~attr_id:5 ~tag:"t" hist in
-  (match Secure.Opess.full_range cat with
-   | None -> Alcotest.fail "expected a range"
-   | Some (lo, hi) ->
-     Alcotest.(check bool) "ordered" true (lo < hi);
-     (* Every chunk cipher falls inside. *)
-     List.iter
-       (fun (c, _) -> Alcotest.(check bool) "covered" true (c >= lo && c <= hi))
-       (Secure.Opess.ciphertext_histogram cat));
-  let empty = Secure.Opess.build ~key:"fr" ~attr_id:5 ~tag:"t" [] in
-  Alcotest.(check bool) "empty catalog" true (Secure.Opess.full_range empty = None)
-
-let tag_distribution_attack_cases () =
-  (* The paper's acknowledged limitation (Section 8): an attacker with
-     tag-census knowledge can match unique per-tag counts against table
-     token counts. *)
-  let doc = Workload.Health.doc () in
-  let scs = Workload.Health.constraints () in
-  let keys = Crypto.Keys.create ~master:"tagatk" () in
-  let db = Secure.Encrypt.encrypt ~keys doc (Secure.Scheme.build doc scs Secure.Scheme.Opt) in
-  let meta = Secure.Metadata.build ~keys db in
-  let known_census = Xmlcore.Stats.tag_census doc in
-  let observed =
-    List.map (fun (token, ivs) -> token, List.length ivs) meta.Secure.Metadata.dsi_table
-  in
-  let r = Secure.Attack.tag_distribution_attack ~known_census ~observed in
-  (* Some tags are re-identifiable — the attack "works" as the paper
-     warns — though grouping erodes it (grouped tokens have fewer
-     intervals than nodes). *)
-  Alcotest.(check bool) "attack is a real threat" true
-    (r.Secure.Attack.identification_rate > 0.0);
-  (* Sanity on the arithmetic: a census with all-unique counts against
-     an identical observation identifies everything. *)
-  let census = [ "a", 3; "b", 5; "c", 9 ] in
-  let full =
-    Secure.Attack.tag_distribution_attack ~known_census:census ~observed:census
-  in
-  Alcotest.(check (float 1e-9)) "full identification" 1.0
-    full.Secure.Attack.identification_rate;
-  (* Duplicate counts block identification. *)
-  let census = [ "a", 3; "b", 3 ] in
-  let none =
-    Secure.Attack.tag_distribution_attack ~known_census:census ~observed:census
-  in
-  Alcotest.(check int) "ambiguous counts identify nothing" 0
-    (List.length none.Secure.Attack.identified)
-
-let size_attack_cases () =
-  let r = Secure.Attack.size_attack ~candidate_sizes:[ 100; 100; 90; 100 ] ~target_size:100 in
-  Alcotest.(check int) "survivors" 3 r.Secure.Attack.survivors;
-  Alcotest.(check int) "candidates" 4 r.Secure.Attack.candidates
-
-let belief_sequence_monotone () =
-  let beliefs = Secure.Attack.belief_sequence ~k:5 ~n:15 ~queries:10 in
-  (match beliefs with
-   | prior :: after_first :: rest ->
-     Alcotest.(check (float 1e-9)) "prior 1/k" 0.2 prior;
-     Alcotest.(check (float 1e-6)) "posterior 1/C(14,4)" (1.0 /. 1001.0) after_first;
-     (* Theorem 6.1: never increases. *)
-     List.iter (fun b -> Alcotest.(check (float 1e-12)) "stable" after_first b) rest
-   | _ -> Alcotest.fail "sequence too short")
-
 (* --- Access-pattern audit ----------------------------------------- *)
 
+(* The same query three times, two other queries. *)
+let audit_queries =
+  [ "//patient[pname='Betty']//disease"; "//patient[pname='Betty']//disease";
+    "//patient[pname='Betty']//disease"; "//insurance";
+    "//patient[pname='Matt']/SSN" ]
+
+let distinct_requests sys =
+  List.length
+    (List.sort_uniq compare
+       (List.map
+          (fun q ->
+            Secure.Protocol.encode_request
+              (Secure.Client.translate (Secure.System.client sys) (Xpath.Parser.parse q)))
+          audit_queries))
+
+let audit_deterministic_requests () =
+  (* Tag translation is deterministic (index lookups require it), so a
+     repeated query is a repeated request the server recognises. *)
+  let sys, _ = Secure.System.setup (health_doc ()) (health_scs ()) Secure.Scheme.Opt in
+  Alcotest.(check int) "three distinct requests" 3 (distinct_requests sys)
+
 let audit_linkability () =
-  let doc = health_doc () in
-  let scs = health_scs () in
-  let sys, _ = Secure.System.setup doc scs Secure.Scheme.Opt in
-  let log = Secure.Audit.create () in
-  let observe q =
-    let squery = Secure.Client.translate (Secure.System.client sys) (Xpath.Parser.parse q) in
-    let request = Secure.Protocol.encode_request squery in
-    let response = Secure.Server.answer (Secure.System.server sys) squery in
-    Secure.Audit.record log ~request ~response
+  (* Theorem 6.1 leaves access patterns unhidden: the leakage ledger
+     records the blocks each round ships, and repeats ship the same. *)
+  let sys, _ = Secure.System.setup (health_doc ()) (health_scs ()) Secure.Scheme.Opt in
+  let ledger = Secure.System.ledger sys in
+  Obs.Ledger.set_enabled ledger true;
+  List.iter
+    (fun q -> ignore (Secure.System.evaluate sys (Xpath.Parser.parse q)))
+    audit_queries;
+  let patterns =
+    List.map (fun r -> r.Obs.Ledger.block_ids) (Obs.Ledger.rounds ledger)
   in
-  (* Same query three times, two other queries. *)
-  observe "//patient[pname='Betty']//disease";
-  observe "//patient[pname='Betty']//disease";
-  observe "//patient[pname='Betty']//disease";
-  observe "//insurance";
-  observe "//patient[pname='Matt']/SSN";
-  let a = Secure.Audit.analyze log in
-  Alcotest.(check int) "all observed" 5 a.Secure.Audit.queries;
-  Alcotest.(check int) "three distinct requests" 3 a.Secure.Audit.distinct_requests;
-  Alcotest.(check int) "repeats recognisable" 2 a.Secure.Audit.repeated_requests;
+  Alcotest.(check int) "all observed" 5 (List.length patterns);
+  (match patterns with
+   | first :: second :: third :: _ ->
+     Alcotest.(check (list int)) "second repeat ships the same blocks" first second;
+     Alcotest.(check (list int)) "third repeat ships the same blocks" first third
+   | _ -> Alcotest.fail "expected five rounds");
   Alcotest.(check bool) "patterns bounded by requests" true
-    (a.Secure.Audit.distinct_patterns <= a.Secure.Audit.distinct_requests);
-  (* Betty's disease blocks co-accessed across the repeats. *)
-  Alcotest.(check bool) "co-access pairs surfaced" true
-    (List.exists (fun (_, c) -> c >= 3) a.Secure.Audit.top_co_accessed)
+    (List.length (List.sort_uniq compare patterns) <= distinct_requests sys)
 
 (* --- Schema & candidate enumeration ------------------------------- *)
 
@@ -885,7 +791,9 @@ let () =
           Alcotest.test_case "occurrence ciphers" `Quick opess_occurrence_cipher ]
         @ List.map QCheck_alcotest.to_alcotest [ opess_properties ] );
       ( "audit",
-        [ Alcotest.test_case "access-pattern linkability" `Quick audit_linkability ] );
+        [ Alcotest.test_case "deterministic requests" `Quick
+            audit_deterministic_requests;
+          Alcotest.test_case "access-pattern linkability" `Quick audit_linkability ] );
       ( "schema & candidates",
         [ Alcotest.test_case "schema inference" `Quick schema_inference;
           Alcotest.test_case "candidate enumeration" `Quick candidate_enumeration;
@@ -893,12 +801,4 @@ let () =
           Alcotest.test_case "Theorem 4.1 empirically" `Quick theorem_41_empirically ] );
       ( "metadata",
         [ Alcotest.test_case "build" `Quick metadata_build;
-          Alcotest.test_case "tokens hide tags" `Quick metadata_tokens_hide_tags ] );
-      ( "attacks",
-        [ Alcotest.test_case "breaks naive scheme" `Quick frequency_attack_breaks_naive;
-          Alcotest.test_case "fails on OPESS" `Quick frequency_attack_fails_on_opess;
-          Alcotest.test_case "coalescing attack" `Quick coalescing_attack_cases;
-          Alcotest.test_case "tag-distribution attack" `Quick tag_distribution_attack_cases;
-          Alcotest.test_case "opess full range" `Quick opess_full_range;
-          Alcotest.test_case "size attack" `Quick size_attack_cases;
-          Alcotest.test_case "belief sequence" `Quick belief_sequence_monotone ] ) ]
+          Alcotest.test_case "tokens hide tags" `Quick metadata_tokens_hide_tags ] ) ]

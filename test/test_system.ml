@@ -242,8 +242,8 @@ let btree_distribution_not_plaintext () =
       Hashtbl.replace keys_hist k (1 + Option.value ~default:0 (Hashtbl.find_opt keys_hist k)));
   let observed = Hashtbl.fold (fun k c acc -> (k, c) :: acc) keys_hist [] in
   let known = Xmlcore.Stats.value_histogram doc ~tag:"disease" in
-  let result = Secure.Attack.frequency_attack ~known ~observed in
-  Alcotest.(check (float 0.11)) "crack rate ~0" 0.0 result.Secure.Attack.crack_rate
+  let result = Attack.Static.frequency_attack ~known ~observed in
+  Alcotest.(check (float 0.11)) "crack rate ~0" 0.0 result.Attack.Static.crack_rate
 
 let candidates_indistinguishable () =
   (* Definition 3.1, empirically: two candidate databases that differ
