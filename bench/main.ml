@@ -86,11 +86,20 @@ let json_write path =
    (ints, strings, bools — the configuration axes and the counters,
    which are deterministic under the fixed seeds); a baseline row with
    no partner means the shape of the output changed or a counter
-   drifted, and fails the gate.  Floats are checked per field: [_ms]
-   timings may move two orders of magnitude either way (machines and
-   load differ; the gate is for blow-ups and shape changes, not
-   jitter), every other float must agree to the %.6g precision the
-   snapshot was written with. *)
+   drifted, and fails the gate.  Floats are checked per field: timings
+   ([_ms] fields and the {!timing_derived} ones computed from them) may
+   move two orders of magnitude either way (machines and load differ;
+   the gate is for blow-ups and shape changes, not jitter), every other
+   float must agree to the %.6g precision the snapshot was written
+   with. *)
+
+(* Float fields that are ratios or rates of wall-clock measurements
+   rather than [_ms] timings themselves; the one list the gate reads. *)
+let timing_derived =
+  [ "speedup"; "host_speedup"; "batch_speedup"; "per_site_ns"; "overhead_pct" ]
+
+let is_timing field =
+  String.ends_with ~suffix:"_ms" field || List.mem field timing_derived
 
 let is_float = function Obs.Json.Float _ -> true | _ -> false
 
@@ -104,9 +113,7 @@ let floats_agree field prev cur =
   | false, false -> true
   | false, true | true, false -> false
   | true, true ->
-    let suffix = "_ms" in
-    let n = String.length suffix and m = String.length field in
-    if m >= n && String.sub field (m - n) n = suffix then
+    if is_timing field then
       prev = 0.0 || cur = 0.0
       || (let r = cur /. prev in r <= 100.0 && r >= 0.01)
     else Float.abs (cur -. prev) <= 1e-5 *. Float.max 1.0 (Float.abs prev)
@@ -1746,6 +1753,13 @@ let micro () =
     List.init 300 (fun i -> Printf.sprintf "%05d" i, 3 + (i mod 40))
   in
   let cat = Secure.Opess.build ~key:"bench" ~attr_id:0 ~tag:"v" big_hist in
+  (* A churn-style value edit: one occurrence of "00150" moves to a new
+     value just above it. *)
+  let edited_hist =
+    ("00150.5", 1)
+    :: List.map (fun (v, c) -> if v = "00150" then v, c - 1 else v, c) big_hist
+    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
+  in
   let btree = Btree.create () in
   List.iteri (fun i (_, c) -> Btree.insert btree (Int64.of_int (i * 7)) c) big_hist;
   let payload = String.init 65_536 (fun i -> Char.chr (i mod 256)) in
@@ -1767,6 +1781,15 @@ let micro () =
   let payload_ct = Crypto.Cbc.encrypt_prepared cbc_key ~nonce:"n" payload in
   let response = String.init (576 * 1024) (fun i -> Char.chr ((i * 31) land 0xFF)) in
   let frame_key = "bench-session" in
+  (* The wide workload's hosting (3000 blocks, ~20k nodes): the
+     skeleton and tag partition a delta reassembles around. *)
+  let xmark_1500 = Workload.Xmark.generate ~persons:1500 () in
+  let xmark_1500_scheme =
+    Secure.Scheme.build xmark_1500 (Workload.Xmark.constraints ()) Secure.Scheme.Opt
+  in
+  let xmark_1500_blocks =
+    (Secure.Encrypt.encrypt ~keys:block_keys xmark_1500 xmark_1500_scheme).Secure.Encrypt.blocks
+  in
   let tests =
     Test.make_grouped ~name:"primitives"
       [ Test.make ~name:"hmac-prepared-96B"
@@ -1791,6 +1814,12 @@ let micro () =
         Test.make ~name:"opess-build-300-values"
           (Staged.stage (fun () ->
                Secure.Opess.build ~key:"b" ~attr_id:0 ~tag:"v" big_hist));
+        Test.make ~name:"opess-patch-300"
+          (Staged.stage (fun () -> Secure.Opess.patch ~key:"bench" cat edited_hist));
+        Test.make ~name:"reassemble-xmark-1500"
+          (Staged.stage (fun () ->
+               Secure.Encrypt.reassemble ~doc:xmark_1500 ~scheme:xmark_1500_scheme
+                 ~blocks:xmark_1500_blocks));
         Test.make ~name:"opess-translate-range"
           (Staged.stage (fun () -> Secure.Opess.translate cat Xpath.Ast.Ge "00150"));
         Test.make ~name:"btree-range-scan"

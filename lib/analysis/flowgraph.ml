@@ -168,8 +168,9 @@ let snapshot_frames s =
 (* --- Path consumption ----------------------------------------------- *)
 
 (* Starting at an Uident, collect [U(.U)*(.l)?]; starting at an Lident,
-   collect just the root and skip trailing [.field] projections.
-   Returns (path, next_index). *)
+   collect just the root and skip trailing projections, module-qualified
+   ones ([x.M.field]) included, so the whole projection stays one
+   argument atom.  Returns (path, next_index). *)
 let consume_path s i =
   match s.toks.(i).Lexer.kind with
   | Lexer.Uident u ->
@@ -192,8 +193,10 @@ let consume_path s i =
     let j = ref i in
     let stop = ref false in
     while not !stop do
-      match kind_at s (!j + 1), kind_at s (!j + 2) with
-      | Some (Lexer.Op "."), Some (Lexer.Lident _) -> j := !j + 2
+      match kind_at s (!j + 1), kind_at s (!j + 2), kind_at s (!j + 3) with
+      | Some (Lexer.Op "."), Some (Lexer.Lident _), _
+      | Some (Lexer.Op "."), Some (Lexer.Uident _), Some (Lexer.Op ".") ->
+        j := !j + 2
       | _ -> stop := true
     done;
     [ x ], !j + 1

@@ -120,14 +120,12 @@ let skeleton_of doc ~block_at =
 
 (* Shared constructor: every [db] — freshly encrypted or restored from
    disk — goes through here so the derived node→block table exists by
-   construction.  Marking each block's [descendant_or_self] run once
-   makes [block_of_node] an O(1) array read instead of the old
-   O(nodes×blocks) ancestor scan. *)
+   construction.  Marking each block's preorder id run once makes
+   [block_of_node] an O(1) array read. *)
 let make_db ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags =
   let node_block = Array.make (Doc.node_count doc) (-1) in
   List.iter
-    (fun b ->
-      List.iter (fun n -> node_block.(n) <- b.id) (Doc.descendant_or_self doc b.root))
+    (fun b -> Array.fill node_block b.root (Doc.subtree_node_count doc b.root) b.id)
     blocks;
   (* Ids are dense [0..n-1] at setup but become sparse once incremental
      deletes drop whole blocks (dropped ids are never reused — the
@@ -168,10 +166,10 @@ let reassemble ~doc ~scheme ~blocks =
   List.iter (fun b -> Hashtbl.replace root_to_block b.root b.id) blocks;
   let skeleton = skeleton_of doc ~block_at:(Hashtbl.find_opt root_to_block) in
   (* Partition tags by whether their nodes fall inside blocks. *)
+  let covered = Scheme.coverage doc scheme in
   let encrypted = Hashtbl.create 64 and plaintext = Hashtbl.create 64 in
   Doc.iter doc (fun n ->
-      let inside = Scheme.in_some_block doc scheme n in
-      let table = if inside then encrypted else plaintext in
+      let table = if covered.(n) then encrypted else plaintext in
       Hashtbl.replace table (Doc.tag doc n) ());
   let tags table =
     Hashtbl.fold (fun tag () acc -> tag :: acc) table [] |> List.sort String.compare

@@ -195,6 +195,14 @@ type patch_stats = {
 }
 
 module Iset = Set.Make (Int)
+module Kmap = Map.Make (Int64)
+
+(* Entries grouped per key, each key's payloads in list order. *)
+let by_key entries =
+  List.fold_left
+    (fun acc (key, v) ->
+      Kmap.update key (fun vs -> Some (v :: Option.value ~default:[] vs)) acc)
+    Kmap.empty (List.rev entries)
 
 (* Namespace of one attribute in the shared B-tree: attr id in the top
    bits, 56 bits of OPE cipher below. *)
@@ -212,11 +220,14 @@ let namespace_range attr_id =
      to what a fresh build would emit for those parents, since rows are
      a pure function of unchanged inputs).
    - OPESS catalogs: only attributes whose value multiset changed are
-     rebuilt, under their existing attr id, so every other attribute's
-     B-tree namespace survives verbatim.  A brand-new attribute takes
-     the next free id.
-   - Value B-tree: affected attributes' namespaces are deleted and
-     re-inserted; the rest of the tree is never traversed.
+     patched ([Opess.patch]: OPE re-runs only for chunks whose domain
+     point moved), under their existing attr id, so every other
+     attribute's B-tree namespace survives verbatim.  A brand-new
+     attribute takes the next free id.
+   - Value B-tree: an affected attribute's namespace is read and diffed
+     key by key against its fresh entries; only keys whose entry list
+     changed are deleted and re-inserted, and the rest of the tree is
+     never traversed.
 
    All fallible work (interval drawing, row matching, catalog builds,
    cipher lookups) happens before the B-tree is mutated, so a raised
@@ -435,60 +446,76 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
   (* Compute every fresh index entry before touching the tree: the
      occurrence→cipher mapping can only fail here, never mid-surgery. *)
   let fresh_entries =
-    List.concat_map
-      (fun (tag, _, new_cat) ->
-        match new_cat with
-        | Some cat when indexed tag ->
-          let counters = Hashtbl.create 64 in
-          List.filter_map
-            (fun n ->
-              match Doc.value new_doc n with
-              | None -> None
-              | Some v ->
-                let occurrence =
-                  Option.value ~default:0 (Hashtbl.find_opt counters v)
-                in
-                Hashtbl.replace counters v (occurrence + 1);
-                let cipher = Opess.occurrence_cipher cat ~value:v ~occurrence in
-                let target =
-                  match new_block_of.(n) with
-                  | Some id -> To_block id
-                  | None -> To_plain (Dsi.Assign.interval assignment n)
-                in
-                let scale =
-                  match Opess.find_entry cat v with
-                  | Some entry -> entry.Opess.scale
-                  | None -> 1
-                in
-                Some (List.init scale (fun _ -> cipher, target)))
-            (Doc.nodes_with_tag new_doc tag)
-          |> List.concat
-        | Some _ | None -> [])
+    List.map
+      (fun (tag, old_cat, new_cat) ->
+        let fresh =
+          match new_cat with
+          | Some cat when indexed tag ->
+            let counters = Hashtbl.create 64 in
+            List.concat_map
+              (fun n ->
+                match Doc.value new_doc n with
+                | None -> []
+                | Some v ->
+                  let occurrence =
+                    Option.value ~default:0 (Hashtbl.find_opt counters v)
+                  in
+                  Hashtbl.replace counters v (occurrence + 1);
+                  let cipher = Opess.occurrence_cipher cat ~value:v ~occurrence in
+                  let target =
+                    match new_block_of.(n) with
+                    | Some id -> To_block id
+                    | None -> To_plain (Dsi.Assign.interval assignment n)
+                  in
+                  let scale =
+                    match Opess.find_entry cat v with
+                    | Some entry -> entry.Opess.scale
+                    | None -> 1
+                  in
+                  List.init scale (fun _ -> cipher, target))
+              (Doc.nodes_with_tag new_doc tag)
+          | Some _ | None -> []
+        in
+        old_cat, fresh)
       catalog_changes
   in
-  (* Point of no return: everything below is infallible surgery. *)
-  let index_entries_removed = ref 0 in
+  (* Point of no return: everything below is infallible surgery.  Per
+     attribute, the namespace's current entries are diffed against the
+     fresh ones key by key; only a key whose entry list changed is
+     deleted and re-inserted (in document order, as a rebuild would),
+     so the tree's contents — duplicate order included — equal a
+     delete-and-reinsert of the whole namespace. *)
+  let index_entries_removed = ref 0 and index_entries_added = ref 0 in
   List.iter
-    (fun (_tag, old_cat, _) ->
-      match old_cat with
-      | None -> ()
-      | Some cat ->
-        let lo, hi = namespace_range (Opess.attr_id cat) in
-        let stale = Btree.range t.btree ~lo ~hi in
-        let keys_seen = List.sort_uniq Int64.compare (List.map fst stale) in
-        List.iter
-          (fun key ->
+    (fun (old_cat, fresh) ->
+      let stale =
+        match old_cat with
+        | None -> Kmap.empty
+        | Some cat ->
+          let lo, hi = namespace_range (Opess.attr_id cat) in
+          by_key (Btree.range t.btree ~lo ~hi)
+      in
+      Kmap.iter
+        (fun key (was_indexed, entries) ->
+          if was_indexed then
             index_entries_removed :=
-              !index_entries_removed + Btree.delete_all t.btree key (fun _ -> true))
-          keys_seen)
-    catalog_changes;
-  List.iter (fun (cipher, target) -> Btree.insert t.btree cipher target) fresh_entries;
+              !index_entries_removed + Btree.delete_all t.btree key (fun _ -> true);
+          List.iter (fun target -> Btree.insert t.btree key target) entries;
+          index_entries_added := !index_entries_added + List.length entries)
+        (Kmap.merge
+           (fun _ old fresh ->
+             match old, fresh with
+             | Some o, Some f when o = f -> None
+             | None, None -> None
+             | _ -> Some (old <> None, Option.value ~default:[] fresh))
+           stale (by_key fresh)))
+    fresh_entries;
   let stats =
     { rows_removed = List.length removed_rows;
       rows_added = List.length added_rows;
       catalogs_patched = List.length catalog_changes;
       index_entries_removed = !index_entries_removed;
-      index_entries_added = List.length fresh_entries }
+      index_entries_added = !index_entries_added }
   in
   ( { assignment; dsi_table; block_table; btree = t.btree; catalogs; indexed_tags },
     stats )

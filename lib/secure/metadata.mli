@@ -79,8 +79,11 @@ val patch :
     draw intervals from the gaps calInterval reserved, only the parents
     whose child list changed have their DSI-table rows recomputed, and
     only attributes whose value multiset changed have their OPESS
-    catalog rebuilt (under the same attr id) and their B-tree namespace
-    re-inserted.  Work is proportional to the delta, not the database.
+    catalog patched (under the same attr id; see {!Opess.patch}) and
+    their B-tree namespace diffed key by key: a key whose entry list
+    changed is deleted and re-inserted in document order, every other
+    key is left alone.  The tree's entries — duplicate order included —
+    equal those of a fresh {!build}.
 
     The B-tree is mutated {e in place} — the input [t] must be
     considered consumed on success.  On [Patch_impossible] or

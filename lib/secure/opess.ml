@@ -84,16 +84,31 @@ let numeric_positions histogram =
     List.sort (fun (a, _) (b, _) -> String.compare a b) histogram
     |> List.mapi (fun i (v, n) -> v, float_of_int i, n)
 
-let build ~key ~attr_id ~tag histogram =
-  if attr_id < 0 || attr_id > 126 then
-    invalid_arg "Opess.build: attr_id must be in [0, 126]";
+let of_parts ~tag ~attr_id ~m ~num_keys entries =
+  let by_value = Hashtbl.create (List.length entries) in
+  List.iter (fun e -> Hashtbl.replace by_value e.value e) entries;
+  { tag; attr_id; m; num_keys; entries; by_value }
+
+let domain_bits = 40
+
+(* Everything [build] decides before any cryptography: the positioned
+   domain, [m], [K], and each chunk's size and point in the OPE domain.
+   A pure function of (key, histogram) that costs K PRF calls, so
+   [patch] can afford to recompute it for the old catalog too. *)
+type layout = {
+  positioned : (string * float * int) list;
+  m : int;
+  num_keys : int;
+  sizes : int list list;      (* per value, chunk sizes *)
+  points : int64 list list;   (* per value, chunk domain points *)
+}
+
+let layout ~key histogram =
   let positioned = numeric_positions histogram in
   let counts = List.map (fun (_, _, n) -> n) positioned in
   let m = choose_m counts in
-  let decompositions = List.map (fun n -> decompose ~m n) counts in
-  let num_keys =
-    List.fold_left (fun acc d -> max acc (List.length d)) 1 decompositions
-  in
+  let sizes = List.map (fun n -> decompose ~m n) counts in
+  let num_keys = List.fold_left (fun acc d -> max acc (List.length d)) 1 sizes in
   (* Split weights w_1..w_K in (1/(2(K+1)), 1/(K+1)), sorted ascending;
      prefix sums stay below K/(K+1) < 1 so chunk j of v_i never reaches
      v_i + delta_i: the paper's no-straddling condition. *)
@@ -124,33 +139,37 @@ let build ~key ~attr_id ~tag histogram =
   (* Collect displaced reals, then fix a global monotone real->int map. *)
   let displaced =
     List.mapi
-      (fun i ((_, num, _), sizes) ->
+      (fun i ((_, num, _), chunk_sizes) ->
         let d = delta i in
-        List.mapi (fun j _size -> num +. (prefix.(j + 1) *. d)) sizes)
-      (List.combine positioned decompositions)
+        List.mapi (fun j _size -> num +. (prefix.(j + 1) *. d)) chunk_sizes)
+      (List.combine positioned sizes)
   in
   let lo = if k = 0 then 0.0 else positions.(0) in
   let hi =
     List.fold_left (List.fold_left Float.max) (lo +. 1.0) displaced
   in
-  let domain_bits = 40 in
   let fixscale = (Int64.to_float (Int64.shift_left 1L domain_bits) -. 2.0) /. (hi -. lo) in
   let to_domain x =
     let mapped = Int64.of_float (Float.round ((x -. lo) *. fixscale)) in
     assert (mapped >= 0L);
     mapped
   in
-  let ope = Crypto.Ope.create ~key:(Crypto.Sha256.digest (key ^ "\x00ope")) ~domain_bits in
-  let scale_of value = 1 + Crypto.Hmac.prf_int ~key ("scale\x00" ^ value) 10 in
+  { positioned; m; num_keys; sizes; points = List.map (List.map to_domain) displaced }
+
+let ope_of ~key =
+  Crypto.Ope.create ~key:(Crypto.Sha256.digest (key ^ "\x00ope")) ~domain_bits
+
+let scale_of ~key value = 1 + Crypto.Hmac.prf_int ~key ("scale\x00" ^ value) 10
+
+(* The catalog a layout describes, given each chunk's namespaced cipher
+   and each value's scale. *)
+let assemble ~attr_id ~tag layout ~cipher ~scale =
   let entries =
     List.map2
-      (fun (value, numeric, count) (sizes, reals) ->
+      (fun (value, numeric, count) (sizes, points) ->
         let chunks =
-          List.map2
-            (fun size real ->
-              { cipher = namespace ~attr_id (Crypto.Ope.encrypt ope (to_domain real));
-                occurrences = size })
-            sizes reals
+          List.map2 (fun size point -> { cipher = cipher point; occurrences = size })
+            sizes points
         in
         (* OPE is monotone, so chunks come out sorted; check anyway. *)
         let rec sorted = function
@@ -158,32 +177,55 @@ let build ~key ~attr_id ~tag histogram =
           | [ _ ] | [] -> true
         in
         assert (sorted chunks);
-        { value; numeric; count; chunks; scale = scale_of value })
-      positioned
-      (List.combine decompositions displaced)
+        { value; numeric; count; chunks; scale = scale value })
+      layout.positioned
+      (List.combine layout.sizes layout.points)
   in
-  let by_value = Hashtbl.create (List.length entries) in
-  List.iter (fun e -> Hashtbl.replace by_value e.value e) entries;
-  { tag; attr_id; m; num_keys; entries; by_value }
+  of_parts ~tag ~attr_id ~m:layout.m ~num_keys:layout.num_keys entries
+
+let build ~key ~attr_id ~tag histogram =
+  if attr_id < 0 || attr_id > 126 then
+    invalid_arg "Opess.build: attr_id must be in [0, 126]";
+  let ope = ope_of ~key in
+  assemble ~attr_id ~tag (layout ~key histogram)
+    ~cipher:(fun point -> namespace ~attr_id (Crypto.Ope.encrypt ope point))
+    ~scale:(scale_of ~key)
 
 (* Incremental-update entry point.  [build] is deterministic in
-   (key, attr_id, tag, histogram), so patching a catalog whose value
-   histogram actually changed is just a rebuild under the SAME attr_id —
-   every untouched attribute's namespace (and thus its B-tree entries
-   and any cached translations) survives verbatim.  The fast path
-   matters for structural edits that move nodes without changing any
-   value multiset: the catalog is reused as-is, chunk displacements and
-   all. *)
+   (key, attr_id, tag, histogram), and OPE is a function of the domain
+   point alone, so the patched catalog is [build] on the new histogram
+   with the expensive parts looked up instead of recomputed: the old
+   catalog's own layout names the domain point behind every old
+   cipher, a chunk whose point did not move keeps its cipher, a
+   surviving value keeps its scale, and OPE runs only for points that
+   moved.  An edit that moves the extremes, the largest gap or [K]
+   moves every point and pays for a full build.  Structural edits that
+   leave the value multiset alone get the catalog back as-is. *)
 let patch ~key t histogram =
-  let current = List.map (fun e -> e.value, e.count) t.entries in
-  let sorted = List.sort (fun (a, _) (b, _) -> String.compare a b) histogram in
-  if current = sorted then t
-  else build ~key ~attr_id:t.attr_id ~tag:t.tag histogram
-
-let of_parts ~tag ~attr_id ~m ~num_keys entries =
-  let by_value = Hashtbl.create (List.length entries) in
-  List.iter (fun e -> Hashtbl.replace by_value e.value e) entries;
-  { tag; attr_id; m; num_keys; entries; by_value }
+  let by_value (a, _) (b, _) = String.compare a b in
+  let current = List.sort by_value (List.map (fun e -> e.value, e.count) t.entries) in
+  if current = List.sort by_value histogram then t
+  else begin
+    let old_layout = layout ~key current in
+    let cipher_at = Hashtbl.create 64 in
+    List.iter2
+      (fun (value, _, _) points ->
+        List.iter2
+          (fun c p -> Hashtbl.replace cipher_at p c.cipher)
+          (Hashtbl.find t.by_value value).chunks points)
+      old_layout.positioned old_layout.points;
+    let ope = lazy (ope_of ~key) in
+    let attr_id = t.attr_id in
+    assemble ~attr_id ~tag:t.tag (layout ~key histogram)
+      ~cipher:(fun point ->
+        match Hashtbl.find_opt cipher_at point with
+        | Some cipher -> cipher
+        | None -> namespace ~attr_id (Crypto.Ope.encrypt (Lazy.force ope) point))
+      ~scale:(fun value ->
+        match Hashtbl.find_opt t.by_value value with
+        | Some e -> e.scale
+        | None -> scale_of ~key value)
+  end
 
 let occurrence_cipher t ~value ~occurrence =
   match Hashtbl.find_opt t.by_value value with

@@ -50,10 +50,13 @@ val build : key:string -> attr_id:int -> tag:string -> Xmlcore.Stats.histogram -
 val patch : key:string -> t -> Xmlcore.Stats.histogram -> t
 (** [patch ~key t histogram] brings the catalog up to date with a new
     value histogram for the same attribute.  When the histogram is
-    unchanged the catalog is returned as-is (structural edits that only
-    move nodes); otherwise it is rebuilt under the {e same} [attr_id],
-    so other attributes' namespaced B-tree keys are unaffected.  [key]
-    must be the same per-attribute OPESS key used by {!build}. *)
+    unchanged the catalog itself is returned (structural edits that
+    only move nodes).  Otherwise the result equals
+    [build ~key ~attr_id:(attr_id t) ~tag:(tag t) histogram] — entries,
+    [m] and [K] — but OPE runs only for chunks whose domain point moved:
+    every other chunk keeps its cipher and every surviving value its
+    scale.  [key] must be the per-attribute OPESS key [t] was built
+    under. *)
 
 val of_parts :
   tag:string -> attr_id:int -> m:int -> num_keys:int -> value_entry list -> t

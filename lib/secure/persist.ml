@@ -803,15 +803,31 @@ let journal_compact j =
   let lp = log_path j.j_path in
   if Sys.file_exists lp then Sys.remove lp
 
-(* Append first, publish after: the record is fsynced before the live
-   system and sequence number move, so an append that fails leaves the
-   journal exactly as it was and the next update reuses the sequence
-   number — a failed append can never open a gap in the log. *)
+(* Plan once, append first, publish after: the plan's edited document
+   gives the record its digest and is then applied as is, and the
+   record is fsynced before the live system and sequence number move,
+   so an append that fails leaves the journal exactly as it was and the
+   next update reuses the sequence number — a failed append can never
+   open a gap in the log. *)
 let journal_update j edit =
-  let edited = Xmlcore.Doc.of_tree (Update.apply (System.doc j.j_system) edit) in
-  append_record ~master:j.j_master j.j_path
-    { seq = j.j_seq + 1; edit; digest = doc_digest ~master:j.j_master edited };
-  let next, cost = System.apply_delta j.j_system edit in
+  let append edited =
+    append_record ~master:j.j_master j.j_path
+      { seq = j.j_seq + 1; edit; digest = doc_digest ~master:j.j_master edited }
+  in
+  let doc = System.doc j.j_system in
+  let started = Unix.gettimeofday () in
+  let next, cost =
+    match Update.delta doc edit with
+    | plan ->
+      let plan_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
+      append plan.Update.edited;
+      System.apply_plan j.j_system plan ~plan_ms
+    | exception Invalid_argument _ ->
+      (* Unplannable: [Update.apply] raises for an invalid edit before
+         anything is appended; otherwise [apply_delta] re-hosts. *)
+      append (Xmlcore.Doc.of_tree (Update.apply doc edit));
+      System.apply_delta j.j_system edit
+  in
   j.j_system <- next;
   j.j_seq <- j.j_seq + 1;
   let lp = log_path j.j_path in

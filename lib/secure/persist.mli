@@ -160,9 +160,10 @@ val journal_seq : journal -> int
 (** Sequence number of the last applied update. *)
 
 val journal_update : journal -> Update.edit -> System.delta_cost
-(** Append one edit's log record (fsynced), then apply it incrementally
-    ({!System.apply_delta}), and compact if the log outgrew the
-    threshold.  An edit that fails to append — an impossible edit
+(** Plan the edit once ({!Update.delta}), append its log record
+    (fsynced) with the digest of the planned document, then apply the
+    plan incrementally ({!System.apply_plan}), and compact if the log
+    outgrew the threshold.  An edit that fails to append — an impossible edit
     ([Invalid_argument], see {!Update.apply}) or an I/O error
     ([Sys_error]) — leaves {!journal_system} and {!journal_seq}
     unchanged, so the next update continues the log without a gap.  A

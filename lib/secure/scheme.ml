@@ -57,17 +57,24 @@ let size doc t =
 
 let block_count t = List.length t.block_roots
 
-let in_some_block doc t n =
-  List.exists (fun r -> r = n || Doc.is_ancestor doc r n) t.block_roots
+(* Preorder ids make a subtree one id run, so marking each root's run
+   covers every block in O(n) overall (roots are not nested). *)
+let coverage doc t =
+  let covered = Array.make (Doc.node_count doc) false in
+  List.iter
+    (fun r -> Array.fill covered r (Doc.subtree_node_count doc r) true)
+    t.block_roots;
+  covered
 
 let enforces doc t scs =
   let exception Violation of string in
+  let covered = coverage doc t in
   let check sc =
     match sc with
     | Sc.Node_type p ->
       List.iter
         (fun x ->
-          if not (in_some_block doc t x) then
+          if not covered.(x) then
             raise
               (Violation
                  (Printf.sprintf "node-type SC %s: binding node %d is not encrypted"
@@ -82,10 +89,7 @@ let enforces doc t scs =
             (fun y1 ->
               List.iter
                 (fun y2 ->
-                  if
-                    (not (in_some_block doc t y1))
-                    && not (in_some_block doc t y2)
-                  then
+                  if (not covered.(y1)) && not covered.(y2) then
                     raise
                       (Violation
                          (Printf.sprintf

@@ -39,8 +39,9 @@ val size : Xmlcore.Doc.t -> t -> int
 
 val block_count : t -> int
 
-val in_some_block : Xmlcore.Doc.t -> t -> Xmlcore.Doc.node -> bool
-(** Is the node inside (or the root of) an encryption block? *)
+val coverage : Xmlcore.Doc.t -> t -> bool array
+(** Node id → is the node inside (or the root of) an encryption block?
+    One pass over the block roots' preorder id runs: O(nodes). *)
 
 val enforces : Xmlcore.Doc.t -> t -> Sc.t list -> (unit, string) result
 (** Check that the scheme enforces every SC: node-type bindings are in

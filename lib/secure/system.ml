@@ -670,19 +670,38 @@ type delta_cost = {
 
 exception Delta_fallback of string
 
-(* Apply one edit by re-encrypting only the touched blocks and patching
-   the metadata in place, instead of re-hosting the whole document.
-   The fallback ladder is explicit: whenever the incremental path
-   cannot be both correct and secure (the remapped scheme no longer
-   enforces the SCs, attribute/interval space exhausted, a surgery
-   precondition fails), it degrades to [update] — the always-secure
-   full re-host — and says so in the cost record. *)
-let apply_delta t edit =
+(* The bottom rung of the delta ladder: the always-secure full re-host,
+   reported as a fallback in the cost record. *)
+let rehost_delta t edit ~plan_ms reason =
+  Log.info (fun m -> m "delta update re-hosting instead: %s" reason);
+  let t', setup_cost = update t edit in
+  ( t',
+    { plan_ms;
+      reencrypt_ms = setup_cost.encrypt_ms;
+      patch_ms = setup_cost.metadata_ms;
+      blocks_touched = setup_cost.block_count;
+      blocks_dropped = 0;
+      blocks_total = setup_cost.block_count;
+      reencrypted_bytes = Encrypt.encrypted_bytes (db t');
+      rows_removed = 0;
+      rows_added = 0;
+      catalogs_patched = 0;
+      index_entries_touched = 0;
+      fell_back = true } )
+
+(* Apply one planned edit by re-encrypting only the touched blocks and
+   patching the metadata in place, instead of re-hosting the whole
+   document.  The fallback ladder is explicit: whenever the incremental
+   path cannot be both correct and secure (the remapped scheme no
+   longer enforces the SCs, attribute/interval space exhausted, a
+   surgery precondition fails), it degrades to [update] and says so in
+   the cost record. *)
+let apply_plan t (plan : Update.plan) ~plan_ms =
   let keys = Client.keys t.client in
   let started = now_ms () in
   try
-    let plan = Update.delta t.doc edit in
-    let plan_ms = now_ms () -. started in
+    if Array.length plan.Update.new_of_old <> Doc.node_count t.doc then
+      invalid_arg "System.apply_plan: plan made against another document";
     let edited = plan.Update.edited in
     let roots' =
       List.filter_map
@@ -782,7 +801,7 @@ let apply_delta t edit =
     in
     Log.info (fun m ->
         m "delta: %s; %d/%d blocks re-encrypted, %d dropped, %d rows patched"
-          (Update.describe edit) (Array.length jobs)
+          (Update.describe plan.Update.edit) (Array.length jobs)
           (List.length t.db.Encrypt.blocks)
           (List.length !dropped)
           (stats.Metadata.rows_removed + stats.Metadata.rows_added));
@@ -810,26 +829,19 @@ let apply_delta t edit =
   | Metadata.Patch_impossible reason
   (* Interval precision exhausted mid-patch falls back too: a fresh
      assignment (which renumbers everything) can absorb layouts the
-     incremental gaps cannot.  A genuinely invalid edit also lands
-     here, and [update] re-raises the identical [Invalid_argument]
-     before doing any work, so errors still propagate. *)
+     incremental gaps cannot. *)
   | Invalid_argument reason ->
-    Log.info (fun m -> m "delta update re-hosting instead: %s" reason);
-    let plan_ms = now_ms () -. started in
-    let t', setup_cost = update t edit in
-    ( t',
-      { plan_ms;
-        reencrypt_ms = setup_cost.encrypt_ms;
-        patch_ms = setup_cost.metadata_ms;
-        blocks_touched = setup_cost.block_count;
-        blocks_dropped = 0;
-        blocks_total = setup_cost.block_count;
-        reencrypted_bytes = Encrypt.encrypted_bytes (db t');
-        rows_removed = 0;
-        rows_added = 0;
-        catalogs_patched = 0;
-        index_entries_touched = 0;
-        fell_back = true } )
+    rehost_delta t plan.Update.edit ~plan_ms:(plan_ms +. now_ms () -. started) reason
+
+(* A genuinely invalid edit cannot be planned; [update] re-raises the
+   identical [Invalid_argument] before doing any work, so errors still
+   propagate. *)
+let apply_delta t edit =
+  let started = now_ms () in
+  match Update.delta t.doc edit with
+  | plan -> apply_plan t plan ~plan_ms:(now_ms () -. started)
+  | exception Invalid_argument reason ->
+    rehost_delta t edit ~plan_ms:(now_ms () -. started) reason
 
 let apply_deltas t edits =
   let t, costs =

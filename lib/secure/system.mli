@@ -326,5 +326,14 @@ val apply_delta : t -> Update.edit -> t * delta_cost
     with the result and must not be queried afterwards.
     @raise Invalid_argument on impossible edits (see {!Update.apply}). *)
 
+val apply_plan : t -> Update.plan -> plan_ms:float -> t * delta_cost
+(** The second half of {!apply_delta}: apply an edit that
+    {!Update.delta} already planned against [doc t], so a caller that
+    needs the edited document first (the journal digests it before
+    appending) plans once.  [plan_ms] is the planning time to report.
+    A plan made against another document (detected by its node count)
+    or one the incremental path cannot absorb falls back to {!update}
+    of [plan.edit], as in {!apply_delta}. *)
+
 val apply_deltas : t -> Update.edit list -> t * delta_cost list
 (** Fold {!apply_delta} over a batch, left to right. *)

@@ -23,7 +23,6 @@ let subtree_node_count t n = t.subtree_sizes.(n)
 
 let of_tree tree =
   let tags = ref [] and values = ref [] and parents = ref [] in
-  let children_rev = Hashtbl.create 64 in
   let next_id = ref 0 in
   (* Assign preorder ids; returns subtree node count. *)
   let rec walk parent node =
@@ -49,11 +48,6 @@ let of_tree tree =
       tags := tag :: !tags;
       values := value :: !values;
       parents := parent :: !parents;
-      (match parent with
-       | -1 -> ()
-       | p ->
-         let prev = Option.value ~default:[] (Hashtbl.find_opt children_rev p) in
-         Hashtbl.replace children_rev p (id :: prev));
       let size =
         List.fold_left (fun acc c -> acc + walk id c) 1 element_children
       in
@@ -64,10 +58,12 @@ let of_tree tree =
   let tags = Array.of_list (List.rev !tags) in
   let values = Array.of_list (List.rev !values) in
   let parents = Array.of_list (List.rev !parents) in
-  let children =
-    Array.init n (fun i ->
-        List.rev (Option.value ~default:[] (Hashtbl.find_opt children_rev i)))
-  in
+  (* A parent's children have increasing preorder ids, so consing them
+     from the highest id down leaves each list in document order. *)
+  let children = Array.make n [] in
+  for i = n - 1 downto 1 do
+    children.(parents.(i)) <- i :: children.(parents.(i))
+  done;
   let depths = Array.make n 0 in
   for i = 1 to n - 1 do
     depths.(i) <- depths.(parents.(i)) + 1

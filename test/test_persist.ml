@@ -571,6 +571,67 @@ let bundle_pin () =
             (System.reference sys query) answers))
     pinned_bundles
 
+(* Byte pin for the write path: the churn workload's edit cycle on a
+   fixed hosting — four policy# values (the second a new maximum of the
+   numeric catalog), then a remark inserted and deleted again — driven
+   through [journal_update], captured before the write path was made
+   to cost the edit rather than the hosting.  Equal digests mean every
+   re-encrypted block, OPE code, B-tree entry (duplicates in order),
+   DSI row and log record is unchanged. *)
+let pinned_journal =
+  ( "41507b4b6c9e7655562d06c2e4a631579d4d561586874c96b806a519bb08589e",
+    "bc0780e45b5506e78637e697c19f5d08f167947aeb0c91eb9f994a0d17140871" )
+
+let journal_pin () =
+  let doc = Workload.Health.generate ~patients:30 () in
+  let scs = Workload.Health.constraints () in
+  let names =
+    Array.of_list
+      (List.filter_map (Xmlcore.Doc.value doc) (Xmlcore.Doc.nodes_with_tag doc "pname"))
+  in
+  let patient i = Printf.sprintf "//patient[pname='%s']" names.(i) in
+  let policy i v = Update.Set_value (parse (patient i ^ "//policy#"), v) in
+  let edits =
+    [ policy 3 "90417";
+      policy 11 "123456";
+      policy 20 "00042";
+      policy 3 "61230";
+      Update.Insert_child
+        { parent = parse (patient 7); position = 0; subtree = Tree.leaf "remark" "follow-up" };
+      Update.Delete_nodes (parse (patient 7 ^ "/remark")) ]
+  in
+  let sys, _ = System.setup ~master:"pin-master" doc scs Secure.Scheme.Opt in
+  let path = Filename.temp_file "sxq-pin" ".host" in
+  let saved = Filename.temp_file "sxq-pin" ".host" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Persist.log_path path; path ^ ".tmp"; saved; saved ^ ".tmp" ])
+    (fun () ->
+      Persist.save sys path;
+      let j = Persist.journal_open ~master:"pin-master" path in
+      List.iter
+        (fun e ->
+          let cost = Persist.journal_update j e in
+          Alcotest.(check bool) "incremental" false cost.System.fell_back)
+        edits;
+      Persist.save (Persist.journal_system j) saved;
+      let digest p = Crypto.Sha256.hex (read_file p) in
+      let bundle, log = pinned_journal in
+      Alcotest.(check string) "bundle after the edits" bundle (digest saved);
+      Alcotest.(check string) "delta log" log (digest (Persist.log_path path));
+      let reopened = Persist.journal_system (Persist.journal_open ~master:"pin-master" path) in
+      let fresh, _ =
+        System.setup ~master:"pin-master" (Update.apply_all doc edits) scs Secure.Scheme.Opt
+      in
+      List.iter
+        (fun q ->
+          Alcotest.(check (list string)) ("reopened " ^ q)
+            (Helpers.norm_trees (System.reference fresh (parse q)))
+            (Helpers.norm_trees (fst (System.evaluate reopened (parse q)))))
+        ("//insurance[policy#>=90000]/@coverage" :: log_queries))
+
 let () =
   Alcotest.run "persist"
     [ ( "roundtrip",
@@ -597,4 +658,5 @@ let () =
           Alcotest.test_case "failed append leaves no gap" `Quick
             failed_append_leaves_no_gap;
           Alcotest.test_case "tampering battery" `Quick log_tampering_battery;
-          Alcotest.test_case "compaction" `Quick log_compaction ] ) ]
+          Alcotest.test_case "compaction" `Quick log_compaction;
+          Alcotest.test_case "pinned journal bytes" `Quick journal_pin ] ) ]

@@ -559,6 +559,67 @@ let opess_occurrence_cipher () =
   Alcotest.check_raises "unknown value" Not_found (fun () ->
       ignore (Secure.Opess.occurrence_cipher cat ~value:"w" ~occurrence:0))
 
+(* What the server indexes is a function of these three; a patched
+   catalog that agrees on them is indistinguishable from a fresh one. *)
+let same_catalog a b =
+  Secure.Opess.entries a = Secure.Opess.entries b
+  && Secure.Opess.chunk_parameter a = Secure.Opess.chunk_parameter b
+  && Secure.Opess.key_count a = Secure.Opess.key_count b
+
+(* One single-edit histogram transition per case: a random numeric or
+   categorical histogram, then one of six edits — an occurrence moved to
+   a new value, a value added, a value removed, a count bumped, a new
+   minimum, a new maximum.  Fresh values are derived from existing ones
+   ("12" -> "12.5", "k012" -> "k012m") so they land between neighbours. *)
+let opess_patch_equals_build =
+  QCheck.Test.make ~name:"opess patch after one edit = fresh build" ~count:300
+    QCheck.(
+      quad bool
+        (list_of_size Gen.(1 -- 40) (pair (int_range 0 500) (int_range 1 60)))
+        (int_range 0 5)
+        (pair small_nat (int_range 1 60)))
+    (fun (numeric, raw, edit, (pick, count)) ->
+      let render v = if numeric then string_of_int v else Printf.sprintf "k%03d" v in
+      let by_value (a, _) (b, _) = String.compare a b in
+      let histogram =
+        List.sort_uniq (fun (a, _) (b, _) -> compare a b) raw
+        |> List.map (fun (v, c) -> render v, c)
+        |> List.sort by_value
+      in
+      let n = List.length histogram in
+      let v_i, c_i = List.nth histogram (pick mod n) in
+      let fresh_near v = if numeric then v ^ ".5" else v ^ "m" in
+      let without v = List.filter (fun (w, _) -> not (String.equal v w)) histogram in
+      let edited =
+        match edit with
+        | 0 ->
+          let target, _ = List.nth histogram ((pick + count) mod n) in
+          let rest = if c_i > 1 then (v_i, c_i - 1) :: without v_i else without v_i in
+          (fresh_near target, 1) :: rest
+        | 1 -> (fresh_near v_i, count) :: histogram
+        | 2 -> without v_i
+        | 3 -> (v_i, c_i + 1) :: without v_i
+        | 4 -> ((if numeric then string_of_int (-1 - pick) else "a"), count) :: histogram
+        | _ -> ((if numeric then string_of_int (1000 + pick) else "z"), count) :: histogram
+      in
+      let edited = List.sort by_value edited in
+      let key = "opess-patch" in
+      let build h = Secure.Opess.build ~key ~attr_id:9 ~tag:"p" h in
+      same_catalog (Secure.Opess.patch ~key (build histogram) edited) (build edited))
+
+let opess_patch_unchanged_is_identity () =
+  (* The histogram arrives sorted by string; a numeric catalog is in
+     numeric order, and for these values the two orders differ. *)
+  List.iter
+    (fun histogram ->
+      let key = "opess-same" in
+      let cat = Secure.Opess.build ~key ~attr_id:2 ~tag:"coverage" histogram in
+      Alcotest.(check bool)
+        (String.concat "," (List.map fst histogram) ^ " reused as-is")
+        true
+        (Secure.Opess.patch ~key cat histogram == cat))
+    [ [ "10000", 4; "1000000", 2; "5000", 7 ]; [ "apple", 7; "banana", 3; "cherry", 9 ] ]
+
 (* --- Metadata ----------------------------------------------------- *)
 
 let metadata_build () =
@@ -788,8 +849,11 @@ let () =
           Alcotest.test_case "scaling" `Quick opess_scaling;
           Alcotest.test_case "categorical domains" `Quick opess_categorical;
           Alcotest.test_case "negative numeric domains" `Quick opess_negative_numbers;
-          Alcotest.test_case "occurrence ciphers" `Quick opess_occurrence_cipher ]
-        @ List.map QCheck_alcotest.to_alcotest [ opess_properties ] );
+          Alcotest.test_case "occurrence ciphers" `Quick opess_occurrence_cipher;
+          Alcotest.test_case "unchanged histogram reuses the catalog" `Quick
+            opess_patch_unchanged_is_identity ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ opess_properties; opess_patch_equals_build ] );
       ( "audit",
         [ Alcotest.test_case "deterministic requests" `Quick
             audit_deterministic_requests;

@@ -216,15 +216,25 @@ let every_sensitive_node_encrypted () =
     (fun kind ->
       let sys, _ = System.setup doc scs kind in
       let scheme = System.scheme sys in
+      let covered = Scheme.coverage doc scheme in
+      (* The coverage array agrees with an ancestor scan over the block
+         roots, node by node. *)
+      let in_some_block n =
+        List.exists
+          (fun r -> r = n || Xmlcore.Doc.is_ancestor doc r n)
+          scheme.Scheme.block_roots
+      in
+      Xmlcore.Doc.iter doc (fun n ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s coverage of node %d" (Scheme.kind_to_string kind) n)
+            (in_some_block n) covered.(n));
       (* Node-type SCs: every binding inside a block. *)
       List.iter
         (fun sc ->
           match sc with
           | Sc.Node_type p ->
             List.iter
-              (fun x ->
-                Alcotest.(check bool) "binding encrypted" true
-                  (Scheme.in_some_block doc scheme x))
+              (fun x -> Alcotest.(check bool) "binding encrypted" true covered.(x))
               (Xpath.Eval.eval doc p)
           | Sc.Association _ -> ())
         scs)

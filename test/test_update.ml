@@ -472,6 +472,31 @@ let random_edits_stay_consistent =
         [ Printf.sprintf "//patient[age=%d]/pname" new_age;
           "//patient[age>=50]/SSN"; "//pname" ])
 
+(* [apply_plan] trusts its plan to describe the hosting's document; a
+   plan made before another edit landed (here it no longer matches the
+   node count) must not be applied against the wrong node ids.  It falls
+   back to re-hosting the plan's edit on the current document. *)
+let delta_stale_plan_rehosts () =
+  let sys, _ = fresh_system () in
+  let stale =
+    Update.delta (System.doc sys) (Update.Set_value (parse "//patient[pname='Betty']/age", "77"))
+  in
+  let sys2, _ =
+    System.apply_delta sys
+      (Update.Insert_child
+         { parent = parse "//patient[pname='Matt']"; position = 0;
+           subtree = Tree.leaf "remark" "new" })
+  in
+  let sys3, cost = System.apply_plan sys2 stale ~plan_ms:0.0 in
+  Alcotest.(check bool) "stale plan fell back" true cost.System.fell_back;
+  let values q =
+    List.filter_map (Doc.value (System.doc sys3)) (Xpath.Eval.eval (System.doc sys3) (parse q))
+  in
+  Alcotest.(check (list string)) "edit applied to the current document" [ "77" ]
+    (values "//patient[pname='Betty']/age");
+  Alcotest.(check (list string)) "the earlier edit kept" [ "new" ] (values "//remark");
+  check_delta_equiv "stale plan" sys3 ("//remark" :: health_queries)
+
 let () =
   Alcotest.run "update"
     [ ( "edits",
@@ -489,7 +514,8 @@ let () =
         [ Alcotest.test_case "delete last node of a block" `Quick
             delta_delete_last_block_node;
           Alcotest.test_case "insert into an empty tag group" `Quick
-            delta_insert_into_empty_group ]
+            delta_insert_into_empty_group;
+          Alcotest.test_case "stale plan re-hosts" `Quick delta_stale_plan_rehosts ]
         @ List.map QCheck_alcotest.to_alcotest [ delta_interleaving_agrees ] );
       ( "dsi gaps",
         Alcotest.test_case "between siblings" `Quick gap_insertion_between_siblings
