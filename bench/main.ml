@@ -1744,11 +1744,8 @@ let micro () =
   let open Toolkit in
   (* Fixtures. *)
   let doc_10k = Workload.Xmark.generate ~persons:700 () in
-  let assignment = Dsi.Assign.assign ~key:"bench" doc_10k in
-  let intervals =
-    List.init (Xmlcore.Doc.node_count doc_10k) (Dsi.Assign.interval assignment)
-  in
-  let people = List.filteri (fun i _ -> i mod 13 = 0) intervals in
+  let every_node = Array.init (Xmlcore.Doc.node_count doc_10k) Fun.id in
+  let people = Array.of_seq (Seq.filter (fun i -> i mod 13 = 0) (Array.to_seq every_node)) in
   let big_hist =
     List.init 300 (fun i -> Printf.sprintf "%05d" i, 3 + (i mod 40))
   in
@@ -1790,6 +1787,30 @@ let micro () =
   let xmark_1500_blocks =
     (Secure.Encrypt.encrypt ~keys:block_keys xmark_1500 xmark_1500_scheme).Secure.Encrypt.blocks
   in
+  (* The sel workload's hosting (NASA, 500 datasets): one child step
+     over its DSI universe, and one selective read's post-processing. *)
+  let nasa_sys, _ =
+    Secure.System.setup ~master:"bench"
+      (Workload.Nasa.generate ~datasets:500 ())
+      (Workload.Nasa.constraints ()) Secure.Scheme.Opt
+  in
+  let nasa_server = Secure.System.server nasa_sys in
+  let nasa_client = Secure.System.client nasa_sys in
+  let nasa_row tag =
+    match (Secure.Client.translate nasa_client (Xpath.Parser.parse ("//" ^ tag))).Secure.Squery.steps with
+    | step :: _ -> Secure.Server.lookup nasa_server step.Secure.Squery.test
+    | [] -> []
+  in
+  let nasa_datasets = nasa_row "dataset" and nasa_titles = nasa_row "title" in
+  let nasa_query = Xpath.Parser.parse "//dataset[age>=39]//last" in
+  let nasa_decrypted =
+    let response =
+      Secure.Server.answer nasa_server (Secure.Client.translate nasa_client nasa_query)
+    in
+    List.map
+      (fun b -> b.Secure.Encrypt.id, Secure.Client.decrypt_block nasa_client b)
+      response.Secure.Server.blocks
+  in
   let tests =
     Test.make_grouped ~name:"primitives"
       [ Test.make ~name:"hmac-prepared-96B"
@@ -1810,7 +1831,15 @@ let micro () =
           (Staged.stage (fun () -> Dsi.Assign.assign ~key:"x" doc_10k));
         Test.make ~name:"structural-join-10k"
           (Staged.stage (fun () ->
-               Dsi.Join.descendants_within ~ancestors:people intervals));
+               Xmlcore.Forest.join (Xmlcore.Doc.forest doc_10k) Xmlcore.Forest.Descendant
+                 people every_node));
+        Test.make ~name:"child-join-nasa-500"
+          (Staged.stage (fun () ->
+               Secure.Server.join_forward nasa_server (Some nasa_datasets) Xpath.Ast.Child
+                 nasa_titles));
+        Test.make ~name:"postprocess-nasa-500"
+          (Staged.stage (fun () ->
+               Secure.Client.evaluate_with nasa_client ~decrypted:nasa_decrypted nasa_query));
         Test.make ~name:"opess-build-300-values"
           (Staged.stage (fun () ->
                Secure.Opess.build ~key:"b" ~attr_id:0 ~tag:"v" big_hist));

@@ -36,95 +36,36 @@ let application_order plan_order n =
   done;
   picked @ !missed
 
-let step_plans plan n =
-  let arr = Array.of_list plan.Plan.steps in
-  fun i -> if i < Array.length arr && i < n then Some arr.(i) else None
-
-(* Evaluate [squery] under [plan], delegating every join, predicate
-   and block-selection decision to {!Secure.Server}'s own primitives —
-   the plan only changes the order work happens in, so the shipped
-   block set stays a superset of what the client needs (the pivot
-   back-propagation removes only candidates with no successor, which
-   can support no answer). *)
+(* Run [squery] under [plan] through the server's own forward pass: the
+   plan only changes the order work happens in, so the shipped block set
+   stays a superset of what the client needs. *)
 let run server plan (squery : Squery.path) =
-  let state = Server.new_state () in
-  let steps = Array.of_list squery.Squery.steps in
-  let n = Array.length steps in
-  let plan_of = step_plans plan n in
-  let seeds = Array.map (fun s -> Server.lookup server s.Squery.test) steps in
-  let pivot = plan.Plan.pivot in
-  let pre_applied = Hashtbl.create 4 in
-  if pivot > 0 && pivot < n then begin
-    (* Hoist the pivot's own value-range predicates... *)
-    (match plan_of pivot with
-     | None -> ()
-     | Some sp ->
-       List.iter
-         (fun j ->
-           match List.nth_opt steps.(pivot).Squery.predicates j with
-           | Some (Squery.Value (q, Squery.Ranges ranges))
-             when q.Squery.steps = [] ->
-             let targets, touched = Server.btree_targets server ranges in
-             Server.add_hits state touched;
-             seeds.(pivot) <- Server.filter_by_targets server seeds.(pivot) targets;
-             Hashtbl.replace pre_applied j ()
-           | Some _ | None -> ())
-         sp.Plan.pre_applied);
-    (* ...then back-propagate the tightened pivot so every earlier
-       step's forward join starts from a smaller seed. *)
-    for j = pivot downto 1 do
-      seeds.(j - 1) <-
-        Server.join_backward server seeds.(j - 1) steps.(j).Squery.axis seeds.(j)
-    done
-  end;
-  let reports = ref [] in
-  let rec forward origin i =
-    if i >= n then []
-    else begin
-      let step = steps.(i) in
-      let joined = Server.join_forward server origin step.Squery.axis seeds.(i) in
-      let pred_arr = Array.of_list step.Squery.predicates in
-      let order =
-        match plan_of i with
-        | None -> Plan.identity_order (Array.length pred_arr)
-        | Some sp -> application_order sp.Plan.pred_order (Array.length pred_arr)
-      in
-      let preds =
-        List.filter_map
-          (fun j ->
-            (* At the pivot, predicates hoisted before back-propagation
-               must not apply twice. *)
-            if i = pivot && Hashtbl.mem pre_applied j then None
-            else Some pred_arr.(j))
-          order
-      in
-      let filtered =
-        List.fold_left
-          (fun cands p -> Server.filter_by_predicate server state cands p)
-          joined preds
-      in
-      Server.register state filtered;
-      (let estimated =
-         match plan_of i with Some sp -> sp.Plan.est_selected | None -> 0.0
-       in
-       reports :=
-         { index = i;
-           axis = step.Squery.axis;
-           estimated;
-           actual_raw = List.length seeds.(i);
-           surviving = List.length filtered }
-         :: !reports);
-      filtered :: forward (Some filtered) (i + 1)
-    end
+  let steps = Array.of_list plan.Plan.steps in
+  let step_plan i = if i >= 0 && i < Array.length steps then Some steps.(i) else None in
+  let order i n =
+    match step_plan i with
+    | None -> Plan.identity_order n
+    | Some sp -> application_order sp.Plan.pred_order n
   in
-  let levels = forward None 0 in
-  let distinguished =
-    match List.rev levels with
-    | last :: _ -> last
-    | [] -> []
+  let hoisted =
+    match step_plan plan.Plan.pivot with
+    | Some sp -> sp.Plan.pre_applied
+    | None -> []
   in
-  let response =
-    Server.select_blocks server ~witnesses:state.Server.witnesses ~distinguished
-      ~candidate_intervals:state.Server.touched ~btree_hits:state.Server.hits
+  let response, reports =
+    Server.answer_planned server { Server.pivot = plan.Plan.pivot; hoisted; order } squery
   in
-  { response; steps = List.rev !reports }
+  let steps =
+    List.map
+      (fun (r : Server.step_report) ->
+        { index = r.Server.step_index;
+          axis = r.Server.axis;
+          estimated =
+            (match step_plan r.Server.step_index with
+             | Some sp -> sp.Plan.est_selected
+             | None -> 0.0);
+          actual_raw = r.Server.raw_candidates;
+          surviving = r.Server.surviving_candidates })
+      reports
+  in
+  { response; steps }

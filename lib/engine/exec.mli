@@ -4,11 +4,10 @@
     {!Secure.Server.answer} — and an answer-equivalent one: every block
     a correct final answer needs is shipped — but follows the plan's
     order: the pivot's value-range predicates are hoisted, the
-    tightened pivot back-propagates through
-    {!Secure.Server.join_backward} to shrink earlier seeds, and each
-    step's predicates apply in the plan's order.  All candidate
-    decisions are delegated to {!Secure.Server} primitives, so the
-    engine introduces no second implementation of join semantics. *)
+    tightened pivot back-propagates to shrink earlier seeds, and each
+    step's predicates apply in the plan's order.  The plan is handed to
+    {!Secure.Server.answer_planned}, the server's one forward pass, so
+    the engine holds no join or step loop of its own. *)
 
 type step_actual = {
   index : int;

@@ -8,9 +8,7 @@ type t = {
   indexed : (string, unit) Hashtbl.t;  (* value-indexed attributes *)
   encrypted_tags : (string, unit) Hashtbl.t;
   plaintext_tags : (string, unit) Hashtbl.t;
-  skeleton : Tree.t;
-  skeleton_doc : Doc.t;
-  anchors : (int * Doc.node) list;  (* block id -> placeholder node *)
+  skeleton : Composite.skeleton;
 }
 
 let keys t = t.keys
@@ -39,9 +37,7 @@ let create ~keys meta db =
     indexed;
     encrypted_tags = set_of db.Encrypt.encrypted_tags;
     plaintext_tags = set_of db.Encrypt.plaintext_tags;
-    skeleton = db.Encrypt.skeleton;
-    skeleton_doc;
-    anchors }
+    skeleton = Composite.prepare skeleton_doc ~anchors }
 
 (* ------------------------------------------------------------------ *)
 (* Translation                                                         *)
@@ -133,7 +129,7 @@ let decrypt_block t b = Encrypt.decrypt_block ~keys:t.keys b
 let decrypt_blocks t blocks = List.map (decrypt_block t) blocks
 
 let composite t ~decrypted =
-  Composite.create ~skeleton:t.skeleton_doc ~anchors:t.anchors
+  Composite.create t.skeleton
     ~blocks:(List.map (fun (id, tree) -> id, Doc.of_tree tree) decrypted)
 
 let evaluate_with t ~decrypted query =

@@ -68,18 +68,18 @@ let decompose ~m n =
         List.init k3 (fun _ -> m + 1) ]
   end
 
-(* Map the histogram's values onto the number line: numerically when
-   every value parses as a number, by lexicographic rank otherwise (the
-   client keeps the rank mapping — it is this catalog). *)
-let numeric_positions histogram =
-  let numeric =
+(* Map the histogram's values onto the number line: by their numbers
+   when every value parses as one, by lexicographic rank otherwise (the
+   client keeps the rank mapping — it is this catalog).  [None] asks
+   for ranks. *)
+let positions ~numeric histogram =
+  let numbers =
     List.filter_map
-      (fun (v, n) ->
-        Option.map (fun num -> v, num, n) (float_of_string_opt v))
+      (fun (v, n) -> Option.map (fun num -> v, num, n) (float_of_string_opt v))
       histogram
   in
-  if List.length numeric = List.length histogram then
-    List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) numeric
+  if numeric && List.length numbers = List.length histogram then
+    List.sort (fun (_, a, _) (_, b, _) -> Float.compare a b) numbers
   else
     List.sort (fun (a, _) (b, _) -> String.compare a b) histogram
     |> List.mapi (fun i (v, n) -> v, float_of_int i, n)
@@ -103,8 +103,8 @@ type layout = {
   points : int64 list list;   (* per value, chunk domain points *)
 }
 
-let layout ~key histogram =
-  let positioned = numeric_positions histogram in
+let rec layout ?(numeric = true) ~key histogram =
+  let positioned = positions ~numeric histogram in
   let counts = List.map (fun (_, _, n) -> n) positioned in
   let m = choose_m counts in
   let sizes = List.map (fun n -> decompose ~m n) counts in
@@ -149,12 +149,20 @@ let layout ~key histogram =
     List.fold_left (List.fold_left Float.max) (lo +. 1.0) displaced
   in
   let fixscale = (Int64.to_float (Int64.shift_left 1L domain_bits) -. 2.0) /. (hi -. lo) in
-  let to_domain x =
-    let mapped = Int64.of_float (Float.round ((x -. lo) *. fixscale)) in
-    assert (mapped >= 0L);
-    mapped
+  let to_domain x = Int64.of_float (Float.round ((x -. lo) *. fixscale)) in
+  let points = List.map (List.map to_domain) displaced in
+  (* Numbers that are not finite, or whose spread overflows or swamps
+     the domain, give points that are negative or fail to climb within
+     a value; such an attribute is ranked instead.  A layout that does
+     not fail keeps its numbers, so finite catalogs are unchanged. *)
+  let rec climbs = function
+    | a :: (b :: _ as rest) -> a < b && climbs rest
+    | [ _ ] | [] -> true
   in
-  { positioned; m; num_keys; sizes; points = List.map (List.map to_domain) displaced }
+  if numeric
+     && not (Float.is_finite (hi -. lo) && List.for_all (fun ps -> climbs (-1L :: ps)) points)
+  then layout ~numeric:false ~key histogram
+  else { positioned; m; num_keys; sizes; points }
 
 let ope_of ~key =
   Crypto.Ope.create ~key:(Crypto.Sha256.digest (key ^ "\x00ope")) ~domain_bits

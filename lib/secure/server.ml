@@ -17,21 +17,24 @@ module M = struct
   let btree_hits = Obs.Metric.counter reg "server.btree_hits" ~help:"value-index entries touched"
 end
 
-(* Invariant: every interval list in [table] is sorted by
-   {!Interval.compare_by_lo} and duplicate-free — the sort is hoisted
-   into {!create} so per-step lookups need not re-sort (single-token
-   lookups, the common case, return the stored list as-is). *)
+module Forest = Xmlcore.Forest
+
+(* The DSI table as a join forest (see {!Dsi.Universe}): every table
+   row and block representative is a node set of universe positions,
+   built once here.  Every join, filter and block selection of a read
+   then runs on {!Forest}, touching its inputs and nothing more of the
+   universe.  Nothing in [t] is mutated after [create], so pool workers
+   share it freely. *)
 type t = {
-  table : (string, Interval.t list) Hashtbl.t;
-  counts : (string, int) Hashtbl.t;    (* per-token interval counts *)
-  universe : Interval.t list;          (* wildcard candidates *)
-  universe_count : int;
-  prepared : Dsi.Join.universe;        (* for child-axis joins *)
-  block_table : (int * Interval.t) list;
-  reps_prepared : Dsi.Join.universe;   (* block representatives, sorted once *)
-  rep_by_id : (int, Interval.t) Hashtbl.t;
-  id_by_rep : (float * float, int) Hashtbl.t;
+  table : (string, int array) Hashtbl.t;  (* token key -> its intervals *)
+  universe : Dsi.Universe.t;               (* every table interval, once *)
+  forest : Forest.t;
+  any : int array;                         (* every position: the wildcard *)
+  reps : int array;                        (* block representatives, sorted *)
+  rep_ids : int array;                     (* block id of each [reps] entry *)
+  rep_of_id : (int, int) Hashtbl.t;        (* block id -> representative *)
   blocks_by_id : (int, Encrypt.block) Hashtbl.t;
+  block_count : int;
   btree : Metadata.target Btree.t;
   trace : Obs.Trace.t;   (* disabled no-op tracer unless one is injected *)
 }
@@ -45,38 +48,34 @@ type response = {
 
 let create ?trace ~dsi_table ~block_table ~btree ~blocks () =
   let trace = match trace with Some t -> t | None -> Obs.Trace.create () in
+  let universe, rows = Dsi.Universe.index (Array.of_list (List.map snd dsi_table)) in
   let table = Hashtbl.create (List.length dsi_table) in
-  let counts = Hashtbl.create (List.length dsi_table) in
-  List.iter
-    (fun (key, ivs) ->
-      (* Establish the sortedness invariant once, at build time. *)
-      let ivs = List.sort_uniq Interval.compare_by_lo ivs in
-      Hashtbl.replace table key ivs;
-      Hashtbl.replace counts key (List.length ivs))
-    dsi_table;
-  let universe =
-    List.sort Interval.compare_by_lo (List.concat_map snd dsi_table)
+  List.iteri (fun r (key, _) -> Hashtbl.replace table key rows.(r)) dsi_table;
+  let rep_of_id = Hashtbl.create (List.length block_table) in
+  let reps =
+    Array.of_list
+      (List.map
+         (fun (id, rep) ->
+           match Dsi.Universe.position universe rep with
+           | Some p ->
+             Hashtbl.replace rep_of_id id p;
+             p, id
+           | None ->
+             invalid_arg "Server.create: a block representative is not a DSI-table interval")
+         block_table)
   in
-  let prepared = Dsi.Join.prepare_universe universe in
+  Array.sort (fun (p, _) (q, _) -> Int.compare p q) reps;
   let blocks_by_id = Hashtbl.create (List.length blocks) in
   List.iter (fun b -> Hashtbl.replace blocks_by_id b.Encrypt.id b) blocks;
-  let rep_by_id = Hashtbl.create (List.length block_table) in
-  let id_by_rep = Hashtbl.create (List.length block_table) in
-  List.iter
-    (fun (id, rep) ->
-      Hashtbl.replace rep_by_id id rep;
-      Hashtbl.replace id_by_rep (rep.Interval.lo, rep.Interval.hi) id)
-    block_table;
   { table;
-    counts;
     universe;
-    universe_count = List.length universe;
-    prepared;
-    block_table;
-    reps_prepared = Dsi.Join.prepare_universe (List.map snd block_table);
-    rep_by_id;
-    id_by_rep;
+    forest = Dsi.Universe.forest universe;
+    any = Array.init (Dsi.Universe.size universe) Fun.id;
+    reps = Array.map fst reps;
+    rep_ids = Array.map snd reps;
+    rep_of_id;
     blocks_by_id;
+    block_count = List.length block_table;
     btree;
     trace }
 
@@ -99,113 +98,56 @@ let stored_bytes t = block_bytes (all_blocks t)
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                    *)
 
-let lookup t = function
-  | Squery.Any -> t.universe
-  | Squery.Tokens [ token ] ->
-    (* Fast path: table entries are sorted and duplicate-free already
-       (see {!create}), so the stored list is returned as-is. *)
-    Option.value ~default:[] (Hashtbl.find_opt t.table (Metadata.token_key token))
-  | Squery.Tokens tokens ->
-    (* Multi-token tests (attribute Enc over several scramblings) still
-       need one merge pass over the per-token sorted lists. *)
-    List.concat_map
-      (fun token ->
-        Option.value ~default:[] (Hashtbl.find_opt t.table (Metadata.token_key token)))
-      tokens
-    |> List.sort_uniq Interval.compare_by_lo
+let row t token =
+  Option.value ~default:[||] (Hashtbl.find_opt t.table (Metadata.token_key token))
 
-(* Candidate count of a test without materialising the merge — the
+(* A test's candidates: one stored row, or the union of several
+   (attribute Enc over several scramblings). *)
+let seed t = function
+  | Squery.Any -> t.any
+  | Squery.Tokens [ token ] -> row t token
+  | Squery.Tokens tokens -> Forest.of_unsorted (Array.concat (List.map (row t) tokens))
+
+(* Candidate count of a test without materialising the union — the
    planner's selectivity input.  Multi-token sums may double-count
    intervals shared between tokens; as an estimate that is fine. *)
 let test_count t = function
-  | Squery.Any -> t.universe_count
+  | Squery.Any -> Array.length t.any
   | Squery.Tokens tokens ->
-    List.fold_left
-      (fun acc token ->
-        acc
-        + Option.value ~default:0 (Hashtbl.find_opt t.counts (Metadata.token_key token)))
-      0 tokens
+    List.fold_left (fun acc token -> acc + Array.length (row t token)) 0 tokens
 
-(* Document-order axes over intervals: [m] follows [o] iff m.lo > o.hi,
-   precedes iff m.hi < o.lo.  Grouped hulls can hide the relationship
-   inside a single interval, so candidates equal to or containing an
-   origin are kept as well (supersets only — the client filters). *)
-let after_subtrees origins candidates =
-  let min_hi =
-    List.fold_left (fun acc o -> Float.min acc o.Interval.hi) infinity origins
-  in
-  let related = Dsi.Join.ancestors_of_some ~descendants:origins candidates in
-  let related_set = Hashtbl.create 32 in
-  List.iter
-    (fun c -> Hashtbl.replace related_set (c.Interval.lo, c.Interval.hi) ())
-    related;
-  List.iter
-    (fun o -> Hashtbl.replace related_set (o.Interval.lo, o.Interval.hi) ())
-    origins;
-  List.filter
-    (fun c ->
-      c.Interval.lo > min_hi || Hashtbl.mem related_set (c.Interval.lo, c.Interval.hi))
-    candidates
+(* The kernel axes, widened by the superset rules of grouped hulls: a
+   table interval can hide an anchor and its follower, so sibling joins
+   keep candidates equal to an origin, and following/preceding keep
+   candidates equal to or containing one.  The client filters the
+   false positives after decryption. *)
+let related t axis origins cands =
+  match axis with
+  | Forest.Following_sibling | Forest.Preceding_sibling ->
+    Forest.join ~self:true t.forest axis origins cands
+  | Forest.Following | Forest.Preceding ->
+    Forest.union
+      (Forest.join t.forest axis origins cands)
+      (Forest.join ~self:true t.forest Forest.Ancestor origins cands)
+  | Forest.Child | Forest.Parent | Forest.Descendant | Forest.Ancestor ->
+    Forest.join t.forest axis origins cands
 
-let before_subtrees origins candidates =
-  let max_lo =
-    List.fold_left (fun acc o -> Float.max acc o.Interval.lo) neg_infinity origins
-  in
-  let related = Dsi.Join.ancestors_of_some ~descendants:origins candidates in
-  let related_set = Hashtbl.create 32 in
-  List.iter
-    (fun c -> Hashtbl.replace related_set (c.Interval.lo, c.Interval.hi) ())
-    related;
-  List.iter
-    (fun o -> Hashtbl.replace related_set (o.Interval.lo, o.Interval.hi) ())
-    origins;
-  List.filter
-    (fun c ->
-      c.Interval.hi < max_lo || Hashtbl.mem related_set (c.Interval.lo, c.Interval.hi))
-    candidates
-
-(* Join a step's raw candidates against the surviving origin set.
-   [origin = None] is the virtual document node of an absolute path. *)
-let join_forward t origin axis candidates =
+(* [origin = None] is the virtual document node of an absolute path:
+   its children are the top-level intervals. *)
+let forward t origin axis cands =
   match origin, axis with
-  | None, Xpath.Ast.Descendant_or_self -> candidates
+  | None, Xpath.Ast.Descendant_or_self -> cands
   | None, Xpath.Ast.Child ->
-    (* Top-level intervals: contained in no other table interval. *)
-    Dsi.Join.children_within ~universe:t.prepared ~parents:[ Interval.make (-1.0) 2.0 ]
-      candidates
+    Array.of_seq (Seq.filter (fun p -> Forest.parent t.forest p < 0) (Array.to_seq cands))
   | None, ( Xpath.Ast.Parent | Xpath.Ast.Following_sibling
           | Xpath.Ast.Preceding_sibling | Xpath.Ast.Following
           | Xpath.Ast.Preceding ) ->
-    [] (* the virtual document node has none of these *)
-  | Some origins, Xpath.Ast.Descendant_or_self ->
-    Dsi.Join.descendants_within ~ancestors:origins candidates
-  | Some origins, Xpath.Ast.Child ->
-    Dsi.Join.children_within ~universe:t.prepared ~parents:origins candidates
-  | Some origins, Xpath.Ast.Parent ->
-    Dsi.Join.parents_of_some ~universe:t.prepared ~children:origins candidates
-  | Some origins, Xpath.Ast.Following_sibling ->
-    Dsi.Join.following_siblings_within ~universe:t.prepared ~anchors:origins candidates
-  | Some origins, Xpath.Ast.Preceding_sibling ->
-    Dsi.Join.preceding_siblings_within ~universe:t.prepared ~anchors:origins candidates
-  | Some origins, Xpath.Ast.Following -> after_subtrees origins candidates
-  | Some origins, Xpath.Ast.Preceding -> before_subtrees origins candidates
+    [||]
+  | Some origins, _ -> related t (Xpath.Nav.forest_axis axis) origins cands
 
-(* Tighten [origin] to the members with a surviving successor. *)
-let join_backward t origins axis survivors =
-  match axis with
-  | Xpath.Ast.Descendant_or_self ->
-    Dsi.Join.ancestors_of_some ~descendants:survivors origins
-  | Xpath.Ast.Child ->
-    Dsi.Join.parents_of_some ~universe:t.prepared ~children:survivors origins
-  | Xpath.Ast.Parent ->
-    (* survivors are parents of qualifying origins *)
-    Dsi.Join.children_within ~universe:t.prepared ~parents:survivors origins
-  | Xpath.Ast.Following_sibling ->
-    Dsi.Join.anchors_of_following ~universe:t.prepared ~followers:survivors origins
-  | Xpath.Ast.Preceding_sibling ->
-    Dsi.Join.anchors_of_preceding ~universe:t.prepared ~predecessors:survivors origins
-  | Xpath.Ast.Following -> before_subtrees survivors origins
-  | Xpath.Ast.Preceding -> after_subtrees survivors origins
+(* Tighten [origins] to the members with a surviving successor. *)
+let backward t origins axis survivors =
+  related t (Forest.inverse (Xpath.Nav.forest_axis axis)) survivors origins
 
 (* Allowed targets of a value constraint: union of B-tree range scans. *)
 let btree_targets t ranges =
@@ -220,131 +162,32 @@ let btree_targets t ranges =
   in
   targets, !hits
 
-let rep_interval t id = Hashtbl.find t.rep_by_id id
-
 (* Keep candidates compatible with at least one allowed target: equal
-   to an allowed plaintext-leaf interval, or equal to / contained in an
-   allowed block's representative interval.  Equality goes through a
-   hash set and containment through one sweep, so the cost is
-   O((candidates + targets) log) rather than candidates × targets. *)
-let filter_by_targets t candidates targets =
-  let exact = Hashtbl.create 64 in
-  let reps = ref [] in
-  List.iter
-    (fun target ->
-      match target with
-      | Metadata.To_plain iv -> Hashtbl.replace exact (iv.Interval.lo, iv.Interval.hi) ()
-      | Metadata.To_block id ->
-        let rep = rep_interval t id in
-        Hashtbl.replace exact (rep.Interval.lo, rep.Interval.hi) ();
-        reps := rep :: !reps)
-    targets;
-  let inside = Hashtbl.create 64 in
-  (* [descendants_within] sorts its ancestor side internally and the
-     sweep tolerates duplicates, so no pre-sort of [!reps] is needed. *)
-  List.iter
-    (fun c -> Hashtbl.replace inside (c.Interval.lo, c.Interval.hi) ())
-    (Dsi.Join.descendants_within ~ancestors:!reps candidates);
-  List.filter
-    (fun c ->
-      let key = c.Interval.lo, c.Interval.hi in
-      Hashtbl.mem exact key || Hashtbl.mem inside key)
-    candidates
+   to an allowed plaintext leaf, or equal to / inside an allowed
+   block's representative.  A plaintext leaf has nothing below it, so
+   both are one descendant-or-self join from the targets' positions. *)
+let filter t cands targets =
+  let roots =
+    List.filter_map
+      (function
+        | Metadata.To_plain iv -> Dsi.Universe.position t.universe iv
+        | Metadata.To_block id -> Hashtbl.find_opt t.rep_of_id id)
+      targets
+  in
+  Forest.join ~self:true t.forest Forest.Descendant
+    (Forest.of_unsorted (Array.of_list roots)) cands
 
-type eval_state = {
-  mutable touched : int;     (* surviving intervals, summed over query nodes *)
-  mutable hits : int;        (* B-tree entries touched *)
-  mutable witnesses : Interval.t list;  (* all surviving intervals, for block selection *)
+(* The server's forward pass, with the plan inputs of
+   {!module:Engine}: the pivot's hoisted self value-range predicates
+   run first and the tightened pivot back-propagates to earlier seeds;
+   each step then applies its predicates in the plan's order. *)
+type plan = {
+  pivot : int;
+  hoisted : int list;
+  order : int -> int -> int list;
 }
 
-let new_state () = { touched = 0; hits = 0; witnesses = [] }
-
-let add_hits state n = state.hits <- state.hits + n
-
-let register state survivors =
-  state.touched <- state.touched + List.length survivors;
-  state.witnesses <- List.rev_append survivors state.witnesses
-
-(* Forward pass over [steps] from [origin]; returns the per-step
-   surviving candidate lists (in step order). *)
-let rec forward t state origin steps =
-  match steps with
-  | [] -> []
-  | step :: rest ->
-    let raw = lookup t step.Squery.test in
-    let joined = join_forward t origin step.Squery.axis raw in
-    let filtered =
-      List.fold_left (fun cands pred -> filter_by_predicate t state cands pred) joined
-        step.Squery.predicates
-    in
-    register state filtered;
-    filtered :: forward t state (Some filtered) rest
-
-(* Filter a candidate set by one predicate, with back-propagation
-   through the predicate's chain. *)
-and filter_by_predicate t state candidates pred =
-  match pred with
-  | Squery.P_and (a, b) ->
-    filter_by_predicate t state (filter_by_predicate t state candidates a) b
-  | Squery.P_or (a, b) ->
-    (* Union of the branch survivors (candidates stay a superset). *)
-    let left = filter_by_predicate t state candidates a in
-    let right = filter_by_predicate t state candidates b in
-    let seen = Hashtbl.create 64 in
-    List.iter
-      (fun c -> Hashtbl.replace seen (c.Interval.lo, c.Interval.hi) ())
-      left;
-    left
-    @ List.filter
-        (fun c -> not (Hashtbl.mem seen (c.Interval.lo, c.Interval.hi)))
-        right
-  | Squery.P_not inner ->
-    (* Negation cannot prune soundly when the inner filter is itself a
-       superset approximation; walk the inner predicate only for its
-       statistics/witnesses and keep every candidate. *)
-    ignore (filter_by_predicate t state candidates inner);
-    candidates
-  | Squery.Exists q -> chain_filter t state candidates q None
-  | Squery.Value (q, Squery.Unknown) ->
-    (* Unindexed attribute: the server cannot prune on the value, but
-       the structural part of the chain still applies. *)
-    if q.Squery.steps = [] then candidates
-    else chain_filter t state candidates q None
-  | Squery.Value (q, Squery.Ranges ranges) ->
-    let targets, hits = btree_targets t ranges in
-    state.hits <- state.hits + hits;
-    if q.Squery.steps = [] then filter_by_targets t candidates targets
-    else chain_filter t state candidates q (Some targets)
-
-(* [chain_filter t state candidates q targets] keeps the candidates
-   that can reach, through q's chain, a final node compatible with
-   [targets] (when given): forward pass down the chain, target filter
-   at the bottom, backward tightening up to the candidates. *)
-and chain_filter t state candidates q targets =
-  let levels = forward t state (Some candidates) q.Squery.steps in
-  match levels with
-  | [] -> candidates (* self path: a Value on self is handled by the caller *)
-  | _ ->
-    let last = List.nth levels (List.length levels - 1) in
-    let last =
-      match targets with
-      | None -> last
-      | Some ts -> filter_by_targets t last ts
-    in
-    (* Level i was joined from level i-1 (level 0 = candidates) via the
-       axis of step i; walk back from the deepest survivors. *)
-    let rev_axes = List.rev (List.map (fun s -> s.Squery.axis) q.Squery.steps) in
-    (* [candidates :: levels] is non-empty by construction, so dropping
-       the deepest level after reversal is total; the [[]] arm is
-       unreachable but typed. *)
-    let rev_uppers =
-      match List.rev (candidates :: levels) with
-      | _deepest :: uppers -> uppers
-      | [] -> []
-    in
-    List.fold_left2
-      (fun survivors above axis -> join_backward t above axis survivors)
-      last rev_uppers rev_axes
+let in_order = { pivot = 0; hoisted = []; order = (fun _ n -> List.init n Fun.id) }
 
 type step_report = {
   step_index : int;
@@ -353,53 +196,133 @@ type step_report = {
   surviving_candidates : int;
 }
 
-let explain t query =
-  let state = new_state () in
-  let levels = forward t state None query.Squery.steps in
-  List.mapi
-    (fun i (step, survivors) ->
+(* What a pass has seen: surviving intervals summed over query nodes,
+   B-tree entries touched, and every surviving set, for block
+   selection. *)
+type pass = {
+  mutable touched : int;
+  mutable hits : int;
+  mutable seen : int array list;
+}
+
+let rec descend t pass plan seeds origin i steps =
+  match steps with
+  | [] -> []
+  | step :: rest ->
+    let joined = forward t origin step.Squery.axis seeds.(i) in
+    let preds = Array.of_list step.Squery.predicates in
+    let filtered =
+      List.fold_left
+        (fun cands j ->
+          if i = plan.pivot && List.mem j plan.hoisted then cands
+          else filter_by_predicate t pass cands preds.(j))
+        joined
+        (plan.order i (Array.length preds))
+    in
+    pass.touched <- pass.touched + Array.length filtered;
+    pass.seen <- filtered :: pass.seen;
+    let report =
       { step_index = i;
         axis = step.Squery.axis;
-        raw_candidates = List.length (lookup t step.Squery.test);
-        surviving_candidates = List.length survivors })
-    (List.combine query.Squery.steps levels)
+        raw_candidates = Array.length seeds.(i);
+        surviving_candidates = Array.length filtered }
+    in
+    (filtered, report) :: descend t pass plan seeds (Some filtered) (i + 1) rest
 
-(* Blocks to ship: any block whose representative interval covers
-   (contains or equals) a witness interval, plus blocks nested inside a
-   distinguished interval (needed to rebuild full answer subtrees).
-   All three relations are computed with sweeps/hashes to stay
-   near-linear; the block-representative side is prepared once at
-   {!create}. *)
-let select_blocks t ~witnesses ~distinguished ~candidate_intervals ~btree_hits =
+and levels t pass origin steps =
+  let seeds = Array.of_list (List.map (fun s -> seed t s.Squery.test) steps) in
+  List.map fst (descend t pass in_order seeds origin 0 steps)
+
+(* Filter a candidate set by one predicate, with back-propagation
+   through the predicate's chain. *)
+and filter_by_predicate t pass cands = function
+  | Squery.P_and (a, b) ->
+    filter_by_predicate t pass (filter_by_predicate t pass cands a) b
+  | Squery.P_or (a, b) ->
+    (* Union of the branch survivors (candidates stay a superset). *)
+    Forest.union (filter_by_predicate t pass cands a) (filter_by_predicate t pass cands b)
+  | Squery.P_not inner ->
+    (* Negation cannot prune soundly when the inner filter is itself a
+       superset approximation; walk the inner predicate only for its
+       statistics/witnesses and keep every candidate. *)
+    ignore (filter_by_predicate t pass cands inner);
+    cands
+  | Squery.Exists q -> chain t pass cands q None
+  | Squery.Value (q, Squery.Unknown) ->
+    (* Unindexed attribute: the server cannot prune on the value, but
+       the structural part of the chain still applies. *)
+    if q.Squery.steps = [] then cands else chain t pass cands q None
+  | Squery.Value (q, Squery.Ranges ranges) ->
+    let targets, hits = btree_targets t ranges in
+    pass.hits <- pass.hits + hits;
+    if q.Squery.steps = [] then filter t cands targets
+    else chain t pass cands q (Some targets)
+
+(* Keep the candidates that can reach, through q's chain, a final node
+   compatible with [targets] (when given): forward pass down the chain,
+   target filter at the bottom, backward tightening up to the
+   candidates. *)
+and chain t pass cands q targets =
+  let levels = Array.of_list (cands :: levels t pass (Some cands) q.Squery.steps) in
+  let axes = Array.of_list (List.map (fun s -> s.Squery.axis) q.Squery.steps) in
+  let k = Array.length axes in
+  let deepest =
+    match targets with
+    | Some ts when k > 0 -> filter t levels.(k) ts
+    | Some _ | None -> levels.(k)
+  in
+  let survivors = ref deepest in
+  for i = k downto 1 do
+    survivors := backward t levels.(i - 1) axes.(i - 1) !survivors
+  done;
+  !survivors
+
+let prune t plan query =
+  let pass = { touched = 0; hits = 0; seen = [] } in
+  let steps = query.Squery.steps in
+  let seeds = Array.of_list (List.map (fun s -> seed t s.Squery.test) steps) in
+  let n = Array.length seeds in
+  let plan =
+    if plan.pivot > 0 && plan.pivot < n then begin
+      let preds = Array.of_list (List.nth steps plan.pivot).Squery.predicates in
+      let hoisted =
+        List.filter
+          (fun j ->
+            match if j >= 0 && j < Array.length preds then Some preds.(j) else None with
+            | Some (Squery.Value (q, Squery.Ranges ranges)) when q.Squery.steps = [] ->
+              let targets, hits = btree_targets t ranges in
+              pass.hits <- pass.hits + hits;
+              seeds.(plan.pivot) <- filter t seeds.(plan.pivot) targets;
+              true
+            | Some _ | None -> false)
+          plan.hoisted
+      in
+      let axes = Array.of_list (List.map (fun s -> s.Squery.axis) steps) in
+      for j = plan.pivot downto 1 do
+        seeds.(j - 1) <- backward t seeds.(j - 1) axes.(j) seeds.(j)
+      done;
+      { plan with hoisted }
+    end
+    else { plan with pivot = -1 }
+  in
+  let levels = descend t pass plan seeds None 0 steps in
+  pass, levels
+
+let explain t query = List.map snd (snd (prune t in_order query))
+
+(* Blocks to ship: any block whose representative covers (contains or
+   equals) a witness, plus blocks nested inside a distinguished
+   interval (needed to rebuild full answer subtrees).  Both are joins
+   against the representatives, which are sorted once at {!create}. *)
+let select t ~witnesses ~distinguished ~candidate_intervals ~btree_hits =
   Obs.span t.trace "server.select_blocks" @@ fun () ->
-  let reps = List.map snd t.block_table in
-  let needed = Hashtbl.create 64 in
-  let need rep =
-    match Hashtbl.find_opt t.id_by_rep (rep.Interval.lo, rep.Interval.hi) with
-    | Some id -> Hashtbl.replace needed id ()
-    | None -> ()
+  let reps =
+    Forest.union
+      (Forest.join ~self:true t.forest Forest.Ancestor witnesses t.reps)
+      (Forest.join t.forest Forest.Descendant distinguished t.reps)
   in
-  let witnesses = List.sort_uniq Interval.compare_by_lo witnesses in
-  (* (a) reps strictly containing a witness *)
-  List.iter need
-    (Dsi.Join.ancestors_of_some_prepared ~descendants:witnesses
-       ~candidates:t.reps_prepared);
-  (* (b) reps equal to a witness *)
-  List.iter
-    (fun w ->
-      if Hashtbl.mem t.id_by_rep (w.Interval.lo, w.Interval.hi) then need w)
-    witnesses;
-  (* (c) reps strictly inside a distinguished interval *)
-  List.iter need (Dsi.Join.descendants_within ~ancestors:distinguished reps);
-  let blocks =
-    Hashtbl.fold
-      (fun id () acc ->
-        match Hashtbl.find_opt t.blocks_by_id id with
-        | Some b -> b :: acc
-        | None -> acc)
-      needed []
-    |> List.sort (fun a b -> compare a.Encrypt.id b.Encrypt.id)
-  in
+  let ids = Forest.of_unsorted (Array.map (fun p -> t.rep_ids.(Forest.seek t.reps 0 p)) reps) in
+  let blocks = List.filter_map (Hashtbl.find_opt t.blocks_by_id) (Array.to_list ids) in
   let response =
     { blocks; bytes = block_bytes blocks; candidate_intervals; btree_hits }
   in
@@ -411,6 +334,21 @@ let select_blocks t ~witnesses ~distinguished ~candidate_intervals ~btree_hits =
   Obs.Metric.add M.blocks_shipped (List.length blocks);
   Obs.Metric.add M.bytes_shipped response.bytes;
   response
+
+let last_level levels =
+  match List.rev levels with
+  | (last, _) :: _ -> last
+  | [] -> [||]
+
+let respond t (pass, levels) =
+  select t
+    ~witnesses:(List.fold_left Forest.union [||] pass.seen)
+    ~distinguished:(last_level levels) ~candidate_intervals:pass.touched
+    ~btree_hits:pass.hits
+
+let answer_planned t plan query =
+  let pruned = prune t plan query in
+  respond t pruned, List.map snd (snd pruned)
 
 let record_answer t response =
   Obs.Metric.incr M.answers;
@@ -425,23 +363,12 @@ let record_answer t response =
 let answer t query =
   Log.debug (fun m -> m "answer: %s" (Squery.to_string query));
   Obs.span t.trace "server.answer" @@ fun () ->
-  let state = new_state () in
-  let levels =
-    Obs.span t.trace "server.prune" (fun () -> forward t state None query.Squery.steps)
-  in
-  let distinguished =
-    match List.rev levels with
-    | last :: _ -> last
-    | [] -> []
-  in
-  let response =
-    select_blocks t ~witnesses:state.witnesses ~distinguished
-      ~candidate_intervals:state.touched ~btree_hits:state.hits
-  in
+  let pruned = Obs.span t.trace "server.prune" (fun () -> prune t in_order query) in
+  let response = respond t pruned in
   record_answer t response;
   Log.debug (fun m ->
       m "answer: %d candidate intervals, %d btree hits, %d blocks shipped"
-        state.touched state.hits (List.length response.blocks));
+        response.candidate_intervals response.btree_hits (List.length response.blocks));
   response
 
 (* MIN/MAX without shipping the whole candidate set (Section 6.4): OPE
@@ -452,13 +379,8 @@ let answer t query =
    one block ships. *)
 let answer_extreme t query ~key_range ~direction =
   Obs.span t.trace "server.answer_extreme" @@ fun () ->
-  let state = new_state () in
-  let levels = forward t state None query.Squery.steps in
-  let distinguished =
-    match List.rev levels with
-    | last :: _ -> last
-    | [] -> []
-  in
+  let pass, levels = prune t in_order query in
+  let distinguished = last_level levels in
   let lo, hi = key_range in
   let entries = Btree.range t.btree ~lo ~hi in
   let entries =
@@ -466,10 +388,8 @@ let answer_extreme t query ~key_range ~direction =
     | `Min -> entries
     | `Max -> List.rev entries
   in
-  state.hits <- state.hits + List.length entries;
-  let compatible target =
-    filter_by_targets t distinguished [ target ] <> []
-  in
+  pass.hits <- pass.hits + List.length entries;
+  let compatible target = filter t distinguished [ target ] <> [||] in
   let block_of_target = function
     | Metadata.To_block id -> Hashtbl.find_opt t.blocks_by_id id
     | Metadata.To_plain _ -> None
@@ -487,13 +407,60 @@ let answer_extreme t query ~key_range ~direction =
   let response =
     { blocks;
       bytes = block_bytes blocks;
-      candidate_intervals = state.touched;
-      btree_hits = state.hits }
+      candidate_intervals = pass.touched;
+      btree_hits = pass.hits }
   in
   Obs.Metric.add M.blocks_shipped (List.length blocks);
   Obs.Metric.add M.bytes_shipped response.bytes;
   record_answer t response;
   response
+
+(* ------------------------------------------------------------------ *)
+(* List adaptors: [answer]'s building blocks over interval lists, for  *)
+(* re-driving its forward pass from outside (bench/e2e/redrive.ml).    *)
+(* Each converts at the boundary and calls the functions above.        *)
+
+let intervals t ps = Array.fold_right (fun p acc -> Dsi.Universe.interval t.universe p :: acc) ps []
+
+let positions t ivs =
+  let found = Array.make (List.length ivs) 0 and k = ref 0 in
+  List.iter
+    (fun iv ->
+      match Dsi.Universe.position ~from:(if !k > 0 then found.(!k - 1) else 0) t.universe iv with
+      | Some p ->
+        found.(!k) <- p;
+        incr k
+      | None -> ())
+    ivs;
+  Forest.of_unsorted (Array.sub found 0 !k)
+
+let lookup t test = intervals t (seed t test)
+
+let join_forward t origin axis cands =
+  intervals t (forward t (Option.map (positions t) origin) axis (positions t cands))
+
+let join_backward t origins axis survivors =
+  intervals t (backward t (positions t origins) axis (positions t survivors))
+
+let filter_by_targets t cands targets = intervals t (filter t (positions t cands) targets)
+
+type eval_state = {
+  mutable touched : int;     (* surviving intervals, summed over query nodes *)
+  mutable hits : int;        (* B-tree entries touched *)
+  mutable witnesses : Interval.t list;  (* all surviving intervals, for block selection *)
+}
+
+let new_state () = { touched = 0; hits = 0; witnesses = [] }
+
+let add_hits (state : eval_state) n = state.hits <- state.hits + n
+
+let register (state : eval_state) survivors =
+  state.touched <- state.touched + List.length survivors;
+  state.witnesses <- List.rev_append survivors state.witnesses
+
+let select_blocks t ~witnesses ~distinguished ~candidate_intervals ~btree_hits =
+  select t ~witnesses:(positions t witnesses) ~distinguished:(positions t distinguished)
+    ~candidate_intervals ~btree_hits
 
 (* ------------------------------------------------------------------ *)
 (* Mitigation support: dummy fetches and padded answers                *)
@@ -560,5 +527,5 @@ let index_stats t =
     key_lo = Btree.min_key t.btree;
     key_hi = Btree.max_key t.btree;
     table_tokens = Hashtbl.length t.table;
-    universe_intervals = t.universe_count;
-    block_count = List.length t.block_table }
+    universe_intervals = Dsi.Universe.size t.universe;
+    block_count = t.block_count }

@@ -19,7 +19,12 @@
       blocks.
 
     The response is a superset of what the query needs (false positives
-    are filtered by the client), never a subset. *)
+    are filtered by the client), never a subset.
+
+    All three steps run on {!Xmlcore.Forest} over the DSI table's
+    containment forest ({!Dsi.Universe}), built once by {!create}: every
+    table row and block representative is a node set, so a step costs
+    its inputs and never the rest of the universe. *)
 
 type t
 
@@ -40,7 +45,9 @@ val create :
   t
 (** [?trace] injects a tracer for the server's evaluation spans
     ([server.answer] → [server.prune], [server.select_blocks]); without
-    it a disabled tracer is used and spans cost one boolean test. *)
+    it a disabled tracer is used and spans cost one boolean test.
+    @raise Invalid_argument when a block representative is not one of
+    the DSI table's intervals (every block root has its own row). *)
 
 val of_metadata : ?trace:Obs.Trace.t -> Metadata.t -> Encrypt.block list -> t
 (** Convenience constructor from the server-visible halves: the
@@ -72,6 +79,26 @@ val explain : t -> Squery.path -> step_report list
     and predicate filtering.  Evaluation work is the same as
     {!answer}'s pruning phase; no blocks are selected. *)
 
+type plan = {
+  pivot : int;
+      (** a step whose seed is tightened first and back-propagated to
+          the earlier steps' seeds; [0] evaluates left to right *)
+  hoisted : int list;
+      (** the pivot's predicates applied before back-propagation (self
+          value-range predicates only; others stay in place) *)
+  order : int -> int -> int list;
+      (** [order step count]: the order a step's predicates apply in *)
+}
+(** The inputs an evaluation plan ({!module:Engine}) gives the forward
+    pass.  A plan changes only the order work happens in: the pivot's
+    back-propagation removes only candidates with no successor, so the
+    shipped blocks stay a superset of what the client needs. *)
+
+val answer_planned : t -> plan -> Squery.path -> response * step_report list
+(** {!answer} under a plan, with each main-chain step's seed size
+    (after any tightening) and survivor count.  No [server.answer]
+    span and no answer counters: the caller accounts for the round. *)
+
 val all_blocks : t -> Encrypt.block list
 (** Everything — the naive method's response. *)
 
@@ -93,14 +120,20 @@ val answer_padded : t -> Squery.path -> extra:int list -> response
 val stored_bytes : t -> int
 (** Ciphertext bytes held by the server (headers included). *)
 
-(** {1 Engine support}
+val test_count : t -> Squery.test -> int
+(** Candidate count of a test without materialising the token merge —
+    the planner's selectivity input.  Multi-token sums may
+    double-count; exact for the common single-token case. *)
 
-    Building blocks of {!answer}, exposed so an external evaluation
-    engine ({!module:Engine}) can re-order structural-join steps and
-    memoise intermediate results while delegating every join and
-    predicate decision to the same code paths {!answer} uses.  All
-    inputs and outputs are ciphertext artifacts (DSI intervals, Vernam
-    tokens, OPESS ranges) — nothing here widens the server's view. *)
+(** {1 List adaptors}
+
+    {!answer}'s building blocks over interval lists.  They exist only so
+    that [bench/e2e/redrive.ml] can re-drive {!answer}'s forward pass
+    with a span around every call and check that its encoded response
+    equals {!answer}'s byte for byte.  Each converts its lists to
+    universe positions, calls the same code {!answer} runs, and converts
+    back; none holds a join of its own.  Intervals that are not DSI
+    table entries are dropped on the way in. *)
 
 type eval_state = {
   mutable touched : int;
@@ -122,11 +155,6 @@ val lookup : t -> Squery.test -> Dsi.Interval.t list
 (** DSI-table intervals of a test, sorted by lower endpoint and
     duplicate-free. *)
 
-val test_count : t -> Squery.test -> int
-(** Candidate count of a test without materialising the token merge —
-    the planner's selectivity input.  Multi-token sums may
-    double-count; exact for the common single-token case. *)
-
 val join_forward :
   t -> Dsi.Interval.t list option -> Xpath.Ast.axis -> Dsi.Interval.t list ->
   Dsi.Interval.t list
@@ -147,13 +175,6 @@ val btree_targets :
 val filter_by_targets :
   t -> Dsi.Interval.t list -> Metadata.target list -> Dsi.Interval.t list
 (** Keep candidates compatible with at least one allowed target. *)
-
-val filter_by_predicate :
-  t -> eval_state -> Dsi.Interval.t list -> Squery.predicate ->
-  Dsi.Interval.t list
-(** Filter a candidate set by one predicate, with back-propagation
-    through the predicate's chain; chain survivors are registered as
-    witnesses in [eval_state]. *)
 
 val select_blocks :
   t ->

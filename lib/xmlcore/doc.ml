@@ -4,10 +4,12 @@ type t = {
   tags : string array;
   values : string option array;
   parents : int array;            (* -1 for root *)
-  children : int list array;      (* in document order *)
   depths : int array;
   subtree_sizes : int array;      (* node count of subtree rooted here *)
-  by_tag : (string, int list) Hashtbl.t;  (* doc-order node lists *)
+  forest : Forest.t;              (* [parents] and [subtree_sizes] as a join forest *)
+  tag_ids : (string, int) Hashtbl.t;  (* tag -> its index in [tag_sets] *)
+  tag_sets : int array array;     (* per tag, its nodes in document order *)
+  elements : int array;           (* every non-attribute node *)
 }
 
 let root _ = 0
@@ -15,8 +17,15 @@ let node_count t = Array.length t.tags
 let tag t n = t.tags.(n)
 let value t n = t.values.(n)
 let parent t n = if t.parents.(n) < 0 then None else Some t.parents.(n)
-let children t n = t.children.(n)
-let child_count t n = List.length t.children.(n)
+
+(* A node's children from the preorder sizes: each child's subtree ends
+   where the next child begins. *)
+let children t n =
+  let stop = n + t.subtree_sizes.(n) in
+  let rec from c = if c >= stop then [] else c :: from (c + t.subtree_sizes.(c)) in
+  from (n + 1)
+
+let child_count t n = List.length (children t n)
 let is_leaf t n = t.values.(n) <> None
 let depth_of t n = t.depths.(n)
 let subtree_node_count t n = t.subtree_sizes.(n)
@@ -58,12 +67,6 @@ let of_tree tree =
   let tags = Array.of_list (List.rev !tags) in
   let values = Array.of_list (List.rev !values) in
   let parents = Array.of_list (List.rev !parents) in
-  (* A parent's children have increasing preorder ids, so consing them
-     from the highest id down leaves each list in document order. *)
-  let children = Array.make n [] in
-  for i = n - 1 downto 1 do
-    children.(parents.(i)) <- i :: children.(parents.(i))
-  done;
   let depths = Array.make n 0 in
   for i = 1 to n - 1 do
     depths.(i) <- depths.(parents.(i)) + 1
@@ -72,17 +75,38 @@ let of_tree tree =
   for i = n - 1 downto 1 do
     subtree_sizes.(parents.(i)) <- subtree_sizes.(parents.(i)) + subtree_sizes.(i)
   done;
-  let by_tag = Hashtbl.create 64 in
-  for i = n - 1 downto 0 do
-    let prev = Option.value ~default:[] (Hashtbl.find_opt by_tag tags.(i)) in
-    Hashtbl.replace by_tag tags.(i) (i :: prev)
-  done;
-  { tags; values; parents; children; depths; subtree_sizes; by_tag }
+  (* Per-tag node sets by counting sort over numbered tags. *)
+  let tag_ids = Hashtbl.create 16 in
+  let numbered =
+    Array.map
+      (fun tag ->
+        match Hashtbl.find_opt tag_ids tag with
+        | Some k -> k
+        | None ->
+          Hashtbl.add tag_ids tag (Hashtbl.length tag_ids);
+          Hashtbl.length tag_ids - 1)
+      tags
+  in
+  let fill = Array.make (Hashtbl.length tag_ids) 0 in
+  Array.iter (fun k -> fill.(k) <- fill.(k) + 1) numbered;
+  let tag_sets = Array.map (fun count -> Array.make count 0) fill in
+  Array.fill fill 0 (Array.length fill) 0;
+  Array.iteri
+    (fun i k ->
+      tag_sets.(k).(fill.(k)) <- i;
+      fill.(k) <- fill.(k) + 1)
+    numbered;
+  let elements =
+    Array.of_list (List.filter (fun i -> not (Tree.is_attribute_tag tags.(i))) (List.init n Fun.id))
+  in
+  { tags; values; parents; depths; subtree_sizes;
+    forest = Forest.make ~parent:parents ~size:subtree_sizes;
+    tag_ids; tag_sets; elements }
 
 let rec subtree t n =
   match t.values.(n) with
   | Some v -> Tree.leaf t.tags.(n) v
-  | None -> Tree.element t.tags.(n) (List.map (subtree t) t.children.(n))
+  | None -> Tree.element t.tags.(n) (List.map (subtree t) (children t n))
 
 let to_tree t = subtree t 0
 
@@ -108,7 +132,11 @@ let fold t f acc =
   iter t (fun n -> acc := f !acc n);
   !acc
 
-let nodes_with_tag t tag = Option.value ~default:[] (Hashtbl.find_opt t.by_tag tag)
+let tagged t tag =
+  match Hashtbl.find_opt t.tag_ids tag with Some k -> t.tag_sets.(k) | None -> [||]
+let nodes_with_tag t tag = Array.to_list (tagged t tag)
+let elements t = t.elements
+let forest t = t.forest
 
 let pp_node t fmt n =
   match t.values.(n) with

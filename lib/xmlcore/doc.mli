@@ -64,6 +64,16 @@ val fold : t -> ('a -> node -> 'a) -> 'a -> 'a
 val nodes_with_tag : t -> string -> node list
 (** All nodes carrying the given tag, in document order. *)
 
+val tagged : t -> string -> node array
+(** {!nodes_with_tag} as a {!Forest} node set (shared, do not mutate). *)
+
+val elements : t -> node array
+(** Every node that is not an attribute (what the XPath [*] test
+    selects), as a {!Forest} node set. *)
+
+val forest : t -> Forest.t
+(** The document's parent and subtree-size arrays as a join forest. *)
+
 val subtree_node_count : t -> node -> int
 (** Number of nodes in the subtree rooted at [n] (counting [n]). *)
 

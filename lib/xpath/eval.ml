@@ -1,114 +1,100 @@
-let compare_values v op literal =
-  let result =
-    match float_of_string_opt v, float_of_string_opt literal with
-    | Some a, Some b -> compare a b
-    | Some _, None | None, Some _ | None, None -> String.compare v literal
+(* Staged on the literal: when it is not a number, no value needs
+   parsing, since the comparison is lexicographic either way. *)
+let comparison op literal =
+  let holds result =
+    match op with
+    | Ast.Eq -> result = 0
+    | Ast.Neq -> result <> 0
+    | Ast.Lt -> result < 0
+    | Ast.Le -> result <= 0
+    | Ast.Gt -> result > 0
+    | Ast.Ge -> result >= 0
   in
-  match op with
-  | Ast.Eq -> result = 0
-  | Ast.Neq -> result <> 0
-  | Ast.Lt -> result < 0
-  | Ast.Le -> result <= 0
-  | Ast.Gt -> result > 0
-  | Ast.Ge -> result >= 0
+  match float_of_string_opt literal with
+  | None -> fun v -> holds (String.compare v literal)
+  | Some b ->
+    fun v ->
+      holds
+        (match float_of_string_opt v with
+         | Some a -> compare a b
+         | None -> String.compare v literal)
+
+let compare_values v op literal = comparison op literal v
 
 module Make (N : Nav.S) = struct
-  let test_matches doc node = function
-    | Ast.Tag tag -> String.equal (N.tag doc node) tag
-    | Ast.Wildcard -> not (Xmlcore.Tree.is_attribute_tag (N.tag doc node))
-
   let sort_unique nodes = List.sort_uniq N.compare_node nodes
 
-  (* [None] origin is the virtual document node of an absolute path:
-     its only child is the root, its descendants are all nodes. *)
-  let preceding_siblings doc n =
-    match N.parent doc n with
-    | None -> []
-    | Some p ->
-      let rec before = function
-        | [] -> []
-        | c :: rest -> if N.compare_node c n = 0 then [] else c :: before rest
-      in
-      before (N.children doc p)
-
-  let ancestors doc n =
-    let rec up acc m =
-      match N.parent doc m with
-      | None -> acc
-      | Some p -> up (p :: acc) p
+  (* Set operations on node lists in document order. *)
+  let merge keep_a keep_both keep_b a b =
+    let rec go acc a b =
+      match a, b with
+      | [], rest -> List.rev_append acc (if keep_b then rest else [])
+      | rest, [] -> List.rev_append acc (if keep_a then rest else [])
+      | x :: a', y :: b' ->
+        let c = N.compare_node x y in
+        if c = 0 then go (if keep_both then x :: acc else acc) a' b'
+        else if c < 0 then go (if keep_a then x :: acc else acc) a' b
+        else go (if keep_b then y :: acc else acc) a b'
     in
-    up [] n
+    go [] a b
 
-  (* Nodes strictly after the context's subtree / strictly before the
-     context excluding its ancestors (standard XPath semantics). *)
-  let following doc n =
-    let in_subtree = Hashtbl.create 64 in
-    List.iter (fun d -> Hashtbl.replace in_subtree d ()) (N.descendants doc n);
-    List.filter
-      (fun m -> N.compare_node m n > 0 && not (Hashtbl.mem in_subtree m))
-      (N.all_nodes doc)
+  let inter = merge false true false
+  let union = merge true true true
+  let diff = merge true false false
 
-  let preceding doc n =
-    let ancestor_set = Hashtbl.create 16 in
-    List.iter (fun a -> Hashtbl.replace ancestor_set a ()) (ancestors doc n);
-    List.filter
-      (fun m -> N.compare_node m n < 0 && not (Hashtbl.mem ancestor_set m))
-      (N.all_nodes doc)
-
-  let axis_candidates doc origin axis =
-    match origin, axis with
-    | None, Ast.Child -> [ N.root doc ]
-    | None, Ast.Descendant_or_self -> N.all_nodes doc
-    | None, (Ast.Parent | Ast.Following_sibling | Ast.Preceding_sibling
-            | Ast.Following | Ast.Preceding) ->
-      []
-    | Some n, Ast.Child -> N.children doc n
-    | Some n, Ast.Descendant_or_self -> N.descendants doc n
-    | Some n, Ast.Parent -> Option.to_list (N.parent doc n)
-    | Some n, Ast.Following_sibling -> N.following_siblings doc n
-    | Some n, Ast.Preceding_sibling -> preceding_siblings doc n
-    | Some n, Ast.Following -> following doc n
-    | Some n, Ast.Preceding -> preceding doc n
-
+  (* Everything runs set-at-a-time.  [None] origins are the virtual
+     document node of an absolute path. *)
   let rec eval_steps doc origins steps =
     match steps with
-    | [] -> sort_unique (List.filter_map (fun o -> o) origins)
+    | [] -> Option.value origins ~default:[]
     | step :: rest ->
-      let selected =
-        List.concat_map
-          (fun origin ->
-            List.filter
-              (fun candidate ->
-                test_matches doc candidate step.Ast.test
-                && List.for_all (predicate_holds doc candidate) step.Ast.predicates)
-              (axis_candidates doc origin step.Ast.axis))
-          origins
-      in
-      eval_steps doc (List.map (fun n -> Some n) (sort_unique selected)) rest
+      let selected = N.step doc origins (Nav.forest_axis step.Ast.axis) step.Ast.test in
+      eval_steps doc (Some (satisfying doc step selected)) rest
 
-  and predicate_holds doc node = function
-    | Ast.And (a, b) -> predicate_holds doc node a && predicate_holds doc node b
-    | Ast.Or (a, b) -> predicate_holds doc node a || predicate_holds doc node b
-    | Ast.Not a -> not (predicate_holds doc node a)
-    | Ast.Exists p -> eval_steps doc [ Some node ] p.Ast.steps <> []
+  (* The nodes of [step]'s selection that satisfy its predicates. *)
+  and satisfying doc step nodes =
+    List.fold_left (fun nodes p -> filter doc step.Ast.test nodes p) nodes step.Ast.predicates
+
+  (* [filter doc test nodes pred]: the [nodes] (all passing [test]) for
+     which [pred] holds.  A predicate depends only on the node it is
+     evaluated at, so it can be decided for the whole set at once. *)
+  and filter doc test nodes = function
+    | _ when nodes = [] -> []
+    | Ast.And (a, b) -> filter doc test (filter doc test nodes a) b
+    | Ast.Or (a, b) -> union (filter doc test nodes a) (filter doc test nodes b)
+    | Ast.Not a -> diff nodes (filter doc test nodes a)
+    | Ast.Exists p -> reach doc test nodes p.Ast.steps Fun.id
     | Ast.Compare (p, op, literal) ->
-      let targets =
-        if p.Ast.steps = [] then [ node ] else eval_steps doc [ Some node ] p.Ast.steps
+      let compare = comparison op literal in
+      let holds =
+        List.filter (fun m ->
+            match N.value doc m with
+            | Some v -> compare v
+            | None -> false)
       in
-      List.exists
-        (fun m ->
-          match N.value doc m with
-          | Some v -> compare_values v op literal
-          | None -> false)
-        targets
+      if p.Ast.steps = [] then holds nodes else reach doc test nodes p.Ast.steps holds
+
+  (* The [nodes] from which the relative chain [steps] reaches a node
+     that [final] keeps: down the chain one step at a time, then back up
+     along each inverse axis, keeping at every level only the members
+     with a surviving successor. *)
+  and reach doc test nodes steps final =
+    match steps with
+    | [] -> final nodes
+    | step :: rest ->
+      let axis = Nav.forest_axis step.Ast.axis in
+      let next = satisfying doc step (N.step doc (Some nodes) axis step.Ast.test) in
+      let survivors = if next = [] then [] else reach doc step.Ast.test next rest final in
+      if survivors = [] then []
+      else inter nodes (N.step doc (Some survivors) (Xmlcore.Forest.inverse axis) test)
 
   let eval_from doc context p =
-    if p.Ast.absolute then eval_steps doc [ None ] p.Ast.steps
-    else eval_steps doc (List.map (fun n -> Some n) context) p.Ast.steps
+    if p.Ast.absolute then eval_steps doc None p.Ast.steps
+    else eval_steps doc (Some (sort_unique context)) p.Ast.steps
 
   let eval doc p =
-    if p.Ast.absolute then eval_steps doc [ None ] p.Ast.steps
-    else eval_steps doc [ Some (N.root doc) ] p.Ast.steps
+    if p.Ast.absolute then eval_steps doc None p.Ast.steps
+    else eval_steps doc (Some [ N.root doc ]) p.Ast.steps
 
   let matches doc p = eval doc p <> []
 

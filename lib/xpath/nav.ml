@@ -9,48 +9,52 @@ module type S = sig
   type node
 
   val root : doc -> node
-  val children : doc -> node -> node list
-  (** Child elements in document order. *)
 
-  val descendants : doc -> node -> node list
-  (** Proper descendants in document order. *)
+  val step :
+    doc -> node list option -> Xmlcore.Forest.axis -> Ast.node_test -> node list
+  (** [step doc origins axis test]: the nodes in [axis] to some origin
+      that pass [test], in document order, joined set-at-a-time.  Node
+      lists are in document order without duplicates; [None] is the
+      virtual document node (its child is the root, its descendants are
+      all nodes). *)
 
-  val parent : doc -> node -> node option
-  (** [None] for the root. *)
-
-  val following_siblings : doc -> node -> node list
-  (** Siblings strictly after the node, in document order. *)
-
-  val all_nodes : doc -> node list
-  (** Every node in document order (for absolute [//] steps). *)
-
-  val tag : doc -> node -> string
   val value : doc -> node -> string option
 
   val compare_node : node -> node -> int
-  (** Document order; used for sorting and deduplication. *)
+  (** Document order. *)
 end
+
+(** The {!Xmlcore.Forest} axis an XPath axis joins along: from a node,
+    [//] reaches its proper descendants. *)
+let forest_axis = function
+  | Ast.Child -> Xmlcore.Forest.Child
+  | Ast.Descendant_or_self -> Xmlcore.Forest.Descendant
+  | Ast.Parent -> Xmlcore.Forest.Parent
+  | Ast.Following_sibling -> Xmlcore.Forest.Following_sibling
+  | Ast.Preceding_sibling -> Xmlcore.Forest.Preceding_sibling
+  | Ast.Following -> Xmlcore.Forest.Following
+  | Ast.Preceding -> Xmlcore.Forest.Preceding
+
+(** The nodes of a document a test can select, as a forest node set. *)
+let candidates doc = function
+  | Ast.Tag tag -> Xmlcore.Doc.tagged doc tag
+  | Ast.Wildcard -> Xmlcore.Doc.elements doc
 
 module Doc_nav = struct
   type doc = Xmlcore.Doc.t
   type node = Xmlcore.Doc.node
 
   let root = Xmlcore.Doc.root
-  let children = Xmlcore.Doc.children
-  let descendants = Xmlcore.Doc.descendants
-  let parent = Xmlcore.Doc.parent
-  let all_nodes doc = List.init (Xmlcore.Doc.node_count doc) (fun i -> i)
-  let tag = Xmlcore.Doc.tag
   let value = Xmlcore.Doc.value
   let compare_node = Int.compare
 
-  let following_siblings doc n =
-    match Xmlcore.Doc.parent doc n with
-    | None -> []
-    | Some p ->
-      let rec after = function
-        | [] -> []
-        | c :: rest -> if c = n then rest else after rest
-      in
-      after (Xmlcore.Doc.children doc p)
+  let step doc origins axis test =
+    let cands = candidates doc test in
+    Array.to_list
+      (match origins, axis with
+       | None, Xmlcore.Forest.Child -> Xmlcore.Forest.inter [| root doc |] cands
+       | None, Xmlcore.Forest.Descendant -> cands
+       | None, _ -> [||]
+       | Some origins, _ ->
+         Xmlcore.Forest.join (Xmlcore.Doc.forest doc) axis (Array.of_list origins) cands)
 end

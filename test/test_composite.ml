@@ -41,14 +41,32 @@ let fixture ~return_blocks =
         else None)
       db.Secure.Encrypt.blocks
   in
-  doc, Composite.create ~skeleton:skeleton_doc ~anchors ~blocks:decrypted
+  doc, Composite.create (Composite.prepare skeleton_doc ~anchors) ~blocks:decrypted
 
 let tags view nodes = List.map (Nav.tag view) nodes
+
+(* The navigation the evaluator uses: set-at-a-time steps. *)
+module Forest = Xmlcore.Forest
+
+let step view n axis = Nav.step view (Some [ n ]) axis Xpath.Ast.Wildcard
+
+(* Every visible node, attributes included: one descendant step from
+   the document node per tag of the original document. *)
+let all_nodes doc view =
+  List.sort_uniq Nav.compare_node
+    (List.concat_map
+       (fun tag -> Nav.step view None Forest.Descendant (Xpath.Ast.Tag tag))
+       (List.sort_uniq String.compare (List.map (Doc.tag doc) (Doc.descendant_or_self doc 0))))
+
+let parent view n =
+  match step view n Forest.Parent with
+  | [ p ] -> Some p
+  | _ -> None
 
 let all_returned () =
   let doc, view = fixture ~return_blocks:(fun _ -> true) in
   (* The composite sees exactly the original document. *)
-  let all = Nav.all_nodes view in
+  let all = all_nodes doc view in
   Alcotest.(check int) "node count matches original" (Doc.node_count doc)
     (List.length all);
   let originals =
@@ -60,7 +78,7 @@ let all_returned () =
 let none_returned () =
   let doc, view = fixture ~return_blocks:(fun _ -> false) in
   (* Unreturned blocks vanish: no pname, one fewer treat. *)
-  let all = Nav.all_nodes view in
+  let all = all_nodes doc view in
   let count tag = List.length (List.filter (fun n -> Nav.tag view n = tag) all) in
   Alcotest.(check int) "pnames pruned" 0 (count "pname");
   Alcotest.(check int) "one treat pruned" 3 (count "treat");
@@ -68,52 +86,52 @@ let none_returned () =
   ignore doc
 
 let parent_across_boundary () =
-  let _, view = fixture ~return_blocks:(fun _ -> true) in
+  let doc, view = fixture ~return_blocks:(fun _ -> true) in
   (* A pname node lives inside a block; its parent is the patient in
      the skeleton. *)
   let pname =
-    List.find (fun n -> Nav.tag view n = "pname") (Nav.all_nodes view)
+    List.find (fun n -> Nav.tag view n = "pname") (all_nodes doc view)
   in
-  (match Nav.parent view pname with
+  (match parent view pname with
    | Some p -> Alcotest.(check string) "parent is patient" "patient" (Nav.tag view p)
    | None -> Alcotest.fail "pname should have a parent");
   (* Root has none. *)
   Alcotest.(check bool) "root parentless" true
-    (Nav.parent view (Nav.root view) = None);
+    (parent view (Nav.root view) = None);
   (* Inside a multi-node block, parent stays within the block. *)
   let disease =
-    List.find (fun n -> Nav.tag view n = "disease") (Nav.all_nodes view)
+    List.find (fun n -> Nav.tag view n = "disease") (all_nodes doc view)
   in
-  (match Nav.parent view disease with
+  (match parent view disease with
    | Some p -> Alcotest.(check string) "parent within block" "treat" (Nav.tag view p)
    | None -> Alcotest.fail "disease should have a parent")
 
 let siblings_across_boundary () =
-  let _, view = fixture ~return_blocks:(fun _ -> true) in
+  let doc, view = fixture ~return_blocks:(fun _ -> true) in
   (* pname (block root) is followed by SSN (plaintext skeleton node). *)
   let pname =
-    List.find (fun n -> Nav.tag view n = "pname") (Nav.all_nodes view)
+    List.find (fun n -> Nav.tag view n = "pname") (all_nodes doc view)
   in
-  (match Nav.following_siblings view pname with
+  (match step view pname Forest.Following_sibling with
    | first :: _ -> Alcotest.(check string) "SSN follows pname" "SSN" (Nav.tag view first)
    | [] -> Alcotest.fail "pname should have following siblings");
   (* An encrypted treat is followed by its plaintext sibling treat. *)
   let first_treat =
-    List.find (fun n -> Nav.tag view n = "treat") (Nav.all_nodes view)
+    List.find (fun n -> Nav.tag view n = "treat") (all_nodes doc view)
   in
-  (match Nav.following_siblings view first_treat with
+  (match step view first_treat Forest.Following_sibling with
    | first :: _ -> Alcotest.(check string) "treat follows treat" "treat" (Nav.tag view first)
    | [] -> Alcotest.fail "first treat should have following siblings")
 
 let unreturned_sibling_invisible () =
-  let _, view = fixture ~return_blocks:(fun _ -> false) in
+  let doc, view = fixture ~return_blocks:(fun _ -> false) in
   (* With pname blocks pruned, each patient's first child is SSN. *)
   let patients =
-    List.filter (fun n -> Nav.tag view n = "patient") (Nav.all_nodes view)
+    List.filter (fun n -> Nav.tag view n = "patient") (all_nodes doc view)
   in
   List.iter
     (fun p ->
-      match Nav.children view p with
+      match step view p Forest.Child with
       | first :: _ -> Alcotest.(check string) "first child now SSN" "SSN" (Nav.tag view first)
       | [] -> Alcotest.fail "patient should have children")
     patients
@@ -126,9 +144,10 @@ let subtree_materialisation () =
 
 let document_order () =
   let _, view = fixture ~return_blocks:(fun _ -> true) in
-  let all = Nav.all_nodes view in
+  (* Skeleton nodes and returned blocks merge in document order. *)
+  let all = Nav.step view None Forest.Descendant Xpath.Ast.Wildcard in
   let sorted = List.sort Nav.compare_node all in
-  Alcotest.(check (list string)) "all_nodes already in document order"
+  Alcotest.(check (list string)) "a step's nodes already in document order"
     (tags view all) (tags view sorted)
 
 (* Property: evaluating over a composite with an arbitrary subset of
@@ -181,7 +200,7 @@ let pruning_matches_reference =
             else None)
           db.Secure.Encrypt.blocks
       in
-      let view = Composite.create ~skeleton:skeleton_doc ~anchors ~blocks:decrypted in
+      let view = Composite.create (Composite.prepare skeleton_doc ~anchors) ~blocks:decrypted in
       (* Reference: delete unreturned roots from the plaintext doc. *)
       let removed =
         List.filter_map

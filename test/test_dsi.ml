@@ -83,38 +83,50 @@ let assignment_figure3_bounds () =
 
 (* --- Joins -------------------------------------------------------- *)
 
+(* The server's joins run on the containment forest of a DSI universe:
+   a node set is the universe positions of its intervals. *)
+module Forest = Xmlcore.Forest
+
+let universe_of intervals =
+  let universe, _ = Dsi.Universe.index [| intervals |] in
+  let forest = Dsi.Universe.forest universe in
+  let set ivs =
+    Forest.of_unsorted
+      (Array.of_list (List.filter_map (Dsi.Universe.position universe) ivs))
+  in
+  forest, set
+
 let doc_join_setup () =
   let doc = Workload.Health.doc () in
   let a = Dsi.Assign.assign ~key:"jk" doc in
   let of_nodes ns = List.map (Dsi.Assign.interval a) ns in
-  let universe =
-    Dsi.Join.prepare_universe (of_nodes (List.init (Doc.node_count doc) (fun i -> i)))
-  in
-  doc, a, of_nodes, universe
+  let forest, set = universe_of (of_nodes (List.init (Doc.node_count doc) (fun i -> i))) in
+  doc, a, (fun ns -> set (of_nodes ns)), forest
+
+let count forest axis origins cands = Array.length (Forest.join forest axis origins cands)
 
 let join_descendants () =
-  let doc, a, of_nodes, _ = doc_join_setup () in
-  let patients = of_nodes (Doc.nodes_with_tag doc "patient") in
-  let diseases = of_nodes (Doc.nodes_with_tag doc "disease") in
+  let doc, _, set, forest = doc_join_setup () in
+  let patients = set (Doc.nodes_with_tag doc "patient") in
+  let diseases = set (Doc.nodes_with_tag doc "disease") in
   Alcotest.(check int) "diseases under patients" 4
-    (List.length (Dsi.Join.descendants_within ~ancestors:patients diseases));
+    (count forest Forest.Descendant patients diseases);
   Alcotest.(check int) "patients with diseases" 2
-    (List.length (Dsi.Join.ancestors_of_some ~descendants:diseases patients));
-  let root = [ Dsi.Assign.interval a 0 ] in
+    (count forest Forest.Ancestor diseases patients);
   Alcotest.(check int) "nothing above the root" 0
-    (List.length (Dsi.Join.descendants_within ~ancestors:diseases root))
+    (count forest Forest.Descendant diseases (set [ 0 ]))
 
 let join_children () =
-  let doc, _, of_nodes, universe = doc_join_setup () in
-  let patients = of_nodes (Doc.nodes_with_tag doc "patient") in
-  let diseases = of_nodes (Doc.nodes_with_tag doc "disease") in
-  let treats = of_nodes (Doc.nodes_with_tag doc "treat") in
+  let doc, _, set, forest = doc_join_setup () in
+  let patients = set (Doc.nodes_with_tag doc "patient") in
+  let diseases = set (Doc.nodes_with_tag doc "disease") in
+  let treats = set (Doc.nodes_with_tag doc "treat") in
   Alcotest.(check int) "disease is child of treat" 4
-    (List.length (Dsi.Join.children_within ~universe ~parents:treats diseases));
+    (count forest Forest.Child treats diseases);
   Alcotest.(check int) "disease is not child of patient" 0
-    (List.length (Dsi.Join.children_within ~universe ~parents:patients diseases));
+    (count forest Forest.Child patients diseases);
   Alcotest.(check int) "treats with disease children" 4
-    (List.length (Dsi.Join.parents_of_some ~universe ~children:diseases treats))
+    (count forest Forest.Parent diseases treats)
 
 let join_matches_tree_prop =
   QCheck.Test.make ~name:"structural joins = tree navigation" ~count:50
@@ -122,9 +134,7 @@ let join_matches_tree_prop =
     (fun doc ->
       let a = Dsi.Assign.assign ~key:"prop" doc in
       let interval_of n = Dsi.Assign.interval a n in
-      let universe =
-        Dsi.Join.prepare_universe (List.init (Doc.node_count doc) interval_of)
-      in
+      let forest, set = universe_of (List.init (Doc.node_count doc) interval_of) in
       let nodes tag = Xmlcore.Doc.nodes_with_tag doc tag in
       List.for_all
         (fun (anc_tag, desc_tag) ->
@@ -134,29 +144,21 @@ let join_matches_tree_prop =
               (fun d -> List.exists (fun p -> Doc.is_ancestor doc p d) ancs)
               descs
           in
-          let got_desc =
-            Dsi.Join.descendants_within
-              ~ancestors:(List.map interval_of ancs)
-              (List.map interval_of descs)
-          in
           let expected_child =
             List.filter
               (fun d -> List.exists (fun p -> Doc.parent doc d = Some p) ancs)
               descs
           in
-          let got_child =
-            Dsi.Join.children_within ~universe
-              ~parents:(List.map interval_of ancs)
-              (List.map interval_of descs)
-          in
-          List.length got_desc = List.length expected_desc
-          && List.length got_child = List.length expected_child)
+          let ancs = set (List.map interval_of ancs) and descs = set (List.map interval_of descs) in
+          count forest Forest.Descendant ancs descs = List.length expected_desc
+          && count forest Forest.Child ancs descs = List.length expected_child)
         [ "a", "b"; "b", "a"; "a", "item"; "item", "name"; "c", "d" ])
 
 let join_grouped_hulls () =
   (* Grouped sibling hulls must still join correctly: the hull of two
      adjacent policy# leaves is a child of their insurance parent. *)
-  let doc, _a, of_nodes, _universe = doc_join_setup () in
+  let doc, a, _, _ = doc_join_setup () in
+  let of_nodes ns = List.map (Dsi.Assign.interval a) ns in
   let insurances = of_nodes (Doc.nodes_with_tag doc "insurance") in
   (* Betty's insurance node has two policy# children. *)
   let betty_insurance =
@@ -177,17 +179,124 @@ let join_grouped_hulls () =
   (* The hull is not a node interval, but it must behave as a child of
      insurance in the grouped-universe world. *)
   let all_intervals = of_nodes (List.init (Doc.node_count doc) (fun i -> i)) in
-  let grouped_universe =
-    Dsi.Join.prepare_universe
+  let forest, set =
+    universe_of
       (hull
        :: List.filter
             (fun u -> not (List.exists (Interval.equal u) (of_nodes policies)))
             all_intervals)
   in
   Alcotest.(check int) "hull is child of insurance" 1
-    (List.length
-       (Dsi.Join.children_within ~universe:grouped_universe ~parents:insurances
-          [ hull ]))
+    (count forest Forest.Child (set insurances) (set [ hull ]))
+
+(* The kernel against an O(n²) reference that reads each axis off the
+   intervals themselves, over random laminar families: calInterval
+   layouts of random documents, with runs of adjacent siblings grouped
+   into their hull and, half the time, the root dropped so that several
+   top-level intervals share the virtual parent. *)
+let forest_axes =
+  Forest.[ Child; Parent; Descendant; Ancestor; Following_sibling; Preceding_sibling;
+           Following; Preceding ]
+
+let random_subset rng n = Array.of_seq (Seq.filter (fun _ -> Crypto.Prng.bool rng) (Seq.init n Fun.id))
+
+let kernel_agrees ~n ~related forest rng =
+  List.for_all
+    (fun self ->
+      List.for_all
+        (fun axis ->
+          List.for_all
+            (fun _ ->
+              let origins = random_subset rng n and cands = random_subset rng n in
+              let expected =
+                Array.of_seq
+                  (Seq.filter
+                     (fun c ->
+                       Array.exists (fun o -> (self && o = c) || related axis o c) origins)
+                     (Array.to_seq cands))
+              in
+              Forest.join ~self forest axis origins cands = expected)
+            [ 1; 2; 3 ])
+        forest_axes)
+    [ false; true ]
+
+let laminar_family doc rng =
+  let a = Dsi.Assign.assign ~key:"lam" doc in
+  let iv = Dsi.Assign.interval a in
+  let grouped = ref [] and hidden = ref [] in
+  Doc.iter doc (fun p ->
+      let rec runs = function
+        | x :: y :: rest when Crypto.Prng.int rng 3 = 0 ->
+          grouped := Interval.hull (iv x) (iv y) :: !grouped;
+          hidden := x :: y :: !hidden;
+          runs rest
+        | _ :: rest -> runs rest
+        | [] -> ()
+      in
+      runs (Doc.children doc p));
+  let drop_root = Crypto.Prng.bool rng in
+  !grouped
+  @ List.filter_map
+      (fun n -> if List.mem n !hidden || (drop_root && n = 0) then None else Some (iv n))
+      (List.init (Doc.node_count doc) Fun.id)
+
+let kernel_on_laminar_families =
+  QCheck.Test.make ~name:"kernel = brute force on laminar families" ~count:300
+    QCheck.(pair Helpers.arbitrary_doc small_nat)
+    (fun (doc, seed) ->
+      let rng = Crypto.Prng.create (Int64.of_int seed) in
+      let index, _ = Dsi.Universe.index [| laminar_family doc rng |] in
+      let forest = Dsi.Universe.forest index in
+      let n = Dsi.Universe.size index in
+      let universe = Array.init n (Dsi.Universe.interval index) in
+      let container c =
+        Array.fold_left
+          (fun acc z ->
+            if Interval.contains z universe.(c)
+               && (match acc with None -> true | Some y -> Interval.contains y z)
+            then Some z
+            else acc)
+          None universe
+      in
+      let same_container o c = Option.equal Interval.equal (container o) (container c) in
+      let related axis o c =
+        let uo = universe.(o) and uc = universe.(c) in
+        match axis with
+        | Forest.Descendant -> Interval.contains uo uc
+        | Forest.Ancestor -> Interval.contains uc uo
+        | Forest.Child -> Option.equal Interval.equal (container c) (Some uo)
+        | Forest.Parent -> Option.equal Interval.equal (container o) (Some uc)
+        | Forest.Following_sibling -> same_container o c && uo.Interval.hi < uc.Interval.lo
+        | Forest.Preceding_sibling -> same_container o c && uc.Interval.hi < uo.Interval.lo
+        | Forest.Following -> uo.Interval.hi < uc.Interval.lo
+        | Forest.Preceding -> uc.Interval.hi < uo.Interval.lo
+      in
+      kernel_agrees ~n ~related forest rng)
+
+let node_sets_sort =
+  QCheck.Test.make ~name:"node sets: of_unsorted = sort_uniq" ~count:300
+    QCheck.(list small_int)
+    (fun xs ->
+      Array.to_list (Forest.of_unsorted (Array.of_list xs)) = List.sort_uniq Int.compare xs)
+
+let kernel_on_docs =
+  QCheck.Test.make ~name:"kernel = brute force on documents" ~count:300
+    QCheck.(pair Helpers.arbitrary_doc small_nat)
+    (fun (doc, seed) ->
+      let rng = Crypto.Prng.create (Int64.of_int seed) in
+      let siblings o c = Doc.parent doc o = Doc.parent doc c in
+      let related axis o c =
+        match axis with
+        | Forest.Descendant -> Doc.is_ancestor doc o c
+        | Forest.Ancestor -> Doc.is_ancestor doc c o
+        | Forest.Child -> Doc.parent doc c = Some o
+        | Forest.Parent -> Doc.parent doc o = Some c
+        | Forest.Following_sibling -> siblings o c && o < c
+        | Forest.Preceding_sibling -> siblings o c && c < o
+        | Forest.Following -> c > o && not (Doc.is_ancestor doc o c)
+        | Forest.Preceding -> c < o && not (Doc.is_ancestor doc c o)
+      in
+      kernel_agrees ~n:(Doc.node_count doc) ~related (Doc.forest doc) rng)
 
 (* --- Continuous baseline (the index DSI replaces) ----------------- *)
 
@@ -265,7 +374,9 @@ let () =
         [ Alcotest.test_case "descendant semi-joins" `Quick join_descendants;
           Alcotest.test_case "child semi-joins" `Quick join_children;
           Alcotest.test_case "grouped hulls" `Quick join_grouped_hulls ]
-        @ List.map QCheck_alcotest.to_alcotest [ join_matches_tree_prop ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ join_matches_tree_prop; kernel_on_laminar_families; kernel_on_docs;
+              node_sets_sort ] );
       ( "continuous baseline",
         [ Alcotest.test_case "exact tiling" `Quick continuous_tiles_exactly;
           Alcotest.test_case "grouping leaks (paper 5.1.1)" `Quick

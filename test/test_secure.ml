@@ -532,6 +532,79 @@ let opess_negative_numbers () =
   Alcotest.(check bool) "0 not < 0" false (covered "0");
   Alcotest.(check bool) "12 not < 0" false (covered "12")
 
+(* Numbers off the number line: not finite, or spread past float range.
+   Their attribute is ranked instead of positioned by value, and an
+   equality range still covers each value's chunks. *)
+let opess_non_finite () =
+  List.iter
+    (fun histogram ->
+      let cat = opess_build "odd" histogram in
+      List.iter
+        (fun (v, _) ->
+          let ranges = Secure.Opess.translate cat Xpath.Ast.Eq v in
+          match Secure.Opess.find_entry cat v with
+          | None -> Alcotest.failf "%s has no entry" v
+          | Some e ->
+            Alcotest.(check bool) (v ^ " found by equality") true
+              (List.for_all
+                 (fun c ->
+                   List.exists
+                     (fun (lo, hi) -> c.Secure.Opess.cipher >= lo && c.Secure.Opess.cipher <= hi)
+                     ranges)
+                 e.Secure.Opess.chunks))
+        histogram)
+    [ [ "nan", 1 ]; [ "inf", 2 ]; [ "1", 3; "nan", 2 ]; [ "1.7e308", 1; "-1.7e308", 1 ] ]
+
+(* Such values in a hosted document: hosting succeeds, and equality and
+   range queries on the attribute answer as on the plaintext. *)
+let odd_queries =
+  List.map Xpath.Parser.parse
+    [ "//patient[age='nan']/pname"; "//patient[age='inf']/pname";
+      "//patient[age>=40]/pname"; "//patient[age<30]/pname"; "//patient[remark='nan']/pname" ]
+
+let answers_like_reference sys =
+  List.iter
+    (fun q ->
+      Helpers.check_trees_equal (Xpath.Ast.to_string q) (Secure.System.reference sys q)
+        (fst (Secure.System.evaluate sys q)))
+    odd_queries
+
+let non_finite_values_host () =
+  let count = ref 0 in
+  let rec odd = function
+    | Xmlcore.Tree.Element ("age", [ Xmlcore.Tree.Text _ ]) when !count < 2 ->
+      incr count;
+      Xmlcore.Tree.leaf "age" (if !count = 1 then "nan" else "inf")
+    | Xmlcore.Tree.Element (tag, children) -> Xmlcore.Tree.element tag (List.map odd children)
+    | Xmlcore.Tree.Text _ as t -> t
+  in
+  let doc = Xmlcore.Doc.of_tree (odd (Xmlcore.Doc.to_tree (Workload.Health.generate ~patients:12 ()))) in
+  List.iter
+    (fun kind ->
+      let sys, _ = Secure.System.setup ~master:"odd" doc (health_scs ()) kind in
+      answers_like_reference sys)
+    Secure.Scheme.all_kinds
+
+let non_finite_value_delta () =
+  let doc = Workload.Health.generate ~patients:30 () in
+  let sys, _ = Secure.System.setup ~master:"odd" doc (health_scs ()) Secure.Scheme.Opt in
+  let next, _ =
+    Secure.System.apply_delta sys
+      (Secure.Update.Insert_child
+         { parent = Xpath.Parser.parse "//patient";
+           position = 0;
+           subtree = Xmlcore.Tree.leaf "remark" "nan" })
+  in
+  answers_like_reference next;
+  let fresh, _ =
+    Secure.System.setup ~master:"odd" (Secure.System.doc next) (health_scs ()) Secure.Scheme.Opt
+  in
+  List.iter
+    (fun q ->
+      Helpers.check_trees_equal (Xpath.Ast.to_string q) (fst (Secure.System.evaluate fresh q))
+        (fst (Secure.System.evaluate next q)))
+    odd_queries
+
 let opess_categorical () =
   let histogram = [ "apple", 7; "banana", 3; "cherry", 9 ] in
   let cat = opess_build "fruit" histogram in
@@ -849,6 +922,9 @@ let () =
           Alcotest.test_case "scaling" `Quick opess_scaling;
           Alcotest.test_case "categorical domains" `Quick opess_categorical;
           Alcotest.test_case "negative numeric domains" `Quick opess_negative_numbers;
+          Alcotest.test_case "non-finite numbers rank" `Quick opess_non_finite;
+          Alcotest.test_case "non-finite values host" `Quick non_finite_values_host;
+          Alcotest.test_case "non-finite value delta" `Quick non_finite_value_delta;
           Alcotest.test_case "occurrence ciphers" `Quick opess_occurrence_cipher;
           Alcotest.test_case "unchanged histogram reuses the catalog" `Quick
             opess_patch_unchanged_is_identity ]

@@ -457,6 +457,108 @@ let empty_answers () =
   Alcotest.(check int) "no answers" 0 (List.length answers);
   Alcotest.(check int) "no blocks" 0 cost.System.blocks_returned
 
+(* Answers come back in document order: the plaintext evaluator's list,
+   element for element, not only the same set.  Every axis and [*]. *)
+let answers_in_document_order () =
+  let doc = Workload.Health.doc () in
+  let scs = Workload.Health.constraints () in
+  let printed = List.map Xmlcore.Printer.tree_to_string in
+  List.iter
+    (fun kind ->
+      let sys, _ = System.setup doc scs kind in
+      List.iter
+        (fun q ->
+          let query = Xpath.Parser.parse q in
+          let expected = List.map (Doc.subtree doc) (Xpath.Eval.eval doc query) in
+          Alcotest.(check (list string))
+            (Scheme.kind_to_string kind ^ ": " ^ q)
+            (printed expected)
+            (printed (fst (System.evaluate sys query))))
+        health_queries)
+    Scheme.all_kinds
+
+(* The server's list adaptors, driven call for call as
+   bench/e2e/redrive.ml drives them, must ship what [Server.answer]
+   ships, byte for byte on the wire. *)
+module Server = Secure.Server
+module Squery = Secure.Squery
+
+let rec redrive_forward server state origin = function
+  | [] -> []
+  | step :: rest ->
+    let raw = Server.lookup server step.Squery.test in
+    let joined = Server.join_forward server origin step.Squery.axis raw in
+    let filtered =
+      List.fold_left (redrive_predicate server state) joined step.Squery.predicates
+    in
+    Server.register state filtered;
+    filtered :: redrive_forward server state (Some filtered) rest
+
+and redrive_predicate server state candidates = function
+  | Squery.P_and (a, b) ->
+    redrive_predicate server state (redrive_predicate server state candidates a) b
+  | Squery.P_or (a, b) ->
+    let left = redrive_predicate server state candidates a in
+    let right = redrive_predicate server state candidates b in
+    left @ List.filter (fun c -> not (List.exists (Dsi.Interval.equal c) left)) right
+  | Squery.P_not inner ->
+    ignore (redrive_predicate server state candidates inner);
+    candidates
+  | Squery.Exists q -> redrive_chain server state candidates q None
+  | Squery.Value (q, Squery.Unknown) ->
+    if q.Squery.steps = [] then candidates else redrive_chain server state candidates q None
+  | Squery.Value (q, Squery.Ranges ranges) ->
+    let targets, hits = Server.btree_targets server ranges in
+    Server.add_hits state hits;
+    if q.Squery.steps = [] then Server.filter_by_targets server candidates targets
+    else redrive_chain server state candidates q (Some targets)
+
+and redrive_chain server state candidates q targets =
+  let levels = redrive_forward server state (Some candidates) q.Squery.steps in
+  match List.rev levels with
+  | [] -> candidates
+  | deepest :: _ ->
+    let deepest =
+      match targets with
+      | None -> deepest
+      | Some ts -> Server.filter_by_targets server deepest ts
+    in
+    let uppers = match List.rev (candidates :: levels) with _ :: u -> u | [] -> [] in
+    let axes = List.rev_map (fun s -> s.Squery.axis) q.Squery.steps in
+    List.fold_left2
+      (fun survivors above axis -> Server.join_backward server above axis survivors)
+      deepest uppers axes
+
+let redrive_matches_answer () =
+  let pool doc =
+    List.concat_map
+      (fun family -> Workload.Querygen.generate ~seed:1L doc family ~count:8)
+      Workload.Querygen.[ Ql; Qv; Qm ]
+  in
+  let nasa = Workload.Nasa.generate ~datasets:20 () in
+  let health = Workload.Health.doc () in
+  List.iter
+    (fun (doc, scs, queries) ->
+      let sys, _ = System.setup doc scs Scheme.Opt in
+      let server = System.server sys in
+      List.iter
+        (fun q ->
+          let squery = Secure.Client.translate (System.client sys) q in
+          let state = Server.new_state () in
+          let levels = redrive_forward server state None squery.Squery.steps in
+          let distinguished = match List.rev levels with last :: _ -> last | [] -> [] in
+          let redriven =
+            Server.select_blocks server ~witnesses:state.Server.witnesses ~distinguished
+              ~candidate_intervals:state.Server.touched ~btree_hits:state.Server.hits
+          in
+          Alcotest.(check string) (Xpath.Ast.to_string q)
+            (Secure.Protocol.encode_response (Server.answer server squery))
+            (Secure.Protocol.encode_response redriven))
+        queries)
+    [ nasa, Workload.Nasa.constraints (), pool nasa;
+      health, Workload.Health.constraints (),
+      pool health @ List.map Xpath.Parser.parse health_queries ]
+
 let () =
   Alcotest.run "system"
     [ ( "correctness",
@@ -468,7 +570,10 @@ let () =
           Alcotest.test_case "aes cipher suite" `Quick aes_hosted_system;
           Alcotest.test_case "encrypted-only value index" `Quick encrypted_only_index_policy;
           Alcotest.test_case "key rotation" `Quick key_rotation;
-          Alcotest.test_case "empty answers" `Quick empty_answers ]
+          Alcotest.test_case "empty answers" `Quick empty_answers;
+          Alcotest.test_case "answers in document order" `Quick answers_in_document_order;
+          Alcotest.test_case "list adaptors ship what answer ships" `Quick
+            redrive_matches_answer ]
         @ List.map QCheck_alcotest.to_alcotest [ random_docs_random_queries ] );
       ( "aggregates",
         [ Alcotest.test_case "match reference" `Slow aggregates_match_reference;
