@@ -736,16 +736,16 @@ let e8 () =
         (Secure.Metadata.table_entry_count meta))
     Scheme.all_kinds;
   (* (d) B-tree min_degree sweep. *)
-  Printf.printf "\n(d) B-tree min_degree sweep (100k inserts + 1k range scans)\n";
+  Printf.printf "\n(d) B-tree min_degree sweep (bulk_load of 100k entries + 1k range scans)\n";
   Printf.printf "  %6s %10s %8s %12s %12s\n" "t" "height" "nodes" "build-ms" "scan-ms";
   List.iter
     (fun degree ->
-      let tree = Btree.create ~min_degree:degree () in
       let rng = Crypto.Prng.create 5L in
+      let entries =
+        List.init 100_000 (fun _ -> Int64.of_int (Crypto.Prng.int rng 1_000_000), 0)
+      in
       let t0 = Unix.gettimeofday () in
-      for _ = 1 to 100_000 do
-        Btree.insert tree (Int64.of_int (Crypto.Prng.int rng 1_000_000)) 0
-      done;
+      let tree = Btree.bulk_load ~min_degree:degree entries in
       let t1 = Unix.gettimeofday () in
       for i = 1 to 1_000 do
         ignore (Btree.range tree ~lo:(Int64.of_int (i * 500)) ~hi:(Int64.of_int ((i * 500) + 2_000)))
@@ -887,7 +887,7 @@ let e8 () =
         "  %-14s metadata %8d B, btree %6d entries; age>=60 query %6.2f ms \
          (%d blocks, %d answers)\n"
         label cost.System.metadata_bytes
-        (Secure.Metadata.btree_entry_count (System.metadata sys))
+        (Secure.Metadata.index_summary (System.metadata sys)).Secure.Metadata.entries
         (System.total_ms qcost) qcost.System.blocks_returned
         (List.length answers))
     [ "all-leaves", Secure.Metadata.All_leaves;
@@ -1757,8 +1757,15 @@ let micro () =
     :: List.map (fun (v, c) -> if v = "00150" then v, c - 1 else v, c) big_hist
     |> List.sort (fun (a, _) (b, _) -> String.compare a b)
   in
-  let btree = Btree.create () in
-  List.iteri (fun i (_, c) -> Btree.insert btree (Int64.of_int (i * 7)) c) big_hist;
+  let btree = Btree.bulk_load (List.mapi (fun i (_, c) -> Int64.of_int (i * 7), c) big_hist) in
+  (* One attribute's entries the size of churn's policy# (the tree a
+     churn Set_value rebuilds), unsorted, with OPESS-style duplicate
+     keys in the attribute's namespace. *)
+  let policy_entries =
+    let rng = Crypto.Prng.create 7L in
+    List.init 1650 (fun i ->
+        Int64.logor (Int64.shift_left 3L 56) (Int64.of_int (Crypto.Prng.int rng 400)), i)
+  in
   let payload = String.init 65_536 (fun i -> Char.chr (i mod 256)) in
   let cbc_key = Crypto.Cbc.prepare "bench-key" in
   let ope = Crypto.Ope.create ~key:"bench" ~domain_bits:32 in
@@ -1867,10 +1874,8 @@ let micro () =
           (Staged.stage
              (let block = String.make 4096 'x' in
               fun () -> Crypto.Sha256.digest block));
-        Test.make ~name:"btree-insert-delete"
-          (Staged.stage (fun () ->
-               Btree.insert btree 424242L 1;
-               ignore (Btree.delete btree 424242L (fun _ -> true))));
+        Test.make ~name:"btree-bulk-load-1650"
+          (Staged.stage (fun () -> Btree.bulk_load policy_entries));
         Test.make ~name:"protocol-encode-request"
           (Staged.stage
              (let squery =

@@ -234,11 +234,12 @@ let host_cmd =
       cost.Secure.System.metadata_ms;
     Printf.printf "server data: %d bytes;  metadata: %d bytes\n"
       cost.Secure.System.server_data_bytes cost.Secure.System.metadata_bytes;
-    Printf.printf "DSI table: %d tokens, %d intervals;  B-tree: %d entries, height %d\n"
+    let index = Secure.Metadata.index_summary meta in
+    Printf.printf
+      "DSI table: %d tokens, %d intervals;  value index: %d entries, height %d\n"
       (List.length meta.Secure.Metadata.dsi_table)
       (Secure.Metadata.table_entry_count meta)
-      (Secure.Metadata.btree_entry_count meta)
-      (Btree.height meta.Secure.Metadata.btree)
+      index.Secure.Metadata.entries index.Secure.Metadata.height
   in
   Cmd.v
     (Cmd.info "host"

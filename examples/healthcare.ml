@@ -45,9 +45,9 @@ let () =
   Printf.printf "DSI index table: %d entries (%d intervals)\n"
     (List.length meta.Secure.Metadata.dsi_table)
     (Secure.Metadata.table_entry_count meta);
-  Printf.printf "value B-tree: %d entries, height %d\n"
-    (Secure.Metadata.btree_entry_count meta)
-    (Btree.height meta.Secure.Metadata.btree);
+  let index = Secure.Metadata.index_summary meta in
+  Printf.printf "value index: %d entries, one B-tree per attribute, height %d\n"
+    index.Secure.Metadata.entries index.Secure.Metadata.height;
   Printf.printf "\nDSI index table excerpt (token -> intervals):\n";
   List.iteri
     (fun i (token, intervals) ->

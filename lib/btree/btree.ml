@@ -1,510 +1,105 @@
 type 'a node = {
-  mutable keys : int64 array;
-  mutable payloads : 'a array;
-  mutable children : 'a node array;  (* empty for leaves *)
-  mutable n : int;                   (* live keys *)
+  keys : int64 array;         (* sorted *)
+  payloads : 'a array;        (* one per key *)
+  children : 'a node array;   (* empty for leaves *)
 }
 
 type 'a t = {
   min_degree : int;
-  mutable root : 'a node;
-  mutable size : int;
+  root : 'a node;
+  size : int;
 }
-
-let max_keys t = (2 * t.min_degree) - 1
-
-let leaf_node () = { keys = [||]; payloads = [||]; children = [||]; n = 0 }
 
 let is_leaf node = Array.length node.children = 0
 
-let create ?(min_degree = 16) () =
-  if min_degree < 2 then invalid_arg "Btree.create: min_degree must be >= 2";
-  { min_degree; root = leaf_node (); size = 0 }
-
 let length t = t.size
 
-(* Grow the key/payload arrays of [node] to capacity [cap] (children too
-   when the node is internal). *)
-let ensure_capacity ~internal node cap =
-  if Array.length node.keys < cap then begin
-    let keys = Array.make cap 0L in
-    Array.blit node.keys 0 keys 0 node.n;
-    node.keys <- keys;
-    let payloads =
-      if node.n = 0 then [||]
-      else begin
-        let p = Array.make cap node.payloads.(0) in
-        Array.blit node.payloads 0 p 0 node.n;
-        p
-      end
-    in
-    node.payloads <- payloads;
-    if internal && Array.length node.children < cap + 1 && node.n > 0 then begin
-      let children = Array.make (cap + 1) node.children.(0) in
-      Array.blit node.children 0 children 0 (node.n + 1);
-      node.children <- children
-    end
-  end
+(* One level of bottom-up packing.  The level is [m] subtrees ([kids];
+   none at the leaf level, where the [m - 1] entries are separators
+   between empty subtrees) with the [m - 1] sorted entries between
+   them.  They are cut into ceil(m / 2td) nodes of td..2td subtrees
+   each, as evenly as possible, larger nodes first: each node keeps the
+   entries between its own subtrees, and the entry between two
+   adjacent nodes goes up, in order, as a separator of the level
+   above. *)
+let pack ~td kids entries =
+  let m = Array.length entries + 1 in
+  let parts = (m + (2 * td) - 1) / (2 * td) in
+  let up = if parts = 1 then [||] else Array.make (parts - 1) entries.(0) in
+  let first = ref 0 in
+  let nodes =
+    Array.init parts (fun i ->
+        let g = (m / parts) + if i < m mod parts then 1 else 0 in
+        let at = !first in
+        if i < parts - 1 then up.(i) <- entries.(at + g - 1);
+        first := at + g;
+        { keys = Array.init (g - 1) (fun j -> fst entries.(at + j));
+          payloads = Array.init (g - 1) (fun j -> snd entries.(at + j));
+          children = (if Array.length kids = 0 then [||] else Array.sub kids at g) })
+  in
+  nodes, up
 
-(* Make room for payloads when the node was empty ([payloads] can't be
-   pre-sized without a dummy element). *)
-let set_entry node i key payload =
-  if Array.length node.payloads <= i then begin
-    let cap = max (i + 1) (Array.length node.keys) in
-    let p = Array.make cap payload in
-    Array.blit node.payloads 0 p 0 node.n;
-    node.payloads <- p
-  end;
-  node.keys.(i) <- key;
-  node.payloads.(i) <- payload
-
-(* Split the full child [child] of [parent] at child index [i]. *)
-let split_child t parent i child =
-  let td = t.min_degree in
-  let right = leaf_node () in
-  right.keys <- Array.make (max_keys t) 0L;
-  right.n <- td - 1;
-  Array.blit child.keys td right.keys 0 (td - 1);
-  right.payloads <- Array.sub child.payloads td (td - 1);
-  (* Restore right.payloads capacity. *)
-  (let cap = max_keys t in
-   if right.n > 0 && Array.length right.payloads < cap then begin
-     let p = Array.make cap right.payloads.(0) in
-     Array.blit right.payloads 0 p 0 right.n;
-     right.payloads <- p
-   end);
-  if not (is_leaf child) then begin
-    right.children <- Array.make (max_keys t + 1) child.children.(0);
-    Array.blit child.children td right.children 0 td
-  end;
-  let median_key = child.keys.(td - 1) in
-  let median_payload = child.payloads.(td - 1) in
-  child.n <- td - 1;
-  (* Shift parent's entries and children right to open slot [i]. *)
-  ensure_capacity ~internal:true parent (max_keys t);
-  if Array.length parent.children < max_keys t + 1 then begin
-    let children = Array.make (max_keys t + 1) parent.children.(0) in
-    Array.blit parent.children 0 children 0 (parent.n + 1);
-    parent.children <- children
-  end;
-  for j = parent.n downto i + 1 do
-    parent.keys.(j) <- parent.keys.(j - 1)
-  done;
-  (if parent.n > 0 then
-     for j = parent.n downto i + 1 do
-       parent.payloads.(j) <- parent.payloads.(j - 1)
-     done);
-  for j = parent.n + 1 downto i + 2 do
-    parent.children.(j) <- parent.children.(j - 1)
-  done;
-  parent.children.(i + 1) <- right;
-  set_entry parent i median_key median_payload;
-  parent.n <- parent.n + 1
-
-let rec insert_nonfull t node key payload =
-  if is_leaf node then begin
-    ensure_capacity ~internal:false node (max_keys t);
-    (* Insert after any equal keys to keep insertion order stable. *)
-    let i = ref (node.n - 1) in
-    while !i >= 0 && node.keys.(!i) > key do
-      node.keys.(!i + 1) <- node.keys.(!i);
-      node.payloads.(!i + 1) <- node.payloads.(!i);
-      decr i
-    done;
-    set_entry node (!i + 1) key payload;
-    node.n <- node.n + 1
-  end
-  else begin
-    let i = ref (node.n - 1) in
-    while !i >= 0 && node.keys.(!i) > key do
-      decr i
-    done;
-    let child_index = !i + 1 in
-    let child = node.children.(child_index) in
-    if child.n = max_keys t then begin
-      split_child t node child_index child;
-      let child_index = if key >= node.keys.(child_index) then child_index + 1 else child_index in
-      insert_nonfull t node.children.(child_index) key payload
-    end
-    else insert_nonfull t child key payload
-  end
-
-let insert t key payload =
-  let root = t.root in
-  if root.n = max_keys t then begin
-    let new_root = leaf_node () in
-    new_root.keys <- Array.make (max_keys t) 0L;
-    new_root.children <- Array.make (max_keys t + 1) root;
-    new_root.children.(0) <- root;
-    t.root <- new_root;
-    split_child t new_root 0 root;
-    insert_nonfull t new_root key payload
-  end
-  else insert_nonfull t root key payload;
-  t.size <- t.size + 1
-
-(* ------------------------------------------------------------------ *)
-(* Bulk loading (bottom-up packing of sorted entries)                  *)
-
-let node_of_entries t entries =
-  let node = leaf_node () in
-  ensure_capacity ~internal:false node (max_keys t);
-  List.iteri (fun i (k, v) -> set_entry node i k v) entries;
-  node.n <- List.length entries;
-  node
-
-(* Split [n] items into [parts] contiguous groups as evenly as
-   possible; returns the group sizes. *)
-let even_groups n parts =
-  let base = n / parts and rem = n mod parts in
-  List.init parts (fun i -> base + if i < rem then 1 else 0)
+let rec ascending = function
+  | (a, _) :: ((b, _) :: _ as rest) -> Int64.compare a b <= 0 && ascending rest
+  | [ _ ] | [] -> true
 
 let bulk_load ?(min_degree = 16) entries =
-  let t = create ~min_degree () in
-  let td = min_degree in
-  let cap = max_keys t in
-  let sorted = List.stable_sort (fun (a, _) (b, _) -> compare a b) entries in
-  let n = List.length sorted in
-  if n = 0 then t
-  else begin
-    let take k list =
-      let rec go k acc = function
-        | rest when k = 0 -> List.rev acc, rest
-        | x :: rest -> go (k - 1) (x :: acc) rest
-        | [] -> List.rev acc, []
-      in
-      go k [] list
-    in
-    (* Leaf level: k leaves of td-1..cap entries each, separated by
-       k-1 entries that move up. *)
-    let leaf_count =
-      (* Find the smallest k with even leaf sizes within bounds. *)
-      let rec search k =
-        let per_leaf_min = (n - k + 1) / k in
-        let per_leaf_max = per_leaf_min + (if (n - k + 1) mod k = 0 then 0 else 1) in
-        if per_leaf_max <= cap && per_leaf_min >= td - 1 then k
-        else if per_leaf_max > cap then search (k + 1)
-        else (* leaves would underfill: fewer leaves *)
-          max 1 (k - 1)
-      in
-      if n <= cap then 1 else search (max 1 ((n + cap) / (cap + 1)))
-    in
-    let sizes = even_groups (n - leaf_count + 1) leaf_count in
-    let rec build_leaves sizes entries nodes seps =
-      match sizes with
-      | [] -> List.rev nodes, List.rev seps
-      | size :: rest ->
-        let chunk, remaining = take size entries in
-        let node = node_of_entries t chunk in
-        (match rest, remaining with
-         | _ :: _, sep :: after -> build_leaves rest after (node :: nodes) (sep :: seps)
-         | _, _ -> build_leaves rest remaining (node :: nodes) seps)
-    in
-    let leaves, seps = build_leaves sizes sorted [] [] in
-    (* Upper levels: group children td..2td per parent, promoting one
-       separator between adjacent groups. *)
-    let rec build_level children seps =
-      match children with
-      | [ root ] -> root
-      | _ ->
-        let k = List.length children in
-        let parents = (k + (2 * td) - 1) / (2 * td) in
-        let group_sizes = even_groups k parents in
-        let rec make groups children seps parents_acc up_seps =
-          match groups with
-          | [] -> List.rev parents_acc, List.rev up_seps
-          | g :: rest ->
-            let kids, children = take g children in
-            let inner, seps = take (g - 1) seps in
-            let parent = leaf_node () in
-            ensure_capacity ~internal:false parent cap;
-            List.iteri (fun i (key, v) -> set_entry parent i key v) inner;
-            parent.n <- g - 1;
-            parent.children <- Array.make (cap + 1) (List.hd kids);
-            List.iteri (fun i kid -> parent.children.(i) <- kid) kids;
-            (match rest, seps with
-             | _ :: _, up :: seps ->
-               make rest children seps (parent :: parents_acc) (up :: up_seps)
-             | _, _ -> make rest children seps (parent :: parents_acc) up_seps)
-        in
-        let parents, up = make group_sizes children seps [] [] in
-        build_level parents up
-    in
-    t.root <- build_level leaves seps;
-    t.size <- n;
-    t
-  end
-
-(* ------------------------------------------------------------------ *)
-(* Deletion (single-pass with preemptive borrow/merge)                 *)
-
-(* Remove the entry at index [i] of a leaf. *)
-let leaf_remove node i =
-  for j = i to node.n - 2 do
-    node.keys.(j) <- node.keys.(j + 1);
-    node.payloads.(j) <- node.payloads.(j + 1)
-  done;
-  node.n <- node.n - 1
-
-(* Move the last entry of [left] up to [parent].(i) and the old
-   separator down into [right] (right rotation through the parent). *)
-let borrow_from_left t parent i left right =
-  ensure_capacity ~internal:(not (is_leaf right)) right (max_keys t);
-  for j = right.n downto 1 do
-    right.keys.(j) <- right.keys.(j - 1)
-  done;
-  (if right.n > 0 then
-     for j = right.n downto 1 do
-       right.payloads.(j) <- right.payloads.(j - 1)
-     done);
-  set_entry right 0 parent.keys.(i) parent.payloads.(i);
-  if not (is_leaf right) then begin
-    for j = right.n + 1 downto 1 do
-      right.children.(j) <- right.children.(j - 1)
-    done;
-    right.children.(0) <- left.children.(left.n)
-  end;
-  right.n <- right.n + 1;
-  set_entry parent i left.keys.(left.n - 1) left.payloads.(left.n - 1);
-  left.n <- left.n - 1
-
-(* Mirror image: first entry of [right] up, separator down into [left]. *)
-let borrow_from_right t parent i left right =
-  ensure_capacity ~internal:(not (is_leaf left)) left (max_keys t);
-  set_entry left left.n parent.keys.(i) parent.payloads.(i);
-  if not (is_leaf left) then left.children.(left.n + 1) <- right.children.(0);
-  left.n <- left.n + 1;
-  set_entry parent i right.keys.(0) right.payloads.(0);
-  for j = 0 to right.n - 2 do
-    right.keys.(j) <- right.keys.(j + 1);
-    right.payloads.(j) <- right.payloads.(j + 1)
-  done;
-  if not (is_leaf right) then
-    for j = 0 to right.n - 1 do
-      right.children.(j) <- right.children.(j + 1)
-    done;
-  right.n <- right.n - 1
-
-(* Merge parent separator [i] and child [i+1] into child [i]; the
-   parent loses one key and one child. *)
-let merge_children t parent i =
-  let left = parent.children.(i) and right = parent.children.(i + 1) in
-  ensure_capacity ~internal:(not (is_leaf left)) left (max_keys t);
-  set_entry left left.n parent.keys.(i) parent.payloads.(i);
-  for j = 0 to right.n - 1 do
-    set_entry left (left.n + 1 + j) right.keys.(j) right.payloads.(j)
-  done;
-  if not (is_leaf left) then begin
-    if Array.length left.children < max_keys t + 1 then begin
-      let grown = Array.make (max_keys t + 1) left.children.(0) in
-      Array.blit left.children 0 grown 0 (left.n + 1);
-      left.children <- grown
-    end;
-    for j = 0 to right.n do
-      left.children.(left.n + 1 + j) <- right.children.(j)
-    done
-  end;
-  left.n <- left.n + right.n + 1;
-  for j = i to parent.n - 2 do
-    parent.keys.(j) <- parent.keys.(j + 1);
-    parent.payloads.(j) <- parent.payloads.(j + 1)
-  done;
-  for j = i + 1 to parent.n - 1 do
-    parent.children.(j) <- parent.children.(j + 1)
-  done;
-  parent.n <- parent.n - 1
-
-(* Guarantee child [i] of [parent] has at least [t.min_degree] keys
-   before descending.  Returns the (possibly shifted) child index. *)
-let fill_child t parent i =
-  let td = t.min_degree in
-  let child = parent.children.(i) in
-  if child.n >= td then i
-  else if i > 0 && parent.children.(i - 1).n >= td then begin
-    borrow_from_left t parent (i - 1) parent.children.(i - 1) child;
-    i
-  end
-  else if i < parent.n && parent.children.(i + 1).n >= td then begin
-    borrow_from_right t parent i child parent.children.(i + 1);
-    i
-  end
-  else if i > 0 then begin
-    merge_children t parent (i - 1);
-    i - 1
-  end
-  else begin
-    merge_children t parent i;
-    i
-  end
-
-(* Extract the maximum/minimum entry of a subtree, filling children on
-   the way down so no node drops below t keys. *)
-let rec pop_max_filled t node =
-  if is_leaf node then begin
-    let entry = node.keys.(node.n - 1), node.payloads.(node.n - 1) in
-    node.n <- node.n - 1;
-    entry
-  end
-  else begin
-    ignore (fill_child t node node.n);
-    (* After any borrow/merge the rightmost child is at index node.n. *)
-    pop_max_filled t node.children.(node.n)
-  end
-
-let rec pop_min_filled t node =
-  if is_leaf node then begin
-    let entry = node.keys.(0), node.payloads.(0) in
-    leaf_remove node 0;
-    entry
-  end
-  else begin
-    ignore (fill_child t node 0);
-    pop_min_filled t node.children.(0)
-  end
-
-(* Remove the separator at index [i] of an internal node: replace it
-   with the predecessor or successor entry, or merge and recurse on the
-   separator's exact landing position (index td-1 of the merged child) —
-   position-exact so duplicates are never confused. *)
-let rec delete_separator t node i =
-  let td = t.min_degree in
-  let left = node.children.(i) and right = node.children.(i + 1) in
-  if left.n >= td then begin
-    let pk, pv = pop_max_filled t left in
-    set_entry node i pk pv
-  end
-  else if right.n >= td then begin
-    let sk, sv = pop_min_filled t right in
-    set_entry node i sk sv
-  end
-  else begin
-    merge_children t node i;
-    let merged = node.children.(i) in
-    if is_leaf merged then leaf_remove merged (td - 1)
-    else delete_separator t merged (td - 1)
-  end
-
-(* [delete_in t node k matching]: remove the first (in-order) matching
-   entry in the subtree. *)
-let rec delete_in t node k matching =
-  if is_leaf node then begin
-    let rec scan i =
-      if i >= node.n || node.keys.(i) > k then false
-      else if node.keys.(i) = k && matching node.payloads.(i) then begin
-        leaf_remove node i;
-        true
-      end
-      else scan (i + 1)
-    in
-    scan 0
-  end
-  else begin
-    (* In-order positions child 0, key 0, child 1, key 1, ...: visit
-       children whose key range can hold [k], interleaved with
-       separator checks, left to right. *)
-    let rec visit i =
-      if i > node.n then false
-      else begin
-        let child_may_hold =
-          (i = 0 || node.keys.(i - 1) <= k) && (i = node.n || node.keys.(i) >= k)
-        in
-        if child_may_hold then begin
-          let i = fill_child t node i in
-          if delete_in t node.children.(i) k matching then true else separator i
-        end
-        else separator i
-      end
-    and separator i =
-      if i >= node.n || node.keys.(i) > k then false
-      else if node.keys.(i) = k && matching node.payloads.(i) then begin
-        delete_separator t node i;
-        true
-      end
-      else visit (i + 1)
-    in
-    visit 0
-  end
-
-let delete t k matching =
-  let found = delete_in t t.root k matching in
-  (* Shrink the root when it lost its last key. *)
-  if t.root.n = 0 && not (is_leaf t.root) then t.root <- t.root.children.(0);
-  if found then t.size <- t.size - 1;
-  found
-
-let delete_all t k matching =
-  let removed = ref 0 in
-  while delete t k matching do
-    incr removed
-  done;
-  !removed
+  if min_degree < 2 then invalid_arg "Btree.bulk_load: min_degree must be >= 2";
+  let sorted =
+    Array.of_list
+      (if ascending entries then entries
+       else List.stable_sort (fun (a, _) (b, _) -> Int64.compare a b) entries)
+  in
+  let rec build kids entries =
+    match pack ~td:min_degree kids entries with
+    | [| root |], _ -> root
+    | nodes, up -> build nodes up
+  in
+  { min_degree; root = build [||] sorted; size = Array.length sorted }
 
 let height t =
   let rec go node = if is_leaf node then 1 else 1 + go node.children.(0) in
   go t.root
 
 let node_count t =
-  let rec go node =
-    if is_leaf node then 1
-    else begin
-      let acc = ref 1 in
-      for i = 0 to node.n do
-        acc := !acc + go node.children.(i)
-      done;
-      !acc
-    end
-  in
+  let rec go node = Array.fold_left (fun acc kid -> acc + go kid) 1 node.children in
   go t.root
 
-let iter t f =
-  let rec go node =
-    if is_leaf node then
-      for i = 0 to node.n - 1 do
-        f node.keys.(i) node.payloads.(i)
-      done
-    else begin
-      for i = 0 to node.n - 1 do
-        go node.children.(i);
-        f node.keys.(i) node.payloads.(i)
-      done;
-      go node.children.(node.n)
-    end
-  in
-  go t.root
-
+(* Right to left, so the entries cons up in key order. *)
 let to_list t =
-  let acc = ref [] in
-  iter t (fun k v -> acc := (k, v) :: !acc);
-  List.rev !acc
+  let rec go node tail =
+    let n = Array.length node.keys in
+    let acc = ref (if is_leaf node then tail else go node.children.(n) tail) in
+    for i = n - 1 downto 0 do
+      acc := (node.keys.(i), node.payloads.(i)) :: !acc;
+      if not (is_leaf node) then acc := go node.children.(i) !acc
+    done;
+    !acc
+  in
+  go t.root []
 
 let range t ~lo ~hi =
   let acc = ref [] in
   let rec go node =
-    if is_leaf node then
-      for i = 0 to node.n - 1 do
+    let n = Array.length node.keys in
+    for i = 0 to n do
+      (* Visit child i when its key window [key_(i-1), key_i] overlaps. *)
+      if (not (is_leaf node))
+         && (i = 0 || node.keys.(i - 1) <= hi)
+         && (i = n || node.keys.(i) >= lo)
+      then go node.children.(i);
+      if i < n then begin
         let k = node.keys.(i) in
         if k >= lo && k <= hi then acc := (k, node.payloads.(i)) :: !acc
-      done
-    else
-      for i = 0 to node.n do
-        (* Visit child i when its key window [prev_key, key_i] overlaps. *)
-        let lower_ok = i = 0 || node.keys.(i - 1) <= hi in
-        let upper_ok = i = node.n || node.keys.(i) >= lo in
-        if lower_ok && upper_ok then go node.children.(i);
-        if i < node.n then begin
-          let k = node.keys.(i) in
-          if k >= lo && k <= hi then acc := (k, node.payloads.(i)) :: !acc
-        end
-      done
+      end
+    done
   in
   go t.root;
   List.rev !acc
 
-let find_all t key = List.map snd (range t ~lo:key ~hi:key)
-
 let min_key t =
   let rec go node =
-    if node.n = 0 then None
+    if Array.length node.keys = 0 then None
     else if is_leaf node then Some node.keys.(0)
     else go node.children.(0)
   in
@@ -512,9 +107,10 @@ let min_key t =
 
 let max_key t =
   let rec go node =
-    if node.n = 0 then None
-    else if is_leaf node then Some node.keys.(node.n - 1)
-    else go node.children.(node.n)
+    let n = Array.length node.keys in
+    if n = 0 then None
+    else if is_leaf node then Some node.keys.(n - 1)
+    else go node.children.(n)
   in
   go t.root
 
@@ -523,10 +119,11 @@ let validate t =
   let td = t.min_degree in
   let leaf_depths = ref [] in
   let rec go node ~depth ~is_root ~lo ~hi =
-    if not is_root && node.n < td - 1 then
-      raise (Bad (Printf.sprintf "underfull node: %d keys (min %d)" node.n (td - 1)));
-    if node.n > max_keys t then raise (Bad "overfull node");
-    for i = 0 to node.n - 1 do
+    let n = Array.length node.keys in
+    if not is_root && n < td - 1 then
+      raise (Bad (Printf.sprintf "underfull node: %d keys (min %d)" n (td - 1)));
+    if n > (2 * td) - 1 then raise (Bad "overfull node");
+    for i = 0 to n - 1 do
       let k = node.keys.(i) in
       if i > 0 && node.keys.(i - 1) > k then raise (Bad "keys out of order within a node");
       (match lo with Some l when k < l -> raise (Bad "key below subtree bound") | _ -> ());
@@ -534,10 +131,11 @@ let validate t =
     done;
     if is_leaf node then leaf_depths := depth :: !leaf_depths
     else begin
-      if node.n = 0 then raise (Bad "internal node with no keys");
-      for i = 0 to node.n do
+      if n = 0 then raise (Bad "internal node with no keys");
+      if Array.length node.children <> n + 1 then raise (Bad "child count is not keys + 1");
+      for i = 0 to n do
         let child_lo = if i = 0 then lo else Some node.keys.(i - 1) in
-        let child_hi = if i = node.n then hi else Some node.keys.(i) in
+        let child_hi = if i = n then hi else Some node.keys.(i) in
         go node.children.(i) ~depth:(depth + 1) ~is_root:false ~lo:child_lo ~hi:child_hi
       done
     end

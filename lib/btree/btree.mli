@@ -1,4 +1,4 @@
-(** In-memory B-tree with [int64] keys and arbitrary payloads.
+(** Immutable B-tree with [int64] keys and arbitrary payloads.
 
     This is the server-side value index of Section 5.2: data entries are
     [(evalue, Bid)] pairs mapping OPESS ciphertext values to encrypted
@@ -6,34 +6,20 @@
     predicates become range scans here, so the range query is the
     central operation.
 
-    Classic CLRS B-tree: every node except the root holds between
-    [t-1] and [2t-1] keys; duplicate keys are allowed (entries with
-    equal keys are kept in insertion order). *)
+    A tree is built once, by {!bulk_load}, and never changes: an edit
+    builds a fresh tree, so a holder of the old one keeps reading what
+    it was built from.  Nodes satisfy the CLRS invariants (every node
+    except the root holds between [t-1] and [2t-1] keys, all leaves at
+    one depth); duplicate keys keep the order of the input list. *)
 
 type 'a t
-
-val create : ?min_degree:int -> unit -> 'a t
-(** [create ~min_degree ()] makes an empty tree.  [min_degree] is the
-    CLRS parameter [t >= 2]; default 16 (nodes hold up to 31 keys). *)
-
-val insert : 'a t -> int64 -> 'a -> unit
-(** [insert t key payload] adds an entry.  Duplicates allowed. *)
 
 val bulk_load : ?min_degree:int -> (int64 * 'a) list -> 'a t
 (** Build a tree from entries in one pass: the entries are sorted
     (stably, so duplicate order is preserved) and packed bottom-up into
-    maximally filled nodes.  Equivalent to repeated {!insert} for every
-    query operation, several times faster for index construction. *)
-
-val delete : 'a t -> int64 -> ('a -> bool) -> bool
-(** [delete t key matching] removes the first entry (in key order,
-    insertion order among duplicates) whose key is [key] and whose
-    payload satisfies [matching]; returns whether an entry was removed.
-    Rebalances with the standard borrow/merge rules, so all invariants
-    checked by {!validate} are preserved. *)
-
-val delete_all : 'a t -> int64 -> ('a -> bool) -> int
-(** Remove every matching entry; returns how many were removed. *)
+    nodes filled as evenly as the invariants allow.  [min_degree] is the
+    CLRS parameter [t >= 2]; default 16 (nodes hold up to 31 keys).
+    @raise Invalid_argument when [min_degree < 2]. *)
 
 val length : 'a t -> int
 (** Number of entries. *)
@@ -46,13 +32,7 @@ val node_count : 'a t -> int
 
 val range : 'a t -> lo:int64 -> hi:int64 -> (int64 * 'a) list
 (** [range t ~lo ~hi] returns the entries with [lo <= key <= hi] in key
-    order (insertion order among equal keys). *)
-
-val find_all : 'a t -> int64 -> 'a list
-(** [find_all t key] = payloads of entries with exactly [key]. *)
-
-val iter : 'a t -> (int64 -> 'a -> unit) -> unit
-(** In-order iteration over all entries. *)
+    order (input order among equal keys). *)
 
 val to_list : 'a t -> (int64 * 'a) list
 (** All entries in key order. *)

@@ -115,12 +115,6 @@ type report = {
   satisfying_original : int;
 }
 
-let index_histogram sys =
-  let h = Hashtbl.create 128 in
-  Btree.iter (System.metadata sys).Metadata.btree (fun k _ ->
-      Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)));
-  List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) h [])
-
 let indistinguishability_report ~master ~constraints ~kind ~tag ~limit doc =
   let schema = Xmlcore.Schema.infer doc in
   let candidates = value_permutations doc ~tag ~limit in
@@ -148,7 +142,9 @@ let indistinguishability_report ~master ~constraints ~kind ~tag ~limit doc =
     | [] -> true
     | s :: rest -> List.for_all (fun s' -> s' = s) rest
   in
-  let histograms = List.map (fun (_, sys) -> index_histogram sys) systems in
+  let histograms =
+    List.map (fun (_, sys) -> Metadata.key_histogram (System.metadata sys)) systems
+  in
   let equal_index_histograms =
     match histograms with
     | [] -> true

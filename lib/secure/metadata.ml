@@ -13,10 +13,32 @@ type t = {
   assignment : Dsi.Assign.t;
   dsi_table : (string * Interval.t list) list;
   block_table : (int * Interval.t) list;
-  btree : target Btree.t;
+  index : target Btree.t array;
   catalogs : (string * Opess.t) list;
   indexed_tags : string list;
 }
+
+(* Attribute ids run from 0 to 126 ({!Opess.build}); a key carries its
+   attribute id in the top bits, 56 bits of OPE cipher below. *)
+let attribute_slots = 127
+
+let attribute_of_key key = Int64.to_int (Int64.shift_right key 56)
+
+let index_of_entries entries =
+  let runs = Array.make attribute_slots [] in
+  List.iter
+    (fun ((key, _) as entry) ->
+      let a = attribute_of_key key in
+      runs.(a) <- entry :: runs.(a))
+    entries;
+  Array.map (fun run -> Btree.bulk_load ~min_degree:16 (List.rev run)) runs
+
+let index_range index ~lo ~hi =
+  let first = Int.max 0 (attribute_of_key lo) in
+  let last = Int.min (attribute_slots - 1) (attribute_of_key hi) in
+  List.concat_map
+    (fun a -> Btree.range index.(a) ~lo ~hi)
+    (List.init (Int.max 0 (last - first + 1)) (fun i -> first + i))
 
 let token_key = function
   | Squery.Clear tag -> "P:" ^ tag
@@ -117,7 +139,7 @@ let build ?pool ~keys ?(policy = All_leaves) db =
   in
   (* OPESS catalogs for every leaf attribute, ids in sorted-tag order. *)
   let leaf_tags = Xmlcore.Stats.leaf_tags doc in
-  if List.length leaf_tags > 127 then
+  if List.length leaf_tags > attribute_slots then
     invalid_arg "Metadata.build: more than 127 distinct leaf attributes";
   (* Derive every per-attribute key up front: the [Keys] memo table is
      mutable, so parallel workers must only read it.  Each catalog then
@@ -148,8 +170,8 @@ let build ?pool ~keys ?(policy = All_leaves) db =
   in
   let indexed_set = Hashtbl.create 32 in
   List.iter (fun tag -> Hashtbl.replace indexed_set tag ()) indexed_tags;
-  (* Value index: one entry per occurrence per scale replica,
-     bulk-loaded in one pass. *)
+  (* Value index: one entry per occurrence per scale replica, each
+     attribute's entries bulk-loaded into its own tree. *)
   let occurrence_counters = Hashtbl.create 1024 in
   let entries = ref [] in
   Doc.iter doc (fun n ->
@@ -178,8 +200,8 @@ let build ?pool ~keys ?(policy = All_leaves) db =
           entries := (cipher, target) :: !entries
         done
       | Some _ -> ());
-  let btree = Btree.bulk_load ~min_degree:16 (List.rev !entries) in
-  { assignment; dsi_table; block_table; btree; catalogs; indexed_tags }
+  let index = index_of_entries (List.rev !entries) in
+  { assignment; dsi_table; block_table; index; catalogs; indexed_tags }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental patching                                                *)
@@ -195,20 +217,26 @@ type patch_stats = {
 }
 
 module Iset = Set.Make (Int)
-module Kmap = Map.Make (Int64)
 
-(* Entries grouped per key, each key's payloads in list order. *)
-let by_key entries =
-  List.fold_left
-    (fun acc (key, v) ->
-      Kmap.update key (fun vs -> Some (v :: Option.value ~default:[] vs)) acc)
-    Kmap.empty (List.rev entries)
-
-(* Namespace of one attribute in the shared B-tree: attr id in the top
-   bits, 56 bits of OPE cipher below. *)
-let namespace_range attr_id =
-  let lo = Int64.shift_left (Int64.of_int attr_id) 56 in
-  lo, Int64.logor lo 0xFF_FFFF_FFFF_FFFFL
+(* Between two key-sorted entry lists: how many old and how many new
+   entries belong to keys whose entry list differs. *)
+let changed_entries old fresh =
+  let rec run key = function
+    | (k, v) :: rest when Int64.equal k key ->
+      let vs, rest = run key rest in
+      v :: vs, rest
+    | rest -> [], rest
+  in
+  let rec go ((removed, added) as counts) old fresh =
+    match old, fresh with
+    | [], [] -> counts
+    | (a, _) :: _, _ | [], (a, _) :: _ ->
+      let key = match fresh with (b, _) :: _ -> Int64.min a b | [] -> a in
+      let o, old = run key old and f, fresh = run key fresh in
+      go (if o = f then counts else removed + List.length o, added + List.length f)
+        old fresh
+  in
+  go (0, 0) old fresh
 
 (* Patch the metadata for one planned edit instead of rebuilding it.
 
@@ -222,17 +250,13 @@ let namespace_range attr_id =
    - OPESS catalogs: only attributes whose value multiset changed are
      patched ([Opess.patch]: OPE re-runs only for chunks whose domain
      point moved), under their existing attr id, so every other
-     attribute's B-tree namespace survives verbatim.  A brand-new
-     attribute takes the next free id.
-   - Value B-tree: an affected attribute's namespace is read and diffed
-     key by key against its fresh entries; only keys whose entry list
-     changed are deleted and re-inserted, and the rest of the tree is
-     never traversed.
+     attribute's keys survive verbatim.  A brand-new attribute takes
+     the next free id.
+   - Value index: an affected attribute's tree is bulk-loaded afresh
+     from its entries; every other attribute's tree is shared.
 
-   All fallible work (interval drawing, row matching, catalog builds,
-   cipher lookups) happens before the B-tree is mutated, so a raised
-   [Patch_impossible] / [Invalid_argument] leaves [t] untouched and the
-   caller can fall back to a full rebuild. *)
+   Nothing in [t] is mutated, so [t] stays a valid index of the old
+   document whether the patch succeeds or raises. *)
 let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
   let old_doc = old_db.Encrypt.doc in
   let new_doc = new_db.Encrypt.doc in
@@ -409,7 +433,7 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
                     histogram)
           | _, None ->
             let attr_id = !next_attr_id in
-            if attr_id > 126 then
+            if attr_id >= attribute_slots then
               raise (Patch_impossible "attribute id space exhausted");
             incr next_attr_id;
             Some
@@ -443,11 +467,17 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
         | Some _ | None -> without)
       t.indexed_tags catalog_changes
   in
-  (* Compute every fresh index entry before touching the tree: the
-     occurrence→cipher mapping can only fail here, never mid-surgery. *)
-  let fresh_entries =
-    List.map
-      (fun (tag, old_cat, new_cat) ->
+  (* Each affected attribute gets a fresh tree of its entries in
+     document order, as a rebuild would list them, unless none of its
+     keys' entry lists changed; every other tree is shared with [t]. *)
+  let index = Array.copy t.index in
+  let index_entries_removed = ref 0 and index_entries_added = ref 0 in
+  List.iter
+    (fun (tag, old_cat, new_cat) ->
+      match new_cat, old_cat with
+      | None, None -> ()
+      | Some cat, _ | None, Some cat ->
+        let id = Opess.attr_id cat in
         let fresh =
           match new_cat with
           | Some cat when indexed tag ->
@@ -476,40 +506,14 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
               (Doc.nodes_with_tag new_doc tag)
           | Some _ | None -> []
         in
-        old_cat, fresh)
-      catalog_changes
-  in
-  (* Point of no return: everything below is infallible surgery.  Per
-     attribute, the namespace's current entries are diffed against the
-     fresh ones key by key; only a key whose entry list changed is
-     deleted and re-inserted (in document order, as a rebuild would),
-     so the tree's contents — duplicate order included — equal a
-     delete-and-reinsert of the whole namespace. *)
-  let index_entries_removed = ref 0 and index_entries_added = ref 0 in
-  List.iter
-    (fun (old_cat, fresh) ->
-      let stale =
-        match old_cat with
-        | None -> Kmap.empty
-        | Some cat ->
-          let lo, hi = namespace_range (Opess.attr_id cat) in
-          by_key (Btree.range t.btree ~lo ~hi)
-      in
-      Kmap.iter
-        (fun key (was_indexed, entries) ->
-          if was_indexed then
-            index_entries_removed :=
-              !index_entries_removed + Btree.delete_all t.btree key (fun _ -> true);
-          List.iter (fun target -> Btree.insert t.btree key target) entries;
-          index_entries_added := !index_entries_added + List.length entries)
-        (Kmap.merge
-           (fun _ old fresh ->
-             match old, fresh with
-             | Some o, Some f when o = f -> None
-             | None, None -> None
-             | _ -> Some (old <> None, Option.value ~default:[] fresh))
-           stale (by_key fresh)))
-    fresh_entries;
+        let tree = Btree.bulk_load ~min_degree:16 fresh in
+        let removed, added =
+          changed_entries (Btree.to_list t.index.(id)) (Btree.to_list tree)
+        in
+        if removed + added > 0 then index.(id) <- tree;
+        index_entries_removed := !index_entries_removed + removed;
+        index_entries_added := !index_entries_added + added)
+    catalog_changes;
   let stats =
     { rows_removed = List.length removed_rows;
       rows_added = List.length added_rows;
@@ -517,15 +521,35 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
       index_entries_removed = !index_entries_removed;
       index_entries_added = !index_entries_added }
   in
-  ( { assignment; dsi_table; block_table; btree = t.btree; catalogs; indexed_tags },
-    stats )
+  { assignment; dsi_table; block_table; index; catalogs; indexed_tags }, stats
 
 let catalog t ~tag = List.assoc_opt tag t.catalogs
 
 let table_entry_count t =
   List.fold_left (fun acc (_, ivs) -> acc + List.length ivs) 0 t.dsi_table
 
-let btree_entry_count t = Btree.length t.btree
+type index_summary = {
+  entries : int;
+  height : int;
+}
+
+let index_summary t =
+  Array.fold_left
+    (fun s tree ->
+      { entries = s.entries + Btree.length tree;
+        height = Int.max s.height (Btree.height tree) })
+    { entries = 0; height = 1 } t.index
+
+let index_entries t = List.concat_map Btree.to_list (Array.to_list t.index)
+
+let key_histogram t =
+  List.fold_left
+    (fun acc (key, _) ->
+      match acc with
+      | (k, count) :: rest when Int64.equal k key -> (k, count + 1) :: rest
+      | _ -> (key, 1) :: acc)
+    [] (index_entries t)
+  |> List.rev
 
 let metadata_bytes t =
   let interval_bytes = 16 in
@@ -536,5 +560,5 @@ let metadata_bytes t =
       0 t.dsi_table
   in
   let blocks = List.length t.block_table * (8 + interval_bytes) in
-  let btree_bytes = Btree.length t.btree * (8 + interval_bytes) in
-  table + blocks + btree_bytes
+  let index_bytes = (index_summary t).entries * (8 + interval_bytes) in
+  table + blocks + index_bytes

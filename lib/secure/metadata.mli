@@ -8,9 +8,10 @@
       (Section 5.1.1);
     - the {b encryption block table}: block id → representative
       interval (the block root's interval);
-    - the {b value index}: one global B-tree of OPESS ciphertext keys
-      (namespaced per attribute) pointing at the block — or, for
-      plaintext leaves, at the leaf's own interval;
+    - the {b value index}: one B-tree per attribute of OPESS ciphertext
+      keys (namespaced by the attribute id in their top bits) pointing
+      at the block — or, for plaintext leaves, at the leaf's own
+      interval;
     - the per-attribute {b OPESS catalogs}, which stay with the client
       (they are the client's value-translation secret).
 
@@ -35,9 +36,10 @@ type t = {
   dsi_table : (string * Dsi.Interval.t list) list;
       (** key = {!token_key}-encoded token *)
   block_table : (int * Dsi.Interval.t) list;
-  btree : target Btree.t;
+  index : target Btree.t array;
+      (** value index: [index.(a)] is the tree of attribute id [a] *)
   catalogs : (string * Opess.t) list;  (** leaf tag → catalog *)
-  indexed_tags : string list;          (** attributes present in [btree] *)
+  indexed_tags : string list;          (** attributes present in [index] *)
 }
 
 val token_key : Squery.token -> string
@@ -51,18 +53,31 @@ val build :
     order so attr ids and output are identical to the sequential
     path. *)
 
+val index_of_entries : (int64 * target) list -> target Btree.t array
+(** The value index of the given entries: each attribute's entries,
+    in the order given, bulk-loaded into its own tree.
+    @raise Invalid_argument on a key whose attribute id is outside
+    [\[0, 126\]]. *)
+
+val index_range :
+  target Btree.t array -> lo:int64 -> hi:int64 -> (int64 * target) list
+(** Entries with [lo <= key <= hi] in key order, read from the trees of
+    the attribute ids the bounds span. *)
+
 exception Patch_impossible of string
 (** Raised by {!patch} when an edit cannot be absorbed incrementally
     (fresh attribute id space exhausted, or a table row the plan says
-    must exist cannot be found).  {!patch} raises before mutating
-    anything, so the caller can fall back to a full rebuild. *)
+    must exist cannot be found); the caller can fall back to a full
+    rebuild. *)
 
 type patch_stats = {
   rows_removed : int;            (** DSI table rows recomputed away *)
   rows_added : int;              (** DSI table rows added back *)
   catalogs_patched : int;        (** attributes whose catalog was examined *)
-  index_entries_removed : int;   (** B-tree entries deleted *)
-  index_entries_added : int;     (** B-tree entries inserted *)
+  index_entries_removed : int;
+      (** old entries of the keys whose entry list changed *)
+  index_entries_added : int;
+      (** new entries of the keys whose entry list changed *)
 }
 
 val patch :
@@ -79,16 +94,12 @@ val patch :
     draw intervals from the gaps calInterval reserved, only the parents
     whose child list changed have their DSI-table rows recomputed, and
     only attributes whose value multiset changed have their OPESS
-    catalog patched (under the same attr id; see {!Opess.patch}) and
-    their B-tree namespace diffed key by key: a key whose entry list
-    changed is deleted and re-inserted in document order, every other
-    key is left alone.  The tree's entries — duplicate order included —
-    equal those of a fresh {!build}.
-
-    The B-tree is mutated {e in place} — the input [t] must be
-    considered consumed on success.  On [Patch_impossible] or
-    [Invalid_argument] (interval precision exhausted) nothing has been
-    mutated and [t] remains valid.
+    catalog patched (under the same attr id; see {!Opess.patch}) and,
+    when any of their keys' entry lists changed, their tree bulk-loaded
+    afresh; every other tree is shared with [t].
+    The index's entries — duplicate order included — equal those of a
+    fresh {!build}.  [t] is left as it was, so it keeps describing the
+    old document.
 
     A patched assignment is no longer recomputable from the master key;
     persistence stores the interval array
@@ -99,8 +110,20 @@ val catalog : t -> tag:string -> Opess.t option
 val table_entry_count : t -> int
 (** Total intervals across the DSI table (index-size accounting). *)
 
-val btree_entry_count : t -> int
+type index_summary = {
+  entries : int;  (** entries across every attribute's tree *)
+  height : int;   (** levels of the tallest tree; 1 when all are empty *)
+}
+
+val index_summary : t -> index_summary
+
+val index_entries : t -> (int64 * target) list
+(** Every value-index entry, in key order. *)
+
+val key_histogram : t -> (int64 * int) list
+(** [(key, entries)] for every distinct key, in key order: the value
+    distribution the provider sees in the index. *)
 
 val metadata_bytes : t -> int
 (** Rough serialized size of all server metadata: every table interval
-    (two floats + token) plus every B-tree entry (key + target). *)
+    (two floats + token) plus every value-index entry (key + target). *)

@@ -156,13 +156,11 @@ let encode_body ?(applied_seq = 0) system =
       w_interval b iv)
     meta.Metadata.block_table;
   mark "block-table";
-  let entries = ref [] in
-  Btree.iter meta.Metadata.btree (fun k v -> entries := (k, v) :: !entries);
   W.list b
     (fun b (k, v) ->
       W.i64 b k;
       w_target b v)
-    (List.rev !entries);
+    (Metadata.index_entries meta);
   mark "value-btree";
   W.list b w_catalog meta.Metadata.catalogs;
   mark "opess-catalogs";
@@ -369,8 +367,10 @@ and of_string_exn ~master data =
       ~skeleton:(get "skeleton" p.p_skeleton)
       ~encrypted_tags:p.p_encrypted_tags ~plaintext_tags:p.p_plaintext_tags
   in
-  let btree = Btree.create ~min_degree:16 () in
-  List.iter (fun (k, v) -> Btree.insert btree k v) p.p_btree_entries;
+  let index =
+    try Metadata.index_of_entries p.p_btree_entries
+    with Invalid_argument _ -> raise (Corrupt "value-index key outside every attribute")
+  in
   (* Use the stored assignment: after an incremental delta it contains
      gap-drawn intervals no key can recompute. *)
   let assignment =
@@ -381,7 +381,7 @@ and of_string_exn ~master data =
     { Metadata.assignment;
       dsi_table = p.p_dsi_table;
       block_table = p.p_block_table;
-      btree;
+      index;
       catalogs = p.p_catalogs;
       indexed_tags = p.p_indexed_tags }
   in
@@ -810,24 +810,15 @@ let journal_compact j =
    next update reuses the sequence number — a failed append can never
    open a gap in the log. *)
 let journal_update j edit =
-  let append edited =
-    append_record ~master:j.j_master j.j_path
-      { seq = j.j_seq + 1; edit; digest = doc_digest ~master:j.j_master edited }
-  in
-  let doc = System.doc j.j_system in
   let started = Unix.gettimeofday () in
-  let next, cost =
-    match Update.delta doc edit with
-    | plan ->
-      let plan_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
-      append plan.Update.edited;
-      System.apply_plan j.j_system plan ~plan_ms
-    | exception Invalid_argument _ ->
-      (* Unplannable: [Update.apply] raises for an invalid edit before
-         anything is appended; otherwise [apply_delta] re-hosts. *)
-      append (Xmlcore.Doc.of_tree (Update.apply doc edit));
-      System.apply_delta j.j_system edit
-  in
+  (* An edit that cannot be planned raises here, before anything is
+     appended. *)
+  let plan = Update.delta (System.doc j.j_system) edit in
+  let plan_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
+  append_record ~master:j.j_master j.j_path
+    { seq = j.j_seq + 1; edit;
+      digest = doc_digest ~master:j.j_master plan.Update.edited };
+  let next, cost = System.apply_plan j.j_system plan ~plan_ms in
   j.j_system <- next;
   j.j_seq <- j.j_seq + 1;
   let lp = log_path j.j_path in

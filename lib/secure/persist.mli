@@ -164,9 +164,10 @@ val journal_update : journal -> Update.edit -> System.delta_cost
     (fsynced) with the digest of the planned document, then apply the
     plan incrementally ({!System.apply_plan}), and compact if the log
     outgrew the threshold.  An edit that fails to append — an impossible edit
-    ([Invalid_argument], see {!Update.apply}) or an I/O error
-    ([Sys_error]) — leaves {!journal_system} and {!journal_seq}
-    unchanged, so the next update continues the log without a gap.  A
+    ([Invalid_argument] from {!Update.delta}, raised before anything is
+    appended) or an I/O error ([Sys_error]) — leaves {!journal_system}
+    and {!journal_seq} unchanged, so the next update continues the log
+    without a gap.  A
     crash after the append keeps the edit: {!journal_open} replays
     it. *)
 

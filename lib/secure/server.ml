@@ -35,7 +35,7 @@ type t = {
   rep_of_id : (int, int) Hashtbl.t;        (* block id -> representative *)
   blocks_by_id : (int, Encrypt.block) Hashtbl.t;
   block_count : int;
-  btree : Metadata.target Btree.t;
+  index : Metadata.target Btree.t array;  (* value index, one tree per attribute *)
   trace : Obs.Trace.t;   (* disabled no-op tracer unless one is injected *)
 }
 
@@ -46,7 +46,7 @@ type response = {
   btree_hits : int;
 }
 
-let create ?trace ~dsi_table ~block_table ~btree ~blocks () =
+let create ?trace ~dsi_table ~block_table ~index ~blocks () =
   let trace = match trace with Some t -> t | None -> Obs.Trace.create () in
   let universe, rows = Dsi.Universe.index (Array.of_list (List.map snd dsi_table)) in
   let table = Hashtbl.create (List.length dsi_table) in
@@ -76,12 +76,12 @@ let create ?trace ~dsi_table ~block_table ~btree ~blocks () =
     rep_of_id;
     blocks_by_id;
     block_count = List.length block_table;
-    btree;
+    index;
     trace }
 
 let of_metadata ?trace meta blocks =
   create ?trace ~dsi_table:meta.Metadata.dsi_table
-    ~block_table:meta.Metadata.block_table ~btree:meta.Metadata.btree
+    ~block_table:meta.Metadata.block_table ~index:meta.Metadata.index
     ~blocks ()
 
 let all_blocks t =
@@ -155,7 +155,7 @@ let btree_targets t ranges =
   let targets =
     List.concat_map
       (fun (lo, hi) ->
-        let entries = Btree.range t.btree ~lo ~hi in
+        let entries = Metadata.index_range t.index ~lo ~hi in
         hits := !hits + List.length entries;
         List.map snd entries)
       ranges
@@ -382,7 +382,7 @@ let answer_extreme t query ~key_range ~direction =
   let pass, levels = prune t in_order query in
   let distinguished = last_level levels in
   let lo, hi = key_range in
-  let entries = Btree.range t.btree ~lo ~hi in
+  let entries = Metadata.index_range t.index ~lo ~hi in
   let entries =
     match direction with
     | `Min -> entries
@@ -513,7 +513,6 @@ let answer_padded t query ~extra =
 
 type index_stats = {
   btree_entries : int;
-  btree_height : int;
   key_lo : int64 option;
   key_hi : int64 option;
   table_tokens : int;
@@ -522,10 +521,10 @@ type index_stats = {
 }
 
 let index_stats t =
-  { btree_entries = Btree.length t.btree;
-    btree_height = Btree.height t.btree;
-    key_lo = Btree.min_key t.btree;
-    key_hi = Btree.max_key t.btree;
+  let trees = Array.to_list t.index in
+  { btree_entries = List.fold_left (fun acc tree -> acc + Btree.length tree) 0 trees;
+    key_lo = List.find_map Btree.min_key trees;
+    key_hi = List.find_map Btree.max_key (List.rev trees);
     table_tokens = Hashtbl.length t.table;
     universe_intervals = Dsi.Universe.size t.universe;
     block_count = t.block_count }

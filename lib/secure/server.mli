@@ -1,14 +1,14 @@
 (** The untrusted server's query engine (Section 6.2).
 
     The server stores only what {!create} receives: the DSI index
-    table, the encryption block table, the value B-tree and the
-    ciphertext blocks.  Answering a translated query proceeds exactly
+    table, the encryption block table, the value index (one B-tree per
+    attribute) and the ciphertext blocks.  Answering a translated query proceeds exactly
     as the paper's three steps:
 
     + look up every query node's token(s) in the DSI table and prune
       the interval lists with structural joins along the query tree
       (with back-propagation through predicate chains);
-    + resolve each value constraint through the B-tree into a set of
+    + resolve each value constraint through the value index into a set of
       allowed targets (blocks or plaintext leaves) and prune the
       constrained node's intervals against it;
     + map the surviving intervals to the encryption blocks that must be
@@ -39,7 +39,7 @@ val create :
   ?trace:Obs.Trace.t ->
   dsi_table:(string * Dsi.Interval.t list) list ->
   block_table:(int * Dsi.Interval.t) list ->
-  btree:Metadata.target Btree.t ->
+  index:Metadata.target Btree.t array ->
   blocks:Encrypt.block list ->
   unit ->
   t
@@ -189,7 +189,6 @@ val select_blocks :
 
 type index_stats = {
   btree_entries : int;          (** value-index size *)
-  btree_height : int;
   key_lo : int64 option;        (** smallest OPESS key present *)
   key_hi : int64 option;        (** largest OPESS key present *)
   table_tokens : int;           (** distinct DSI-table entries *)

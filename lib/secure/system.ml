@@ -146,6 +146,21 @@ let make_link ?session_config ?faults keys server =
     endpoint;
     faulty = faults <> None }
 
+(* A fresh hosting of [db] and [metadata]: its client, server and link,
+   a new generation and no observers yet. *)
+let host ~keys ~master ~cipher ~value_index ~pool ~trace ~ledger ~doc ~constraints
+    ~scheme ~db metadata =
+  let server = Server.of_metadata ~trace metadata (Encrypt.server_blocks db) in
+  { doc; master; cipher; constraints; scheme; db; metadata; value_index;
+    client = Client.create ~keys metadata db;
+    server;
+    link = make_link keys server;
+    pool;
+    trace;
+    ledger;
+    generation = next_generation ();
+    observers = ref [] }
+
 let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
     ?(value_index = Metadata.All_leaves) ?pool doc scs kind =
   let keys = Crypto.Keys.create ~suite:cipher ~master () in
@@ -159,8 +174,6 @@ let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
   let metadata, metadata_ms =
     timed (fun () -> Metadata.build ?pool ~keys ~policy:value_index db)
   in
-  let client = Client.create ~keys metadata db in
-  let server = Server.of_metadata ~trace metadata (Encrypt.server_blocks db) in
   Log.info (fun m ->
       m "setup: scheme %s, %d blocks (%.0f ms), metadata %d B (%.0f ms), cipher %s"
         (Scheme.kind_to_string kind)
@@ -170,14 +183,8 @@ let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
         metadata_ms
         (Crypto.Cipher.suite_to_string cipher));
   let system =
-    { doc; master; cipher; constraints = scs; scheme; db; metadata;
-      value_index; client; server;
-      link = make_link keys server;
-      pool;
-      trace;
-      ledger;
-      generation = next_generation ();
-      observers = ref [] }
+    host ~keys ~master ~cipher ~value_index ~pool ~trace ~ledger ~doc
+      ~constraints:scs ~scheme ~db metadata
   in
   let cost =
     { scheme_build_ms;
@@ -200,24 +207,8 @@ let restore ~master ?(cipher = Crypto.Cipher.Xtea)
   (* A restored ring never ran [Encrypt.encrypt]: warm its derived-key
      memo before any pooled decryption can read it concurrently. *)
   Encrypt.prewarm_block_keys ~keys;
-  let trace = Obs.Trace.create () in
-  let server = Server.of_metadata ~trace metadata (Encrypt.server_blocks db) in
-  { doc;
-    master;
-    cipher;
-    constraints;
-    scheme;
-    db;
-    metadata;
-    value_index;
-    client = Client.create ~keys metadata db;
-    server;
-    link = make_link keys server;
-    pool;
-    trace;
-    ledger = Obs.Ledger.create ();
-    generation = next_generation ();
-    observers = ref [] }
+  host ~keys ~master ~cipher ~value_index ~pool ~trace:(Obs.Trace.create ())
+    ~ledger:(Obs.Ledger.create ()) ~doc ~constraints ~scheme ~db metadata
 
 (* Rewire the same hosted system behind a chaotic link.  The server
    state is shared; only the wire path (and retry policy) changes. *)
@@ -771,23 +762,12 @@ let apply_plan t (plan : Update.plan) ~plan_ms =
         ~new_db:db'
     in
     let patch_ms = now_ms () -. patch_start in
-    let client = Client.create ~keys metadata' db' in
     (* [tracer t], not [t.trace]: the accessor is the policy-declared
        safe projection of the handle (see lib/analysis/policy.ml). *)
-    let server =
-      Server.of_metadata ~trace:(tracer t) metadata' (Encrypt.server_blocks db')
-    in
     let t' =
-      { t with
-        doc = edited;
-        scheme = scheme';
-        db = db';
-        metadata = metadata';
-        client;
-        server;
-        link = make_link keys server;
-        generation = next_generation ();
-        observers = ref [] }
+      host ~keys ~master:t.master ~cipher:t.cipher ~value_index:t.value_index
+        ~pool:t.pool ~trace:(tracer t) ~ledger:t.ledger ~doc:edited
+        ~constraints:t.constraints ~scheme:scheme' ~db:db' metadata'
     in
     let event =
       { touched_blocks =
@@ -833,15 +813,12 @@ let apply_plan t (plan : Update.plan) ~plan_ms =
   | Invalid_argument reason ->
     rehost_delta t plan.Update.edit ~plan_ms:(plan_ms +. now_ms () -. started) reason
 
-(* A genuinely invalid edit cannot be planned; [update] re-raises the
-   identical [Invalid_argument] before doing any work, so errors still
-   propagate. *)
+(* An edit that cannot be planned raises from [Update.delta], before
+   any work is done. *)
 let apply_delta t edit =
   let started = now_ms () in
-  match Update.delta t.doc edit with
-  | plan -> apply_plan t plan ~plan_ms:(now_ms () -. started)
-  | exception Invalid_argument reason ->
-    rehost_delta t edit ~plan_ms:(now_ms () -. started) reason
+  let plan = Update.delta t.doc edit in
+  apply_plan t plan ~plan_ms:(now_ms () -. started)
 
 let apply_deltas t edits =
   let t, costs =

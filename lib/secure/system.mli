@@ -22,7 +22,9 @@
 
     A hosting is superseded by {!update}, {!rotate} or {!apply_delta}.
     Observers registered with {!on_succession} are handed the
-    successor, which is how {!Engine} follows its hosting. *)
+    successor, which is how {!Engine} follows its hosting.  Superseding
+    mutates nothing a hosting reads, so a superseded hosting keeps
+    answering its own document. *)
 
 type t
 
@@ -294,8 +296,9 @@ val rotate : t -> new_master:string -> t * setup_cost
     of the database: only blocks containing an edit site are
     re-encrypted (each under a bumped per-block generation, so nonces
     never repeat), the DSI interval tables and OPESS catalogs are
-    patched in place, and untouched ciphertexts, table rows and index
-    namespaces survive verbatim.  Security is preserved by an explicit
+    patched, the touched attributes' index trees are rebuilt, and
+    untouched ciphertexts, table rows and index trees are shared with
+    the superseded hosting.  Security is preserved by an explicit
     fallback ladder: whenever the incremental path cannot be both
     correct and secure (the remapped scheme stops enforcing an SC,
     attribute or interval space runs out), the edit is applied by the
@@ -312,7 +315,9 @@ type delta_cost = {
   rows_removed : int;            (** DSI table rows recomputed away *)
   rows_added : int;              (** DSI table rows added back *)
   catalogs_patched : int;        (** OPESS catalogs examined/rebuilt *)
-  index_entries_touched : int;   (** B-tree entries deleted + inserted *)
+  index_entries_touched : int;
+      (** value-index entries of the keys whose entry list changed,
+          old plus new *)
   fell_back : bool;              (** the edit went through a full re-host *)
 }
 
@@ -322,9 +327,11 @@ val apply_delta : t -> Update.edit -> t * delta_cost
     differential suite); server-visible artifacts differ only in the
     touched blocks.  Hands the {!on_succession} observers the result
     with the block changelist (or, when falling back, with [None] via
-    {!update}).  The superseded system's metadata shares its B-tree
-    with the result and must not be queried afterwards.
-    @raise Invalid_argument on impossible edits (see {!Update.apply}). *)
+    {!update}).  The superseded system is left as it was: it keeps
+    answering its own document, sharing with the result only what the
+    edit did not change.
+    @raise Invalid_argument on edits {!Update.delta} cannot plan (the
+    impossible edits of {!Update.apply}), before any work is done. *)
 
 val apply_plan : t -> Update.plan -> plan_ms:float -> t * delta_cost
 (** The second half of {!apply_delta}: apply an edit that

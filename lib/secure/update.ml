@@ -55,6 +55,14 @@ let no_delete = Node_set.empty
 let no_set _ = None
 let no_insert _ = None
 
+(* Number of document nodes a tree will occupy once [Doc.of_tree] runs:
+   [Element (tag, [Text v])] collapses to a single leaf node. *)
+let rec tree_node_count = function
+  | Tree.Element (_, [ Tree.Text _ ]) -> 1
+  | Tree.Element (_, children) ->
+    1 + List.fold_left (fun acc c -> acc + tree_node_count c) 0 children
+  | Tree.Text _ -> invalid_arg "Update.tree_node_count: loose text node"
+
 let apply doc = function
   | Delete_nodes path ->
     rebuild doc ~delete:(bindings_of doc path) ~set_value:no_set ~insert_at:no_insert
@@ -77,6 +85,7 @@ let apply doc = function
           invalid_arg
             (Printf.sprintf "Update: cannot insert under leaf node %d" n))
       parents;
+    ignore (tree_node_count subtree);
     rebuild doc ~delete:no_delete ~set_value:no_set
       ~insert_at:(fun n ->
         if Node_set.mem n parents then Some (position, subtree) else None)
@@ -86,14 +95,6 @@ let apply_all doc edits =
 
 (* ------------------------------------------------------------------ *)
 (* Delta planning                                                      *)
-
-(* Number of document nodes a tree will occupy once [Doc.of_tree] runs:
-   [Element (tag, [Text v])] collapses to a single leaf node. *)
-let rec tree_node_count = function
-  | Tree.Element (_, [ Tree.Text _ ]) -> 1
-  | Tree.Element (_, children) ->
-    1 + List.fold_left (fun acc c -> acc + tree_node_count c) 0 children
-  | Tree.Text _ -> invalid_arg "Update.tree_node_count: loose text node"
 
 type plan = {
   edit : edit;

@@ -26,8 +26,9 @@ type edit =
 val apply : Xmlcore.Doc.t -> edit -> Xmlcore.Tree.t
 (** Apply one edit, returning the new plaintext tree.
     @raise Invalid_argument when the edit is impossible: deleting the
-    root, setting the value of a non-leaf, or a path that binds
-    nothing. *)
+    root, setting the value of a non-leaf, inserting under a leaf or
+    inserting a subtree with a loose text node (see
+    {!tree_node_count}), or a path that binds nothing. *)
 
 val apply_all : Xmlcore.Doc.t -> edit list -> Xmlcore.Doc.t
 (** Fold {!apply} over a batch (re-indexing between edits so later
@@ -54,7 +55,8 @@ type plan = {
 val delta : Xmlcore.Doc.t -> edit -> plan
 (** Plan one edit.  Same validation failures as {!apply}
     ([Invalid_argument] on a path binding nothing, deleting the root,
-    setting a non-leaf, inserting under a leaf). *)
+    setting a non-leaf, inserting under a leaf, inserting a loose text
+    node). *)
 
 val tree_node_count : Xmlcore.Tree.t -> int
 (** Number of document nodes the tree occupies after

@@ -1,12 +1,13 @@
 (* B-tree tests: invariants, range scans, duplicates. *)
 
-let insert_many t pairs = List.iter (fun (k, v) -> Btree.insert t k v) pairs
-
 let keys_of pairs = List.map fst pairs
 
+(* The model every tree is checked against: the entries stably sorted
+   by key, so equal keys keep their input order. *)
+let sorted_model pairs = List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs
+
 let reference_range pairs ~lo ~hi =
-  List.filter (fun (k, _) -> k >= lo && k <= hi)
-    (List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs)
+  List.filter (fun (k, _) -> k >= lo && k <= hi) (sorted_model pairs)
 
 let arbitrary_pairs =
   QCheck.(
@@ -17,18 +18,14 @@ let arbitrary_pairs =
          (Gen.pair (Gen.map Int64.of_int (Gen.int_range 0 100)) Gen.nat)))
 
 let validates_prop =
-  QCheck.Test.make ~name:"invariants hold after random inserts" ~count:200
+  QCheck.Test.make ~name:"invariants hold for random entries" ~count:200
     arbitrary_pairs
-    (fun pairs ->
-      let t = Btree.create ~min_degree:3 () in
-      insert_many t pairs;
-      Btree.validate t = Ok ())
+    (fun pairs -> Btree.validate (Btree.bulk_load ~min_degree:3 pairs) = Ok ())
 
 let sorted_iteration_prop =
   QCheck.Test.make ~name:"iteration yields sorted keys" ~count:200 arbitrary_pairs
     (fun pairs ->
-      let t = Btree.create ~min_degree:3 () in
-      insert_many t pairs;
+      let t = Btree.bulk_load ~min_degree:3 pairs in
       keys_of (Btree.to_list t) = List.sort compare (keys_of pairs))
 
 let range_matches_reference_prop =
@@ -36,46 +33,40 @@ let range_matches_reference_prop =
     QCheck.(pair arbitrary_pairs (pair (int_bound 100) (int_bound 100)))
     (fun (pairs, (a, b)) ->
       let lo = Int64.of_int (min a b) and hi = Int64.of_int (max a b) in
-      let t = Btree.create ~min_degree:3 () in
-      insert_many t pairs;
-      keys_of (Btree.range t ~lo ~hi) = keys_of (reference_range pairs ~lo ~hi))
+      let t = Btree.bulk_load ~min_degree:3 pairs in
+      Btree.range t ~lo ~hi = reference_range pairs ~lo ~hi)
 
 let insertion_order_irrelevant_prop =
   QCheck.Test.make ~name:"insertion order does not change key sequence" ~count:100
     arbitrary_pairs
     (fun pairs ->
-      let t1 = Btree.create ~min_degree:4 () in
-      insert_many t1 pairs;
-      let t2 = Btree.create ~min_degree:4 () in
-      insert_many t2 (List.rev pairs);
+      let t1 = Btree.bulk_load ~min_degree:4 pairs in
+      let t2 = Btree.bulk_load ~min_degree:4 (List.rev pairs) in
       keys_of (Btree.to_list t1) = keys_of (Btree.to_list t2))
 
 let duplicates () =
-  let t = Btree.create ~min_degree:2 () in
-  List.iter (fun v -> Btree.insert t 7L v) [ 1; 2; 3; 4; 5 ];
-  Btree.insert t 3L 0;
-  Btree.insert t 9L 9;
+  let t =
+    Btree.bulk_load ~min_degree:2
+      (List.map (fun v -> 7L, v) [ 1; 2; 3; 4; 5 ] @ [ 3L, 0; 9L, 9 ])
+  in
   Alcotest.(check int) "length" 7 (Btree.length t);
-  Alcotest.(check (list int)) "find_all preserves insertion order"
-    [ 1; 2; 3; 4; 5 ] (Btree.find_all t 7L);
-  Alcotest.(check (list int)) "absent key" [] (Btree.find_all t 8L)
+  Alcotest.(check (list int)) "duplicates keep input order"
+    [ 1; 2; 3; 4; 5 ] (List.map snd (Btree.range t ~lo:7L ~hi:7L));
+  Alcotest.(check (list int)) "absent key" [] (List.map snd (Btree.range t ~lo:8L ~hi:8L))
 
 let min_max () =
-  let t = Btree.create () in
-  Alcotest.(check (option int64)) "empty min" None (Btree.min_key t);
-  Alcotest.(check (option int64)) "empty max" None (Btree.max_key t);
-  List.iter (fun k -> Btree.insert t (Int64.of_int k) k) [ 42; 7; 99; 0; 13 ];
+  let empty = Btree.bulk_load [] in
+  Alcotest.(check (option int64)) "empty min" None (Btree.min_key empty);
+  Alcotest.(check (option int64)) "empty max" None (Btree.max_key empty);
+  let t = Btree.bulk_load (List.map (fun k -> Int64.of_int k, k) [ 42; 7; 99; 0; 13 ]) in
   Alcotest.(check (option int64)) "min" (Some 0L) (Btree.min_key t);
   Alcotest.(check (option int64)) "max" (Some 99L) (Btree.max_key t)
 
 let growth () =
   (* Height grows logarithmically; all leaves at one depth is part of
      validate, so just sanity-check the trend. *)
-  let t = Btree.create ~min_degree:2 () in
-  Alcotest.(check int) "empty height" 1 (Btree.height t);
-  for i = 1 to 1000 do
-    Btree.insert t (Int64.of_int i) i
-  done;
+  Alcotest.(check int) "empty height" 1 (Btree.height (Btree.bulk_load ~min_degree:2 []));
+  let t = Btree.bulk_load ~min_degree:2 (List.init 1000 (fun i -> Int64.of_int i, i)) in
   Alcotest.(check bool) "height sane" true
     (Btree.height t >= 4 && Btree.height t <= 12);
   Alcotest.(check bool) "node count sane" true (Btree.node_count t >= 100);
@@ -84,11 +75,10 @@ let growth () =
    | Error e -> Alcotest.fail e)
 
 let ascending_descending () =
-  (* Sorted and reverse-sorted insertion are the classic worst cases. *)
+  (* Sorted and reverse-sorted input, the classic worst cases. *)
   List.iter
     (fun order ->
-      let t = Btree.create ~min_degree:3 () in
-      List.iter (fun k -> Btree.insert t (Int64.of_int k) k) order;
+      let t = Btree.bulk_load ~min_degree:3 (List.map (fun k -> Int64.of_int k, k) order) in
       (match Btree.validate t with
        | Ok () -> ()
        | Error e -> Alcotest.fail e);
@@ -96,123 +86,28 @@ let ascending_descending () =
     [ List.init 500 (fun i -> i); List.init 500 (fun i -> 499 - i) ]
 
 let empty_range () =
-  let t = Btree.create () in
-  List.iter (fun k -> Btree.insert t (Int64.of_int k) k) [ 10; 20; 30 ];
+  let t = Btree.bulk_load (List.map (fun k -> Int64.of_int k, k) [ 10; 20; 30 ]) in
   Alcotest.(check int) "gap range" 0 (List.length (Btree.range t ~lo:11L ~hi:19L));
   Alcotest.(check int) "inverted range" 0 (List.length (Btree.range t ~lo:30L ~hi:10L));
   Alcotest.(check int) "inclusive bounds" 2
     (List.length (Btree.range t ~lo:10L ~hi:20L))
 
-(* --- Deletion ----------------------------------------------------- *)
-
-(* Reference model: sorted association list with stable duplicates. *)
-let model_delete pairs k p =
-  let rec go acc = function
-    | [] -> None
-    | (key, v) :: rest when key = k && p v -> Some (List.rev_append acc rest)
-    | entry :: rest -> go (entry :: acc) rest
-  in
-  go [] pairs
-
-let delete_matches_model_prop =
-  QCheck.Test.make ~name:"delete agrees with a list model" ~count:300
-    QCheck.(pair arbitrary_pairs (small_list (int_bound 100)))
-    (fun (pairs, to_delete) ->
-      let t = Btree.create ~min_degree:2 () in
-      insert_many t pairs;
-      let model = ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs) in
-      List.for_all
-        (fun k ->
-          let k = Int64.of_int k in
-          let expected = model_delete !model k (fun _ -> true) in
-          let found = Btree.delete t k (fun _ -> true) in
-          (match expected with
-           | Some next -> model := next
-           | None -> ());
-          let structure_ok = Btree.validate t = Ok () in
-          found = Option.is_some expected
-          && structure_ok
-          && Btree.to_list t = !model)
-        to_delete)
-
-let delete_with_predicate_prop =
-  QCheck.Test.make ~name:"predicate deletion picks first match" ~count:200
-    arbitrary_pairs
-    (fun pairs ->
-      let t = Btree.create ~min_degree:3 () in
-      insert_many t pairs;
-      let model = ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs) in
-      List.for_all
-        (fun (k, v) ->
-          (* Delete specifically payload v under key k. *)
-          let expected = model_delete !model k (fun v' -> v' = v) in
-          let found = Btree.delete t k (fun v' -> v' = v) in
-          (match expected with Some next -> model := next | None -> ());
-          found = Option.is_some expected
-          && Btree.validate t = Ok ()
-          && Btree.to_list t = !model)
-        pairs)
-
-let delete_everything_prop =
-  QCheck.Test.make ~name:"deleting all entries empties the tree" ~count:100
-    arbitrary_pairs
-    (fun pairs ->
-      let t = Btree.create ~min_degree:2 () in
-      insert_many t pairs;
-      List.iter (fun (k, _) -> ignore (Btree.delete t k (fun _ -> true))) pairs;
-      Btree.length t = 0 && Btree.to_list t = [] && Btree.validate t = Ok ())
-
-let delete_all_duplicates () =
-  let t = Btree.create ~min_degree:2 () in
-  for i = 1 to 20 do
-    Btree.insert t 5L i;
-    Btree.insert t 7L i
-  done;
-  Alcotest.(check int) "removes every duplicate" 20
-    (Btree.delete_all t 5L (fun _ -> true));
-  Alcotest.(check int) "others untouched" 20 (Btree.length t);
-  Alcotest.(check bool) "absent afterwards" true (Btree.find_all t 5L = []);
-  Alcotest.(check int) "partial predicate" 10
-    (Btree.delete_all t 7L (fun v -> v mod 2 = 0));
-  Alcotest.(check (list int)) "odd survivors"
-    [ 1; 3; 5; 7; 9; 11; 13; 15; 17; 19 ]
-    (Btree.find_all t 7L)
-
-let delete_interleaved_with_insert =
-  QCheck.Test.make ~name:"interleaved insert/delete keeps invariants" ~count:100
-    QCheck.(list (pair bool (int_bound 50)))
-    (fun ops ->
-      let t = Btree.create ~min_degree:2 () in
-      let model = ref [] in
-      List.for_all
-        (fun (is_insert, k) ->
-          let key = Int64.of_int k in
-          if is_insert then begin
-            Btree.insert t key k;
-            model := List.stable_sort (fun (a, _) (b, _) -> compare a b)
-                ((key, k) :: !model)
-          end
-          else begin
-            match model_delete !model key (fun _ -> true) with
-            | Some next ->
-              ignore (Btree.delete t key (fun _ -> true));
-              model := next
-            | None -> ignore (Btree.delete t key (fun _ -> true))
-          end;
-          Btree.validate t = Ok () && Btree.to_list t = !model)
-        ops)
-
 (* --- Bulk loading -------------------------------------------------- *)
+
+(* A second, independent model: the entries inserted one at a time into
+   a sorted list, each after the entries with an equal key. *)
+let rec insert_after_equal ((k, _) as entry) = function
+  | ((k', _) as e) :: rest when k' <= k -> e :: insert_after_equal entry rest
+  | rest -> entry :: rest
 
 let bulk_load_matches_inserts_prop =
   QCheck.Test.make ~name:"bulk_load = repeated insert" ~count:300
     QCheck.(pair (int_range 2 6) arbitrary_pairs)
     (fun (degree, pairs) ->
       let loaded = Btree.bulk_load ~min_degree:degree pairs in
-      let inserted = Btree.create ~min_degree:degree () in
-      insert_many inserted pairs;
       Btree.validate loaded = Ok ()
-      && Btree.to_list loaded = Btree.to_list inserted
+      && Btree.to_list loaded
+         = List.fold_left (fun acc e -> insert_after_equal e acc) [] pairs
       && Btree.length loaded = List.length pairs)
 
 let bulk_load_sizes () =
@@ -229,62 +124,15 @@ let bulk_load_sizes () =
         (List.init n (fun i -> i))
         (List.map snd (Btree.to_list t)))
     [ 0; 1; 2; 4; 5; 6; 10; 11; 12; 25; 36; 100; 1000 ];
-  (* Range queries behave identically after bulk load. *)
   let entries = List.init 500 (fun i -> Int64.of_int (i mod 50), i) in
   let t = Btree.bulk_load ~min_degree:4 entries in
   Alcotest.(check int) "duplicate-heavy range" 30
     (List.length (Btree.range t ~lo:10L ~hi:12L))
 
-(* Bulk loading packs nodes as full as the invariants allow, so the
-   very first deletions force borrows and merges that incremental
-   insertion rarely sets up.  Same list model as the delete suite. *)
-let bulk_load_delete_prop =
-  QCheck.Test.make ~name:"deletes from a bulk-loaded tree (borrow/merge)"
-    ~count:200
-    QCheck.(pair (int_range 2 6) (pair arbitrary_pairs (small_list (int_bound 100))))
-    (fun (degree, (pairs, to_delete)) ->
-      let t = Btree.bulk_load ~min_degree:degree pairs in
-      let model = ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs) in
-      List.for_all
-        (fun k ->
-          let k = Int64.of_int k in
-          let expected = model_delete !model k (fun _ -> true) in
-          let found = Btree.delete t k (fun _ -> true) in
-          (match expected with Some next -> model := next | None -> ());
-          found = Option.is_some expected
-          && Btree.validate t = Ok ()
-          && Btree.to_list t = !model)
-        to_delete)
-
-let bulk_load_interleaved_prop =
-  QCheck.Test.make ~name:"bulk load then interleaved insert/delete" ~count:100
-    QCheck.(pair arbitrary_pairs (list (pair bool (int_bound 50))))
-    (fun (pairs, ops) ->
-      let t = Btree.bulk_load ~min_degree:2 pairs in
-      let model = ref (List.stable_sort (fun (a, _) (b, _) -> compare a b) pairs) in
-      List.for_all
-        (fun (is_insert, k) ->
-          let key = Int64.of_int k in
-          if is_insert then begin
-            Btree.insert t key k;
-            (* insert appends after existing duplicates of the key, so
-               the model entry goes at the tail of the equal-key run *)
-            model := List.stable_sort (fun (a, _) (b, _) -> compare a b)
-                (!model @ [ key, k ])
-          end
-          else begin
-            (match model_delete !model key (fun _ -> true) with
-             | Some next -> model := next
-             | None -> ());
-            ignore (Btree.delete t key (fun _ -> true))
-          end;
-          Btree.validate t = Ok () && Btree.to_list t = !model)
-        ops)
-
 let duplicate_chunk_boundaries () =
   (* Duplicate runs longer than a node straddle leaf boundaries after a
      bulk load; point and span ranges must still see every copy, in
-     insertion order, at every (degree, run-length) combination. *)
+     input order, at every (degree, run-length) combination. *)
   List.iter
     (fun degree ->
       List.iter
@@ -298,10 +146,6 @@ let duplicate_chunk_boundaries () =
           (match Btree.validate t with
            | Ok () -> ()
            | Error e -> Alcotest.failf "degree=%d run=%d: %s" degree run e);
-          Alcotest.(check (list int))
-            (Printf.sprintf "degree=%d run=%d find_all order" degree run)
-            (List.init run (fun i -> 2000 + i))
-            (Btree.find_all t 2L);
           Alcotest.(check (list int))
             (Printf.sprintf "degree=%d run=%d point range" degree run)
             (List.init run (fun i -> 2000 + i))
@@ -319,8 +163,8 @@ let duplicate_chunk_boundaries () =
 
 let min_degree_guard () =
   Alcotest.check_raises "min_degree >= 2"
-    (Invalid_argument "Btree.create: min_degree must be >= 2")
-    (fun () -> ignore (Btree.create ~min_degree:1 ()))
+    (Invalid_argument "Btree.bulk_load: min_degree must be >= 2")
+    (fun () -> ignore (Btree.bulk_load ~min_degree:1 []))
 
 let () =
   Alcotest.run "btree"
@@ -339,11 +183,4 @@ let () =
         Alcotest.test_case "boundary sizes" `Quick bulk_load_sizes
         :: Alcotest.test_case "duplicate runs at chunk boundaries" `Quick
              duplicate_chunk_boundaries
-        :: List.map QCheck_alcotest.to_alcotest
-             [ bulk_load_matches_inserts_prop; bulk_load_delete_prop;
-               bulk_load_interleaved_prop ] );
-      ( "deletion",
-        Alcotest.test_case "delete_all with duplicates" `Quick delete_all_duplicates
-        :: List.map QCheck_alcotest.to_alcotest
-             [ delete_matches_model_prop; delete_with_predicate_prop;
-               delete_everything_prop; delete_interleaved_with_insert ] ) ]
+        :: List.map QCheck_alcotest.to_alcotest [ bulk_load_matches_inserts_prop ] ) ]

@@ -210,7 +210,7 @@ let update_cases = ref 0
 
 (* One (doc, edit-sequence, scheme) cell: host, warm an engine, apply
    the deltas, then compare every path against a fresh re-host of the
-   mutated plaintext. *)
+   mutated plaintext, and the first hosting against its own document. *)
 let update_equiv_cell ~seed doc edits kind =
   let sys0, _ = System.setup ~master:"diff-update" doc scs kind in
   let eng = Engine.create sys0 in
@@ -244,7 +244,11 @@ let update_equiv_cell ~seed doc edits kind =
         (fst (System.evaluate sysn q));
       check_one ~label:(name "delta/batch") ~expected (fst batch.(i));
       check_one ~label:(name "delta/engine-warm") ~expected
-        (Engine.evaluate eng q))
+        (Engine.evaluate eng q);
+      (* The superseded hosting keeps answering its own document. *)
+      check_one ~label:(name "superseded/evaluate")
+        ~expected:(printed (System.reference sys0 q))
+        (fst (System.evaluate sys0 q)))
     update_queries
 
 let update_seeds = [ 7L; 77L; 777L ]

@@ -435,6 +435,41 @@ let log_reseeds_after_total_tear () =
                (fst (System.evaluate (Persist.journal_system j2) (parse q)))))
         log_queries)
 
+(* An edit [Update.delta] cannot plan — a bare text node inserted under
+   a childless element — is rejected by every entry point alike:
+   [Update.apply], [Update.delta], [System.apply_delta] and
+   [Persist.journal_update] all raise [Invalid_argument], and the log
+   keeps its bytes. *)
+let unplannable_edit_appends_nothing () =
+  let doc = Xmlcore.Parser.parse_doc "<r><a><b>1</b></a><e></e></r>" in
+  let edit =
+    Update.Insert_child { parent = parse "/r/e"; position = 0; subtree = Tree.Text "x" }
+  in
+  let raises what f =
+    Alcotest.(check bool) (what ^ " raises Invalid_argument") true
+      (match f () with _ -> false | exception Invalid_argument _ -> true)
+  in
+  raises "Update.apply" (fun () -> ignore (Update.apply doc edit));
+  raises "Update.delta" (fun () -> ignore (Update.delta doc edit));
+  let sys, _ =
+    System.setup ~master:"persist-master" doc [ Secure.Sc.parse "//b" ] Secure.Scheme.Opt
+  in
+  raises "System.apply_delta" (fun () -> ignore (System.apply_delta sys edit));
+  let path = Filename.temp_file "sxq" ".host" in
+  Fun.protect
+    ~finally:(fun () ->
+      List.iter
+        (fun p -> if Sys.file_exists p then Sys.remove p)
+        [ path; Persist.log_path path; path ^ ".tmp" ])
+    (fun () ->
+      Persist.save sys path;
+      let j = Persist.journal_open ~master:"persist-master" path in
+      ignore (Persist.journal_update j (Update.Set_value (parse "/r/a/b", "2")));
+      let log = read_file (Persist.log_path path) in
+      raises "Persist.journal_update" (fun () -> ignore (Persist.journal_update j edit));
+      Alcotest.(check string) "log bytes unchanged" log (read_file (Persist.log_path path));
+      Alcotest.(check int) "sequence unchanged" 1 (Persist.journal_seq j))
+
 (* An append that fails — here a directory squats on the log path, so
    opening it raises [Sys_error] — must leave the journal as it was:
    the next update then reuses the sequence number, and reopening finds
@@ -657,6 +692,8 @@ let () =
             log_reseeds_after_total_tear;
           Alcotest.test_case "failed append leaves no gap" `Quick
             failed_append_leaves_no_gap;
+          Alcotest.test_case "unplannable edit appends nothing" `Quick
+            unplannable_edit_appends_nothing;
           Alcotest.test_case "tampering battery" `Quick log_tampering_battery;
           Alcotest.test_case "compaction" `Quick log_compaction;
           Alcotest.test_case "pinned journal bytes" `Quick journal_pin ] ) ]

@@ -719,12 +719,16 @@ let metadata_build () =
       Alcotest.(check bool) (tag ^ " catalog") true
         (Option.is_some (Secure.Metadata.catalog meta ~tag)))
     (Xmlcore.Stats.leaf_tags doc);
-  (* B-tree entries: one per occurrence per scale replica, validated tree. *)
+  (* Index entries: one per occurrence per scale replica, every
+     attribute's tree valid. *)
   Alcotest.(check bool) "btree nonempty" true
-    (Secure.Metadata.btree_entry_count meta > 0);
-  (match Btree.validate meta.Secure.Metadata.btree with
-   | Ok () -> ()
-   | Error e -> Alcotest.fail e)
+    ((Secure.Metadata.index_summary meta).Secure.Metadata.entries > 0);
+  Array.iter
+    (fun tree ->
+      match Btree.validate tree with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    meta.Secure.Metadata.index
 
 let metadata_tokens_hide_tags () =
   let doc = health_doc () in

@@ -246,11 +246,7 @@ let btree_distribution_not_plaintext () =
   let doc = Workload.Health.generate ~patients:100 () in
   let scs = Workload.Health.constraints () in
   let sys, _ = System.setup doc scs Scheme.Opt in
-  let meta = System.metadata sys in
-  let keys_hist = Hashtbl.create 256 in
-  Btree.iter meta.Secure.Metadata.btree (fun k _ ->
-      Hashtbl.replace keys_hist k (1 + Option.value ~default:0 (Hashtbl.find_opt keys_hist k)));
-  let observed = Hashtbl.fold (fun k c acc -> (k, c) :: acc) keys_hist [] in
+  let observed = Secure.Metadata.key_histogram (System.metadata sys) in
   let known = Xmlcore.Stats.value_histogram doc ~tag:"disease" in
   let result = Attack.Static.frequency_attack ~known ~observed in
   Alcotest.(check (float 0.11)) "crack rate ~0" 0.0 result.Attack.Static.crack_rate
@@ -282,12 +278,7 @@ let candidates_indistinguishable () =
     (Secure.Encrypt.encrypted_bytes (System.db sys1))
     (Secure.Encrypt.encrypted_bytes (System.db sys2));
   (* (2) identical observable value-index distribution. *)
-  let histogram sys =
-    let h = Hashtbl.create 128 in
-    Btree.iter (System.metadata sys).Secure.Metadata.btree (fun k _ ->
-        Hashtbl.replace h k (1 + Option.value ~default:0 (Hashtbl.find_opt h k)));
-    List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) h [])
-  in
+  let histogram sys = Secure.Metadata.key_histogram (System.metadata sys) in
   Alcotest.(check (list (pair int64 int))) "equal index histograms"
     (histogram sys1) (histogram sys2);
   (* And the structural index is byte-identical (same shape, same
@@ -366,8 +357,8 @@ let encrypted_only_index_policy () =
   in
   (* The lean index is genuinely smaller. *)
   Alcotest.(check bool) "fewer index entries" true
-    (Secure.Metadata.btree_entry_count (System.metadata lean)
-     < Secure.Metadata.btree_entry_count (System.metadata full));
+    ((Secure.Metadata.index_summary (System.metadata lean)).Secure.Metadata.entries
+     < (Secure.Metadata.index_summary (System.metadata full)).Secure.Metadata.entries);
   (* Correctness is unchanged, including value predicates on attributes
      that are no longer indexed (age, @coverage are plaintext under
      opt): the server keeps every candidate, the client filters. *)

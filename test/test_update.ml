@@ -472,6 +472,41 @@ let random_edits_stay_consistent =
         [ Printf.sprintf "//patient[age=%d]/pname" new_age;
           "//patient[age>=50]/SSN"; "//pname" ])
 
+(* A superseded hosting keeps answering its own document: a delta gives
+   its successor fresh trees for the attributes it touched and leaves
+   the trees the old handle reads alone.  After 1, 10 and 100 value
+   deltas (the first sets Betty's age to 99), every handle in the chain
+   answers the fixture queries as its own plaintext reference does. *)
+let superseded_handles_answer_their_document () =
+  let sys, _ = fresh_system () in
+  let edit i =
+    if i = 0 then Update.Set_value (parse "//patient[pname='Betty']/age", "99")
+    else
+      let who = if i mod 2 = 0 then "Betty" else "Matt" in
+      Update.Set_value
+        (parse (Printf.sprintf "//patient[pname='%s']/age" who),
+         string_of_int (20 + (i * 7 mod 60)))
+  in
+  let handles = ref [ sys ] in
+  List.iter
+    (fun deltas ->
+      while List.length !handles <= deltas do
+        let next, _ = System.apply_delta (List.hd !handles) (edit (List.length !handles - 1)) in
+        handles := next :: !handles
+      done;
+      List.iteri
+        (fun back handle ->
+          List.iter
+            (fun q ->
+              let query = parse q in
+              Alcotest.(check (list string))
+                (Printf.sprintf "after %d deltas, handle %d back: %s" deltas back q)
+                (Helpers.norm_trees (System.reference handle query))
+                (Helpers.norm_trees (fst (System.evaluate handle query))))
+            health_queries)
+        !handles)
+    [ 1; 10; 100 ]
+
 (* [apply_plan] trusts its plan to describe the hosting's document; a
    plan made before another edit landed (here it no longer matches the
    node count) must not be applied against the wrong node ids.  It falls
@@ -515,7 +550,9 @@ let () =
             delta_delete_last_block_node;
           Alcotest.test_case "insert into an empty tag group" `Quick
             delta_insert_into_empty_group;
-          Alcotest.test_case "stale plan re-hosts" `Quick delta_stale_plan_rehosts ]
+          Alcotest.test_case "stale plan re-hosts" `Quick delta_stale_plan_rehosts;
+          Alcotest.test_case "superseded handles answer their document" `Quick
+            superseded_handles_answer_their_document ]
         @ List.map QCheck_alcotest.to_alcotest [ delta_interleaving_agrees ] );
       ( "dsi gaps",
         Alcotest.test_case "between siblings" `Quick gap_insertion_between_siblings
