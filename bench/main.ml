@@ -1786,7 +1786,8 @@ let micro () =
   let response = String.init (576 * 1024) (fun i -> Char.chr ((i * 31) land 0xFF)) in
   let frame_key = "bench-session" in
   (* The wide workload's hosting (3000 blocks, ~20k nodes): the
-     skeleton and tag partition a delta reassembles around. *)
+     skeleton (indexed as a document) and tag partition setup assembles
+     around the encrypted blocks; a delta patches them instead. *)
   let xmark_1500 = Workload.Xmark.generate ~persons:1500 () in
   let xmark_1500_scheme =
     Secure.Scheme.build xmark_1500 (Workload.Xmark.constraints ()) Secure.Scheme.Opt
@@ -1817,6 +1818,36 @@ let micro () =
     List.map
       (fun b -> b.Secure.Encrypt.id, Secure.Client.decrypt_block nasa_client b)
       response.Secure.Server.blocks
+  in
+  (* The churn hosting (Health, 300 patients): one planned value edit
+     of an encrypted policy# and one remark insert under a patient,
+     each applied to the same hosting on every run — a hosting is never
+     mutated, so every run patches the same predecessor. *)
+  let churn_sys, _ =
+    Secure.System.setup ~master:"bench"
+      (Workload.Health.generate ~seed:5L ~patients:300 ())
+      (Workload.Health.constraints ()) Secure.Scheme.Opt
+  in
+  let churn_patient =
+    List.nth
+      (List.filter_map
+         (Xmlcore.Doc.value (Secure.System.doc churn_sys))
+         (Xmlcore.Doc.nodes_with_tag (Secure.System.doc churn_sys) "pname"))
+      150
+  in
+  let churn_plan edit = Secure.Update.delta (Secure.System.doc churn_sys) edit in
+  let set_value_plan =
+    churn_plan
+      (Secure.Update.Set_value
+         ( Xpath.Parser.parse (Printf.sprintf "//patient[pname='%s']//policy#" churn_patient),
+           "91234" ))
+  in
+  let insert_plan =
+    churn_plan
+      (Secure.Update.Insert_child
+         { parent = Xpath.Parser.parse (Printf.sprintf "//patient[pname='%s']" churn_patient);
+           position = 0;
+           subtree = Xmlcore.Tree.leaf "remark" "follow-up" })
   in
   let tests =
     Test.make_grouped ~name:"primitives"
@@ -1852,6 +1883,10 @@ let micro () =
                Secure.Opess.build ~key:"b" ~attr_id:0 ~tag:"v" big_hist));
         Test.make ~name:"opess-patch-300"
           (Staged.stage (fun () -> Secure.Opess.patch ~key:"bench" cat edited_hist));
+        Test.make ~name:"apply-plan-set-value-health-300"
+          (Staged.stage (fun () -> Secure.System.apply_plan churn_sys set_value_plan ~plan_ms:0.0));
+        Test.make ~name:"apply-plan-insert-health-300"
+          (Staged.stage (fun () -> Secure.System.apply_plan churn_sys insert_plan ~plan_ms:0.0));
         Test.make ~name:"reassemble-xmark-1500"
           (Staged.stage (fun () ->
                Secure.Encrypt.reassemble ~doc:xmark_1500 ~scheme:xmark_1500_scheme

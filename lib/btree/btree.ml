@@ -17,45 +17,58 @@ let length t = t.size
 (* One level of bottom-up packing.  The level is [m] subtrees ([kids];
    none at the leaf level, where the [m - 1] entries are separators
    between empty subtrees) with the [m - 1] sorted entries between
-   them.  They are cut into ceil(m / 2td) nodes of td..2td subtrees
-   each, as evenly as possible, larger nodes first: each node keeps the
-   entries between its own subtrees, and the entry between two
-   adjacent nodes goes up, in order, as a separator of the level
-   above. *)
-let pack ~td kids entries =
-  let m = Array.length entries + 1 in
+   them, [entries.(base) .. entries.(base + m - 2)].  They are cut into
+   ceil(m / 2td) nodes of td..2td subtrees each, as evenly as possible,
+   larger nodes first: each node keeps the entries between its own
+   subtrees, and the entry between two adjacent nodes goes up, in
+   order, as a separator of the level above. *)
+let pack ~td kids entries ~base ~count =
+  let m = count + 1 in
   let parts = (m + (2 * td) - 1) / (2 * td) in
-  let up = if parts = 1 then [||] else Array.make (parts - 1) entries.(0) in
+  let up = if parts = 1 then [||] else Array.make (parts - 1) entries.(base) in
   let first = ref 0 in
   let nodes =
     Array.init parts (fun i ->
         let g = (m / parts) + if i < m mod parts then 1 else 0 in
-        let at = !first in
+        let at = base + !first in
         if i < parts - 1 then up.(i) <- entries.(at + g - 1);
-        first := at + g;
+        first := !first + g;
         { keys = Array.init (g - 1) (fun j -> fst entries.(at + j));
           payloads = Array.init (g - 1) (fun j -> snd entries.(at + j));
-          children = (if Array.length kids = 0 then [||] else Array.sub kids at g) })
+          children = (if Array.length kids = 0 then [||] else Array.sub kids (at - base) g) })
   in
   nodes, up
 
-let rec ascending = function
-  | (a, _) :: ((b, _) :: _ as rest) -> Int64.compare a b <= 0 && ascending rest
-  | [ _ ] | [] -> true
+let ascending entries ~pos ~len =
+  let rec go i =
+    i >= pos + len - 1
+    || (Int64.compare (fst entries.(i)) (fst entries.(i + 1)) <= 0 && go (i + 1))
+  in
+  go pos
+
+let of_array ?(min_degree = 16) ?(pos = 0) ?len entries =
+  if min_degree < 2 then invalid_arg "Btree.of_array: min_degree must be >= 2";
+  let len = Option.value len ~default:(Array.length entries - pos) in
+  if pos < 0 || len < 0 || pos + len > Array.length entries then
+    invalid_arg "Btree.of_array: slice out of bounds";
+  let entries, pos =
+    if ascending entries ~pos ~len then entries, pos
+    else begin
+      let sorted = Array.sub entries pos len in
+      Array.stable_sort (fun (a, _) (b, _) -> Int64.compare a b) sorted;
+      sorted, 0
+    end
+  in
+  let rec build kids entries ~base ~count =
+    match pack ~td:min_degree kids entries ~base ~count with
+    | [| root |], _ -> root
+    | nodes, up -> build nodes up ~base:0 ~count:(Array.length up)
+  in
+  { min_degree; root = build [||] entries ~base:pos ~count:len; size = len }
 
 let bulk_load ?(min_degree = 16) entries =
   if min_degree < 2 then invalid_arg "Btree.bulk_load: min_degree must be >= 2";
-  let sorted =
-    Array.of_list
-      (if ascending entries then entries
-       else List.stable_sort (fun (a, _) (b, _) -> Int64.compare a b) entries)
-  in
-  let rec build kids entries =
-    match pack ~td:min_degree kids entries with
-    | [| root |], _ -> root
-    | nodes, up -> build nodes up
-  in
-  { min_degree; root = build [||] sorted; size = Array.length sorted }
+  of_array ~min_degree (Array.of_list entries)
 
 let height t =
   let rec go node = if is_leaf node then 1 else 1 + go node.children.(0) in

@@ -21,6 +21,14 @@ val bulk_load : ?min_degree:int -> (int64 * 'a) list -> 'a t
     CLRS parameter [t >= 2]; default 16 (nodes hold up to 31 keys).
     @raise Invalid_argument when [min_degree < 2]. *)
 
+val of_array : ?min_degree:int -> ?pos:int -> ?len:int -> (int64 * 'a) array -> 'a t
+(** {!bulk_load} of the slice [entries.(pos) .. entries.(pos + len - 1)]
+    (by default the whole array).  A slice already in key order is
+    packed where it lies, with no copy and no sort; the array is never
+    modified.
+    @raise Invalid_argument when [min_degree < 2] or the slice is out
+    of bounds. *)
+
 val length : 'a t -> int
 (** Number of entries. *)
 

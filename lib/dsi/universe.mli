@@ -18,6 +18,20 @@ val index : Interval.t list array -> t * int array array
     interval once) with its containment forest, and each row as a node
     set of universe positions.  One sort and two linear passes. *)
 
+val members : t -> Interval.t list -> int array
+(** The node set of the listed intervals that lie in the universe (the
+    rest are dropped); a sorted list costs little more than its
+    length. *)
+
+val patch : t -> removed:Interval.t list -> added:Interval.t list -> t * int array
+(** [patch u ~removed ~added] is the universe after one row change:
+    [removed] are row members taken out, [added] row members put in
+    (multisets: an interval leaves only once no row holds it), with the
+    old → new position map ([-1] for an interval that left).  One merge
+    of the sorted survivors with the sorted newcomers, no re-sort; the
+    result equals {!index} of the changed rows.
+    @raise Invalid_argument when a removed interval is not in [u]. *)
+
 val size : t -> int
 val interval : t -> int -> Interval.t
 val forest : t -> Xmlcore.Forest.t

@@ -13,31 +13,30 @@ type t = {
 
 let keys t = t.keys
 
-let create ~keys meta db =
-  let catalogs = Hashtbl.create 32 in
-  List.iter (fun (tag, c) -> Hashtbl.replace catalogs tag c) meta.Metadata.catalogs;
-  let indexed = Hashtbl.create 32 in
-  List.iter (fun tag -> Hashtbl.replace indexed tag ()) meta.Metadata.indexed_tags;
+(* The translation tables are a few entries per attribute and are
+   rebuilt whole; the skeleton's index is what costs. *)
+let make ~keys meta db skeleton =
   let set_of tags =
     let h = Hashtbl.create 32 in
     List.iter (fun tag -> Hashtbl.replace h tag ()) tags;
     h
   in
-  let skeleton_doc = Doc.of_tree db.Encrypt.skeleton in
-  let anchors =
-    Doc.fold skeleton_doc
-      (fun acc n ->
-        match Encrypt.placeholder_id (Doc.tag skeleton_doc n) with
-        | Some id -> (id, n) :: acc
-        | None -> acc)
-      []
-  in
+  let catalogs = Hashtbl.create 32 in
+  List.iter (fun (tag, c) -> Hashtbl.replace catalogs tag c) meta.Metadata.catalogs;
   { keys;
     catalogs;
-    indexed;
+    indexed = set_of meta.Metadata.indexed_tags;
     encrypted_tags = set_of db.Encrypt.encrypted_tags;
     plaintext_tags = set_of db.Encrypt.plaintext_tags;
-    skeleton = Composite.prepare skeleton_doc ~anchors }
+    skeleton }
+
+let prepare db = Composite.prepare db.Encrypt.skeleton ~anchors:(Encrypt.anchors db)
+
+let create ~keys meta db = make ~keys meta db (prepare db)
+
+let patch t meta db =
+  make ~keys:t.keys meta db
+    (if Composite.doc t.skeleton == db.Encrypt.skeleton then t.skeleton else prepare db)
 
 (* ------------------------------------------------------------------ *)
 (* Translation                                                         *)

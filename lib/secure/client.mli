@@ -22,6 +22,13 @@ val create : keys:Crypto.Keys.t -> Metadata.t -> Encrypt.db -> t
 (** Build the client state after setup ({!Metadata.build} output plus
     the encrypted database it uploaded). *)
 
+val patch : t -> Metadata.t -> Encrypt.db -> t
+(** [patch t meta db] is {!create} [meta db] under [t]'s keys, built
+    from [t]: the skeleton's index is shared unless [db]'s skeleton
+    differs from the one [t] was built on ({!Encrypt.patch} shares it
+    when an edit leaves it alone), and the translation tables are
+    rebuilt from [meta]. *)
+
 val keys : t -> Crypto.Keys.t
 
 val decrypt_block : t -> Encrypt.block -> answer

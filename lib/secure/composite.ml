@@ -43,6 +43,8 @@ let prepare doc ~anchors =
     elements;
   { doc; block_at; anchor_of; visible = Array.sub visible 0 !count }
 
+let doc skel = skel.doc
+
 let create skel ~blocks =
   let block_docs = Hashtbl.create 16 in
   List.iter (fun (id, doc) -> Hashtbl.replace block_docs id doc) blocks;

@@ -30,6 +30,9 @@ val prepare : Xmlcore.Doc.t -> anchors:(int * Xmlcore.Doc.node) list -> skeleton
 (** [prepare skeleton ~anchors]: [anchors] maps block ids to their
     placeholder nodes in the skeleton. *)
 
+val doc : skeleton -> Xmlcore.Doc.t
+(** The skeleton document {!prepare} indexed. *)
+
 type t
 
 val create : skeleton -> blocks:(int * Xmlcore.Doc.t) list -> t

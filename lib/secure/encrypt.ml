@@ -15,7 +15,7 @@ type db = {
   doc : Doc.t;
   scheme : Scheme.t;
   blocks : block list;
-  skeleton : Tree.t;
+  skeleton : Doc.t;
   encrypted_tags : string list;
   plaintext_tags : string list;
   node_block : int array;
@@ -118,19 +118,20 @@ let skeleton_of doc ~block_at =
   in
   rebuild (Doc.root doc)
 
-(* Shared constructor: every [db] — freshly encrypted or restored from
-   disk — goes through here so the derived node→block table exists by
-   construction.  Marking each block's preorder id run once makes
-   [block_of_node] an O(1) array read. *)
-let make_db ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags =
+(* Node id -> id of the block containing it, -1 outside every block:
+   each block's preorder id run, marked once. *)
+let node_blocks doc blocks =
   let node_block = Array.make (Doc.node_count doc) (-1) in
   List.iter
     (fun b -> Array.fill node_block b.root (Doc.subtree_node_count doc b.root) b.id)
     blocks;
-  (* Ids are dense [0..n-1] at setup but become sparse once incremental
-     deletes drop whole blocks (dropped ids are never reused — the
-     engine's per-generation cache keys depend on that), so the lookup
-     table is an option array over the id range. *)
+  node_block
+
+(* Ids are dense [0..n-1] at setup but become sparse once incremental
+   deletes drop whole blocks (dropped ids are never reused — the
+   engine's per-generation cache keys depend on that), so the lookup
+   table is an option array over the id range. *)
+let with_blocks ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags ~node_block =
   let max_id = List.fold_left (fun acc b -> Int.max acc b.id) (-1) blocks in
   let block_by_id = Array.make (max_id + 1) None in
   List.iter
@@ -142,6 +143,13 @@ let make_db ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags =
     blocks;
   { doc; scheme; blocks; skeleton; encrypted_tags; plaintext_tags;
     node_block; block_by_id }
+
+(* Shared constructor: every [db] — freshly encrypted or restored from
+   disk — goes through here so the derived node→block table exists by
+   construction, which makes [block_of_node] an O(1) array read. *)
+let make_db ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags =
+  with_blocks ~doc ~scheme ~blocks ~skeleton ~encrypted_tags ~plaintext_tags
+    ~node_block:(node_blocks doc blocks)
 
 (* The server's half of the split: ciphertext blocks only.  The rest
    of the [db] (plaintext document, scheme, tag partitions) stays on
@@ -164,7 +172,7 @@ let prewarm_block_keys ~keys =
 let reassemble ~doc ~scheme ~blocks =
   let root_to_block = Hashtbl.create 64 in
   List.iter (fun b -> Hashtbl.replace root_to_block b.root b.id) blocks;
-  let skeleton = skeleton_of doc ~block_at:(Hashtbl.find_opt root_to_block) in
+  let skeleton = Doc.of_tree (skeleton_of doc ~block_at:(Hashtbl.find_opt root_to_block)) in
   (* Partition tags by whether their nodes fall inside blocks. *)
   let covered = Scheme.coverage doc scheme in
   let encrypted = Hashtbl.create 64 and plaintext = Hashtbl.create 64 in
@@ -176,6 +184,106 @@ let reassemble ~doc ~scheme ~blocks =
   in
   make_db ~doc ~scheme ~blocks ~skeleton ~encrypted_tags:(tags encrypted)
     ~plaintext_tags:(tags plaintext)
+
+(* Doc node -> skeleton node: a node outside every block and a block
+   root (as its placeholder) are in the skeleton, in preorder; a node
+   strictly inside a block is not (-1).  Blocks never nest, so a node
+   is in the skeleton exactly when its parent lies outside every
+   block. *)
+let skeleton_map doc node_block =
+  let map = Array.make (Doc.node_count doc) (-1) and next = ref 0 in
+  Doc.iter doc (fun n ->
+      match Doc.parent doc n with
+      | Some p when node_block.(p) >= 0 -> ()
+      | Some _ | None ->
+        map.(n) <- !next;
+        incr next);
+  map
+
+let anchors db =
+  let map = skeleton_map db.doc db.node_block in
+  List.map (fun b -> b.id, map.(b.root)) db.blocks
+
+(* The successor of [old] under one planned edit, part by part.  A value
+   edit keeps the shape: the node→block table and tag partition are
+   shared, and the skeleton changes only where a plaintext leaf did.  A
+   structural edit splices the skeleton where the edit lies outside
+   every block, and re-derives the partition only for the tags of the
+   nodes it removed or added: every other node keeps its block. *)
+let patch old (plan : Update.plan) ~scheme ~blocks =
+  let doc = plan.Update.edited in
+  if not plan.Update.structural then begin
+    let skeleton =
+      match List.filter (fun n -> old.node_block.(n) < 0) plan.Update.changed_values with
+      | [] -> old.skeleton
+      | plain ->
+        let map = skeleton_map old.doc old.node_block in
+        Doc.set_values old.skeleton
+          (List.filter_map (fun n -> Option.map (fun v -> map.(n), v) (Doc.value doc n)) plain)
+    in
+    with_blocks ~doc ~scheme ~blocks ~skeleton ~encrypted_tags:old.encrypted_tags
+      ~plaintext_tags:old.plaintext_tags ~node_block:old.node_block
+  end
+  else begin
+    let map = skeleton_map old.doc old.node_block in
+    let outside n = old.node_block.(n) < 0 in
+    let n_old = Doc.node_count old.doc and n_new = Doc.node_count doc in
+    (* The old node an inserted root lands before: the first old node
+       after its subtree, past any other inserted roots. *)
+    let rec landing at =
+      if at >= n_new then n_old
+      else
+        let o = plan.Update.old_of_new.(at) in
+        if o >= 0 then o else landing (at + Doc.subtree_node_count doc at)
+    in
+    let insert =
+      List.filter_map
+        (fun r ->
+          match Doc.parent doc r with
+          | Some p when outside plan.Update.old_of_new.(p) ->
+            let before = landing (r + Doc.subtree_node_count doc r) in
+            let before =
+              if before >= n_old then Doc.node_count old.skeleton else map.(before)
+            in
+            Some (before, map.(plan.Update.old_of_new.(p)), doc, r)
+          | Some _ | None -> None)
+        plan.Update.inserted_roots
+    in
+    let delete =
+      List.filter_map (fun d -> if map.(d) >= 0 then Some map.(d) else None)
+        plan.Update.deleted_roots
+    in
+    let skeleton =
+      if insert = [] && delete = [] then old.skeleton
+      else (Doc.splice old.skeleton ~delete ~insert).Doc.doc
+    in
+    let node_block = node_blocks doc blocks in
+    let touched = Hashtbl.create 8 in
+    let note d roots =
+      List.iter
+        (fun r ->
+          List.iter (fun n -> Hashtbl.replace touched (Doc.tag d n) ()) (Doc.descendant_or_self d r))
+        roots
+    in
+    note old.doc plan.Update.deleted_roots;
+    note doc plan.Update.inserted_roots;
+    let partition tags ~inside =
+      let kept = List.filter (fun tag -> not (Hashtbl.mem touched tag)) tags in
+      let found =
+        Hashtbl.fold
+          (fun tag () acc ->
+            if Array.exists (fun n -> (node_block.(n) >= 0) = inside) (Doc.tagged doc tag)
+            then tag :: acc
+            else acc)
+          touched []
+      in
+      List.sort String.compare (kept @ found)
+    in
+    with_blocks ~doc ~scheme ~blocks ~skeleton
+      ~encrypted_tags:(partition old.encrypted_tags ~inside:true)
+      ~plaintext_tags:(partition old.plaintext_tags ~inside:false)
+      ~node_block
+  end
 
 let encrypt ?pool ~keys doc scheme =
   prewarm_block_keys ~keys;
@@ -244,4 +352,4 @@ let encrypted_bytes db =
     0 db.blocks
 
 let server_bytes db =
-  String.length (Xmlcore.Printer.tree_to_string db.skeleton) + encrypted_bytes db
+  String.length (Xmlcore.Printer.doc_to_string db.skeleton) + encrypted_bytes db

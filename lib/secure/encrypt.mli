@@ -26,7 +26,7 @@ type db = {
   doc : Xmlcore.Doc.t;              (** the original — client side only *)
   scheme : Scheme.t;
   blocks : block list;              (** ordered by id = position in scheme *)
-  skeleton : Xmlcore.Tree.t;        (** public part with placeholders *)
+  skeleton : Xmlcore.Doc.t;         (** public part with placeholders, indexed *)
   encrypted_tags : string list;     (** tags occurring inside blocks *)
   plaintext_tags : string list;     (** tags occurring outside blocks *)
   node_block : int array;           (** node id → containing block id, -1 if none *)
@@ -55,7 +55,7 @@ val make_db :
   doc:Xmlcore.Doc.t ->
   scheme:Scheme.t ->
   blocks:block list ->
-  skeleton:Xmlcore.Tree.t ->
+  skeleton:Xmlcore.Doc.t ->
   encrypted_tags:string list ->
   plaintext_tags:string list ->
   db
@@ -83,8 +83,22 @@ val reassemble :
 (** Assemble a [db] around an edited document and its already-encrypted
     blocks (roots remapped to the new numbering): the skeleton and tag
     partition are recomputed from the plaintext, no cryptography runs.
-    The incremental delta path uses this to reuse untouched ciphertexts
-    verbatim. *)
+    {!encrypt} assembles its output here; the delta path uses {!patch}
+    instead. *)
+
+val patch : db -> Update.plan -> scheme:Scheme.t -> blocks:block list -> db
+(** [patch db plan ~scheme ~blocks] is the [db] of [plan]'s edited
+    document around its blocks ([blocks]: the survivors, touched ones
+    re-encrypted, roots remapped), built from [db] part by part instead
+    of {!reassemble}d: a value edit shares the node→block table and the
+    tag partition, and the skeleton unless a plaintext leaf changed; a
+    structural edit splices the skeleton only where it lies outside
+    every block, and re-derives the tag partition only for the tags of
+    the nodes it removed or added.  The result equals {!reassemble}'s
+    on every field; [db] is left as it was. *)
+
+val anchors : db -> (int * Xmlcore.Doc.node) list
+(** Each block's id and its placeholder node in the skeleton. *)
 
 val encrypt :
   ?pool:Parallel.Pool.t -> keys:Crypto.Keys.t -> Xmlcore.Doc.t -> Scheme.t -> db

@@ -24,14 +24,28 @@ let attribute_slots = 127
 
 let attribute_of_key key = Int64.to_int (Int64.shift_right key 56)
 
+let empty_tree = Btree.bulk_load []
+
+(* Key order groups each attribute's entries into one contiguous run:
+   each run is bulk-loaded where it lies. *)
 let index_of_entries entries =
-  let runs = Array.make attribute_slots [] in
-  List.iter
-    (fun ((key, _) as entry) ->
-      let a = attribute_of_key key in
-      runs.(a) <- entry :: runs.(a))
-    entries;
-  Array.map (fun run -> Btree.bulk_load ~min_degree:16 (List.rev run)) runs
+  let index = Array.make attribute_slots empty_tree in
+  let n = Array.length entries in
+  let rec runs start =
+    if start < n then begin
+      let a = attribute_of_key (fst entries.(start)) in
+      if a < 0 || a >= attribute_slots || index.(a) != empty_tree then
+        invalid_arg "Metadata.index_of_entries: key outside every attribute or out of order";
+      let stop = ref (start + 1) in
+      while !stop < n && attribute_of_key (fst entries.(!stop)) = a do
+        incr stop
+      done;
+      index.(a) <- Btree.of_array ~min_degree:16 ~pos:start ~len:(!stop - start) entries;
+      runs !stop
+    end
+  in
+  runs 0;
+  index
 
 let index_range index ~lo ~hi =
   let first = Int.max 0 (attribute_of_key lo) in
@@ -51,12 +65,11 @@ let encrypted_token ~keys tag =
        ~pad_id:(Crypto.Keys.tag_pad_id tag)
        tag)
 
-(* Block id containing node [n] (including block roots), or None.
-   Served from the node→block table [Encrypt.make_db] precomputed. *)
-let block_index db =
-  Array.map
-    (fun id -> if id < 0 then None else Some id)
-    db.Encrypt.node_block
+(* Where a value-index entry points: the node's block, or for a
+   plaintext leaf its own interval. *)
+let target_of db assignment n =
+  let id = db.Encrypt.node_block.(n) in
+  if id >= 0 then To_block id else To_plain (Dsi.Assign.interval assignment n)
 
 (* DSI index table rows contributed by one sibling list: runs of
    adjacent same-tag siblings inside the same block collapse to their
@@ -65,7 +78,7 @@ let block_index db =
    function of (children, tags, intervals, block membership), so a
    parent whose child list did not change contributes byte-identical
    rows in the old and new states. *)
-let rows_for_children ~keys doc assignment block_of children =
+let rows_for_children ~keys doc assignment node_block children =
   let rows = ref [] in
   let emit node_run =
     match node_run with
@@ -73,9 +86,7 @@ let rows_for_children ~keys doc assignment block_of children =
     | first :: _ ->
       let tag = Doc.tag doc first in
       let token =
-        match block_of.(first) with
-        | Some _ -> encrypted_token ~keys tag
-        | None -> Squery.Clear tag
+        if node_block.(first) >= 0 then encrypted_token ~keys tag else Squery.Clear tag
       in
       let hull =
         List.fold_left
@@ -87,8 +98,8 @@ let rows_for_children ~keys doc assignment block_of children =
   in
   let same a b =
     String.equal (Doc.tag doc a) (Doc.tag doc b)
-    && block_of.(a) = block_of.(b)
-    && block_of.(a) <> None
+    && node_block.(a) = node_block.(b)
+    && node_block.(a) >= 0
   in
   let rec runs current = function
     | [] -> emit (List.rev current)
@@ -105,21 +116,59 @@ let rows_for_children ~keys doc assignment block_of children =
 
 (* DSI index table rows: one per node, except that runs of adjacent
    same-tag siblings inside the same block collapse to their hull. *)
-let table_rows ~keys db assignment block_of =
-  let doc = db.Encrypt.doc in
-  let rows = ref (rows_for_children ~keys doc assignment block_of [ Doc.root doc ]) in
+let table_rows ~keys db assignment =
+  let doc = db.Encrypt.doc and node_block = db.Encrypt.node_block in
+  let rows = ref (rows_for_children ~keys doc assignment node_block [ Doc.root doc ]) in
   Doc.iter doc (fun n ->
       match Doc.children doc n with
       | [] -> ()
       | children ->
-        rows := rows_for_children ~keys doc assignment block_of children @ !rows);
+        rows := rows_for_children ~keys doc assignment node_block children @ !rows);
   !rows
+
+(* One attribute's value-index entries in key order: one entry per
+   occurrence per scale replica, each value's occurrences in document
+   order taking its chunks in turn, values in catalog order.  When
+   chunk ciphers climb strictly through the catalog — OPE gives that —
+   this is the stable key sort of the document-order list, with no
+   sort; a catalog whose chunks collide gets the document-order list,
+   which {!Btree.bulk_load} sorts. *)
+let attribute_entries cat doc ~tag ~target =
+  let nodes = Hashtbl.create 64 in
+  let tagged = Doc.tagged doc tag in
+  for i = Array.length tagged - 1 downto 0 do
+    let n = tagged.(i) in
+    Option.iter
+      (fun v -> Hashtbl.replace nodes v (n :: Option.value ~default:[] (Hashtbl.find_opt nodes v)))
+      (Doc.value doc n)
+  done;
+  let occurrences e =
+    let rec walk chunks used = function
+      | [] -> []
+      | n :: rest as ns ->
+        (match chunks with
+         | [] -> []
+         | c :: later when used >= c.Opess.occurrences -> walk later 0 ns
+         | c :: _ ->
+           (n, List.init e.Opess.scale (fun _ -> c.Opess.cipher, target n))
+           :: walk chunks (used + 1) rest)
+    in
+    walk e.Opess.chunks 0 (Option.value ~default:[] (Hashtbl.find_opt nodes e.Opess.value))
+  in
+  let per_value = List.map occurrences (Opess.entries cat) in
+  let rec climbs = function
+    | (a, _) :: ((b, _) :: _ as rest) -> Int64.compare a b < 0 && climbs rest
+    | [ _ ] | [] -> true
+  in
+  if climbs (Opess.ciphertext_histogram cat) then List.concat_map (List.concat_map snd) per_value
+  else
+    List.concat_map snd
+      (List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.concat per_value))
 
 let build ?pool ~keys ?(policy = All_leaves) db =
   let doc = db.Encrypt.doc in
   let assignment = Dsi.Assign.assign ~key:(Crypto.Keys.dsi_key keys) doc in
-  let block_of = block_index db in
-  let rows = table_rows ~keys db assignment block_of in
+  let rows = table_rows ~keys db assignment in
   let grouped = Hashtbl.create 256 in
   List.iter
     (fun (key, iv) ->
@@ -159,8 +208,6 @@ let build ?pool ~keys ?(policy = All_leaves) db =
     | Some p -> Array.to_list (Parallel.Pool.mapi p build_catalog keyed_tags)
     | None -> Array.to_list (Array.mapi build_catalog keyed_tags)
   in
-  let catalog_of = Hashtbl.create 32 in
-  List.iter (fun (tag, c) -> Hashtbl.replace catalog_of tag c) catalogs;
   (* Which attributes enter the value index. *)
   let indexed_tags =
     match policy with
@@ -168,39 +215,16 @@ let build ?pool ~keys ?(policy = All_leaves) db =
     | Encrypted_only ->
       List.filter (fun tag -> List.mem tag db.Encrypt.encrypted_tags) leaf_tags
   in
-  let indexed_set = Hashtbl.create 32 in
-  List.iter (fun tag -> Hashtbl.replace indexed_set tag ()) indexed_tags;
-  (* Value index: one entry per occurrence per scale replica, each
-     attribute's entries bulk-loaded into its own tree. *)
-  let occurrence_counters = Hashtbl.create 1024 in
-  let entries = ref [] in
-  Doc.iter doc (fun n ->
-      match Doc.value doc n with
-      | None -> ()
-      | Some v when Hashtbl.mem indexed_set (Doc.tag doc n) ->
-        let tag = Doc.tag doc n in
-        let cat = Hashtbl.find catalog_of tag in
-        let counter_key = (tag, v) in
-        let occurrence =
-          Option.value ~default:0 (Hashtbl.find_opt occurrence_counters counter_key)
-        in
-        Hashtbl.replace occurrence_counters counter_key (occurrence + 1);
-        let cipher = Opess.occurrence_cipher cat ~value:v ~occurrence in
-        let target =
-          match block_of.(n) with
-          | Some id -> To_block id
-          | None -> To_plain (Dsi.Assign.interval assignment n)
-        in
-        let scale =
-          match Opess.find_entry cat v with
-          | Some entry -> entry.Opess.scale
-          | None -> 1
-        in
-        for _ = 1 to scale do
-          entries := (cipher, target) :: !entries
-        done
-      | Some _ -> ());
-  let index = index_of_entries (List.rev !entries) in
+  (* Value index: each indexed attribute's entries, already in key
+     order, bulk-loaded into its own tree. *)
+  let index = Array.make attribute_slots empty_tree in
+  List.iter
+    (fun (tag, cat) ->
+      if List.mem tag indexed_tags then
+        index.(Opess.attr_id cat) <-
+          Btree.bulk_load ~min_degree:16
+            (attribute_entries cat doc ~tag ~target:(target_of db assignment)))
+    catalogs;
   { assignment; dsi_table; block_table; index; catalogs; indexed_tags }
 
 (* ------------------------------------------------------------------ *)
@@ -208,9 +232,9 @@ let build ?pool ~keys ?(policy = All_leaves) db =
 
 exception Patch_impossible of string
 
-type patch_stats = {
-  rows_removed : int;
-  rows_added : int;
+type change = {
+  rows_removed : (string * Interval.t) list;
+  rows_added : (string * Interval.t) list;
   catalogs_patched : int;
   index_entries_removed : int;
   index_entries_added : int;
@@ -219,48 +243,73 @@ type patch_stats = {
 module Iset = Set.Make (Int)
 
 (* Between two key-sorted entry lists: how many old and how many new
-   entries belong to keys whose entry list differs. *)
+   entries belong to keys whose entry list differs.  Each key's two
+   runs are compared and counted where they lie. *)
 let changed_entries old fresh =
-  let rec run key = function
-    | (k, v) :: rest when Int64.equal k key ->
-      let vs, rest = run key rest in
-      v :: vs, rest
-    | rest -> [], rest
+  let at key = function (k, _) :: _ -> Int64.equal k key | [] -> false in
+  let rec skip key n l = if at key l then skip key (n + 1) (List.tl l) else n, l in
+  let rec same key a b =
+    match a, b with
+    | (_, x) :: a', (_, y) :: b' when at key a && at key b -> x = y && same key a' b'
+    | _ -> not (at key a || at key b)
   in
   let rec go ((removed, added) as counts) old fresh =
     match old, fresh with
     | [], [] -> counts
     | (a, _) :: _, _ | [], (a, _) :: _ ->
       let key = match fresh with (b, _) :: _ -> Int64.min a b | [] -> a in
-      let o, old = run key old and f, fresh = run key fresh in
-      go (if o = f then counts else removed + List.length o, added + List.length f)
-        old fresh
+      let o, old' = skip key 0 old and f, fresh' = skip key 0 fresh in
+      go (if same key old fresh then counts else removed + o, added + f) old' fresh'
   in
   go (0, 0) old fresh
 
-(* Patch the metadata for one planned edit instead of rebuilding it.
+(* The DSI table after removing and adding rows: only the keys a row
+   names are regrouped; every other group is shared. *)
+let regroup table ~removed ~added =
+  let delta = Hashtbl.create 16 in
+  let get k = Option.value ~default:([], []) (Hashtbl.find_opt delta k) in
+  List.iter (fun (k, iv) -> let r, a = get k in Hashtbl.replace delta k (iv :: r, a)) removed;
+  List.iter (fun (k, iv) -> let r, a = get k in Hashtbl.replace delta k (r, iv :: a)) added;
+  let drop k ivl iv =
+    let rec go = function
+      | [] -> raise (Patch_impossible ("dsi row not found under " ^ k))
+      | x :: rest when Interval.equal x iv -> rest
+      | x :: rest -> x :: go rest
+    in
+    go ivl
+  in
+  let fresh =
+    Hashtbl.fold (fun k _ acc -> if List.mem_assoc k table then acc else (k, []) :: acc) delta []
+  in
+  List.merge (fun (a, _) (b, _) -> String.compare a b) table
+    (List.sort (fun (a, _) (b, _) -> String.compare a b) fresh)
+  |> List.filter_map (fun (k, ivl) ->
+         match Hashtbl.find_opt delta k with
+         | None -> Some (k, ivl)
+         | Some (r, a) ->
+           if ivl = [] && r <> [] then
+             raise (Patch_impossible ("dsi table has no group for " ^ k));
+           (match
+              List.merge Interval.compare_by_lo
+                (List.fold_left (drop k) ivl r)
+                (List.sort Interval.compare_by_lo a)
+            with
+            | [] -> None
+            | ivl -> Some (k, ivl)))
 
-   - DSI intervals: surviving nodes keep their exact interval (copied
-     through the plan's correspondence); inserted subtrees land in the
-     sibling gaps calInterval reserved and subdivide below that.
-   - DSI table: only the parents whose child list changed have their
-     rows recomputed; everything else is untouched (and provably equal
-     to what a fresh build would emit for those parents, since rows are
-     a pure function of unchanged inputs).
-   - OPESS catalogs: only attributes whose value multiset changed are
-     patched ([Opess.patch]: OPE re-runs only for chunks whose domain
-     point moved), under their existing attr id, so every other
-     attribute's keys survive verbatim.  A brand-new attribute takes
-     the next free id.
-   - Value index: an affected attribute's tree is bulk-loaded afresh
-     from its entries; every other attribute's tree is shared.
+(* The interval assignment, DSI table and block table after a
+   structural edit, with the rows it removed and added.
 
-   Nothing in [t] is mutated, so [t] stays a valid index of the old
-   document whether the patch succeeds or raises. *)
-let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
+   - Surviving nodes keep their exact interval (copied through the
+     plan's correspondence); inserted subtrees land in the sibling gaps
+     calInterval reserved and subdivide below that.
+   - Only the parents whose child list changed have their rows
+     recomputed: rows are a pure function of (children, tags,
+     intervals, block membership), so every other parent contributes
+     what a fresh build would. *)
+let patch_structure ~keys t (plan : Update.plan) ~old_db ~new_db =
   let old_doc = old_db.Encrypt.doc in
   let new_doc = new_db.Encrypt.doc in
-  (* -- interval assignment ---------------------------------------- *)
   let dsi_key = Crypto.Keys.dsi_key keys in
   let ivs = Array.make (Doc.node_count new_doc) (Interval.make 0.0 1.0) in
   Array.iteri
@@ -297,124 +346,87 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
   List.iter
     (fun r -> Dsi.Assign.subdivide ~key:dsi_key assignment r)
     plan.Update.inserted_roots;
-  (* -- DSI table surgery ------------------------------------------ *)
-  let old_block_of = block_index old_db in
-  let new_block_of = block_index new_db in
-  let insert_parents_new =
+  let parents_of doc roots =
     List.fold_left
-      (fun acc r ->
-        match Doc.parent new_doc r with Some p -> Iset.add p acc | None -> acc)
-      Iset.empty plan.Update.inserted_roots
+      (fun acc r -> match Doc.parent doc r with Some p -> Iset.add p acc | None -> acc)
+      Iset.empty roots
   in
-  let affected_old_parents =
-    let with_deletes =
-      List.fold_left
-        (fun acc d ->
-          let acc =
-            match Doc.parent old_doc d with
-            | Some p -> Iset.add p acc
-            | None -> acc
-          in
-          List.fold_left
-            (fun acc n ->
-              if Doc.children old_doc n <> [] then Iset.add n acc else acc)
-            acc
-            (Doc.descendant_or_self old_doc d))
-        Iset.empty plan.Update.deleted_roots
-    in
-    Iset.fold
-      (fun p acc ->
-        let old_p = plan.Update.old_of_new.(p) in
-        if old_p >= 0 then Iset.add old_p acc else acc)
-      insert_parents_new with_deletes
-  in
-  let affected_new_parents =
-    let with_deletes =
-      List.fold_left
-        (fun acc d ->
-          match Doc.parent old_doc d with
-          | Some p ->
-            let np = plan.Update.new_of_old.(p) in
-            if np >= 0 then Iset.add np acc else acc
-          | None -> acc)
-        Iset.empty plan.Update.deleted_roots
-    in
+  let interior doc roots acc =
     List.fold_left
       (fun acc r ->
         List.fold_left
-          (fun acc n ->
-            if Doc.children new_doc n <> [] then Iset.add n acc else acc)
-          acc
-          (Doc.descendant_or_self new_doc r))
-      (Iset.union insert_parents_new with_deletes)
-      plan.Update.inserted_roots
+          (fun acc n -> if Doc.children doc n <> [] then Iset.add n acc else acc)
+          acc (Doc.descendant_or_self doc r))
+      acc roots
   in
-  let removed_rows =
+  let across map set =
+    Iset.fold (fun p acc -> if map.(p) >= 0 then Iset.add map.(p) acc else acc) set Iset.empty
+  in
+  let deleted = plan.Update.deleted_roots and inserted = plan.Update.inserted_roots in
+  let insert_parents = parents_of new_doc inserted in
+  let affected_old =
+    Iset.union
+      (interior old_doc deleted (parents_of old_doc deleted))
+      (across plan.Update.old_of_new insert_parents)
+  in
+  let affected_new =
+    interior new_doc inserted
+      (Iset.union insert_parents (across plan.Update.new_of_old (parents_of old_doc deleted)))
+  in
+  let rows doc assignment node_block parents =
     Iset.fold
       (fun p acc ->
-        rows_for_children ~keys old_doc t.assignment old_block_of
-          (Doc.children old_doc p)
-        @ acc)
-      affected_old_parents []
+        rows_for_children ~keys doc assignment node_block (Doc.children doc p) @ acc)
+      parents []
   in
-  let added_rows =
-    Iset.fold
-      (fun p acc ->
-        rows_for_children ~keys new_doc assignment new_block_of
-          (Doc.children new_doc p)
-        @ acc)
-      affected_new_parents []
-  in
-  let table = Hashtbl.create 256 in
-  List.iter (fun (k, ivl) -> Hashtbl.replace table k ivl) t.dsi_table;
-  List.iter
-    (fun (k, iv) ->
-      match Hashtbl.find_opt table k with
-      | None -> raise (Patch_impossible ("dsi table has no group for " ^ k))
-      | Some ivl ->
-        let rec drop = function
-          | [] -> raise (Patch_impossible ("dsi row not found under " ^ k))
-          | x :: rest when Interval.equal x iv -> rest
-          | x :: rest -> x :: drop rest
-        in
-        (match drop ivl with
-         | [] -> Hashtbl.remove table k
-         | ivl -> Hashtbl.replace table k ivl))
-    removed_rows;
-  List.iter
-    (fun (k, iv) ->
-      let prev = Option.value ~default:[] (Hashtbl.find_opt table k) in
-      Hashtbl.replace table k (iv :: prev))
-    added_rows;
-  let dsi_table =
-    Hashtbl.fold
-      (fun key ivl acc -> (key, List.sort Interval.compare_by_lo ivl) :: acc)
-      table []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
+  let removed = rows old_doc t.assignment old_db.Encrypt.node_block affected_old in
+  let added = rows new_doc assignment new_db.Encrypt.node_block affected_new in
   let block_table =
     List.map
       (fun b -> b.Encrypt.id, Dsi.Assign.interval assignment b.Encrypt.root)
       new_db.Encrypt.blocks
   in
+  assignment, regroup t.dsi_table ~removed ~added, block_table, removed, added
+
+(* Patch the metadata for one planned edit instead of rebuilding it.
+
+   - A value edit leaves the assignment, DSI table and block table as
+     they were, so they are shared; a structural edit patches them
+     ([patch_structure]).
+   - OPESS catalogs: only attributes whose value multiset changed are
+     patched ([Opess.patch]: OPE re-runs only for chunks whose domain
+     point moved), under their existing attr id, so every other
+     attribute's keys survive verbatim.  A brand-new attribute takes
+     the next free id.
+   - Value index: an affected attribute whose keys' entry lists changed
+     gets a fresh tree of its entries, listed in key order; every other
+     tree is shared.
+
+   Nothing in [t] is mutated, so [t] stays a valid index of the old
+   document whether the patch succeeds or raises. *)
+let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
+  let old_doc = old_db.Encrypt.doc in
+  let new_doc = new_db.Encrypt.doc in
+  let assignment, dsi_table, block_table, rows_removed, rows_added =
+    if plan.Update.structural then patch_structure ~keys t plan ~old_db ~new_db
+    else t.assignment, t.dsi_table, t.block_table, [], []
+  in
   (* -- OPESS catalogs and value index ------------------------------ *)
   let affected_tags = Hashtbl.create 16 in
-  let note tag = Hashtbl.replace affected_tags tag () in
-  List.iter
-    (fun d ->
-      List.iter
-        (fun n -> if Doc.value old_doc n <> None then note (Doc.tag old_doc n))
-        (Doc.descendant_or_self old_doc d))
-    plan.Update.deleted_roots;
-  List.iter
-    (fun r ->
-      List.iter
-        (fun n -> if Doc.value new_doc n <> None then note (Doc.tag new_doc n))
-        (Doc.descendant_or_self new_doc r))
-    plan.Update.inserted_roots;
-  List.iter (fun n -> note (Doc.tag old_doc n)) plan.Update.changed_values;
-  let affected = Hashtbl.fold (fun tag () acc -> tag :: acc) affected_tags [] in
-  let affected = List.sort String.compare affected in
+  let note doc roots =
+    List.iter
+      (fun r ->
+        List.iter
+          (fun n -> if Doc.value doc n <> None then Hashtbl.replace affected_tags (Doc.tag doc n) ())
+          (Doc.descendant_or_self doc r))
+      roots
+  in
+  note old_doc plan.Update.deleted_roots;
+  note new_doc plan.Update.inserted_roots;
+  note old_doc plan.Update.changed_values;
+  let affected =
+    List.sort String.compare (Hashtbl.fold (fun tag () acc -> tag :: acc) affected_tags [])
+  in
   let next_attr_id =
     ref (1 + List.fold_left (fun acc (_, c) -> Int.max acc (Opess.attr_id c)) (-1)
            t.catalogs)
@@ -467,9 +479,6 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
         | Some _ | None -> without)
       t.indexed_tags catalog_changes
   in
-  (* Each affected attribute gets a fresh tree of its entries in
-     document order, as a rebuild would list them, unless none of its
-     keys' entry lists changed; every other tree is shared with [t]. *)
   let index = Array.copy t.index in
   let index_entries_removed = ref 0 and index_entries_added = ref 0 in
   List.iter
@@ -481,47 +490,20 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
         let fresh =
           match new_cat with
           | Some cat when indexed tag ->
-            let counters = Hashtbl.create 64 in
-            List.concat_map
-              (fun n ->
-                match Doc.value new_doc n with
-                | None -> []
-                | Some v ->
-                  let occurrence =
-                    Option.value ~default:0 (Hashtbl.find_opt counters v)
-                  in
-                  Hashtbl.replace counters v (occurrence + 1);
-                  let cipher = Opess.occurrence_cipher cat ~value:v ~occurrence in
-                  let target =
-                    match new_block_of.(n) with
-                    | Some id -> To_block id
-                    | None -> To_plain (Dsi.Assign.interval assignment n)
-                  in
-                  let scale =
-                    match Opess.find_entry cat v with
-                    | Some entry -> entry.Opess.scale
-                    | None -> 1
-                  in
-                  List.init scale (fun _ -> cipher, target))
-              (Doc.nodes_with_tag new_doc tag)
+            attribute_entries cat new_doc ~tag ~target:(target_of new_db assignment)
           | Some _ | None -> []
         in
-        let tree = Btree.bulk_load ~min_degree:16 fresh in
-        let removed, added =
-          changed_entries (Btree.to_list t.index.(id)) (Btree.to_list tree)
-        in
-        if removed + added > 0 then index.(id) <- tree;
+        let removed, added = changed_entries (Btree.to_list t.index.(id)) fresh in
+        if removed + added > 0 then index.(id) <- Btree.bulk_load ~min_degree:16 fresh;
         index_entries_removed := !index_entries_removed + removed;
         index_entries_added := !index_entries_added + added)
     catalog_changes;
-  let stats =
-    { rows_removed = List.length removed_rows;
-      rows_added = List.length added_rows;
+  ( { assignment; dsi_table; block_table; index; catalogs; indexed_tags },
+    { rows_removed;
+      rows_added;
       catalogs_patched = List.length catalog_changes;
       index_entries_removed = !index_entries_removed;
-      index_entries_added = !index_entries_added }
-  in
-  { assignment; dsi_table; block_table; index; catalogs; indexed_tags }, stats
+      index_entries_added = !index_entries_added } )
 
 let catalog t ~tag = List.assoc_opt tag t.catalogs
 

@@ -53,11 +53,12 @@ val build :
     order so attr ids and output are identical to the sequential
     path. *)
 
-val index_of_entries : (int64 * target) list -> target Btree.t array
-(** The value index of the given entries: each attribute's entries,
-    in the order given, bulk-loaded into its own tree.
+val index_of_entries : (int64 * target) array -> target Btree.t array
+(** The value index of entries listed in key order (as
+    {!index_entries} lists them): each attribute's contiguous run is
+    bulk-loaded where it lies, with no regrouping.
     @raise Invalid_argument on a key whose attribute id is outside
-    [\[0, 126\]]. *)
+    [\[0, 126\]], or an attribute whose entries are not contiguous. *)
 
 val index_range :
   target Btree.t array -> lo:int64 -> hi:int64 -> (int64 * target) list
@@ -70,15 +71,18 @@ exception Patch_impossible of string
     must exist cannot be found); the caller can fall back to a full
     rebuild. *)
 
-type patch_stats = {
-  rows_removed : int;            (** DSI table rows recomputed away *)
-  rows_added : int;              (** DSI table rows added back *)
+type change = {
+  rows_removed : (string * Dsi.Interval.t) list;
+      (** DSI table rows (token key, interval) recomputed away *)
+  rows_added : (string * Dsi.Interval.t) list;  (** DSI table rows added back *)
   catalogs_patched : int;        (** attributes whose catalog was examined *)
   index_entries_removed : int;
       (** old entries of the keys whose entry list changed *)
   index_entries_added : int;
       (** new entries of the keys whose entry list changed *)
 }
+(** What {!patch} changed on the server's side of the metadata: the
+    changelist {!Server.patch} applies.  A value edit changes no row. *)
 
 val patch :
   keys:Crypto.Keys.t ->
@@ -87,19 +91,22 @@ val patch :
   Update.plan ->
   old_db:Encrypt.db ->
   new_db:Encrypt.db ->
-  t * patch_stats
+  t * change
 (** [patch ~keys t plan ~old_db ~new_db] absorbs one planned edit
-    without rebuilding: surviving nodes keep their exact DSI intervals
-    (copied through the plan's node correspondence), inserted subtrees
-    draw intervals from the gaps calInterval reserved, only the parents
-    whose child list changed have their DSI-table rows recomputed, and
-    only attributes whose value multiset changed have their OPESS
-    catalog patched (under the same attr id; see {!Opess.patch}) and,
-    when any of their keys' entry lists changed, their tree bulk-loaded
-    afresh; every other tree is shared with [t].
-    The index's entries — duplicate order included — equal those of a
-    fresh {!build}.  [t] is left as it was, so it keeps describing the
-    old document.
+    without rebuilding.  A value edit shares the assignment, the DSI
+    table and the block table with [t].  A structural edit keeps every
+    surviving node's exact DSI interval (copied through the plan's node
+    correspondence), draws inserted subtrees' intervals from the gaps
+    calInterval reserved, recomputes the rows of only the parents whose
+    child list changed, and regroups only the token keys those rows
+    name.  Only attributes whose value multiset changed have their
+    OPESS catalog patched (under the same attr id; see {!Opess.patch})
+    and, when any of their keys' entry lists changed, their tree
+    bulk-loaded afresh from entries listed in key order; every other
+    tree is shared with [t].
+    Every part equals what a fresh {!build} lists, duplicate order in
+    the index included.  [t] is left as it was, so it keeps describing
+    the old document.
 
     A patched assignment is no longer recomputable from the master key;
     persistence stores the interval array

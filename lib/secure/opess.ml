@@ -11,6 +11,18 @@ type value_entry = {
   scale : int;
 }
 
+(* Everything [build] decides before any cryptography: the positioned
+   domain, [m], [K], and each chunk's size and point in the OPE domain.
+   A pure function of (key, histogram) that costs K PRF calls, so
+   [patch] can afford to recompute it for the old catalog too. *)
+type layout = {
+  positioned : (string * float * int) list;
+  m : int;
+  num_keys : int;
+  sizes : int list list;      (* per value, chunk sizes *)
+  points : int64 list list;   (* per value, chunk domain points *)
+}
+
 type t = {
   tag : string;
   attr_id : int;
@@ -18,6 +30,10 @@ type t = {
   num_keys : int;
   entries : value_entry list;
   by_value : (string, value_entry) Hashtbl.t;
+  assembled_from : ((string * int) list * layout) option;
+      (* the histogram and layout [patch] assembled this catalog from,
+         so the next patch need not recompute it; [None] for a built or
+         loaded catalog *)
 }
 
 let tag t = t.tag
@@ -87,21 +103,9 @@ let positions ~numeric histogram =
 let of_parts ~tag ~attr_id ~m ~num_keys entries =
   let by_value = Hashtbl.create (List.length entries) in
   List.iter (fun e -> Hashtbl.replace by_value e.value e) entries;
-  { tag; attr_id; m; num_keys; entries; by_value }
+  { tag; attr_id; m; num_keys; entries; by_value; assembled_from = None }
 
 let domain_bits = 40
-
-(* Everything [build] decides before any cryptography: the positioned
-   domain, [m], [K], and each chunk's size and point in the OPE domain.
-   A pure function of (key, histogram) that costs K PRF calls, so
-   [patch] can afford to recompute it for the old catalog too. *)
-type layout = {
-  positioned : (string * float * int) list;
-  m : int;
-  num_keys : int;
-  sizes : int list list;      (* per value, chunk sizes *)
-  points : int64 list list;   (* per value, chunk domain points *)
-}
 
 let rec layout ?(numeric = true) ~key histogram =
   let positioned = positions ~numeric histogram in
@@ -203,8 +207,10 @@ let build ~key ~attr_id ~tag histogram =
    (key, attr_id, tag, histogram), and OPE is a function of the domain
    point alone, so the patched catalog is [build] on the new histogram
    with the expensive parts looked up instead of recomputed: the old
-   catalog's own layout names the domain point behind every old
-   cipher, a chunk whose point did not move keeps its cipher, a
+   catalog's own layout (kept by the patch that assembled it when that
+   patch saw this very histogram, else recomputed) names the
+   domain point behind every old cipher, a chunk whose point did not
+   move keeps its cipher, a
    surviving value keeps its scale, and OPE runs only for points that
    moved.  An edit that moves the extremes, the largest gap or [K]
    moves every point and pays for a full build.  Structural edits that
@@ -214,7 +220,11 @@ let patch ~key t histogram =
   let current = List.sort by_value (List.map (fun e -> e.value, e.count) t.entries) in
   if current = List.sort by_value histogram then t
   else begin
-    let old_layout = layout ~key current in
+    let old_layout =
+      match t.assembled_from with
+      | Some (histogram, old_layout) when histogram = current -> old_layout
+      | Some _ | None -> layout ~key current
+    in
     let cipher_at = Hashtbl.create 64 in
     List.iter2
       (fun (value, _, _) points ->
@@ -224,15 +234,19 @@ let patch ~key t histogram =
       old_layout.positioned old_layout.points;
     let ope = lazy (ope_of ~key) in
     let attr_id = t.attr_id in
-    assemble ~attr_id ~tag:t.tag (layout ~key histogram)
-      ~cipher:(fun point ->
-        match Hashtbl.find_opt cipher_at point with
-        | Some cipher -> cipher
-        | None -> namespace ~attr_id (Crypto.Ope.encrypt (Lazy.force ope) point))
-      ~scale:(fun value ->
-        match Hashtbl.find_opt t.by_value value with
-        | Some e -> e.scale
-        | None -> scale_of ~key value)
+    let new_layout = layout ~key histogram in
+    let patched =
+      assemble ~attr_id ~tag:t.tag new_layout
+        ~cipher:(fun point ->
+          match Hashtbl.find_opt cipher_at point with
+          | Some cipher -> cipher
+          | None -> namespace ~attr_id (Crypto.Ope.encrypt (Lazy.force ope) point))
+        ~scale:(fun value ->
+          match Hashtbl.find_opt t.by_value value with
+          | Some e -> e.scale
+          | None -> scale_of ~key value)
+    in
+    { patched with assembled_from = Some (histogram, new_layout) }
   end
 
 let occurrence_cipher t ~value ~occurrence =

@@ -139,7 +139,7 @@ let encode_body ?(applied_seq = 0) system =
   mark "scheme";
   W.list b w_block db.Encrypt.blocks;
   mark "blocks";
-  W.string b (Xmlcore.Printer.tree_to_string db.Encrypt.skeleton);
+  W.string b (Xmlcore.Printer.doc_to_string db.Encrypt.skeleton);
   mark "skeleton";
   W.list b W.string db.Encrypt.encrypted_tags;
   W.list b W.string db.Encrypt.plaintext_tags;
@@ -208,7 +208,7 @@ type partial = {
   mutable p_block_roots : int list;
   mutable p_covered_tags : string list;
   mutable p_blocks : Encrypt.block list;
-  mutable p_skeleton : Xmlcore.Tree.t option;
+  mutable p_skeleton : Doc.t option;
   mutable p_encrypted_tags : string list;
   mutable p_plaintext_tags : string list;
   mutable p_dsi_table : (string * Interval.t list) list;
@@ -257,7 +257,7 @@ let stages r p =
     ( "skeleton",
       fun () ->
         p.p_skeleton <-
-          Some (parse_or_corrupt "skeleton" Xmlcore.Parser.parse (R.string r)) );
+          Some (parse_or_corrupt "skeleton" Xmlcore.Parser.parse_doc (R.string r)) );
     ( "tag-partition",
       fun () ->
         p.p_encrypted_tags <- R.list r R.string;
@@ -368,8 +368,8 @@ and of_string_exn ~master data =
       ~encrypted_tags:p.p_encrypted_tags ~plaintext_tags:p.p_plaintext_tags
   in
   let index =
-    try Metadata.index_of_entries p.p_btree_entries
-    with Invalid_argument _ -> raise (Corrupt "value-index key outside every attribute")
+    try Metadata.index_of_entries (Array.of_list p.p_btree_entries)
+    with Invalid_argument _ -> raise (Corrupt "value-index keys outside every attribute or out of order")
   in
   (* Use the stored assignment: after an incremental delta it contains
      gap-drawn intervals no key can recompute. *)
@@ -815,9 +815,12 @@ let journal_update j edit =
      appended. *)
   let plan = Update.delta (System.doc j.j_system) edit in
   let plan_ms = (Unix.gettimeofday () -. started) *. 1000.0 in
-  append_record ~master:j.j_master j.j_path
-    { seq = j.j_seq + 1; edit;
-      digest = doc_digest ~master:j.j_master plan.Update.edited };
+  let span name f = Obs.span (System.tracer j.j_system) name f in
+  let digest =
+    span "persist.digest" (fun () -> doc_digest ~master:j.j_master plan.Update.edited)
+  in
+  span "persist.append" (fun () ->
+      append_record ~master:j.j_master j.j_path { seq = j.j_seq + 1; edit; digest });
   let next, cost = System.apply_plan j.j_system plan ~plan_ms in
   j.j_system <- next;
   j.j_seq <- j.j_seq + 1;

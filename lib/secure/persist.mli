@@ -169,7 +169,9 @@ val journal_update : journal -> Update.edit -> System.delta_cost
     and {!journal_seq} unchanged, so the next update continues the log
     without a gap.  A
     crash after the append keeps the edit: {!journal_open} replays
-    it. *)
+    it.  With the hosting's tracer enabled, the digest and the append
+    are the [persist.digest] and [persist.append] spans, followed by
+    {!System.apply_plan}'s [delta.apply]. *)
 
 val journal_compact : journal -> unit
 (** Fold the log into the bundle: {!save} with the current applied

@@ -81,24 +81,25 @@ let enforces doc t scs =
                     (Sc.to_string sc) x)))
         (Xpath.Eval.eval doc p)
     | Sc.Association { context; q1; q2 } ->
-      List.iter
-        (fun x ->
-          let n1 = Xpath.Eval.eval_from doc [ x ] q1 in
-          let n2 = Xpath.Eval.eval_from doc [ x ] q2 in
-          List.iter
-            (fun y1 ->
-              List.iter
-                (fun y2 ->
-                  if (not covered.(y1)) && not covered.(y2) then
-                    raise
-                      (Violation
-                         (Printf.sprintf
-                            "association SC %s: witness pair (%d, %d) has both \
-                             sides in plaintext"
-                            (Sc.to_string sc) y1 y2)))
-                n2)
-            n1)
-        (Xpath.Eval.eval doc context)
+      (* A context violates the SC when each side reaches a plaintext
+         node: found for all contexts at once, then the first violating
+         context's first plaintext pair is named. *)
+      let plain n = not covered.(n) in
+      let test =
+        match List.rev context.Xpath.Ast.steps with
+        | last :: _ -> last.Xpath.Ast.test
+        | [] -> Xpath.Ast.Wildcard
+      in
+      let reaching contexts q = Xpath.Eval.reaching doc ~test contexts q ~keep:plain in
+      (match reaching (reaching (Xpath.Eval.eval doc context) q1) q2 with
+       | [] -> ()
+       | x :: _ ->
+         let first q = List.find plain (Xpath.Eval.eval_from doc [ x ] q) in
+         raise
+           (Violation
+              (Printf.sprintf
+                 "association SC %s: witness pair (%d, %d) has both sides in plaintext"
+                 (Sc.to_string sc) (first q1) (first q2))))
   in
   match List.iter check scs with
   | () -> Ok ()

@@ -46,27 +46,34 @@ type response = {
   btree_hits : int;
 }
 
-let create ?trace ~dsi_table ~block_table ~index ~blocks () =
-  let trace = match trace with Some t -> t | None -> Obs.Trace.create () in
-  let universe, rows = Dsi.Universe.index (Array.of_list (List.map snd dsi_table)) in
-  let table = Hashtbl.create (List.length dsi_table) in
-  List.iteri (fun r (key, _) -> Hashtbl.replace table key rows.(r)) dsi_table;
+let by_id blocks =
+  let blocks_by_id = Hashtbl.create (List.length blocks) in
+  List.iter (fun b -> Hashtbl.replace blocks_by_id b.Encrypt.id b) blocks;
+  blocks_by_id
+
+(* Everything but the token table and its universe: block
+   representatives as sorted positions, blocks by id. *)
+let assemble ~trace ~table ~universe ~block_table ~index ~blocks =
   let rep_of_id = Hashtbl.create (List.length block_table) in
+  (* Block ids follow their roots' document order, so the lookups
+     usually climb: each gallops on from the last. *)
+  let from = ref 0 in
   let reps =
     Array.of_list
       (List.map
          (fun (id, rep) ->
-           match Dsi.Universe.position universe rep with
+           match Dsi.Universe.position ~from:!from universe rep with
            | Some p ->
              Hashtbl.replace rep_of_id id p;
+             from := p;
              p, id
            | None ->
              invalid_arg "Server.create: a block representative is not a DSI-table interval")
          block_table)
   in
-  Array.sort (fun (p, _) (q, _) -> Int.compare p q) reps;
-  let blocks_by_id = Hashtbl.create (List.length blocks) in
-  List.iter (fun b -> Hashtbl.replace blocks_by_id b.Encrypt.id b) blocks;
+  let climbs = ref true in
+  Array.iteri (fun i (p, _) -> if i > 0 && fst reps.(i - 1) > p then climbs := false) reps;
+  if not !climbs then Array.sort (fun (p, _) (q, _) -> Int.compare p q) reps;
   { table;
     universe;
     forest = Dsi.Universe.forest universe;
@@ -74,15 +81,49 @@ let create ?trace ~dsi_table ~block_table ~index ~blocks () =
     reps = Array.map fst reps;
     rep_ids = Array.map snd reps;
     rep_of_id;
-    blocks_by_id;
+    blocks_by_id = by_id blocks;
     block_count = List.length block_table;
     index;
     trace }
+
+let create ?trace ~dsi_table ~block_table ~index ~blocks () =
+  let trace = match trace with Some t -> t | None -> Obs.Trace.create () in
+  let universe, rows = Dsi.Universe.index (Array.of_list (List.map snd dsi_table)) in
+  let table = Hashtbl.create (List.length dsi_table) in
+  List.iteri (fun r (key, _) -> Hashtbl.replace table key rows.(r)) dsi_table;
+  assemble ~trace ~table ~universe ~block_table ~index ~blocks
 
 let of_metadata ?trace meta blocks =
   create ?trace ~dsi_table:meta.Metadata.dsi_table
     ~block_table:meta.Metadata.block_table ~index:meta.Metadata.index
     ~blocks ()
+
+(* A value edit changes no row: the table, its universe and the
+   representatives are shared, and only blocks and trees are swapped.
+   A structural edit merges its rows into the universe; a row no
+   changed row names keeps its members, renumbered. *)
+let patch t meta (change : Metadata.change) blocks =
+  let index = meta.Metadata.index in
+  match change.Metadata.rows_removed, change.Metadata.rows_added with
+  | [], [] -> { t with blocks_by_id = by_id blocks; index }
+  | removed, added ->
+    let universe, remap =
+      Dsi.Universe.patch t.universe ~removed:(List.map snd removed)
+        ~added:(List.map snd added)
+    in
+    let touched = Hashtbl.create 16 in
+    List.iter (fun (key, _) -> Hashtbl.replace touched key ()) (removed @ added);
+    let dsi_table = meta.Metadata.dsi_table in
+    let table = Hashtbl.create (List.length dsi_table) in
+    List.iter
+      (fun (key, ivs) ->
+        Hashtbl.replace table key
+          (match Hashtbl.find_opt t.table key with
+           | Some row when not (Hashtbl.mem touched key) -> Array.map (Array.get remap) row
+           | Some _ | None -> Dsi.Universe.members universe ivs))
+      dsi_table;
+    assemble ~trace:t.trace ~table ~universe ~block_table:meta.Metadata.block_table
+      ~index ~blocks
 
 let all_blocks t =
   Hashtbl.fold (fun _ b acc -> b :: acc) t.blocks_by_id []

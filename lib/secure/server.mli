@@ -55,6 +55,17 @@ val of_metadata : ?trace:Obs.Trace.t -> Metadata.t -> Encrypt.block list -> t
     produced by {!Encrypt.server_blocks}.  The server never receives
     an {!Encrypt.db} — that record keeps the plaintext document. *)
 
+val patch : t -> Metadata.t -> Metadata.change -> Encrypt.block list -> t
+(** [patch t meta change blocks] is the server of the patched metadata
+    [meta] and the successor's blocks, built from [t] part by part: a
+    value edit (no row changed) shares the token table, its universe
+    and the block representatives and swaps blocks and trees; a
+    structural edit merges its rows into the universe
+    ({!Dsi.Universe.patch}) and renumbers every row it does not name.
+    The result answers, byte for byte, as {!of_metadata} [meta blocks]
+    does; [t] is left as it was.
+    @raise Invalid_argument when the changelist does not describe [t]. *)
+
 val answer : t -> Squery.path -> response
 
 val answer_extreme :

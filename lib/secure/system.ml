@@ -681,94 +681,98 @@ let rehost_delta t edit ~plan_ms reason =
       fell_back = true } )
 
 (* Apply one planned edit by re-encrypting only the touched blocks and
-   patching the metadata in place, instead of re-hosting the whole
-   document.  The fallback ladder is explicit: whenever the incremental
-   path cannot be both correct and secure (the remapped scheme no
-   longer enforces the SCs, attribute/interval space exhausted, a
-   surgery precondition fails), it degrades to [update] and says so in
-   the cost record. *)
+   building the successor hosting from [t] part by part — document,
+   database, metadata, server and client each share what the edit did
+   not change — instead of re-hosting the whole document.  The fallback
+   ladder is explicit: whenever the incremental path cannot be both
+   correct and secure (the remapped scheme no longer enforces the SCs,
+   attribute/interval space exhausted, a surgery precondition fails),
+   it degrades to [update] and says so in the cost record.  Each step
+   is a span under [delta.apply] on the hosting's tracer. *)
 let apply_plan t (plan : Update.plan) ~plan_ms =
   let keys = Client.keys t.client in
+  (* [tracer t] and [server t], not [t.trace] and [t.server]: the
+     accessors are the policy-declared safe projections of the handle
+     (see lib/analysis/policy.ml). *)
+  let span name f = Obs.span (tracer t) name f in
   let started = now_ms () in
+  span "delta.apply" @@ fun () ->
   try
     if Array.length plan.Update.new_of_old <> Doc.node_count t.doc then
       invalid_arg "System.apply_plan: plan made against another document";
     let edited = plan.Update.edited in
-    let roots' =
-      List.filter_map
-        (fun r ->
-          let nr = plan.Update.new_of_old.(r) in
-          if nr >= 0 then Some nr else None)
-        t.scheme.Scheme.block_roots
+    let id_in map n = if map.(n) >= 0 then Some map.(n) else None in
+    let moved = id_in plan.Update.new_of_old and moved_back = id_in plan.Update.old_of_new in
+    let scheme' =
+      { t.scheme with Scheme.block_roots = List.filter_map moved t.scheme.Scheme.block_roots }
     in
-    let scheme' = { t.scheme with Scheme.block_roots = roots' } in
     (* The remapped scheme must still enforce every SC over the edited
        document — an insert of sensitive content outside all blocks is
        exactly what this catches. *)
-    (match Scheme.enforces edited scheme' t.constraints with
-     | Ok () -> ()
-     | Error msg -> raise (Delta_fallback ("scheme no longer enforces SCs: " ^ msg)));
+    span "delta.enforce" (fun () ->
+        match Scheme.enforces edited scheme' t.constraints with
+        | Ok () -> ()
+        | Error msg -> raise (Delta_fallback ("scheme no longer enforces SCs: " ^ msg)));
     (* Touched = blocks containing an edit site; dropped = blocks whose
        root vanished with a deleted subtree. *)
     let touched_tbl = Hashtbl.create 16 in
     let note n =
-      match Encrypt.block_id_of_node t.db n with
-      | Some id -> Hashtbl.replace touched_tbl id ()
-      | None -> ()
+      Option.iter (fun id -> Hashtbl.replace touched_tbl id ()) (Encrypt.block_id_of_node t.db n)
     in
-    List.iter note plan.Update.changed_values;
-    List.iter note plan.Update.deleted_roots;
+    List.iter note (plan.Update.changed_values @ plan.Update.deleted_roots);
     List.iter
-      (fun r ->
-        match Doc.parent edited r with
-        | Some p ->
-          let old_p = plan.Update.old_of_new.(p) in
-          if old_p >= 0 then note old_p
-        | None -> ())
+      (fun r -> Option.iter (fun p -> Option.iter note (moved_back p)) (Doc.parent edited r))
       plan.Update.inserted_roots;
     let dropped = ref [] in
     let survivors =
       List.filter_map
         (fun b ->
-          let nr = plan.Update.new_of_old.(b.Encrypt.root) in
-          if nr < 0 then begin
+          match moved b.Encrypt.root with
+          | None ->
             dropped := (b.Encrypt.id, b.Encrypt.generation) :: !dropped;
             None
-          end
-          else Some (b, nr))
+          | Some nr -> Some (b, nr))
         t.db.Encrypt.blocks
     in
     let jobs =
       Array.of_list
         (List.filter (fun (b, _) -> Hashtbl.mem touched_tbl b.Encrypt.id) survivors)
     in
-    let reencrypt_start = now_ms () in
-    let fresh = Encrypt.reencrypt_blocks ?pool:t.pool ~keys edited jobs in
-    let reencrypt_ms = now_ms () -. reencrypt_start in
-    let fresh_by_id = Hashtbl.create 16 in
-    Array.iter (fun b -> Hashtbl.replace fresh_by_id b.Encrypt.id b) fresh;
-    let blocks' =
-      List.map
-        (fun (b, nr) ->
-          match Hashtbl.find_opt fresh_by_id b.Encrypt.id with
-          | Some fresh_block -> fresh_block
-          | None -> { b with Encrypt.root = nr })
-        survivors
+    (* The re-encryption span ends with the new database: the touched
+       blocks swapped in by id, the skeleton spliced where the edit is
+       plaintext. *)
+    let (fresh, db'), reencrypt_ms =
+      span "delta.reencrypt" (fun () ->
+          timed (fun () ->
+              let fresh = Encrypt.reencrypt_blocks ?pool:t.pool ~keys edited jobs in
+              let fresh_by_id =
+                Hashtbl.of_seq (Seq.map (fun b -> b.Encrypt.id, b) (Array.to_seq fresh))
+              in
+              let swap (b, nr) =
+                match Hashtbl.find_opt fresh_by_id b.Encrypt.id with
+                | Some fresh_block -> fresh_block
+                | None -> if b.Encrypt.root = nr then b else { b with Encrypt.root = nr }
+              in
+              fresh, Encrypt.patch t.db plan ~scheme:scheme' ~blocks:(List.map swap survivors)))
     in
-    let db' = Encrypt.reassemble ~doc:edited ~scheme:scheme' ~blocks:blocks' in
-    let patch_start = now_ms () in
-    let metadata', stats =
-      Metadata.patch ~keys ~policy:t.value_index t.metadata plan ~old_db:t.db
-        ~new_db:db'
+    let (metadata', change), patch_ms =
+      span "delta.patch" (fun () ->
+          timed (fun () ->
+              Metadata.patch ~keys ~policy:t.value_index t.metadata plan ~old_db:t.db
+                ~new_db:db'))
     in
-    let patch_ms = now_ms () -. patch_start in
-    (* [tracer t], not [t.trace]: the accessor is the policy-declared
-       safe projection of the handle (see lib/analysis/policy.ml). *)
+    let server' =
+      span "delta.server" (fun () ->
+          Server.patch (server t) metadata' change (Encrypt.server_blocks db'))
+    in
+    let client' = span "delta.client" (fun () -> Client.patch t.client metadata' db') in
     let t' =
-      host ~keys ~master:t.master ~cipher:t.cipher ~value_index:t.value_index
-        ~pool:t.pool ~trace:(tracer t) ~ledger:t.ledger ~doc:edited
-        ~constraints:t.constraints ~scheme:scheme' ~db:db' metadata'
+      { t with doc = edited; scheme = scheme'; db = db'; metadata = metadata';
+               client = client'; server = server'; link = make_link keys server';
+               generation = next_generation (); observers = ref [] }
     in
+    let rows_removed = List.length change.Metadata.rows_removed in
+    let rows_added = List.length change.Metadata.rows_added in
     let event =
       { touched_blocks =
           Array.to_list
@@ -784,7 +788,7 @@ let apply_plan t (plan : Update.plan) ~plan_ms =
           (Update.describe plan.Update.edit) (Array.length jobs)
           (List.length t.db.Encrypt.blocks)
           (List.length !dropped)
-          (stats.Metadata.rows_removed + stats.Metadata.rows_added));
+          (rows_removed + rows_added));
     supersede t t' (Some event);
     ( t',
       { plan_ms;
@@ -797,12 +801,12 @@ let apply_plan t (plan : Update.plan) ~plan_ms =
           Array.fold_left
             (fun acc b -> acc + String.length b.Encrypt.ciphertext)
             0 fresh;
-        rows_removed = stats.Metadata.rows_removed;
-        rows_added = stats.Metadata.rows_added;
-        catalogs_patched = stats.Metadata.catalogs_patched;
+        rows_removed;
+        rows_added;
+        catalogs_patched = change.Metadata.catalogs_patched;
         index_entries_touched =
-          stats.Metadata.index_entries_removed
-          + stats.Metadata.index_entries_added;
+          change.Metadata.index_entries_removed
+          + change.Metadata.index_entries_added;
         fell_back = false } )
   with
   | Delta_fallback reason

@@ -306,8 +306,10 @@ val rotate : t -> new_master:string -> t * setup_cost
 
 type delta_cost = {
   plan_ms : float;               (** edit planning + correspondence walk *)
-  reencrypt_ms : float;          (** touched-block re-encryption *)
-  patch_ms : float;              (** metadata surgery *)
+  reencrypt_ms : float;
+      (** touched-block re-encryption, and the database patched around
+          the new blocks ({!Encrypt.patch}) *)
+  patch_ms : float;              (** metadata surgery ({!Metadata.patch}) *)
   blocks_touched : int;          (** blocks re-encrypted *)
   blocks_dropped : int;          (** blocks removed with deleted subtrees *)
   blocks_total : int;            (** blocks before the edit *)
@@ -340,7 +342,15 @@ val apply_plan : t -> Update.plan -> plan_ms:float -> t * delta_cost
     appending) plans once.  [plan_ms] is the planning time to report.
     A plan made against another document (detected by its node count)
     or one the incremental path cannot absorb falls back to {!update}
-    of [plan.edit], as in {!apply_delta}. *)
+    of [plan.edit], as in {!apply_delta}.
+
+    The successor is built from [t] part by part — {!Encrypt.patch},
+    {!Metadata.patch}, {!Server.patch}, {!Client.patch} — never
+    re-hosted; only {!setup} and {!restore} build a hosting anew.  With
+    [tracer t] enabled, the call is a [delta.apply] span holding
+    [delta.enforce] (the full {!Scheme.enforces} check of the edited
+    document), [delta.reencrypt], [delta.patch], [delta.server] and
+    [delta.client]. *)
 
 val apply_deltas : t -> Update.edit list -> t * delta_cost list
 (** Fold {!apply_delta} over a batch, left to right. *)

@@ -107,103 +107,83 @@ type plan = {
   structural : bool;
 }
 
-(* The node correspondence mirrors [rebuild] + [Doc.of_tree] exactly:
-   preorder over the old document, skipping deleted subtrees wholesale
-   and reserving an id run for each inserted subtree at the spliced
-   position (positions index {e surviving} children, as in [rebuild]'s
-   clamp).  Everything downstream — interval copying, table surgery,
-   block root remapping — leans on this walk agreeing with the fresh
-   numbering of the edited document, which the planner asserts. *)
+(* The edited document is spliced from the old one's arrays
+   ({!Doc.set_values}, {!Doc.splice}) instead of rebuilt as a tree and
+   indexed again, and the splice's renumbering is the plan's node
+   correspondence.  An insert lands where [rebuild] puts it: before the
+   [position]-th child (clamped), or at the end of the parent's
+   subtree.  Two plantings meet at one spot only when one parent
+   encloses the other and both append; the inner one comes first in
+   preorder. *)
 let delta doc edit =
-  let delete, set_targets, insert_at =
-    match edit with
-    | Delete_nodes path ->
-      let bound = bindings_of doc path in
-      if Node_set.mem (Doc.root doc) bound then
-        invalid_arg "Update: cannot delete the document root";
-      bound, Node_set.empty, no_insert
-    | Set_value (path, _) ->
-      let targets = bindings_of doc path in
-      Node_set.iter
-        (fun n ->
-          if Doc.value doc n = None then
-            invalid_arg
-              (Printf.sprintf "Update: node %d (%s) is not a leaf" n
-                 (Doc.tag doc n)))
-        targets;
-      Node_set.empty, targets, no_insert
-    | Insert_child { parent; position; subtree } ->
-      let parents = bindings_of doc parent in
-      Node_set.iter
-        (fun n ->
-          if Doc.value doc n <> None then
-            invalid_arg
-              (Printf.sprintf "Update: cannot insert under leaf node %d" n))
-        parents;
-      ignore (tree_node_count subtree);
-      Node_set.empty, Node_set.empty,
-      fun n -> if Node_set.mem n parents then Some (position, subtree) else None
+  let n = Doc.node_count doc in
+  let identity () = Array.init n Fun.id in
+  let structural ~delete ~insert =
+    let s = Doc.splice doc ~delete ~insert in
+    let old_of_new = Array.make (Doc.node_count s.Doc.doc) (-1) in
+    Array.iteri
+      (fun old_id new_id -> if new_id >= 0 then old_of_new.(new_id) <- old_id)
+      s.Doc.new_of_old;
+    s.Doc.doc, s.Doc.new_of_old, old_of_new, s.Doc.inserted
   in
-  let new_of_old = Array.make (Doc.node_count doc) (-1) in
-  let counter = ref 0 in
-  let inserted = ref [] and deleted = ref [] in
-  let rec walk n =
-    if Node_set.mem n delete then deleted := n :: !deleted
-    else begin
-      new_of_old.(n) <- !counter;
-      incr counter;
-      if Doc.value doc n = None then begin
-        let children = Doc.children doc n in
-        match insert_at n with
-        | None -> List.iter walk children
-        | Some (position, subtree) ->
-          let surviving =
-            List.length (List.filter (fun c -> not (Node_set.mem c delete)) children)
-          in
-          let position = max 0 (min position surviving) in
-          let plant () =
-            inserted := !counter :: !inserted;
-            counter := !counter + tree_node_count subtree
-          in
-          let planted = ref false and seen = ref 0 in
-          List.iter
-            (fun c ->
-              if not (Node_set.mem c delete) then begin
-                if (not !planted) && !seen = position then begin
-                  plant ();
-                  planted := true
-                end;
-                incr seen
-              end;
-              walk c)
-            children;
-          if not !planted then plant ()
-      end
-    end
-  in
-  walk (Doc.root doc);
-  let set_fun n =
-    match edit with
-    | Set_value (_, v) when Node_set.mem n set_targets -> Some v
-    | _ -> None
-  in
-  let edited =
-    Doc.of_tree (rebuild doc ~delete ~set_value:set_fun ~insert_at)
-  in
-  if Doc.node_count edited <> !counter then
-    invalid_arg "Update.delta: correspondence walk disagrees with rebuild";
-  let old_of_new = Array.make !counter (-1) in
-  Array.iteri
-    (fun old_id new_id -> if new_id >= 0 then old_of_new.(new_id) <- old_id)
-    new_of_old;
-  { edit;
-    edited;
-    new_of_old;
-    old_of_new;
-    inserted_roots = List.rev !inserted;
-    deleted_roots = List.rev !deleted;
-    changed_values = Node_set.elements set_targets;
-    structural = (match edit with Set_value _ -> false | _ -> true) }
+  match edit with
+  | Set_value (path, v) ->
+    let targets = bindings_of doc path in
+    Node_set.iter
+      (fun n ->
+        if Doc.value doc n = None then
+          invalid_arg
+            (Printf.sprintf "Update: node %d (%s) is not a leaf" n (Doc.tag doc n)))
+      targets;
+    let changed_values = Node_set.elements targets in
+    { edit;
+      edited = Doc.set_values doc (List.map (fun n -> n, v) changed_values);
+      new_of_old = identity ();
+      old_of_new = identity ();
+      inserted_roots = [];
+      deleted_roots = [];
+      changed_values;
+      structural = false }
+  | Delete_nodes path ->
+    let bound = bindings_of doc path in
+    if Node_set.mem (Doc.root doc) bound then
+      invalid_arg "Update: cannot delete the document root";
+    (* Nested bindings fold into their outermost deleted ancestor. *)
+    let deleted_roots =
+      List.rev
+        (Node_set.fold
+           (fun d acc ->
+             match acc with
+             | top :: _ when Doc.is_ancestor doc top d -> acc
+             | _ -> d :: acc)
+           bound [])
+    in
+    let edited, new_of_old, old_of_new, _ = structural ~delete:deleted_roots ~insert:[] in
+    { edit; edited; new_of_old; old_of_new; inserted_roots = []; deleted_roots;
+      changed_values = []; structural = true }
+  | Insert_child { parent; position; subtree } ->
+    let parents = bindings_of doc parent in
+    Node_set.iter
+      (fun n ->
+        if Doc.value doc n <> None then
+          invalid_arg (Printf.sprintf "Update: cannot insert under leaf node %d" n))
+      parents;
+    ignore (tree_node_count subtree);
+    let src = Doc.of_tree subtree in
+    let before p =
+      match List.nth_opt (Doc.children doc p) (max 0 position) with
+      | Some c -> c
+      | None -> p + Doc.subtree_node_count doc p
+    in
+    let insert =
+      Node_set.elements parents
+      |> List.map (fun p -> before p, p, src, Doc.root src)
+      |> List.stable_sort (fun (b1, p1, _, _) (b2, p2, _, _) ->
+             if b1 <> b2 then Int.compare b1 b2 else Int.compare p2 p1)
+    in
+    let edited, new_of_old, old_of_new, inserted_roots = structural ~delete:[] ~insert in
+    { edit; edited; new_of_old; old_of_new; inserted_roots; deleted_roots = [];
+      changed_values = []; structural = true }
 
 (* Shape-only rendering for logs: paths are plaintext the owner chose
    to log, but replaced values never appear. *)

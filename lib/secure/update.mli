@@ -36,7 +36,8 @@ val apply_all : Xmlcore.Doc.t -> edit list -> Xmlcore.Doc.t
 
 type plan = {
   edit : edit;
-  edited : Xmlcore.Doc.t;        (** the post-edit document, re-indexed *)
+  edited : Xmlcore.Doc.t;
+      (** the post-edit document, spliced from the old one's arrays *)
   new_of_old : int array;        (** old id → new id; [-1] when deleted *)
   old_of_new : int array;        (** new id → old id; [-1] when inserted *)
   inserted_roots : int list;     (** {e new} ids of inserted subtree roots *)
@@ -47,7 +48,9 @@ type plan = {
   structural : bool;             (** whether node ids shifted at all *)
 }
 (** A planned edit: the edited document together with the exact node
-    correspondence that {!apply}'s rebuild induces.  Preorder ids shift
+    correspondence that {!apply}'s rebuild induces.  [edited] equals
+    [Doc.of_tree (apply doc edit)] on every accessor; a value edit
+    shares every array of the old document but its values.  Preorder ids shift
     under structural edits, so every incremental consumer (interval
     copying, DSI table surgery, block re-encryption) routes through
     [new_of_old]/[old_of_new] instead of assuming stable ids. *)

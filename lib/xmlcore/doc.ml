@@ -103,6 +103,133 @@ let of_tree tree =
     forest = Forest.make ~parent:parents ~size:subtree_sizes;
     tag_ids; tag_sets; elements }
 
+(* A value edit changes one array: every other one is shared. *)
+let set_values t edits =
+  let values = Array.copy t.values in
+  List.iter (fun (n, v) -> values.(n) <- Some v) edits;
+  { t with values }
+
+type splice = {
+  doc : t;
+  new_of_old : int array;
+  inserted : node list;
+}
+
+(* The edited document from the old one's arrays: one sweep numbers the
+   survivors and reserves each inserted subtree's id run, the node
+   arrays are copied across, and the tag sets and element set are the
+   old ones renumbered (the renumbering is monotone, so they stay
+   sorted) merged with the inserted nodes.  Nothing is re-indexed from
+   a tree. *)
+let splice t ~delete ~insert =
+  let n = node_count t in
+  let new_of_old = Array.make n (-1) in
+  let counter = ref 0 and planted = ref [] in
+  let rec plant o = function
+    | (before, parent, src, root) :: rest when before = o ->
+      planted := (!counter, parent, src, root) :: !planted;
+      counter := !counter + src.subtree_sizes.(root);
+      plant o rest
+    | rest -> rest
+  in
+  let rec sweep o dels ins =
+    let ins = plant o ins in
+    if o < n then
+      match dels with
+      | d :: _ when d = o ->
+        let stop = o + t.subtree_sizes.(o) in
+        sweep stop (List.filter (fun d -> d >= stop) dels) ins
+      | _ ->
+        new_of_old.(o) <- !counter;
+        incr counter;
+        sweep (o + 1) dels ins
+  in
+  sweep 0 (List.sort_uniq Int.compare delete) insert;
+  let planted = List.rev !planted in
+  let size = !counter in
+  let tags = Array.make size "" and values = Array.make size None in
+  let parents = Array.make size (-1) in
+  for o = 0 to n - 1 do
+    let p = new_of_old.(o) in
+    if p >= 0 then begin
+      tags.(p) <- t.tags.(o);
+      values.(p) <- t.values.(o);
+      parents.(p) <- (if t.parents.(o) < 0 then -1 else new_of_old.(t.parents.(o)))
+    end
+  done;
+  let added = Hashtbl.create 8 and added_elements = ref [] in
+  List.iter
+    (fun (r, parent, src, root) ->
+      let count = src.subtree_sizes.(root) in
+      Array.blit src.tags root tags r count;
+      Array.blit src.values root values r count;
+      for k = 0 to count - 1 do
+        parents.(r + k) <-
+          (if k = 0 then new_of_old.(parent) else src.parents.(root + k) - root + r);
+        let tag = tags.(r + k) in
+        Hashtbl.replace added tag ((r + k) :: Option.value ~default:[] (Hashtbl.find_opt added tag));
+        if not (Tree.is_attribute_tag tag) then added_elements := (r + k) :: !added_elements
+      done)
+    planted;
+  let depths = Array.make size 0 in
+  for i = 1 to size - 1 do
+    depths.(i) <- depths.(parents.(i)) + 1
+  done;
+  let subtree_sizes = Array.make size 1 in
+  for i = size - 1 downto 1 do
+    subtree_sizes.(parents.(i)) <- subtree_sizes.(parents.(i)) + subtree_sizes.(i)
+  done;
+  (* The first old node the edit moves: a set ending before it keeps
+     its ids, and is shared. *)
+  let unmoved =
+    let rec go o = if o < n && new_of_old.(o) = o then go (o + 1) else o in
+    go 0
+  in
+  let renumber set =
+    let count = Array.length set in
+    if count = 0 || set.(count - 1) < unmoved then set
+    else
+    let out = Array.make count 0 and k = ref 0 in
+    Array.iter
+      (fun o ->
+        let p = new_of_old.(o) in
+        if p >= 0 then begin
+          out.(!k) <- p;
+          incr k
+        end)
+      set;
+    if !k = count then out else Array.sub out 0 !k
+  in
+  let merge set nodes = Forest.union set (Forest.of_unsorted (Array.of_list nodes)) in
+  let tag_ids =
+    if Hashtbl.fold (fun tag _ known -> known && Hashtbl.mem t.tag_ids tag) added true
+    then t.tag_ids
+    else begin
+      let tag_ids = Hashtbl.copy t.tag_ids in
+      Hashtbl.iter
+        (fun tag _ ->
+          if not (Hashtbl.mem tag_ids tag) then Hashtbl.add tag_ids tag (Hashtbl.length tag_ids))
+        added;
+      tag_ids
+    end
+  in
+  let tag_sets =
+    Array.init (Hashtbl.length tag_ids) (fun k ->
+        if k < Array.length t.tag_sets then renumber t.tag_sets.(k) else [||])
+  in
+  Hashtbl.iter
+    (fun tag nodes ->
+      let k = Hashtbl.find tag_ids tag in
+      tag_sets.(k) <- merge tag_sets.(k) nodes)
+    added;
+  let doc =
+    { tags; values; parents; depths; subtree_sizes;
+      forest = Forest.make ~parent:parents ~size:subtree_sizes;
+      tag_ids; tag_sets;
+      elements = merge (renumber t.elements) !added_elements }
+  in
+  { doc; new_of_old; inserted = List.map (fun (r, _, _, _) -> r) planted }
+
 let rec subtree t n =
   match t.values.(n) with
   | Some v -> Tree.leaf t.tags.(n) v

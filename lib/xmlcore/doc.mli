@@ -74,6 +74,29 @@ val elements : t -> node array
 val forest : t -> Forest.t
 (** The document's parent and subtree-size arrays as a join forest. *)
 
+val set_values : t -> (node * string) list -> t
+(** [set_values doc edits] is [doc] with each listed leaf's value
+    replaced.  Only the value array is copied; every other array and
+    index is shared with [doc], which is left as it was. *)
+
+type splice = {
+  doc : t;                  (** the edited document *)
+  new_of_old : int array;   (** old id → new id; [-1] when deleted *)
+  inserted : node list;     (** new ids of the inserted roots, in order *)
+}
+
+val splice :
+  t -> delete:node list -> insert:(node * node * t * node) list -> splice
+(** [splice doc ~delete ~insert] removes the subtree of every [delete]
+    root (nested roots are absorbed) and plants, for each
+    [(before, parent, src, root)], a copy of [src]'s subtree at [root]
+    as a child of [parent], just before old node [before]
+    ([node_count doc] for the end).  Ids are old ids; [insert] must list
+    the plantings in the order they appear in the result.  The result
+    equals {!of_tree} of the edited tree on every accessor, and is
+    built from [doc]'s arrays without a tree round trip; [doc] is left
+    as it was. *)
+
 val subtree_node_count : t -> node -> int
 (** Number of nodes in the subtree rooted at [n] (counting [n]). *)
 

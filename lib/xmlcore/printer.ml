@@ -84,7 +84,60 @@ let tree_to_string ?(indent = false) t =
   add_tree ~indent ~level:0 out t;
   Buffer.contents out
 
-let doc_to_string ?indent doc = tree_to_string ?indent (Doc.to_tree doc)
+(* Unindented, straight from the document's arrays: the bytes
+   [tree_to_string] gives [Doc.to_tree doc], without building the tree.
+   A child leaf with an attribute tag goes on its parent's open tag. *)
+let doc_to_string ?(indent = false) doc =
+  if indent then tree_to_string ~indent (Doc.to_tree doc)
+  else begin
+    let out = Buffer.create 1024 in
+    let children n f =
+      let stop = n + Doc.subtree_node_count doc n in
+      let rec go c =
+        if c < stop then begin
+          f c;
+          go (c + Doc.subtree_node_count doc c)
+        end
+      in
+      go (n + 1)
+    in
+    let attribute c = Doc.value doc c <> None && Tree.is_attribute_tag (Doc.tag doc c) in
+    let rec add n =
+      let tag = Doc.tag doc n in
+      let close () =
+        Buffer.add_string out "</";
+        Buffer.add_string out tag;
+        Buffer.add_char out '>'
+      in
+      Buffer.add_char out '<';
+      Buffer.add_string out tag;
+      match Doc.value doc n with
+      | Some v ->
+        Buffer.add_char out '>';
+        Buffer.add_string out (escape_text v);
+        close ()
+      | None ->
+        let elements = ref false in
+        children n (fun c ->
+            match Doc.value doc c with
+            | Some v when attribute c ->
+              let name = Doc.tag doc c in
+              Buffer.add_char out ' ';
+              Buffer.add_substring out name 1 (String.length name - 1);
+              Buffer.add_string out "=\"";
+              Buffer.add_string out (escape_attr v);
+              Buffer.add_char out '"'
+            | Some _ | None -> elements := true);
+        if !elements then begin
+          Buffer.add_char out '>';
+          children n (fun c -> if not (attribute c) then add c);
+          close ()
+        end
+        else Buffer.add_string out "/>"
+    in
+    add (Doc.root doc);
+    Buffer.contents out
+  end
 
 let serialized_size t =
   (* A Buffer-free size computation would duplicate the printer logic;

@@ -96,6 +96,11 @@ module Make (N : Nav.S) = struct
     if p.Ast.absolute then eval_steps doc None p.Ast.steps
     else eval_steps doc (Some [ N.root doc ]) p.Ast.steps
 
+  let reaching doc ~test context p ~keep =
+    let context = sort_unique context in
+    if p.Ast.absolute then (if List.exists keep (eval doc p) then context else [])
+    else reach doc test context p.Ast.steps (List.filter keep)
+
   let matches doc p = eval doc p <> []
 
   let eval_union doc paths = sort_unique (List.concat_map (eval doc) paths)
@@ -105,5 +110,6 @@ module Plain = Make (Nav.Doc_nav)
 
 let eval = Plain.eval
 let eval_from = Plain.eval_from
+let reaching = Plain.reaching
 let matches = Plain.matches
 let eval_union = Plain.eval_union

@@ -19,6 +19,15 @@ module Make (N : Nav.S) : sig
   (** Evaluate with an explicit context node set (absolute paths ignore
       the context). *)
 
+  val reaching :
+    N.doc -> test:Ast.node_test -> N.node list -> Ast.path -> keep:(N.node -> bool) ->
+    N.node list
+  (** [reaching doc ~test context p ~keep]: the [context] nodes [x] (all
+      passing [test]) for which [eval_from doc [x] p] has a node that
+      [keep] holds for, in document order — decided for the whole set
+      at once, the way predicates are, instead of one evaluation per
+      node. *)
+
   val matches : N.doc -> Ast.path -> bool
   (** [matches doc p] iff [eval doc p] is non-empty — the paper's
       [D |= A] judgment. *)
@@ -32,5 +41,8 @@ end
 
 val eval : Xmlcore.Doc.t -> Ast.path -> Xmlcore.Doc.node list
 val eval_from : Xmlcore.Doc.t -> Xmlcore.Doc.node list -> Ast.path -> Xmlcore.Doc.node list
+val reaching :
+  Xmlcore.Doc.t -> test:Ast.node_test -> Xmlcore.Doc.node list -> Ast.path ->
+  keep:(Xmlcore.Doc.node -> bool) -> Xmlcore.Doc.node list
 val matches : Xmlcore.Doc.t -> Ast.path -> bool
 val eval_union : Xmlcore.Doc.t -> Ast.path list -> Xmlcore.Doc.node list

@@ -24,7 +24,7 @@ let fixture ~return_blocks =
       covered_tags = [] }
   in
   let db = Secure.Encrypt.encrypt ~keys doc scheme in
-  let skeleton_doc = Doc.of_tree db.Secure.Encrypt.skeleton in
+  let skeleton_doc = db.Secure.Encrypt.skeleton in
   let anchors =
     Doc.fold skeleton_doc
       (fun acc n ->
@@ -180,7 +180,7 @@ let pruning_matches_reference =
         { Secure.Scheme.kind = Secure.Scheme.Opt; block_roots = roots; covered_tags = [] }
       in
       let db = Secure.Encrypt.encrypt ~keys doc scheme in
-      let skeleton_doc = Doc.of_tree db.Secure.Encrypt.skeleton in
+      let skeleton_doc = db.Secure.Encrypt.skeleton in
       let anchors =
         Doc.fold skeleton_doc
           (fun acc n ->

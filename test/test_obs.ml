@@ -548,6 +548,41 @@ let label_used_for_tenant_metrics () =
     "serve.evil_tenant_1.admitted"
     ("serve." ^ Obs.Label.sanitize "evil tenant\n1" ^ ".admitted")
 
+(* One journaled edit under the tick clock: the digest and the append,
+   then the delta's steps in order, each on the hosting's tracer. *)
+let journaled_edit_spans () =
+  let sys, _ =
+    Secure.System.setup ~master:"obs-journal" (Workload.Health.doc ())
+      (Workload.Health.constraints ()) Secure.Scheme.Opt
+  in
+  let path = Filename.temp_file "sxq-obs" ".host" in
+  let log = Secure.Persist.log_path path in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun p -> if Sys.file_exists p then Sys.remove p) [ path; log ])
+    (fun () ->
+      Secure.Persist.save sys path;
+      let j = Secure.Persist.journal_open ~master:"obs-journal" path in
+      let tracer = Secure.System.tracer (Secure.Persist.journal_system j) in
+      Trace.set_enabled tracer true;
+      let cost =
+        Secure.Persist.journal_update j
+          (Secure.Update.Set_value
+             (Xpath.Parser.parse "//patient[pname='Betty']/age", "36"))
+      in
+      Alcotest.(check bool) "incremental" false cost.Secure.System.fell_back;
+      Alcotest.(check string) "span tree"
+        (String.concat "\n"
+           [ "persist.digest [1..2]";
+             "persist.append [3..4]";
+             "delta.apply [5..16]";
+             "  delta.enforce [6..7]";
+             "  delta.reencrypt [8..9]";
+             "  delta.patch [10..11]";
+             "  delta.server [12..13]";
+             "  delta.client [14..15]";
+             "" ])
+        (Trace.render tracer))
+
 let () =
   Alcotest.run "obs"
     [ Helpers.qsuite "properties"
@@ -570,7 +605,8 @@ let () =
         [ Alcotest.test_case "raising spans recorded" `Quick
             span_reraises_and_records;
           Alcotest.test_case "disabled tracer inert" `Quick
-            disabled_tracer_is_inert ] );
+            disabled_tracer_is_inert;
+          Alcotest.test_case "journaled edit spans" `Quick journaled_edit_spans ] );
       ( "json",
         [ Alcotest.test_case "sink round-trips" `Quick sink_json_round_trips;
           Alcotest.test_case "system trace consumable" `Quick

@@ -181,8 +181,8 @@ let check_same_system label seq par =
     (ciphertexts seq) (ciphertexts par);
   Alcotest.(check string)
     (label ^ ": skeleton")
-    (Printer.tree_to_string (System.db seq).Encrypt.skeleton)
-    (Printer.tree_to_string (System.db par).Encrypt.skeleton);
+    (Printer.doc_to_string (System.db seq).Encrypt.skeleton)
+    (Printer.doc_to_string (System.db par).Encrypt.skeleton);
   List.iter2
     (fun q qs ->
       let a_seq, c_seq = System.evaluate seq q in

@@ -277,7 +277,7 @@ let encrypt_skeleton () =
     Secure.Encrypt.encrypt ~keys:(keys ()) doc
       (Secure.Scheme.build doc scs Secure.Scheme.Opt)
   in
-  let skeleton_str = Xmlcore.Printer.tree_to_string db.Secure.Encrypt.skeleton in
+  let skeleton_str = Xmlcore.Printer.doc_to_string db.Secure.Encrypt.skeleton in
   let contains_substring haystack needle =
     let n = String.length needle and h = String.length haystack in
     let rec at i = i + n <= h && (String.sub haystack i n = needle || at (i + 1)) in
@@ -639,10 +639,10 @@ let same_catalog a b =
   && Secure.Opess.chunk_parameter a = Secure.Opess.chunk_parameter b
   && Secure.Opess.key_count a = Secure.Opess.key_count b
 
-(* One single-edit histogram transition per case: a random numeric or
-   categorical histogram, then one of six edits — an occurrence moved to
-   a new value, a value added, a value removed, a count bumped, a new
-   minimum, a new maximum.  Fresh values are derived from existing ones
+(* One single-edit histogram transition per case, and back: a random
+   numeric or categorical histogram, then one of six edits — an
+   occurrence moved to a new value, a value added, a value removed, a
+   count bumped, a new minimum, a new maximum.  Fresh values are derived from existing ones
    ("12" -> "12.5", "k012" -> "k012m") so they land between neighbours. *)
 let opess_patch_equals_build =
   QCheck.Test.make ~name:"opess patch after one edit = fresh build" ~count:300
@@ -678,7 +678,10 @@ let opess_patch_equals_build =
       let edited = List.sort by_value edited in
       let key = "opess-patch" in
       let build h = Secure.Opess.build ~key ~attr_id:9 ~tag:"p" h in
-      same_catalog (Secure.Opess.patch ~key (build histogram) edited) (build edited))
+      let patched = Secure.Opess.patch ~key (build histogram) edited in
+      (* Patching back reuses the layout the first patch kept. *)
+      same_catalog patched (build edited)
+      && same_catalog (Secure.Opess.patch ~key patched histogram) (build histogram))
 
 let opess_patch_unchanged_is_identity () =
   (* The histogram arrives sorted by string; a numeric catalog is in
@@ -892,6 +895,131 @@ let theorem_41_empirically () =
   Alcotest.(check int) "exactly one true database (Def 3.3(2))" 1
     report.Secure.Candidates.satisfying_original
 
+(* [Scheme.enforces] decides each association SC for all contexts at
+   once; the reference evaluates every context's two sides on their own
+   and scans the pairs in order, as the check used to.  On random
+   documents, random block roots and SCs with child, descendant and
+   predicate steps, both give the same verdict and name the same
+   witness. *)
+let enforces_reference doc scheme scs =
+  let covered = Secure.Scheme.coverage doc scheme in
+  let exception Violation of string in
+  let check sc =
+    match sc with
+    | Sc.Node_type p ->
+      List.iter
+        (fun x ->
+          if not covered.(x) then
+            raise
+              (Violation
+                 (Printf.sprintf "node-type SC %s: binding node %d is not encrypted"
+                    (Sc.to_string sc) x)))
+        (Xpath.Eval.eval doc p)
+    | Sc.Association { context; q1; q2 } ->
+      List.iter
+        (fun x ->
+          List.iter
+            (fun y1 ->
+              List.iter
+                (fun y2 ->
+                  if (not covered.(y1)) && not covered.(y2) then
+                    raise
+                      (Violation
+                         (Printf.sprintf
+                            "association SC %s: witness pair (%d, %d) has both sides in plaintext"
+                            (Sc.to_string sc) y1 y2)))
+                (Xpath.Eval.eval_from doc [ x ] q2))
+            (Xpath.Eval.eval_from doc [ x ] q1))
+        (Xpath.Eval.eval doc context)
+  in
+  match List.iter check scs with () -> Ok () | exception Violation msg -> Error msg
+
+let enforces_matches_reference =
+  let pool =
+    [| "//a:(/b, /c)"; "//a:(//b, /price)"; "//item:(/name, //price)"; "//b:(/c, //d)";
+       "//b:(//a, //item)"; "//c"; "//a:(/b[c], //d)"; "//*:(/name, /price)";
+       "//item:(/a/b, //c[.='x'])"; "//d:(/name, /a)" |]
+  in
+  QCheck.Test.make ~name:"enforces = per-context reference" ~count:300
+    QCheck.(pair (int_range 1 1_000_000) (int_range 1 1_000_000))
+    (fun (seed, pick) ->
+      let doc = Helpers.random_doc ~seed:(Int64.of_int seed) () in
+      let rng = Crypto.Prng.create (Int64.of_int pick) in
+      let rec roots n acc =
+        if n >= Doc.node_count doc then List.rev acc
+        else if Crypto.Prng.int rng 3 = 0 then roots (n + Doc.subtree_node_count doc n) (n :: acc)
+        else roots (n + 1) acc
+      in
+      let scheme =
+        { Secure.Scheme.kind = Secure.Scheme.Opt; block_roots = roots 1 []; covered_tags = [] }
+      in
+      let scs =
+        List.init (1 + Crypto.Prng.int rng 3) (fun _ ->
+            Sc.parse pool.(Crypto.Prng.int rng (Array.length pool)))
+      in
+      Secure.Scheme.enforces doc scheme scs = enforces_reference doc scheme scs)
+
+(* Each attribute's tree lists its entries in catalog order, document
+   order inside a chunk: entry for entry, duplicates included, what
+   [bulk_load] makes of the document-order list (one entry per
+   occurrence per scale replica) — on Health, XMark and NASA, and after
+   value edits, inserts and deletes. *)
+let index_in_key_order () =
+  let check label sys =
+    let meta = Secure.System.metadata sys and db = Secure.System.db sys in
+    let doc = db.Secure.Encrypt.doc in
+    List.iter
+      (fun (tag, cat) ->
+        let counts = Hashtbl.create 64 in
+        let in_document_order =
+          if not (List.mem tag meta.Secure.Metadata.indexed_tags) then []
+          else
+            List.concat_map
+              (fun n ->
+                match Doc.value doc n with
+                | None -> []
+                | Some v ->
+                  let occurrence = Option.value ~default:0 (Hashtbl.find_opt counts v) in
+                  Hashtbl.replace counts v (occurrence + 1);
+                  let target =
+                    match Secure.Encrypt.block_id_of_node db n with
+                    | Some id -> Secure.Metadata.To_block id
+                    | None ->
+                      Secure.Metadata.To_plain
+                        (Dsi.Assign.interval meta.Secure.Metadata.assignment n)
+                  in
+                  let scale =
+                    match Secure.Opess.find_entry cat v with
+                    | Some e -> e.Secure.Opess.scale
+                    | None -> 1
+                  in
+                  List.init scale (fun _ ->
+                      Secure.Opess.occurrence_cipher cat ~value:v ~occurrence, target))
+              (Doc.nodes_with_tag doc tag)
+        in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %s entries" label tag)
+          true
+          (Btree.to_list (Btree.bulk_load in_document_order)
+           = Btree.to_list meta.Secure.Metadata.index.(Secure.Opess.attr_id cat)))
+      meta.Secure.Metadata.catalogs
+  in
+  let host doc scs = fst (Secure.System.setup doc scs Secure.Scheme.Opt) in
+  let health = host (Workload.Health.generate ~patients:40 ()) (health_scs ()) in
+  check "health" health;
+  check "xmark" (host (Workload.Xmark.generate ~persons:30 ()) (Workload.Xmark.constraints ()));
+  check "nasa" (host (Workload.Nasa.generate ~datasets:20 ()) (Workload.Nasa.constraints ()));
+  let parse = Xpath.Parser.parse in
+  let edited, _ =
+    Secure.System.apply_deltas health
+      [ Secure.Update.Set_value (parse "//patient[age>=50]/insurance/policy#", "12345");
+        Secure.Update.Set_value (parse "//age", "33");
+        Secure.Update.Insert_child
+          { parent = parse "//patient[age='33']"; position = 1; subtree = Tree.leaf "age" "71" };
+        Secure.Update.Delete_nodes (parse "//treat[disease='flu']") ]
+  in
+  check "health after edits" edited
+
 let () =
   Alcotest.run "secure"
     [ ( "counting",
@@ -911,7 +1039,8 @@ let () =
         [ Alcotest.test_case "figure 8 shape" `Quick constraint_graph_shape ] );
       ( "schemes",
         [ Alcotest.test_case "construction" `Quick scheme_construction;
-          Alcotest.test_case "broken scheme detected" `Quick broken_scheme_detected ]
+          Alcotest.test_case "broken scheme detected" `Quick broken_scheme_detected;
+          QCheck_alcotest.to_alcotest enforces_matches_reference ]
         @ List.map QCheck_alcotest.to_alcotest [ scheme_no_nested_blocks ] );
       ( "encryption",
         [ Alcotest.test_case "roundtrip" `Quick encrypt_roundtrip;
@@ -945,4 +1074,5 @@ let () =
           Alcotest.test_case "Theorem 4.1 empirically" `Quick theorem_41_empirically ] );
       ( "metadata",
         [ Alcotest.test_case "build" `Quick metadata_build;
+          Alcotest.test_case "index entries in key order" `Quick index_in_key_order;
           Alcotest.test_case "tokens hide tags" `Quick metadata_tokens_hide_tags ] ) ]

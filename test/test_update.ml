@@ -472,17 +472,25 @@ let random_edits_stay_consistent =
         [ Printf.sprintf "//patient[age=%d]/pname" new_age;
           "//patient[age>=50]/SSN"; "//pname" ])
 
-(* A superseded hosting keeps answering its own document: a delta gives
-   its successor fresh trees for the attributes it touched and leaves
-   the trees the old handle reads alone.  After 1, 10 and 100 value
-   deltas (the first sets Betty's age to 99), every handle in the chain
-   answers the fixture queries as its own plaintext reference does. *)
+(* A superseded hosting keeps answering its own document: a delta
+   builds its successor from new parts where the edit changed something
+   and leaves every part the old handle reads alone.  After 1, 10 and
+   100 deltas (the first sets Betty's age to 99; then value edits,
+   remark inserts and remark deletes in turn), every handle in the
+   chain answers the fixture queries as its own plaintext reference
+   does. *)
 let superseded_handles_answer_their_document () =
   let sys, _ = fresh_system () in
   let edit i =
+    let who = if i mod 2 = 0 then "Betty" else "Matt" in
     if i = 0 then Update.Set_value (parse "//patient[pname='Betty']/age", "99")
+    else if i mod 3 = 1 then
+      Update.Insert_child
+        { parent = parse (Printf.sprintf "//patient[pname='%s']" who);
+          position = i mod 4;
+          subtree = Tree.leaf "remark" (Printf.sprintf "r%d" i) }
+    else if i mod 3 = 2 then Update.Delete_nodes (parse "//remark")
     else
-      let who = if i mod 2 = 0 then "Betty" else "Matt" in
       Update.Set_value
         (parse (Printf.sprintf "//patient[pname='%s']/age" who),
          string_of_int (20 + (i * 7 mod 60)))
@@ -503,7 +511,7 @@ let superseded_handles_answer_their_document () =
                 (Printf.sprintf "after %d deltas, handle %d back: %s" deltas back q)
                 (Helpers.norm_trees (System.reference handle query))
                 (Helpers.norm_trees (fst (System.evaluate handle query))))
-            health_queries)
+            ("//remark" :: "//patient[remark]/pname" :: health_queries))
         !handles)
     [ 1; 10; 100 ]
 
@@ -532,6 +540,155 @@ let delta_stale_plan_rehosts () =
   Alcotest.(check (list string)) "the earlier edit kept" [ "new" ] (values "//remark");
   check_delta_equiv "stale plan" sys3 ("//remark" :: health_queries)
 
+(* --- Patched parts equal built ones --------------------------------- *)
+
+module Encrypt = Secure.Encrypt
+module Server = Secure.Server
+module Client = Secure.Client
+module Protocol = Secure.Protocol
+
+(* Every accessor of two documents agrees. *)
+let same_doc expected got =
+  let n = Doc.node_count expected in
+  let tags = List.sort_uniq compare (List.init n (Doc.tag expected)) in
+  n = Doc.node_count got
+  && List.for_all
+       (fun i ->
+         Doc.tag expected i = Doc.tag got i
+         && Doc.value expected i = Doc.value got i
+         && Doc.parent expected i = Doc.parent got i
+         && Doc.subtree_node_count expected i = Doc.subtree_node_count got i
+         && Doc.depth_of expected i = Doc.depth_of got i
+         && Doc.children expected i = Doc.children got i)
+       (List.init n Fun.id)
+  && Doc.elements expected = Doc.elements got
+  && List.for_all (fun tag -> Doc.tagged expected tag = Doc.tagged got tag) ("absent" :: tags)
+
+(* A path that binds [n] (and maybe more nodes with its tag): its tag,
+   narrowed by a plaintext leaf sibling's value when there is one. *)
+let path_to doc n =
+  let tag = Doc.tag doc n in
+  let sibling =
+    match Doc.parent doc n with
+    | None -> None
+    | Some p ->
+      List.find_map
+        (fun c ->
+          match Doc.value doc c with
+          | Some v
+            when c <> n
+                 && (not (Tree.is_attribute_tag (Doc.tag doc c)))
+                 && not (String.contains v '\'') ->
+            Some (Doc.tag doc p, Doc.tag doc c, v)
+          | Some _ | None -> None)
+        (Doc.children doc p)
+  in
+  parse
+    (match sibling with
+     | Some (ptag, ctag, v) -> Printf.sprintf "//%s[%s='%s']/%s" ptag ctag v tag
+     | None -> "//" ^ tag)
+
+(* One random edit of the hosting's document: a value edit of any leaf
+   (inside or outside a block), an insert of a known or a brand-new tag,
+   or a delete, half the time of a block root. *)
+let random_edit rng sys =
+  let doc = System.doc sys in
+  let pick a = a.(Crypto.Prng.int rng (Array.length a)) in
+  let nodes p = Array.of_list (List.filter p (List.init (Doc.node_count doc) Fun.id)) in
+  let leaves = nodes (fun n -> Doc.value doc n <> None) in
+  let inner = nodes (fun n -> Doc.value doc n = None) in
+  let roots = Array.of_list (System.scheme sys).Secure.Scheme.block_roots in
+  match Crypto.Prng.int rng 4 with
+  | 0 when Array.length leaves > 0 ->
+    let n = pick leaves in
+    Some (Update.Set_value (path_to doc n, pick [| "42"; "7"; "flu"; "Zed"; "99999" |]))
+  | 1 when Array.length inner > 0 ->
+    let subtree =
+      pick
+        [| Tree.leaf "remark" "r"; Tree.leaf "note" "n1";
+           Tree.element "extra" [ Tree.leaf "note" "n2"; Tree.leaf "age" "31" ];
+           Tree.leaf (if Array.length leaves > 0 then Doc.tag doc (pick leaves) else "age") "9" |]
+    in
+    Some
+      (Update.Insert_child
+         { parent = path_to doc (pick inner); position = Crypto.Prng.int rng 4; subtree })
+  | 2 when Array.length roots > 0 && roots.(0) <> Doc.root doc ->
+    Some (Update.Delete_nodes (path_to doc (pick roots)))
+  | _ when Doc.node_count doc > 1 ->
+    Some (Update.Delete_nodes (path_to doc (1 + Crypto.Prng.int rng (Doc.node_count doc - 1))))
+  | _ -> None
+
+(* After an edit, the patched hosting against parts built afresh from
+   the same inputs: the spliced document against the rebuilt one, the
+   database against [Encrypt.reassemble], the server against
+   [Server.of_metadata] (encoded answers) and the client against
+   [Client.create] (translations and answers). *)
+let check_patched ~old_doc edit sys queries =
+  let doc = System.doc sys and db = System.db sys and meta = System.metadata sys in
+  let keys = Client.keys (System.client sys) in
+  let built_db = Encrypt.reassemble ~doc ~scheme:db.Encrypt.scheme ~blocks:db.Encrypt.blocks in
+  let server = Server.of_metadata meta (Encrypt.server_blocks db) in
+  let client = Client.create ~keys meta db in
+  same_doc (Doc.of_tree (Update.apply old_doc edit)) doc
+  && same_doc built_db.Encrypt.skeleton db.Encrypt.skeleton
+  && built_db.Encrypt.encrypted_tags = db.Encrypt.encrypted_tags
+  && built_db.Encrypt.plaintext_tags = db.Encrypt.plaintext_tags
+  && built_db.Encrypt.node_block = db.Encrypt.node_block
+  && built_db.Encrypt.block_by_id = db.Encrypt.block_by_id
+  && List.for_all
+       (fun q ->
+         let query = parse q in
+         let squery = Client.translate (System.client sys) query in
+         let response = Server.answer (System.server sys) squery in
+         let decrypted =
+           List.map (fun b -> b.Encrypt.id, Encrypt.decrypt_block ~keys b) response.Server.blocks
+         in
+         let answers c =
+           List.map Xmlcore.Printer.tree_to_string (Client.evaluate_with c ~decrypted query)
+         in
+         Protocol.encode_request squery = Protocol.encode_request (Client.translate client query)
+         && Protocol.encode_response response
+            = Protocol.encode_response (Server.answer server squery)
+         && answers (System.client sys) = answers client)
+       queries
+
+let patch_fixtures =
+  lazy
+    (let health =
+       Workload.Health.doc (), Workload.Health.constraints (),
+       health_queries @ [ "//treat[disease='flu']/doctor"; "//remark"; "//note"; "//extra/age" ]
+     in
+     let xmark =
+       Workload.Xmark.generate ~persons:4 (), Workload.Xmark.constraints (),
+       [ "//person/name"; "//person[profile/age>=40]/name"; "//address/city";
+         "//creditcard"; "//interest"; "//remark"; "//note" ]
+     in
+     List.concat_map
+       (fun (doc, scs, queries) ->
+         List.map
+           (fun kind -> fst (System.setup ~master:"patch-equals-build" doc scs kind), queries)
+           Secure.Scheme.all_kinds)
+       [ health; xmark ])
+
+let patched_equals_built =
+  QCheck.Test.make ~name:"patched hosting equals a built one" ~count:200
+    QCheck.(pair small_nat (int_range 1 1_000_000))
+    (fun (which, seed) ->
+      let fixtures = Lazy.force patch_fixtures in
+      let sys, queries = List.nth fixtures (which mod List.length fixtures) in
+      let rng = Crypto.Prng.create (Int64.of_int seed) in
+      let rec go sys k =
+        k = 0
+        ||
+        match random_edit rng sys with
+        | None -> true
+        | Some edit ->
+          (match System.apply_delta sys edit with
+           | exception Invalid_argument _ -> go sys (k - 1)
+           | next, _ -> check_patched ~old_doc:(System.doc sys) edit next queries && go next (k - 1))
+      in
+      go sys 5)
+
 let () =
   Alcotest.run "update"
     [ ( "edits",
@@ -553,7 +710,8 @@ let () =
           Alcotest.test_case "stale plan re-hosts" `Quick delta_stale_plan_rehosts;
           Alcotest.test_case "superseded handles answer their document" `Quick
             superseded_handles_answer_their_document ]
-        @ List.map QCheck_alcotest.to_alcotest [ delta_interleaving_agrees ] );
+        @ List.map QCheck_alcotest.to_alcotest
+            [ delta_interleaving_agrees; patched_equals_built ] );
       ( "dsi gaps",
         Alcotest.test_case "between siblings" `Quick gap_insertion_between_siblings
         :: List.map QCheck_alcotest.to_alcotest [ gap_insertion_fits ] ) ]

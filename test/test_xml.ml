@@ -167,6 +167,36 @@ let roundtrip_indented_prop =
       let t = Doc.to_tree doc in
       Tree.equal t (parse (Xmlcore.Printer.tree_to_string ~indent:true t)))
 
+(* [doc_to_string] prints straight from the document's arrays; it must
+   give the bytes of printing [Doc.to_tree].  Random documents get
+   attribute leaves (anywhere among the children, with characters to
+   escape), empty elements and empty values. *)
+let doc_print_agrees =
+  QCheck.Test.make ~name:"doc_to_string = tree_to_string of to_tree" ~count:200
+    QCheck.(pair Helpers.arbitrary_doc (int_range 1 1_000_000))
+    (fun (doc, seed) ->
+      let rng = Crypto.Prng.create (Int64.of_int seed) in
+      let rec decorate = function
+        | Tree.Element (tag, ([] | [ Tree.Text _ ] as leaf)) ->
+          Tree.Element (tag, if Crypto.Prng.int rng 6 = 0 then [ Tree.Text "" ] else leaf)
+        | Tree.Element (tag, children) ->
+          let children = List.map decorate children in
+          let extra =
+            match Crypto.Prng.int rng 4 with
+            | 0 -> [ Tree.attribute "k" "v\"<&>" ]
+            | 1 -> [ Tree.element "empty" [] ]
+            | _ -> []
+          in
+          let at = Crypto.Prng.int rng (List.length children + 1) in
+          Tree.Element
+            (tag, List.filteri (fun i _ -> i < at) children @ extra
+                  @ List.filteri (fun i _ -> i >= at) children)
+        | Tree.Text _ as t -> t
+      in
+      let doc = Doc.of_tree (decorate (Doc.to_tree doc)) in
+      Xmlcore.Printer.doc_to_string doc
+      = Xmlcore.Printer.tree_to_string (Doc.to_tree doc))
+
 let serialized_size_agrees =
   QCheck.Test.make ~name:"serialized_size = length of output" ~count:100
     Helpers.arbitrary_doc
@@ -231,7 +261,8 @@ let () =
       ( "printer",
         Alcotest.test_case "escaping" `Quick printer_escaping
         :: List.map QCheck_alcotest.to_alcotest
-             [ roundtrip_prop; roundtrip_indented_prop; serialized_size_agrees ] );
+             [ roundtrip_prop; roundtrip_indented_prop; serialized_size_agrees;
+               doc_print_agrees ] );
       ( "stats",
         [ Alcotest.test_case "histogram" `Quick stats_histogram;
           Alcotest.test_case "census" `Quick stats_census;
