@@ -38,12 +38,15 @@ bench:
 # counters and configuration axes exact from one run to the next.  The
 # fourth pins the paper's own read path (E2: XMark and NASA, four
 # schemes, Qs/Qm/Ql) against BENCH_3.json: its shipped bytes and query
-# counts must match exactly under every scheme.
+# counts must match exactly under every scheme.  The fifth pins every
+# scheme's stored bytes on the same datasets (E6) against BENCH_4.json:
+# block counts, byte sizes and the SHA-256 of each hosting's bundle.
 bench-smoke:
 	dune build bench/main.exe && dune exec bench/main.exe -- e10 e11 e12 e13 e14 --scale tiny --json /tmp/bench-smoke.json --compare BENCH_1.json
 	dune exec bench/main.exe -- e15 --scale tiny --json /dev/null --compare BENCH_2.json
 	dune exec bench/main.exe -- e10 e11 e12 --scale tiny --json /dev/null --compare /tmp/bench-smoke.json
 	dune exec bench/main.exe -- e2 --scale tiny --json /dev/null --compare BENCH_3.json
+	dune exec bench/main.exe -- e6 --scale tiny --json /dev/null --compare BENCH_4.json
 	rm -f /tmp/bench-smoke.json
 
 # The observability CLI end to end: generate a document, trace a query

@@ -549,6 +549,9 @@ let e5 scale =
 (* ------------------------------------------------------------------ *)
 (* E6 — Section 7.4: encryption time and size                          *)
 
+(* Each row also carries the SHA-256 of the hosting's bundle, so
+   --compare pins every stored byte (ciphertexts, DSI table, OPE codes)
+   under every scheme. *)
 let e6 scale =
   header
     (Printf.sprintf "E6 (Section 7.4): encryption time and encrypted size (%s)"
@@ -557,16 +560,27 @@ let e6 scale =
     (fun ds ->
       let plain_bytes = String.length (Xmlcore.Printer.doc_to_string ds.doc) in
       Printf.printf "\n[%s] plaintext %d bytes\n" ds.name plain_bytes;
-      Printf.printf "%-4s %8s %12s %12s %12s %12s\n" "schm" "blocks" "enc-ms"
-        "cipher-B" "server-B" "metadata-B";
+      Printf.printf "%-4s %8s %12s %12s %12s %12s %12s\n" "schm" "blocks" "enc-ms"
+        "meta-ms" "cipher-B" "server-B" "metadata-B";
       List.iter
         (fun kind ->
           let sys, cost = system_of ds kind in
-          Printf.printf "%-4s %8d %12.1f %12d %12d %12d\n"
+          let cipher_bytes = Secure.Encrypt.encrypted_bytes (System.db sys) in
+          Printf.printf "%-4s %8d %12.1f %12.1f %12d %12d %12d\n"
             (Scheme.kind_to_string kind) cost.System.block_count
-            cost.System.encrypt_ms
-            (Secure.Encrypt.encrypted_bytes (System.db sys))
-            cost.System.server_data_bytes cost.System.metadata_bytes)
+            cost.System.encrypt_ms cost.System.metadata_ms cipher_bytes
+            cost.System.server_data_bytes cost.System.metadata_bytes;
+          json_row
+            Obs.Json.[ "experiment", Str "e6";
+                       "dataset", Str ds.name;
+                       "scheme", Str (Scheme.kind_to_string kind);
+                       "blocks", Int cost.System.block_count;
+                       "cipher_bytes", Int cipher_bytes;
+                       "server_bytes", Int cost.System.server_data_bytes;
+                       "metadata_bytes", Int cost.System.metadata_bytes;
+                       "bundle_sha256", Str (Crypto.Sha256.hex (Secure.Persist.to_string sys));
+                       "encrypt_ms", Float cost.System.encrypt_ms;
+                       "metadata_ms", Float cost.System.metadata_ms ])
         Scheme.all_kinds)
     (datasets scale);
   Printf.printf
@@ -1768,7 +1782,6 @@ let micro () =
   in
   let payload = String.init 65_536 (fun i -> Char.chr (i mod 256)) in
   let cbc_key = Crypto.Cbc.prepare "bench-key" in
-  let ope = Crypto.Ope.create ~key:"bench" ~domain_bits:32 in
   let query = Xpath.Parser.parse "//person[address/city='Seoul']/name" in
   (* Kernel fixtures: one hosted XMark block (the unit a wide read
      decrypts 3000 of), a 96-byte block-MAC input, 64 KiB of CBC
@@ -1797,10 +1810,33 @@ let micro () =
   in
   (* The sel workload's hosting (NASA, 500 datasets): one child step
      over its DSI universe, and one selective read's post-processing. *)
+  let nasa_500 = Workload.Nasa.generate ~datasets:500 () in
   let nasa_sys, _ =
-    Secure.System.setup ~master:"bench"
-      (Workload.Nasa.generate ~datasets:500 ())
-      (Workload.Nasa.constraints ()) Secure.Scheme.Opt
+    Secure.System.setup ~master:"bench" nasa_500 (Workload.Nasa.constraints ())
+      Secure.Scheme.Opt
+  in
+  (* The OPE domain points of the sel document's largest catalog, in
+     ascending order, as Opess.build hands them to one Ope.encrypt: its
+     chunk ciphers, un-namespaced and decrypted under the OPE key
+     Opess derives from the catalog key. *)
+  let ope_key = Crypto.Sha256.digest "bench\x00ope" in
+  let ope_points =
+    let largest =
+      List.fold_left
+        (fun best tag ->
+          let chunks =
+            Secure.Opess.ciphertext_histogram
+              (Secure.Opess.build ~key:"bench" ~attr_id:0 ~tag
+                 (Xmlcore.Stats.value_histogram nasa_500 ~tag))
+          in
+          if List.length chunks > List.length best then chunks else best)
+        [] (Xmlcore.Stats.leaf_tags nasa_500)
+    in
+    let ope = Crypto.Ope.create ~key:ope_key ~domain_bits:40 in
+    Array.of_list
+      (List.map
+         (fun (c, _) -> Crypto.Ope.decrypt ope (Int64.logand c 0xFF_FFFF_FFFF_FFFFL))
+         largest)
   in
   let nasa_server = Secure.System.server nasa_sys in
   let nasa_client = Secure.System.client nasa_sys in
@@ -1867,6 +1903,8 @@ let micro () =
           (Staged.stage (fun () -> Crypto.Sha256.digest response));
         Test.make ~name:"dsi-assign-10k-nodes"
           (Staged.stage (fun () -> Dsi.Assign.assign ~key:"x" doc_10k));
+        Test.make ~name:"dsi-assign-nasa-500"
+          (Staged.stage (fun () -> Dsi.Assign.assign ~key:"x" nasa_500));
         Test.make ~name:"structural-join-10k"
           (Staged.stage (fun () ->
                Xmlcore.Forest.join (Xmlcore.Doc.forest doc_10k) Xmlcore.Forest.Descendant
@@ -1898,8 +1936,9 @@ let micro () =
         Test.make ~name:"cbc-encrypt-64KiB"
           (Staged.stage (fun () ->
                Crypto.Cbc.encrypt_prepared cbc_key ~nonce:"n" payload));
-        Test.make ~name:"ope-encrypt"
-          (Staged.stage (fun () -> Crypto.Ope.encrypt ope 123_456_789L));
+        Test.make ~name:"ope-encrypt-catalog"
+          (Staged.stage (fun () ->
+               Crypto.Ope.encrypt (Crypto.Ope.create ~key:ope_key ~domain_bits:40) ope_points));
         Test.make ~name:"vernam-tag-token"
           (Staged.stage (fun () ->
                Crypto.Vernam.encrypt_hex ~key:"k" ~pad_id:"tag" "insurance"));

@@ -224,11 +224,10 @@ let default =
             "Crypto.Hmac.mac_prepared";
             "Crypto.Hmac.mac_slice";
             "Crypto.Hmac.mac_hex";
-            "Crypto.Hmac.prf64";
-            "Crypto.Hmac.prf64_prepared";
-            "Crypto.Hmac.prf_float";
-            "Crypto.Hmac.prf_float_in";
-            "Crypto.Hmac.prf_int";
+            (* The PRF kernel's outputs: draws from a keyed PRF, which
+               show nothing of the key. *)
+            "Crypto.Hmac.bits";
+            "Crypto.Hmac.below";
             "Secure.Opess.build";
             "Secure.Encrypt.encrypt";
             (* The ciphertext half of the database: what

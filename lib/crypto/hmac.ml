@@ -42,20 +42,54 @@ let mac_prepared p msg = mac_slice p ~prefix:"" msg 0 (String.length msg)
 
 let mac ~key msg = mac_prepared (prepare ~key) msg
 
-let first64 tag = String.get_int64_be tag 0
-
-let prf64_prepared p label = first64 (mac_prepared p label)
-
 let mac_hex ~key msg = Sha256.to_hex (mac ~key msg)
 
-let prf64 ~key label = first64 (mac ~key label)
+(* The PRF kernel.  An evaluator owns the context a label is hashed
+   in, the digits of one decimal int and the 32-byte output, so an
+   evaluation allocates nothing: the label's parts go straight into
+   the inner state, the inner digest into the output block, and the
+   outer pass finalizes over it in place. *)
+type prf = {
+  key : prepared;
+  ctx : Sha256.ctx;
+  digits : Bytes.t;
+  out : Bytes.t;
+}
 
-let prf_float ~key label =
-  let bits = Int64.shift_right_logical (prf64 ~key label) 11 in
-  Int64.to_float bits /. 9007199254740992.0
+let prf key =
+  { key; ctx = Sha256.copy key.inner; digits = Bytes.create 20; out = Bytes.create 32 }
 
-let prf_float_in ~key label lo hi = lo +. (prf_float ~key label *. (hi -. lo))
+(* max_int has 19 decimal digits; they are written from the end. *)
+let absorb_int p n =
+  let pos = ref 20 and n = ref n in
+  while
+    decr pos;
+    Bytes.unsafe_set p.digits !pos (Char.unsafe_chr (48 + (!n mod 10)));
+    n := !n / 10;
+    !n > 0
+  do () done;
+  Sha256.update_sub p.ctx (Bytes.unsafe_to_string p.digits) !pos (20 - !pos)
 
-let prf_int ~key label bound =
-  assert (bound > 0);
-  Int64.to_int (Int64.rem (Int64.shift_right_logical (prf64 ~key label) 1) (Int64.of_int bound))
+let eval p prefix i j suffix =
+  let ctx = p.ctx in
+  Sha256.reset ctx ~from:p.key.inner;
+  Sha256.update ctx prefix;
+  if i >= 0 then absorb_int p i;
+  if j >= 0 then begin
+    Sha256.update ctx "\x00";
+    absorb_int p j
+  end;
+  Sha256.update ctx suffix;
+  Sha256.finalize_into ctx p.out 0;
+  Sha256.reset ctx ~from:p.key.outer;
+  Sha256.update_sub ctx (Bytes.unsafe_to_string p.out) 0 32;
+  Sha256.finalize_into ctx p.out 0
+
+let bits p k =
+  if k < 1 || k > 62 then invalid_arg "Hmac.bits: k must be in [1, 62]";
+  Int64.to_int (Int64.shift_right_logical (Bytes.get_int64_be p.out 0) (64 - k))
+
+let below p bound =
+  if bound <= 0 then invalid_arg "Hmac.below: bound must be positive";
+  Int64.to_int
+    (Int64.rem (Int64.shift_right_logical (Bytes.get_int64_be p.out 0) 1) (Int64.of_int bound))

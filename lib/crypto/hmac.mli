@@ -1,8 +1,8 @@
-(** HMAC-SHA-256 (RFC 2104) and a PRF convenience layer.
+(** HMAC-SHA-256 (RFC 2104) and the PRF kernel.
 
-    The PRF is the workhorse for deterministic, key-dependent randomness:
-    DSI gap weights, OPESS split weights and scale factors, and the
-    Vernam keystream are all derived from it. *)
+    The PRF is the workhorse for deterministic, key-dependent
+    randomness: OPE splits, DSI gap weights, OPESS split weights and
+    scale factors, and encryption decoys are all drawn from it. *)
 
 val mac : key:string -> string -> string
 (** [mac ~key msg] is the 32-byte HMAC-SHA-256 tag. *)
@@ -22,21 +22,36 @@ val mac_slice : prepared -> prefix:string -> string -> int -> int -> string
     bytes in place.
     @raise Invalid_argument if the range is not within [msg]. *)
 
-val prf64_prepared : prepared -> string -> int64
-
 val mac_hex : key:string -> string -> string
 (** Hex rendering of {!mac}. *)
 
-val prf64 : key:string -> string -> int64
-(** [prf64 ~key label] extracts the first 8 bytes of [mac ~key label] as a
-    big-endian int64: a pseudo-random function onto 64-bit values. *)
+(** {2 PRF kernel} *)
 
-val prf_float : key:string -> string -> float
-(** [prf_float ~key label] is a PRF output mapped uniformly to [\[0,1)]. *)
+type prf
+(** A PRF evaluator: a prepared key with a hashing context, a digit
+    buffer and an output block of its own, so that evaluating
+    allocates nothing.  An evaluator is mutable scratch: use it on the
+    domain that made it, and make one per worker, never one shared by
+    several. *)
 
-val prf_float_in : key:string -> string -> float -> float -> float
-(** [prf_float_in ~key label lo hi] maps the PRF output to [\[lo, hi)]. *)
+val prf : prepared -> prf
+(** [prf key] is a fresh evaluator under [key]. *)
 
-val prf_int : key:string -> string -> int -> int
-(** [prf_int ~key label bound] maps the PRF output to [\[0, bound)].
-    [bound] must be positive. *)
+val eval : prf -> string -> int -> int -> string -> unit
+(** [eval p prefix i j suffix] computes [mac_prepared key label] for
+    the label [prefix ^ string_of_int i ^ "\x00" ^ string_of_int j ^
+    suffix], hashing its parts where they lie.  A negative [i] is left
+    out, and so is a negative [j] together with the ["\x00"] before
+    it.  The output stays in [p] until the next evaluation; read it
+    with {!bits} or {!below}. *)
+
+val bits : prf -> int -> int
+(** [bits p k] is the first [k] bits of the last output, big-endian:
+    [bits p 53] is its first 8 bytes shifted right by 11, a uniform
+    53-bit draw.
+    @raise Invalid_argument unless [1 <= k <= 62]. *)
+
+val below : prf -> int -> int
+(** [below p bound] maps the last output into [\[0, bound)]: its first
+    8 bytes, shifted right by 1, modulo [bound].
+    @raise Invalid_argument unless [bound > 0]. *)

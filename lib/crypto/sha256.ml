@@ -2,7 +2,7 @@
    unboxed arithmetic matters because HMAC (hence key derivation, DSI
    weights, OPESS randomness, block MACs and session frames) sits on
    hot paths.  Absorbing and finalizing allocate nothing; only the
-   32-byte digest is fresh. *)
+   32-byte digest {!finalize} returns is fresh. *)
 
 let mask = 0xFFFFFFFF
 
@@ -52,22 +52,25 @@ let reset ctx ~from =
 
 (* Rotations of a 32-bit word [x] by 1..31 are read off the doubled
    word [x lor (x lsl 32)]: a 63-bit int keeps bits 0-62 of it, which
-   is every bit such a rotation needs. *)
+   is every bit such a rotation needs.  The sigmas leave the bits above
+   32 as they fall: every use is a sum that is masked afterwards, and
+   the low 32 bits of a sum depend only on the low 32 bits of its
+   terms. *)
 let[@inline] big_sigma0 x =
   let xx = x lor (x lsl 32) in
-  ((xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)) land mask
+  (xx lsr 2) lxor (xx lsr 13) lxor (xx lsr 22)
 
 let[@inline] big_sigma1 x =
   let xx = x lor (x lsl 32) in
-  ((xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)) land mask
+  (xx lsr 6) lxor (xx lsr 11) lxor (xx lsr 25)
 
 let[@inline] small_sigma0 x =
   let xx = x lor (x lsl 32) in
-  ((xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)) land mask
+  (xx lsr 7) lxor (xx lsr 18) lxor (x lsr 3)
 
 let[@inline] small_sigma1 x =
   let xx = x lor (x lsl 32) in
-  ((xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)) land mask
+  (xx lsr 17) lxor (xx lsr 19) lxor (x lsr 10)
 
 let[@inline] ch e f g = g lxor (e land (f lxor g))
 let[@inline] maj a b c = (a land b) lor (c land (a lor b))
@@ -161,8 +164,9 @@ let update ctx s = update_sub ctx s 0 (String.length s)
 
 (* Pad in the block buffer: 0x80, zeros up to byte 56 (spilling into a
    second block when fewer than 9 bytes are free), then the 64-bit
-   big-endian bit length. *)
-let finalize ctx =
+   big-endian bit length.  The digest lands in [out] at [off]. *)
+let finalize_into ctx out off =
+  if off < 0 || off > Bytes.length out - 32 then invalid_arg "Sha256.finalize_into";
   let buf = ctx.buf and n = ctx.buf_len in
   Bytes.unsafe_set buf n '\x80';
   if n >= 56 then begin
@@ -174,10 +178,13 @@ let finalize ctx =
   Bytes.set_int64_be buf 56 (Int64.of_int (ctx.total lsl 3));
   compress ctx buf 0;
   ctx.buf_len <- 0;
-  let out = Bytes.create 32 in
   for i = 0 to 7 do
-    Bytes.set_int32_be out (i * 4) (Int32.of_int ctx.h.(i))
-  done;
+    Bytes.set_int32_be out (off + (i * 4)) (Int32.of_int ctx.h.(i))
+  done
+
+let finalize ctx =
+  let out = Bytes.create 32 in
+  finalize_into ctx out 0;
   Bytes.unsafe_to_string out
 
 let digest s =

@@ -32,6 +32,12 @@ val finalize : ctx -> string
 (** [finalize ctx] returns the 32-byte digest.  Afterwards [ctx] may
     only be {!reset}. *)
 
+val finalize_into : ctx -> Bytes.t -> int -> unit
+(** [finalize_into ctx out off] writes the 32-byte digest into [out]
+    at [off], allocating nothing.  Afterwards [ctx] may only be
+    {!reset}.
+    @raise Invalid_argument if [out] has no 32 bytes at [off]. *)
+
 val digest : string -> string
 (** [digest s] is the 32-byte SHA-256 of [s]. *)
 

@@ -9,23 +9,21 @@ let interval t n = t.intervals.(n)
 
 let doc t = t.doc
 
+(* A uniform draw in [0, 1) for the label [prefix ^ side ^ "\x00" ^ id]. *)
+let draw prf prefix ~side id =
+  Crypto.Hmac.eval prf prefix side id "";
+  Float.of_int (Crypto.Hmac.bits prf 53) /. 9007199254740992.0
+
 (* Weight in (0, 0.5) for child node [child_id]; [side] distinguishes w1
-   from w2. *)
-let weight ~key ~side child_id =
-  let bits =
-    Int64.shift_right_logical
-      (Crypto.Hmac.prf64_prepared key (Printf.sprintf "dsi-w%d\x00%d" side child_id))
-      11
-  in
-  let raw = Int64.to_float bits /. 9007199254740992.0 in
-  (* Keep away from the extremes so gaps never collapse numerically. *)
-  0.01 +. (raw *. 0.48)
+   from w2.  Kept away from the extremes so gaps never collapse
+   numerically. *)
+let weight prf ~side child_id = 0.01 +. (draw prf "dsi-w" ~side child_id *. 0.48)
 
 (* Core calInterval recursion over a mutable interval array: place every
    descendant of [node] inside [intervals.(node)].  Shared by whole-tree
    [assign] and by incremental [subdivide] (which seeds the subtree root
    from a sibling gap first). *)
-let rec place ~key doc intervals node =
+let rec place prf doc intervals node =
   let iv = intervals.(node) in
   let children = Doc.children doc node in
   let count = List.length children in
@@ -45,20 +43,21 @@ let rec place ~key doc intervals node =
     List.iteri
       (fun idx child ->
         let i = float_of_int (idx + 1) in
-        let w1 = weight ~key ~side:1 child in
-        let w2 = weight ~key ~side:2 child in
+        let w1 = weight prf ~side:1 child in
+        let w2 = weight prf ~side:2 child in
         let lo = iv.Interval.lo +. (((2.0 *. i) -. 1.0) *. d) -. (w1 *. d) in
         let hi = iv.Interval.lo +. (2.0 *. i *. d) +. (w2 *. d) in
         intervals.(child) <- Interval.make lo hi;
-        place ~key doc intervals child)
+        place prf doc intervals child)
       children
   end
 
+let prf_of ~key = Crypto.Hmac.prf (Crypto.Hmac.prepare ~key)
+
 let assign ~key doc =
-  let key = Crypto.Hmac.prepare ~key in
   let n = Doc.node_count doc in
   let intervals = Array.make n (Interval.make 0.0 1.0) in
-  place ~key doc intervals (Doc.root doc);
+  place (prf_of ~key) doc intervals (Doc.root doc);
   { doc; intervals }
 
 let of_intervals doc intervals =
@@ -68,27 +67,17 @@ let of_intervals doc intervals =
 
 let intervals t = Array.copy t.intervals
 
-let subdivide ~key t node =
-  let key = Crypto.Hmac.prepare ~key in
-  place ~key t.doc t.intervals node
+let subdivide ~key t node = place (prf_of ~key) t.doc t.intervals node
 
 let interval_in_gap ~key ~label ~lo ~hi =
+  if label < 0 then invalid_arg "Assign.interval_in_gap: negative label";
   if not (hi > lo) then invalid_arg "Assign.interval_in_gap: empty gap";
   let width = hi -. lo in
-  let prepared = Crypto.Hmac.prepare ~key in
-  let draw side =
-    let bits =
-      Int64.shift_right_logical
-        (Crypto.Hmac.prf64_prepared prepared
-           (Printf.sprintf "gap-w%d\x00%d" side label))
-        11
-    in
-    Int64.to_float bits /. 9007199254740992.0
-  in
+  let prf = prf_of ~key in
   (* Land strictly inside the middle 60% of the gap, leaving fresh gaps
      on both sides for future inserts. *)
-  let new_lo = lo +. (width *. (0.2 +. (draw 1 *. 0.2))) in
-  let new_hi = hi -. (width *. (0.2 +. (draw 2 *. 0.2))) in
+  let new_lo = lo +. (width *. (0.2 +. (draw prf "gap-w" ~side:1 label *. 0.2))) in
+  let new_hi = hi -. (width *. (0.2 +. (draw prf "gap-w" ~side:2 label *. 0.2))) in
   if not (new_hi > new_lo) then
     invalid_arg "Assign.interval_in_gap: gap too narrow for float precision";
   Interval.make new_lo new_hi

@@ -59,8 +59,8 @@ val interval_in_gap :
     calInterval reserves between siblings (and between a parent's
     bounds and its first/last child) can absorb inserted subtrees
     without moving any existing interval.
-    @raise Invalid_argument if the gap is empty or too narrow for a
-    well-formed interval. *)
+    @raise Invalid_argument if [label] is negative, or the gap is empty
+    or too narrow for a well-formed interval. *)
 
 val validate : t -> (unit, string) result
 (** Checks the structural invariants: every child interval strictly

@@ -214,9 +214,9 @@ let cached t ~pooled cache key compute =
     locked t ~pooled (fun () -> Lru.put cache key v);
     v, if t.config.caches then Miss else Bypass
 
-(* Translation, on the calling domain: OPESS translation memoises
-   inside each catalog's OPE instance, which pool workers would race
-   on. *)
+(* Translation, on the calling domain: it derives tag keys through
+   [Crypto.Keys]' derivation memo, a mutable table that pool workers
+   would race on. *)
 let prepare t query =
   let squery, translate_ms =
     timed (fun () -> Secure.Client.translate (Secure.System.client t.system) query)

@@ -9,6 +9,10 @@ type t = {
   encrypted_tags : (string, unit) Hashtbl.t;
   plaintext_tags : (string, unit) Hashtbl.t;
   skeleton : Composite.skeleton;
+  generations : int array;
+      (* block id -> the generation the client hosted, -1 for an id it
+         does not host: the provider writes a block record's generation
+         itself, so it is checked against this, not trusted *)
 }
 
 let keys t = t.keys
@@ -28,7 +32,11 @@ let make ~keys meta db skeleton =
     indexed = set_of meta.Metadata.indexed_tags;
     encrypted_tags = set_of db.Encrypt.encrypted_tags;
     plaintext_tags = set_of db.Encrypt.plaintext_tags;
-    skeleton }
+    skeleton;
+    generations =
+      Array.map
+        (function Some b -> b.Encrypt.generation | None -> -1)
+        db.Encrypt.block_by_id }
 
 let prepare db = Composite.prepare db.Encrypt.skeleton ~anchors:(Encrypt.anchors db)
 
@@ -123,7 +131,15 @@ let aggregate_range t p =
 
 type answer = Tree.t
 
-let decrypt_block t b = Encrypt.decrypt_block ~keys:t.keys b
+(* A block whose id the client does not host, or whose generation is
+   not the one it hosted, is refused before its MAC is checked: a
+   superseded record verifies under its own generation, so the MAC
+   alone cannot tell it from the current one. *)
+let decrypt_block t b =
+  let id = b.Encrypt.id in
+  if id < 0 || id >= Array.length t.generations || t.generations.(id) <> b.Encrypt.generation
+  then raise (Encrypt.Tampered id);
+  Encrypt.decrypt_block ~keys:t.keys b
 
 let decrypt_blocks t blocks = List.map (decrypt_block t) blocks
 
@@ -140,7 +156,4 @@ let evaluate_union_with t ~decrypted queries =
   List.map (Composite.subtree view) (Composite.Eval.eval_union view queries)
 
 let postprocess t ~blocks query =
-  let decrypted =
-    List.map (fun b -> b.Encrypt.id, Encrypt.decrypt_block ~keys:t.keys b) blocks
-  in
-  evaluate_with t ~decrypted query
+  evaluate_with t ~decrypted:(List.map (fun b -> b.Encrypt.id, decrypt_block t b) blocks) query

@@ -33,8 +33,13 @@ val keys : t -> Crypto.Keys.t
 
 val decrypt_block : t -> Encrypt.block -> answer
 (** Decrypt one block with the client's derived keys (decoys are {e
-    not} removed here — {!evaluate_with} ignores them).
-    @raise Encrypt.Tampered when authentication fails. *)
+    not} removed here — {!evaluate_with} ignores them).  The block must
+    carry the generation the client hosted under its id ({!create} and
+    {!patch} record them), so a superseded ciphertext that a provider
+    ships in place of the current one is refused even though its own
+    MAC verifies.
+    @raise Encrypt.Tampered when the id is not hosted, the generation
+    is not the hosted one, or authentication fails. *)
 
 val translate : t -> Xpath.Ast.path -> Squery.path
 (** Translate a plaintext XPath query into the server IR.

@@ -38,15 +38,18 @@ let placeholder_id tag =
 
 let decoy_attribute = "@_decoy"
 
-let decoy_value ~keys ~root =
-  let raw = Crypto.Hmac.mac ~key:(Crypto.Keys.decoy_key keys) (string_of_int root) in
-  (* Short alphanumeric salt, like the paper's "xyya". *)
-  String.init 6 (fun i -> Char.chr (Char.code 'a' + (Char.code raw.[i] mod 26)))
+(* Short alphanumeric salt, like the paper's "xyya": the first 6 bytes
+   of the PRF of the root's node id under the prepared decoy key. *)
+let decoy_value decoy ~root =
+  let prf = Crypto.Hmac.prf decoy in
+  Crypto.Hmac.eval prf "" root (-1) "";
+  let raw = Crypto.Hmac.bits prf 48 in
+  String.init 6 (fun i -> Char.chr (Char.code 'a' + (((raw lsr (40 - (8 * i))) land 0xFF) mod 26)))
 
-let add_decoy ~keys ~root tree =
+let add_decoy decoy ~root tree =
   match tree with
   | Tree.Element (tag, children) ->
-    Tree.Element (tag, Tree.leaf decoy_attribute (decoy_value ~keys ~root) :: children)
+    Tree.Element (tag, Tree.leaf decoy_attribute (decoy_value decoy ~root) :: children)
   | Tree.Text _ -> assert false
 
 let strip_decoy tree =
@@ -68,10 +71,13 @@ let mac_tag_bytes = 16
 
 (* Truncated encrypt-then-MAC tag over the first [len] bytes of
    [ciphertext], binding them to their block id and content generation
-   (prevents corruption, block-swapping and rollback to a superseded
-   generation).  Generation 0 keeps the historical MAC input so freshly
-   hosted blocks stay byte-identical; the "#" separator cannot collide
-   with it because ids render as bare digits. *)
+   (prevents corruption and block-swapping).  A superseded record still
+   verifies under its own generation, so rollback is refused by the
+   client, which checks the generation it hosted under the id
+   ([Client.decrypt_block]).  Generation 0 keeps the historical MAC
+   input so freshly hosted blocks stay byte-identical; the "#"
+   separator cannot collide with it because ids render as bare
+   digits. *)
 let block_mac ~keys ~id ~generation ciphertext len =
   let prefix =
     if generation = 0 then string_of_int id ^ "\x00"
@@ -81,10 +87,10 @@ let block_mac ~keys ~id ~generation ciphertext len =
     (Crypto.Hmac.mac_slice (Crypto.Keys.block_mac_key keys) ~prefix ciphertext 0 len)
     0 mac_tag_bytes
 
-let encrypt_one ~keys ?(generation = 0) doc ~id root =
+let encrypt_one ~keys ~decoy ?(generation = 0) doc ~id root =
   let has_decoy = Doc.is_leaf doc root in
   let subtree = Doc.subtree doc root in
-  let payload = if has_decoy then add_decoy ~keys ~root subtree else subtree in
+  let payload = if has_decoy then add_decoy decoy ~root subtree else subtree in
   let serialized = Xmlcore.Printer.tree_to_string payload in
   let ciphertext =
     let body =
@@ -101,8 +107,6 @@ let encrypt_one ~keys ?(generation = 0) doc ~id root =
     node_count = Doc.subtree_node_count doc root + (if has_decoy then 1 else 0);
     has_decoy;
     generation }
-
-let encrypt_block = encrypt_one
 
 (* Rebuild the tree with block subtrees replaced by placeholders.
    [block_at] maps a node id to its block id when the node is a block
@@ -163,6 +167,13 @@ let prewarm_block_keys ~keys =
   ignore (Crypto.Keys.block_cipher keys);
   ignore (Crypto.Keys.block_mac_key keys);
   ignore (Crypto.Keys.decoy_key keys)
+
+(* The decoy key, prepared once per encrypt call before any fan-out:
+   each decoy draws with an evaluator of its own, so workers share only
+   this immutable key. *)
+let prepared_decoy ~keys =
+  prewarm_block_keys ~keys;
+  Crypto.Hmac.prepare ~key:(Crypto.Keys.decoy_key keys)
 
 (* Assemble a db around a document and its (already encrypted) blocks:
    recompute the skeleton and the tag partition from the plaintext —
@@ -286,9 +297,9 @@ let patch old (plan : Update.plan) ~scheme ~blocks =
   end
 
 let encrypt ?pool ~keys doc scheme =
-  prewarm_block_keys ~keys;
+  let decoy = prepared_decoy ~keys in
   let roots = Array.of_list scheme.Scheme.block_roots in
-  let encrypt_at id root = encrypt_one ~keys doc ~id root in
+  let encrypt_at id root = encrypt_one ~keys ~decoy doc ~id root in
   (* Each block's cipher+MAC depends only on (id, subtree): the nonce
      is keyed by block id, so evaluation order is irrelevant and the
      pooled path produces byte-identical ciphertexts. *)
@@ -305,9 +316,9 @@ let encrypt ?pool ~keys doc scheme =
    and nonces are keyed by (id, generation), so the pooled path is
    byte-identical to the sequential one. *)
 let reencrypt_blocks ?pool ~keys doc jobs =
-  prewarm_block_keys ~keys;
+  let decoy = prepared_decoy ~keys in
   let re (b, root) =
-    encrypt_block ~keys ~generation:(b.generation + 1) doc ~id:b.id root
+    encrypt_one ~keys ~decoy ~generation:(b.generation + 1) doc ~id:b.id root
   in
   match pool with
   | Some p when Parallel.Pool.size p > 1 ->

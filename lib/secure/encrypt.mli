@@ -66,18 +66,6 @@ val make_db :
     incremental deletes; dropped ids are never reused.
     @raise Invalid_argument on negative or duplicate block ids. *)
 
-val encrypt_block :
-  keys:Crypto.Keys.t ->
-  ?generation:int ->
-  Xmlcore.Doc.t ->
-  id:int ->
-  Xmlcore.Doc.node ->
-  block
-(** Encrypt a single subtree as a block.  [generation] (default [0])
-    versions the nonce and MAC so incremental re-encryption of the same
-    block id with new content never reuses a nonce.  The generation-0
-    output is byte-identical to what {!encrypt} produces at setup. *)
-
 val reassemble :
   doc:Xmlcore.Doc.t -> scheme:Scheme.t -> blocks:block list -> db
 (** Assemble a [db] around an edited document and its already-encrypted
@@ -141,6 +129,10 @@ val prewarm_block_keys : keys:Crypto.Keys.t -> unit
 
 val decrypt_block : keys:Crypto.Keys.t -> block -> Xmlcore.Tree.t
 (** Verify, decrypt and parse one block; the decoy (if any) is removed.
+    The MAC is checked under the generation the block record carries,
+    which the provider writes: a superseded record verifies.  Readers
+    of server responses go through {!Client.decrypt_block}, which also
+    checks the generation against the hosted one.
     @raise Tampered when the authentication tag fails. *)
 
 val block_of_node : db -> Xmlcore.Doc.node -> block option

@@ -11,16 +11,16 @@ type value_entry = {
   scale : int;
 }
 
-(* Everything [build] decides before any cryptography: the positioned
-   domain, [m], [K], and each chunk's size and point in the OPE domain.
-   A pure function of (key, histogram) that costs K PRF calls, so
-   [patch] can afford to recompute it for the old catalog too. *)
+(* Everything [build] decides before OPE: the positioned domain, [m],
+   [K], and each chunk's size and point in the OPE domain.  A pure
+   function of (key, histogram) that costs K PRF calls, so [patch] can
+   afford to recompute it for the old catalog too. *)
 type layout = {
   positioned : (string * float * int) list;
   m : int;
   num_keys : int;
   sizes : int list list;      (* per value, chunk sizes *)
-  points : int64 list list;   (* per value, chunk domain points *)
+  points : int64 array;       (* every chunk's domain point, value by value *)
 }
 
 type t = {
@@ -30,10 +30,10 @@ type t = {
   num_keys : int;
   entries : value_entry list;
   by_value : (string, value_entry) Hashtbl.t;
-  assembled_from : ((string * int) list * layout) option;
-      (* the histogram and layout [patch] assembled this catalog from,
-         so the next patch need not recompute it; [None] for a built or
-         loaded catalog *)
+  assembled_from : layout option;
+      (* the layout [patch] assembled this catalog from, so the next
+         patch need not recompute it; [None] for a built or loaded
+         catalog *)
 }
 
 let tag t = t.tag
@@ -107,7 +107,9 @@ let of_parts ~tag ~attr_id ~m ~num_keys entries =
 
 let domain_bits = 40
 
-let rec layout ?(numeric = true) ~key histogram =
+let prf_of ~key = Crypto.Hmac.prf (Crypto.Hmac.prepare ~key)
+
+let rec layout ?(numeric = true) prf histogram =
   let positioned = positions ~numeric histogram in
   let counts = List.map (fun (_, _, n) -> n) positioned in
   let m = choose_m counts in
@@ -119,9 +121,9 @@ let rec layout ?(numeric = true) ~key histogram =
   let weights =
     Array.init num_keys (fun i ->
         let kf = float_of_int (num_keys + 1) in
-        Crypto.Hmac.prf_float_in ~key (Printf.sprintf "split-w\x00%d" i)
-          (1.0 /. (2.0 *. kf))
-          (1.0 /. kf))
+        let lo = 1.0 /. (2.0 *. kf) and hi = 1.0 /. kf in
+        Crypto.Hmac.eval prf "split-w\x00" i (-1) "";
+        lo +. (Float.of_int (Crypto.Hmac.bits prf 53) /. 9007199254740992.0 *. (hi -. lo)))
   in
   Array.sort Float.compare weights;
   let prefix = Array.make (num_keys + 1) 0.0 in
@@ -165,88 +167,124 @@ let rec layout ?(numeric = true) ~key histogram =
   in
   if numeric
      && not (Float.is_finite (hi -. lo) && List.for_all (fun ps -> climbs (-1L :: ps)) points)
-  then layout ~numeric:false ~key histogram
-  else { positioned; m; num_keys; sizes; points }
+  then layout ~numeric:false prf histogram
+  else { positioned; m; num_keys; sizes; points = Array.of_list (List.concat points) }
 
 let ope_of ~key =
   Crypto.Ope.create ~key:(Crypto.Sha256.digest (key ^ "\x00ope")) ~domain_bits
 
-let scale_of ~key value = 1 + Crypto.Hmac.prf_int ~key ("scale\x00" ^ value) 10
+(* Namespaced OPE ciphers of a layout's points, in one batch.  The
+   points never descend: within a value they climb (the layout checks),
+   and a value's last displacement stays below the next value's
+   position, since the prefix weights sum to less than K/(K+1) of the
+   gap, far more than rounding can take back. *)
+let ciphers_of ~key ~attr_id points =
+  Array.map (namespace ~attr_id) (Crypto.Ope.encrypt (ope_of ~key) points)
 
-(* The catalog a layout describes, given each chunk's namespaced cipher
-   and each value's scale. *)
-let assemble ~attr_id ~tag layout ~cipher ~scale =
+let scale_of prf value =
+  Crypto.Hmac.eval prf "scale\x00" (-1) (-1) value;
+  1 + Crypto.Hmac.below prf 10
+
+(* The catalog a layout describes, given every chunk's namespaced
+   cipher in the layout's point order and each value's scale. *)
+let assemble ~attr_id ~tag layout ciphers ~scale =
+  let next = ref 0 in
+  let chunk size =
+    let c = { cipher = ciphers.(!next); occurrences = size } in
+    incr next;
+    c
+  in
   let entries =
-    List.map2
-      (fun (value, numeric, count) (sizes, points) ->
-        let chunks =
-          List.map2 (fun size point -> { cipher = cipher point; occurrences = size })
-            sizes points
-        in
-        (* OPE is monotone, so chunks come out sorted; check anyway. *)
-        let rec sorted = function
-          | a :: (b :: _ as rest) -> a.cipher < b.cipher && sorted rest
-          | [ _ ] | [] -> true
-        in
-        assert (sorted chunks);
-        { value; numeric; count; chunks; scale = scale value })
-      layout.positioned
-      (List.combine layout.sizes layout.points)
+    List.rev
+      (List.fold_left2
+         (fun acc (value, numeric, count) sizes ->
+           let chunks = List.rev (List.fold_left (fun acc size -> chunk size :: acc) [] sizes) in
+           (* OPE is monotone, so chunks come out sorted; check anyway. *)
+           let rec sorted = function
+             | a :: (b :: _ as rest) -> a.cipher < b.cipher && sorted rest
+             | [ _ ] | [] -> true
+           in
+           assert (sorted chunks);
+           { value; numeric; count; chunks; scale = scale value } :: acc)
+         [] layout.positioned layout.sizes)
   in
   of_parts ~tag ~attr_id ~m:layout.m ~num_keys:layout.num_keys entries
 
+(* One PRF evaluator serves the split weights and every scale, and OPE
+   runs once over all the chunk points. *)
 let build ~key ~attr_id ~tag histogram =
   if attr_id < 0 || attr_id > 126 then
     invalid_arg "Opess.build: attr_id must be in [0, 126]";
-  let ope = ope_of ~key in
-  assemble ~attr_id ~tag (layout ~key histogram)
-    ~cipher:(fun point -> namespace ~attr_id (Crypto.Ope.encrypt ope point))
-    ~scale:(scale_of ~key)
+  let prf = prf_of ~key in
+  let layout = layout prf histogram in
+  assemble ~attr_id ~tag layout (ciphers_of ~key ~attr_id layout.points) ~scale:(scale_of prf)
 
 (* Incremental-update entry point.  [build] is deterministic in
    (key, attr_id, tag, histogram), and OPE is a function of the domain
    point alone, so the patched catalog is [build] on the new histogram
    with the expensive parts looked up instead of recomputed: the old
-   catalog's own layout (kept by the patch that assembled it when that
-   patch saw this very histogram, else recomputed) names the
-   domain point behind every old cipher, a chunk whose point did not
-   move keeps its cipher, a
-   surviving value keeps its scale, and OPE runs only for points that
-   moved.  An edit that moves the extremes, the largest gap or [K]
-   moves every point and pays for a full build.  Structural edits that
-   leave the value multiset alone get the catalog back as-is. *)
+   catalog's own layout (kept by the patch that assembled it, else
+   recomputed) names the domain point behind every old cipher, a chunk
+   whose point did not move keeps its cipher, a surviving value keeps
+   its scale, and OPE runs once, over the points that moved.  Old and
+   new points both climb, so one merge pairs them.  An edit that moves
+   the extremes, the largest gap or [K] moves every point and pays for
+   a full build.  Structural edits that leave the value multiset alone
+   get the catalog back as-is. *)
 let patch ~key t histogram =
-  let by_value (a, _) (b, _) = String.compare a b in
-  let current = List.sort by_value (List.map (fun e -> e.value, e.count) t.entries) in
-  if current = List.sort by_value histogram then t
+  let unchanged =
+    List.compare_length_with histogram (Hashtbl.length t.by_value) = 0
+    && List.for_all
+         (fun (value, count) ->
+           match Hashtbl.find_opt t.by_value value with
+           | Some e -> e.count = count
+           | None -> false)
+         histogram
+  in
+  if unchanged then t
   else begin
+    let prf = prf_of ~key in
     let old_layout =
       match t.assembled_from with
-      | Some (histogram, old_layout) when histogram = current -> old_layout
-      | Some _ | None -> layout ~key current
+      | Some old_layout -> old_layout
+      | None ->
+        layout prf
+          (List.sort (fun (a, _) (b, _) -> String.compare a b)
+             (List.map (fun e -> e.value, e.count) t.entries))
     in
-    let cipher_at = Hashtbl.create 64 in
-    List.iter2
-      (fun (value, _, _) points ->
-        List.iter2
-          (fun c p -> Hashtbl.replace cipher_at p c.cipher)
-          (Hashtbl.find t.by_value value).chunks points)
-      old_layout.positioned old_layout.points;
-    let ope = lazy (ope_of ~key) in
+    let old_points = old_layout.points in
+    let old_ciphers =
+      Array.of_list
+        (List.concat_map
+           (fun (value, _, _) -> List.map (fun c -> c.cipher) (Hashtbl.find t.by_value value).chunks)
+           old_layout.positioned)
+    in
+    if Array.length old_ciphers <> Array.length old_points then
+      invalid_arg "Opess.patch: catalog does not match its layout";
+    let new_layout = layout prf histogram in
+    let points = new_layout.points in
+    let ciphers = Array.make (Array.length points) 0L in
+    let moved = ref [] and j = ref 0 in
+    Array.iteri
+      (fun i point ->
+        while !j < Array.length old_points && old_points.(!j) < point do incr j done;
+        if !j < Array.length old_points && old_points.(!j) = point then
+          ciphers.(i) <- old_ciphers.(!j)
+        else moved := i :: !moved)
+      points;
     let attr_id = t.attr_id in
-    let new_layout = layout ~key histogram in
+    if !moved <> [] then begin
+      let moved = Array.of_list (List.rev !moved) in
+      let fresh = ciphers_of ~key ~attr_id (Array.map (fun i -> points.(i)) moved) in
+      Array.iteri (fun k i -> ciphers.(i) <- fresh.(k)) moved
+    end;
     let patched =
-      assemble ~attr_id ~tag:t.tag new_layout
-        ~cipher:(fun point ->
-          match Hashtbl.find_opt cipher_at point with
-          | Some cipher -> cipher
-          | None -> namespace ~attr_id (Crypto.Ope.encrypt (Lazy.force ope) point))
-        ~scale:(fun value ->
+      assemble ~attr_id ~tag:t.tag new_layout ciphers ~scale:(fun value ->
           match Hashtbl.find_opt t.by_value value with
           | Some e -> e.scale
-          | None -> scale_of ~key value)
+          | None -> scale_of prf value)
     in
-    { patched with assembled_from = Some (histogram, new_layout) }
+    { patched with assembled_from = Some new_layout }
   end
 
 let occurrence_cipher t ~value ~occurrence =

@@ -382,8 +382,7 @@ let deliver t ~label ~translate_ms s eval =
   let decrypted, decrypt_ms =
     Obs.span t.trace "client.decrypt" @@ fun () ->
     timed (fun () ->
-        let keys = Client.keys t.client in
-        let one b = b.Encrypt.id, Encrypt.decrypt_block ~keys b in
+        let one b = b.Encrypt.id, Client.decrypt_block t.client b in
         match t.pool with
         | Some p when Parallel.Pool.size p > 1 -> Parallel.Pool.map_list p one s.blocks
         | Some _ | None -> List.map one s.blocks)
@@ -493,8 +492,8 @@ let evaluate_union t queries =
    equivalent to evaluating the queries one at a time:
 
    - translation happens up front on the calling domain, in query
-     order: OPESS translation memoises inside each catalog's OPE
-     instance, which parallel translation would race on;
+     order: it derives tag keys through [Crypto.Keys]' derivation memo,
+     a mutable table that parallel translation would race on;
 
    - each lane is the system behind a private session link (the
      system's own session is stateful: sequence numbers, stats), built

@@ -175,6 +175,8 @@ let vernam_deterministic () =
   Alcotest.(check string) "same pad, same token" a b;
   Alcotest.(check bool) "different pad, different token" false (a = c)
 
+let ope_encrypt ope xs = Array.to_list (Crypto.Ope.encrypt ope (Array.of_list xs))
+
 let ope_monotone =
   QCheck.Test.make ~name:"ope strictly increasing" ~count:100
     QCheck.(pair small_string (list (int_bound 100_000)))
@@ -183,7 +185,7 @@ let ope_monotone =
       let xs =
         List.sort_uniq compare (List.map (fun x -> Int64.of_int (x mod (1 lsl 20))) xs)
       in
-      let cs = List.map (Crypto.Ope.encrypt ope) xs in
+      let cs = ope_encrypt ope xs in
       let rec increasing = function
         | a :: (b :: _ as rest) -> a < b && increasing rest
         | [ _ ] | [] -> true
@@ -195,27 +197,149 @@ let ope_roundtrip =
     QCheck.(pair small_string (small_list (int_bound 1_000_000)))
     (fun (key, xs) ->
       let ope = Crypto.Ope.create ~key ~domain_bits:24 in
-      List.for_all
-        (fun x ->
-          let x = Int64.of_int (x mod (1 lsl 24)) in
-          Crypto.Ope.decrypt ope (Crypto.Ope.encrypt ope x) = x)
-        xs)
+      let xs = List.sort compare (List.map (fun x -> Int64.of_int (x mod (1 lsl 24))) xs) in
+      List.for_all2 (fun x c -> Crypto.Ope.decrypt ope c = x) xs (ope_encrypt ope xs))
 
 let ope_key_dependent () =
   let a = Crypto.Ope.create ~key:"a" ~domain_bits:16 in
   let b = Crypto.Ope.create ~key:"b" ~domain_bits:16 in
-  let differs =
-    List.exists
-      (fun x -> Crypto.Ope.encrypt a (Int64.of_int x) <> Crypto.Ope.encrypt b (Int64.of_int x))
-      [ 0; 1; 100; 1000; 65535 ]
-  in
-  Alcotest.(check bool) "key changes mapping" true differs
+  let xs = [ 0L; 1L; 100L; 1000L; 65535L ] in
+  Alcotest.(check bool) "key changes mapping" true (ope_encrypt a xs <> ope_encrypt b xs)
 
 let ope_rejects_invalid () =
   let ope = Crypto.Ope.create ~key:"k" ~domain_bits:8 in
   Alcotest.check_raises "domain check"
     (Invalid_argument "Ope.encrypt: plaintext out of domain")
-    (fun () -> ignore (Crypto.Ope.encrypt ope 256L))
+    (fun () -> ignore (ope_encrypt ope [ 0L; 256L ]));
+  Alcotest.check_raises "negative"
+    (Invalid_argument "Ope.encrypt: plaintext out of domain")
+    (fun () -> ignore (ope_encrypt ope [ -1L ]));
+  Alcotest.check_raises "descending"
+    (Invalid_argument "Ope.encrypt: points not in ascending order")
+    (fun () -> ignore (ope_encrypt ope [ 3L; 7L; 5L ]))
+
+(* The per-point OPE walk as it stood before the batch descent: labels
+   built with String.concat, Int64 arithmetic, the split PRF drawn at
+   every node on the point's path.  The batch must equal it bit for
+   bit. *)
+let ope_reference ~key ~domain_bits x =
+  let key = Crypto.Hmac.prepare ~key in
+  let prf64 label = String.get_int64_be (Crypto.Hmac.mac_prepared key label) 0 in
+  let leaf_offset ~dlo size =
+    if size <= 1L then 0L
+    else Int64.rem (Int64.shift_right_logical (prf64 ("ope-leaf\x00" ^ Int64.to_string dlo)) 1) size
+  in
+  let range_split ~depth ~dlo ~rlo ~rhi ~ldom ~rdom =
+    let label =
+      String.concat "" [ "ope-split\x00"; string_of_int depth; "\x00"; Int64.to_string dlo ]
+    in
+    let bits = Int64.to_int (Int64.shift_right_logical (prf64 label) 11) in
+    let frac = 0.25 +. (Float.of_int bits /. 9007199254740992.0 *. 0.5) in
+    let slack = Int64.sub (Int64.sub rhi rlo) (Int64.add ldom rdom) in
+    Int64.add rlo (Int64.add ldom (Int64.of_float (Int64.to_float slack *. frac)))
+  in
+  let rec go ~depth ~dlo ~dhi ~rlo ~rhi =
+    let dsize = Int64.sub dhi dlo in
+    if dsize = 1L then Int64.add rlo (leaf_offset ~dlo (Int64.sub rhi rlo))
+    else
+      let half = Int64.shift_right_logical dsize 1 in
+      let dmid = Int64.add dlo half in
+      let rmid = range_split ~depth ~dlo ~rlo ~rhi ~ldom:half ~rdom:(Int64.sub dsize half) in
+      if x < dmid then go ~depth:(depth + 1) ~dlo ~dhi:dmid ~rlo ~rhi:rmid
+      else go ~depth:(depth + 1) ~dlo:dmid ~dhi ~rlo:rmid ~rhi
+  in
+  go ~depth:0 ~dlo:0L ~dhi:(Int64.shift_left 1L domain_bits) ~rlo:0L
+    ~rhi:(Int64.shift_left 1L (domain_bits + 16))
+
+(* Ascending point sets with repeats and both domain ends. *)
+let ope_batch_arb =
+  let open QCheck.Gen in
+  let gen =
+    int_range 1 40 >>= fun bits ->
+    let top = (1 lsl bits) - 1 in
+    small_string >>= fun key ->
+    list_size (int_range 0 25) (int_bound top) >>= fun xs ->
+    list_size (int_range 0 3) (oneofl (0 :: top :: xs)) >|= fun repeats ->
+    key, bits, List.sort compare (List.map Int64.of_int ((0 :: top :: xs) @ repeats))
+  in
+  QCheck.make gen
+    ~print:(fun (key, bits, xs) ->
+      Printf.sprintf "key=%S bits=%d [%s]" key bits
+        (String.concat "; " (List.map Int64.to_string xs)))
+
+let ope_batch_is_pointwise =
+  QCheck.Test.make ~name:"batch OPE = pointwise walk" ~count:150 ope_batch_arb
+    (fun (key, domain_bits, xs) ->
+      let ope = Crypto.Ope.create ~key ~domain_bits in
+      let cs = ope_encrypt ope xs in
+      List.for_all2 (fun x c -> c = ope_reference ~key ~domain_bits x) xs cs
+      && List.for_all2 (fun x c -> Crypto.Ope.decrypt ope c = x) xs cs)
+
+(* Ciphertexts of the per-point implementation, pinned: the batch keeps
+   every OPESS code a hosting stores. *)
+let ope_pinned () =
+  let pin key domain_bits pairs =
+    let ope = Crypto.Ope.create ~key ~domain_bits in
+    Alcotest.(check (list int64))
+      (Printf.sprintf "%s/%d" key domain_bits)
+      (List.map snd pairs)
+      (ope_encrypt ope (List.map fst pairs))
+  in
+  pin "ope-pin" 40
+    [ 0L, 1517L;
+      1L, 8121L;
+      2L, 14040L;
+      1_000_000L, 22553649131L;
+      549_755_813_887L, 18047215350247340L;
+      1_099_511_627_775L, 72057594037923957L ];
+  pin "k" 8 [ 0L, 12253L; 1L, 57389L; 128L, 12532960L; 255L, 16771870L ];
+  pin "k" 1 [ 0L, 39516L; 1L, 123334L ]
+
+(* --- PRF kernel ---------------------------------------------------- *)
+
+let prf_label_int =
+  QCheck.Gen.(oneof [ return 0; return max_int; return (-1); nat; map abs int ])
+
+(* An evaluation writes into the evaluator's own scratch: a hosting
+   draws hundreds of thousands of them. *)
+let prf_kernel_allocates_nothing () =
+  let prf = Crypto.Hmac.prf (Crypto.Hmac.prepare ~key:"alloc") in
+  let acc = ref 0 in
+  let before = Gc.minor_words () in
+  for i = 0 to 9_999 do
+    Crypto.Hmac.eval prf "ope-split\x00" 17 i "";
+    acc := !acc lxor Crypto.Hmac.bits prf 53 lxor Crypto.Hmac.below prf 10
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "%.0f minor words over 10,000 evaluations" words)
+    true (words < 100.0 && !acc >= 0)
+
+let prf_kernel_agrees =
+  QCheck.Test.make ~name:"PRF kernel = HMAC of the concatenated label" ~count:300
+    (QCheck.make
+       QCheck.Gen.(
+         tup5 (string_size (int_range 0 80)) (string_size (int_range 0 90))
+           (pair prf_label_int prf_label_int)
+           (string_size (int_range 0 200))
+           (oneof [ return 1; return 10; return max_int; int_range 1 1_000_000 ])))
+    (fun (key, prefix, (i, j), suffix, bound) ->
+      let prepared = Crypto.Hmac.prepare ~key in
+      let label =
+        String.concat ""
+          [ prefix;
+            (if i >= 0 then string_of_int i else "");
+            (if j >= 0 then "\x00" ^ string_of_int j else "");
+            suffix ]
+      in
+      let first64 = String.get_int64_be (Crypto.Hmac.mac_prepared prepared label) 0 in
+      let prf = Crypto.Hmac.prf prepared in
+      Crypto.Hmac.eval prf prefix i j suffix;
+      Crypto.Hmac.bits prf 62 = Int64.to_int (Int64.shift_right_logical first64 2)
+      && Crypto.Hmac.bits prf 53 = Int64.to_int (Int64.shift_right_logical first64 11)
+      && Crypto.Hmac.below prf bound
+         = Int64.to_int
+             (Int64.rem (Int64.shift_right_logical first64 1) (Int64.of_int bound)))
 
 (* --- AES and cipher suites ---------------------------------------- *)
 
@@ -332,8 +456,13 @@ let () =
         :: List.map QCheck_alcotest.to_alcotest [ vernam_involution ] );
       ( "ope",
         [ Alcotest.test_case "invalid inputs" `Quick ope_rejects_invalid;
-          Alcotest.test_case "key dependent" `Quick ope_key_dependent ]
-        @ List.map QCheck_alcotest.to_alcotest [ ope_monotone; ope_roundtrip ] );
+          Alcotest.test_case "key dependent" `Quick ope_key_dependent;
+          Alcotest.test_case "pinned ciphertexts" `Quick ope_pinned ]
+        @ List.map QCheck_alcotest.to_alcotest
+            [ ope_monotone; ope_roundtrip; ope_batch_is_pointwise ] );
+      ( "prf",
+        Alcotest.test_case "allocates nothing" `Quick prf_kernel_allocates_nothing
+        :: List.map QCheck_alcotest.to_alcotest [ prf_kernel_agrees ] );
       ( "aes",
         [ Alcotest.test_case "FIPS/NIST vectors" `Quick aes_vectors;
           Alcotest.test_case "suites differ" `Quick cipher_suites_differ ]

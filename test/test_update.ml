@@ -5,6 +5,7 @@ module Doc = Xmlcore.Doc
 module Tree = Xmlcore.Tree
 module System = Secure.System
 module Update = Secure.Update
+module Encrypt = Secure.Encrypt
 
 let parse = Xpath.Parser.parse
 
@@ -540,9 +541,34 @@ let delta_stale_plan_rehosts () =
   Alcotest.(check (list string)) "the earlier edit kept" [ "new" ] (values "//remark");
   check_delta_equiv "stale plan" sys3 ("//remark" :: health_queries)
 
-(* --- Patched parts equal built ones --------------------------------- *)
+(* The provider writes a block record's generation itself, and a
+   superseded record's MAC verifies under its own generation.  After an
+   edit re-encrypts block 3, its generation-0 record must be refused by
+   the successor's client, while the predecessor, which hosted exactly
+   that record, still decrypts it. *)
+let superseded_block_rejected () =
+  let sys, _ = fresh_system () in
+  let block sys id = Option.get (System.db sys).Encrypt.block_by_id.(id) in
+  let old_block = block sys 3 in
+  let sys2, _ =
+    System.apply_delta sys
+      (Update.Set_value (parse "//patient[pname='Betty']//policy#", "90001"))
+  in
+  Alcotest.(check (pair int int)) "block 3 moved from generation 0 to 1" (0, 1)
+    (old_block.Encrypt.generation, (block sys2 3).Encrypt.generation);
+  Alcotest.check_raises "the successor refuses the superseded record" (Encrypt.Tampered 3)
+    (fun () -> ignore (Secure.Client.decrypt_block (System.client sys2) old_block));
+  Alcotest.(check bool) "the predecessor still decrypts it" true
+    (Tree.equal
+       (Secure.Client.decrypt_block (System.client sys) old_block)
+       (Encrypt.decrypt_block ~keys:(Secure.Client.keys (System.client sys)) old_block));
+  Alcotest.check_raises "an id the client does not host" (Encrypt.Tampered 99_999)
+    (fun () ->
+      ignore
+        (Secure.Client.decrypt_block (System.client sys2) { old_block with Encrypt.id = 99_999 }));
+  ignore (Secure.Client.decrypt_block (System.client sys2) (block sys2 3))
 
-module Encrypt = Secure.Encrypt
+(* --- Patched parts equal built ones --------------------------------- *)
 module Server = Secure.Server
 module Client = Secure.Client
 module Protocol = Secure.Protocol
@@ -709,7 +735,8 @@ let () =
             delta_insert_into_empty_group;
           Alcotest.test_case "stale plan re-hosts" `Quick delta_stale_plan_rehosts;
           Alcotest.test_case "superseded handles answer their document" `Quick
-            superseded_handles_answer_their_document ]
+            superseded_handles_answer_their_document;
+          Alcotest.test_case "a superseded block is rejected" `Quick superseded_block_rejected ]
         @ List.map QCheck_alcotest.to_alcotest
             [ delta_interleaving_agrees; patched_equals_built ] );
       ( "dsi gaps",
