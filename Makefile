@@ -53,12 +53,15 @@ bench-smoke:
 # (engine path, two rounds, so the ledger shows a cache hit), and emit
 # JSON.  sxq validates every JSON sink by parsing its own output and
 # re-comparing structurally before printing — exit code 2 means the
-# round-trip failed, so this target *is* the consumer test.
+# round-trip failed, so this target *is* the consumer test.  `explain`
+# then prints the server's per-step candidate counts for the same query
+# and two engine rounds' result and block outcomes.
 trace-smoke:
 	dune build bin/sxq.exe
 	dune exec bin/sxq.exe -- generate health -n 20 -o /tmp/trace-smoke.xml > /dev/null
 	dune exec bin/sxq.exe -- trace /tmp/trace-smoke.xml "//patient[age>=60]/pname" -c "//patient:(/pname,/SSN)" --engine --rounds 2 --json > /dev/null
 	dune exec bin/sxq.exe -- stats -q "//patient//pname" -c "//patient:(/pname,/SSN)" /tmp/trace-smoke.xml --json > /dev/null
+	dune exec bin/sxq.exe -- explain /tmp/trace-smoke.xml "//patient[age>=60]/pname" -c "//patient:(/pname,/SSN)" --rounds 2 > /dev/null
 	rm -f /tmp/trace-smoke.xml
 
 # The leakage-budget gate: run the adversary simulator over the default

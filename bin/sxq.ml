@@ -392,69 +392,51 @@ let query_cmd =
 let explain_cmd =
   let query_arg =
     Arg.(required & pos 1 (some string) None & info [] ~docv:"XPATH"
-           ~doc:"XPath query to plan and evaluate through the engine.")
+           ~doc:"XPath query to explain and evaluate through the engine.")
   in
   let rounds_arg =
     Arg.(value & opt int 2 & info [ "rounds" ] ~docv:"N"
            ~doc:"Evaluation rounds (round 1 is cold, later rounds show \
                  cache behaviour).")
   in
-  let no_planner_arg =
-    Arg.(value & flag & info [ "no-planner" ]
-           ~doc:"Compile identity (left-to-right) plans.")
-  in
-  let no_caches_arg =
-    Arg.(value & flag & info [ "no-caches" ]
-           ~doc:"Disable the plan, result and block caches.")
-  in
   let print_report round (report : Engine.report) =
-    Printf.printf "round %d: plan %s, result %s, blocks %d cached / %d shipped\n"
-      round
-      (Engine.outcome_to_string report.Engine.plan_outcome)
+    Printf.printf "round %d: result %s, blocks %d cached / %d shipped\n" round
       (Engine.outcome_to_string report.Engine.result_outcome)
       report.Engine.block_hits report.Engine.block_misses;
-    if round = 1 then begin
-      Printf.printf "plan:\n%s\n" (Engine.Plan.to_string report.Engine.plan);
-      Printf.printf "%-6s %-20s %12s %12s %12s\n" "step" "axis" "estimated"
-        "actual" "surviving";
-      List.iter
-        (fun (s : Engine.Exec.step_actual) ->
-          Printf.printf "%-6d %-20s %12.1f %12d %12d\n" s.Engine.Exec.index
-            (Engine.Plan.axis_name s.Engine.Exec.axis)
-            s.Engine.Exec.estimated s.Engine.Exec.actual_raw
-            s.Engine.Exec.surviving)
-        report.Engine.steps
-    end;
     Printf.printf
-      "  %d answer(s); %d block(s), %d bytes on the wire; plan %.2f + server \
-       %.2f + decrypt %.2f ms\n"
+      "  %d answer(s); %d block(s), %d bytes on the wire; server %.2f + \
+       decrypt %.2f ms\n"
       report.Engine.answer_count report.Engine.blocks_returned
-      report.Engine.transmit_bytes report.Engine.plan_ms
-      report.Engine.server_ms report.Engine.decrypt_ms
+      report.Engine.transmit_bytes report.Engine.server_ms report.Engine.decrypt_ms
   in
-  let run path query scs scheme master rounds no_planner no_caches =
+  let run path query scs scheme master rounds =
     let doc = load_doc path in
     let scs = parse_scs scs in
     let sys = fst (Secure.System.setup ~master doc scs scheme) in
-    let config =
-      { Engine.default_config with
-        planner = not no_planner;
-        caches = not no_caches }
-    in
-    let engine = Engine.create ~config sys in
     let q = Xpath.Parser.parse query in
+    let squery = Secure.Client.translate (Secure.System.client sys) q in
+    (* Translation keeps the query's steps, so report i is step i. *)
+    let steps = Array.of_list q.Xpath.Ast.steps in
+    Printf.printf "%-6s %-30s %12s %12s\n" "step" "xpath" "candidates" "surviving";
+    List.iter
+      (fun (s : Secure.Server.step_report) ->
+        let i = s.Secure.Server.step_index in
+        Printf.printf "%-6d %-30s %12d %12d\n" i
+          (Xpath.Ast.to_string (Xpath.Ast.path ~absolute:true [ steps.(i) ]))
+          s.Secure.Server.raw_candidates s.Secure.Server.surviving_candidates)
+      (Secure.Server.explain (Secure.System.server sys) squery);
+    let engine = Engine.create sys in
     for round = 1 to Int.max 1 rounds do
-      let _, report = Engine.evaluate_report engine q in
-      print_report round report
+      print_report round (snd (Engine.evaluate_report engine q))
     done;
     Printf.printf "engine: %s\n" (Engine.Stats.to_string (Engine.stats engine))
   in
   Cmd.v
     (Cmd.info "explain"
-       ~doc:"Show the engine's evaluation plan, per-step estimates vs. \
-             actuals, and cache outcomes for an XPath query.")
+       ~doc:"Show the server's per-step candidate counts for an XPath query \
+             and each engine round's cache outcomes.")
     Term.(const run $ doc_file_arg $ query_arg $ sc_arg $ scheme_arg
-          $ master_arg $ rounds_arg $ no_planner_arg $ no_caches_arg)
+          $ master_arg $ rounds_arg)
 
 (* ------------------------------------------------------------------ *)
 (* trace                                                               *)
@@ -466,7 +448,7 @@ let trace_cmd =
   in
   let engine_arg =
     Arg.(value & flag & info [ "engine" ]
-           ~doc:"Evaluate through the cost-based engine instead of the plain \
+           ~doc:"Evaluate through the caching engine instead of the plain \
                  protocol (adds engine.* spans and cache outcomes).")
   in
   let rounds_arg =

@@ -59,10 +59,10 @@ let default =
         "dsi", [ "xmlcore"; "crypto" ];
         "secure",
         [ "xmlcore"; "xpath"; "crypto"; "btree"; "dsi"; "parallel"; "obs" ];
-        (* The engine reorders and caches ciphertext-side evaluation:
-           it may see the query IR, intervals and the secure layer's
-           public surface, but never the plaintext document layer. *)
-        "engine", [ "xpath"; "dsi"; "secure"; "parallel"; "obs" ];
+        (* The engine caches ciphertext-side evaluation: it may see the
+           query IR, intervals and the secure layer's public surface,
+           but never the plaintext document layer. *)
+        "engine", [ "xpath"; "dsi"; "secure"; "obs" ];
         (* The serving tier multiplexes hostings: it schedules, admits
            and breaks circuits over the system/engine surface.  Nothing
            depends on it except bin — it is the top of the DAG, and it
@@ -99,7 +99,7 @@ let default =
             in
             [ "lib/engine/" ^ name ^ ".ml", forbidden;
               "lib/engine/" ^ name ^ ".mli", forbidden ])
-          [ "lru"; "stats"; "estimate"; "plan"; "planner"; "exec"; "engine" ]
+          [ "lru"; "stats"; "engine" ]
       (* Observability records server-visible facts only: a counter or
          ledger row that could name the plaintext-document layer or the
          key ring would be a leak by construction. *)
@@ -153,8 +153,8 @@ let default =
        seeded reproducibility. *)
     random_ok = [ "lib/crypto/prng.ml" ];
     (* Domains, mutexes and atomics are confined behind the pool API:
-       everything else must go through Parallel.Pool / Parallel.Lock,
-       whose merge contract is what makes parallelism deterministic. *)
+       everything else must go through Parallel.Pool, whose merge
+       contract is what makes parallelism deterministic. *)
     concurrency_ok = [ "lib/parallel/" ];
     (* The information-flow policy of the paper, as data.  Secrets are
        born at the [sources] (key-ring values, plaintext documents,
@@ -179,10 +179,8 @@ let default =
             "Secure.Encrypt.decrypt_block";
             "Secure.Client.keys";
             "Secure.Client.decrypt_block";
-            "Secure.Client.decrypt_blocks";
             "Secure.Client.evaluate_with";
             "Secure.Client.evaluate_union_with";
-            "Secure.Client.postprocess";
             "Secure.System.doc";
             "Secure.System.master";
             "Secure.System.reference";

@@ -270,7 +270,7 @@ let concurrency policy ~rel refs =
               message =
                 Printf.sprintf
                   "%s is a raw concurrency primitive; only lib/parallel may \
-                   touch it — use Parallel.Pool / Parallel.Lock"
+                   touch it — use Parallel.Pool"
                   (dotted r.path);
               witness = [] }
         | _ -> None)

@@ -110,23 +110,6 @@ let range t ~lo ~hi =
   go t.root;
   List.rev !acc
 
-let min_key t =
-  let rec go node =
-    if Array.length node.keys = 0 then None
-    else if is_leaf node then Some node.keys.(0)
-    else go node.children.(0)
-  in
-  go t.root
-
-let max_key t =
-  let rec go node =
-    let n = Array.length node.keys in
-    if n = 0 then None
-    else if is_leaf node then Some node.keys.(n - 1)
-    else go node.children.(n)
-  in
-  go t.root
-
 let validate t =
   let exception Bad of string in
   let td = t.min_degree in

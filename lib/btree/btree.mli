@@ -45,9 +45,6 @@ val range : 'a t -> lo:int64 -> hi:int64 -> (int64 * 'a) list
 val to_list : 'a t -> (int64 * 'a) list
 (** All entries in key order. *)
 
-val min_key : 'a t -> int64 option
-val max_key : 'a t -> int64 option
-
 val validate : 'a t -> (unit, string) result
 (** Checks the B-tree invariants (key ordering, fill factors, uniform
     leaf depth).  Used by the property tests. *)

@@ -1,8 +1,7 @@
 (** Bounded least-recently-used map with hit/miss/eviction counters.
 
-    The engine's three caches (compiled plans, server-side result
-    memos, client-side decrypted blocks) are all instances of this one
-    structure; a capacity of [0] disables storage entirely, turning
+    The engine's two caches (server-side result memos, client-side
+    decrypted blocks) are both instances of this one structure; a capacity of [0] disables storage entirely, turning
     every {!find} into a counted miss — that is how the engine's
     cache-disabled mode is implemented without a second code path. *)
 

@@ -1,11 +1,8 @@
 type t = {
   queries : int;
-  plans_compiled : int;
-  steps_reordered : int;
   invalidations : int;
   plan_hits : int;
   plan_misses : int;
-  plan_evictions : int;
   result_hits : int;
   result_misses : int;
   result_evictions : int;
@@ -14,33 +11,15 @@ type t = {
   block_evictions : int;
 }
 
-let zero =
-  { queries = 0;
-    plans_compiled = 0;
-    steps_reordered = 0;
-    invalidations = 0;
-    plan_hits = 0;
-    plan_misses = 0;
-    plan_evictions = 0;
-    result_hits = 0;
-    result_misses = 0;
-    result_evictions = 0;
-    block_hits = 0;
-    block_misses = 0;
-    block_evictions = 0 }
-
 let rate hits misses =
   let total = hits + misses in
   if total = 0 then 0.0 else float_of_int hits /. float_of_int total
 
-let plan_hit_rate t = rate t.plan_hits t.plan_misses
 let result_hit_rate t = rate t.result_hits t.result_misses
 let block_hit_rate t = rate t.block_hits t.block_misses
 
 let to_string t =
   Printf.sprintf
-    "queries %d | plans compiled %d, steps reordered %d, invalidations %d | \
-     plan %d/%d (evict %d) | result %d/%d (evict %d) | block %d/%d (evict %d)"
-    t.queries t.plans_compiled t.steps_reordered t.invalidations t.plan_hits
-    t.plan_misses t.plan_evictions t.result_hits t.result_misses
-    t.result_evictions t.block_hits t.block_misses t.block_evictions
+    "queries %d, invalidations %d | result %d/%d (evict %d) | block %d/%d (evict %d)"
+    t.queries t.invalidations t.result_hits t.result_misses t.result_evictions
+    t.block_hits t.block_misses t.block_evictions

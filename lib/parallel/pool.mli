@@ -14,9 +14,8 @@
     implementation detail.
 
     All concurrency primitives used by this repository (Domain, Mutex,
-    Condition, Atomic) live behind this module and {!Lock}; the
-    [concurrency] lint rule rejects direct references anywhere else in
-    the tree. *)
+    Condition, Atomic) live behind this module; the [concurrency] lint
+    rule rejects direct references anywhere else in the tree. *)
 
 type t
 (** A pool of worker domains.  A pool of size 1 spawns no domains and

@@ -141,8 +141,6 @@ let decrypt_block t b =
   then raise (Encrypt.Tampered id);
   Encrypt.decrypt_block ~keys:t.keys b
 
-let decrypt_blocks t blocks = List.map (decrypt_block t) blocks
-
 let composite t ~decrypted =
   Composite.create t.skeleton
     ~blocks:(List.map (fun (id, tree) -> id, Doc.of_tree tree) decrypted)
@@ -154,6 +152,3 @@ let evaluate_with t ~decrypted query =
 let evaluate_union_with t ~decrypted queries =
   let view = composite t ~decrypted in
   List.map (Composite.subtree view) (Composite.Eval.eval_union view queries)
-
-let postprocess t ~blocks query =
-  evaluate_with t ~decrypted:(List.map (fun b -> b.Encrypt.id, decrypt_block t b) blocks) query

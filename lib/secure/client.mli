@@ -32,8 +32,8 @@ val patch : t -> Metadata.t -> Encrypt.db -> t
 val keys : t -> Crypto.Keys.t
 
 val decrypt_block : t -> Encrypt.block -> answer
-(** Decrypt one block with the client's derived keys (decoys are {e
-    not} removed here — {!evaluate_with} ignores them).  The block must
+(** Decrypt one block with the client's derived keys; the decoy, if
+    any, is removed ({!Encrypt.decrypt_block}).  The block must
     carry the generation the client hosted under its id ({!create} and
     {!patch} record them), so a superseded ciphertext that a provider
     ships in place of the current one is refused even though its own
@@ -51,10 +51,6 @@ val aggregate_range : t -> Xpath.Ast.path -> (int64 * int64) option
     evaluation); [None] when the output is not a catalogued leaf
     attribute. *)
 
-val decrypt_blocks : t -> Encrypt.block list -> Xmlcore.Tree.t list
-(** Decrypt blocks, removing decoys (exposed so the cost model can time
-    decryption separately from post-processing). *)
-
 val evaluate_with :
   t -> decrypted:(int * Xmlcore.Tree.t) list -> Xpath.Ast.path -> Xmlcore.Tree.t list
 (** Evaluate the original query over the composite view built from the
@@ -66,6 +62,3 @@ val evaluate_union_with :
   Xmlcore.Tree.t list
 (** Union query over one composite view: node-level deduplication, so a
     node matched by several branches appears once. *)
-
-val postprocess : t -> blocks:Encrypt.block list -> Xpath.Ast.path -> Xmlcore.Tree.t list
-(** {!decrypt_blocks} + {!evaluate_with} in one call. *)

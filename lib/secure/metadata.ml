@@ -5,10 +5,6 @@ type target =
   | To_block of int
   | To_plain of Interval.t
 
-type index_policy =
-  | All_leaves
-  | Encrypted_only
-
 type t = {
   assignment : Dsi.Assign.t;
   dsi_table : (string * Interval.t list) list;
@@ -165,7 +161,7 @@ let attribute_entries cat doc ~tag ~target =
     List.concat_map snd
       (List.sort (fun (a, _) (b, _) -> Int.compare a b) (List.concat per_value))
 
-let build ?pool ~keys ?(policy = All_leaves) db =
+let build ?pool ~keys db =
   let doc = db.Encrypt.doc in
   let assignment = Dsi.Assign.assign ~key:(Crypto.Keys.dsi_key keys) doc in
   let rows = table_rows ~keys db assignment in
@@ -208,24 +204,16 @@ let build ?pool ~keys ?(policy = All_leaves) db =
     | Some p -> Array.to_list (Parallel.Pool.mapi p build_catalog keyed_tags)
     | None -> Array.to_list (Array.mapi build_catalog keyed_tags)
   in
-  (* Which attributes enter the value index. *)
-  let indexed_tags =
-    match policy with
-    | All_leaves -> leaf_tags
-    | Encrypted_only ->
-      List.filter (fun tag -> List.mem tag db.Encrypt.encrypted_tags) leaf_tags
-  in
-  (* Value index: each indexed attribute's entries, already in key
-     order, bulk-loaded into its own tree. *)
+  (* Value index: each attribute's entries, already in key order,
+     bulk-loaded into its own tree. *)
   let index = Array.make attribute_slots empty_tree in
   List.iter
     (fun (tag, cat) ->
-      if List.mem tag indexed_tags then
-        index.(Opess.attr_id cat) <-
-          Btree.bulk_load ~min_degree:16
-            (attribute_entries cat doc ~tag ~target:(target_of db assignment)))
+      index.(Opess.attr_id cat) <-
+        Btree.bulk_load ~min_degree:16
+          (attribute_entries cat doc ~tag ~target:(target_of db assignment)))
     catalogs;
-  { assignment; dsi_table; block_table; index; catalogs; indexed_tags }
+  { assignment; dsi_table; block_table; index; catalogs; indexed_tags = leaf_tags }
 
 (* ------------------------------------------------------------------ *)
 (* Incremental patching                                                *)
@@ -404,7 +392,7 @@ let patch_structure ~keys t (plan : Update.plan) ~old_db ~new_db =
 
    Nothing in [t] is mutated, so [t] stays a valid index of the old
    document whether the patch succeeds or raises. *)
-let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
+let patch ~keys t (plan : Update.plan) ~old_db ~new_db =
   let old_doc = old_db.Encrypt.doc in
   let new_doc = new_db.Encrypt.doc in
   let assignment, dsi_table, block_table, rows_removed, rows_added =
@@ -465,18 +453,13 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
           List.sort (fun (a, _) (b, _) -> String.compare a b) ((tag, c) :: without))
       t.catalogs catalog_changes
   in
-  let indexed tag =
-    match policy with
-    | All_leaves -> true
-    | Encrypted_only -> List.mem tag new_db.Encrypt.encrypted_tags
-  in
   let indexed_tags =
     List.fold_left
       (fun tags (tag, _, new_cat) ->
         let without = List.filter (fun x -> not (String.equal x tag)) tags in
         match new_cat with
-        | Some _ when indexed tag -> List.sort String.compare (tag :: without)
-        | Some _ | None -> without)
+        | Some _ -> List.sort String.compare (tag :: without)
+        | None -> without)
       t.indexed_tags catalog_changes
   in
   let index = Array.copy t.index in
@@ -489,9 +472,9 @@ let patch ~keys ?(policy = All_leaves) t (plan : Update.plan) ~old_db ~new_db =
         let id = Opess.attr_id cat in
         let fresh =
           match new_cat with
-          | Some cat when indexed tag ->
+          | Some cat ->
             attribute_entries cat new_doc ~tag ~target:(target_of new_db assignment)
-          | Some _ | None -> []
+          | None -> []
         in
         let removed, added = changed_entries (Btree.to_list t.index.(id)) fresh in
         if removed + added > 0 then index.(id) <- Btree.bulk_load ~min_degree:16 fresh;

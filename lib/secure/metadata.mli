@@ -23,14 +23,6 @@ type target =
   | To_block of int             (** value occurs inside this block *)
   | To_plain of Dsi.Interval.t  (** value at this plaintext leaf *)
 
-type index_policy =
-  | All_leaves      (** index every leaf attribute (default) *)
-  | Encrypted_only
-      (** index only attributes occurring inside encryption blocks;
-          queries over plaintext-only attributes then prune nothing on
-          the server and are filtered client-side — smaller metadata
-          for a measurable query-cost trade (E8 ablation) *)
-
 type t = {
   assignment : Dsi.Assign.t;
   dsi_table : (string * Dsi.Interval.t list) list;
@@ -46,7 +38,7 @@ val token_key : Squery.token -> string
 (** Injective string encoding of tokens used as DSI-table keys. *)
 
 val build :
-  ?pool:Parallel.Pool.t -> keys:Crypto.Keys.t -> ?policy:index_policy -> Encrypt.db -> t
+  ?pool:Parallel.Pool.t -> keys:Crypto.Keys.t -> Encrypt.db -> t
 (** Build the server-side metadata.  When [pool] is given, the
     per-attribute OPESS catalog builds (each owning its own OPE
     instance) fan out across its domains; catalogs merge in sorted-tag
@@ -86,7 +78,6 @@ type change = {
 
 val patch :
   keys:Crypto.Keys.t ->
-  ?policy:index_policy ->
   t ->
   Update.plan ->
   old_db:Encrypt.db ->

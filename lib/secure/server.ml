@@ -34,7 +34,6 @@ type t = {
   rep_ids : int array;                     (* block id of each [reps] entry *)
   rep_of_id : (int, int) Hashtbl.t;        (* block id -> representative *)
   blocks_by_id : (int, Encrypt.block) Hashtbl.t;
-  block_count : int;
   index : Metadata.target Btree.t array;  (* value index, one tree per attribute *)
   trace : Obs.Trace.t;   (* disabled no-op tracer unless one is injected *)
 }
@@ -82,7 +81,6 @@ let assemble ~trace ~table ~universe ~block_table ~index ~blocks =
     rep_ids = Array.map snd reps;
     rep_of_id;
     blocks_by_id = by_id blocks;
-    block_count = List.length block_table;
     index;
     trace }
 
@@ -149,14 +147,6 @@ let seed t = function
   | Squery.Tokens [ token ] -> row t token
   | Squery.Tokens tokens -> Forest.of_unsorted (Array.concat (List.map (row t) tokens))
 
-(* Candidate count of a test without materialising the union — the
-   planner's selectivity input.  Multi-token sums may double-count
-   intervals shared between tokens; as an estimate that is fine. *)
-let test_count t = function
-  | Squery.Any -> Array.length t.any
-  | Squery.Tokens tokens ->
-    List.fold_left (fun acc token -> acc + Array.length (row t token)) 0 tokens
-
 (* The kernel axes, widened by the superset rules of grouped hulls: a
    table interval can hide an anchor and its follower, so sibling joins
    keep candidates equal to an origin, and following/preceding keep
@@ -218,18 +208,6 @@ let filter t cands targets =
   Forest.join ~self:true t.forest Forest.Descendant
     (Forest.of_unsorted (Array.of_list roots)) cands
 
-(* The server's forward pass, with the plan inputs of
-   {!module:Engine}: the pivot's hoisted self value-range predicates
-   run first and the tightened pivot back-propagates to earlier seeds;
-   each step then applies its predicates in the plan's order. *)
-type plan = {
-  pivot : int;
-  hoisted : int list;
-  order : int -> int -> int list;
-}
-
-let in_order = { pivot = 0; hoisted = []; order = (fun _ n -> List.init n Fun.id) }
-
 type step_report = {
   step_index : int;
   axis : Xpath.Ast.axis;
@@ -246,33 +224,30 @@ type pass = {
   mutable seen : int array list;
 }
 
-let rec descend t pass plan seeds origin i steps =
+(* The server's forward pass, in query order (§6.2): each step joins
+   its seed against the surviving origins, then applies its predicates
+   left to right. *)
+let rec descend t pass origin i steps =
   match steps with
   | [] -> []
   | step :: rest ->
-    let joined = forward t origin step.Squery.axis seeds.(i) in
-    let preds = Array.of_list step.Squery.predicates in
+    let raw = seed t step.Squery.test in
     let filtered =
-      List.fold_left
-        (fun cands j ->
-          if i = plan.pivot && List.mem j plan.hoisted then cands
-          else filter_by_predicate t pass cands preds.(j))
-        joined
-        (plan.order i (Array.length preds))
+      List.fold_left (filter_by_predicate t pass)
+        (forward t origin step.Squery.axis raw)
+        step.Squery.predicates
     in
     pass.touched <- pass.touched + Array.length filtered;
     pass.seen <- filtered :: pass.seen;
     let report =
       { step_index = i;
         axis = step.Squery.axis;
-        raw_candidates = Array.length seeds.(i);
+        raw_candidates = Array.length raw;
         surviving_candidates = Array.length filtered }
     in
-    (filtered, report) :: descend t pass plan seeds (Some filtered) (i + 1) rest
+    (filtered, report) :: descend t pass (Some filtered) (i + 1) rest
 
-and levels t pass origin steps =
-  let seeds = Array.of_list (List.map (fun s -> seed t s.Squery.test) steps) in
-  List.map fst (descend t pass in_order seeds origin 0 steps)
+and levels t pass origin steps = List.map fst (descend t pass origin 0 steps)
 
 (* Filter a candidate set by one predicate, with back-propagation
    through the predicate's chain. *)
@@ -318,38 +293,11 @@ and chain t pass cands q targets =
   done;
   !survivors
 
-let prune t plan query =
+let prune t query =
   let pass = { touched = 0; hits = 0; seen = [] } in
-  let steps = query.Squery.steps in
-  let seeds = Array.of_list (List.map (fun s -> seed t s.Squery.test) steps) in
-  let n = Array.length seeds in
-  let plan =
-    if plan.pivot > 0 && plan.pivot < n then begin
-      let preds = Array.of_list (List.nth steps plan.pivot).Squery.predicates in
-      let hoisted =
-        List.filter
-          (fun j ->
-            match if j >= 0 && j < Array.length preds then Some preds.(j) else None with
-            | Some (Squery.Value (q, Squery.Ranges ranges)) when q.Squery.steps = [] ->
-              let targets, hits = btree_targets t ranges in
-              pass.hits <- pass.hits + hits;
-              seeds.(plan.pivot) <- filter t seeds.(plan.pivot) targets;
-              true
-            | Some _ | None -> false)
-          plan.hoisted
-      in
-      let axes = Array.of_list (List.map (fun s -> s.Squery.axis) steps) in
-      for j = plan.pivot downto 1 do
-        seeds.(j - 1) <- backward t seeds.(j - 1) axes.(j) seeds.(j)
-      done;
-      { plan with hoisted }
-    end
-    else { plan with pivot = -1 }
-  in
-  let levels = descend t pass plan seeds None 0 steps in
-  pass, levels
+  pass, descend t pass None 0 query.Squery.steps
 
-let explain t query = List.map snd (snd (prune t in_order query))
+let explain t query = List.map snd (snd (prune t query))
 
 (* Blocks to ship: any block whose representative covers (contains or
    equals) a witness, plus blocks nested inside a distinguished
@@ -387,10 +335,6 @@ let respond t (pass, levels) =
     ~distinguished:(last_level levels) ~candidate_intervals:pass.touched
     ~btree_hits:pass.hits
 
-let answer_planned t plan query =
-  let pruned = prune t plan query in
-  respond t pruned, List.map snd (snd pruned)
-
 let record_answer t response =
   Obs.Metric.incr M.answers;
   Obs.Metric.add M.candidate_intervals response.candidate_intervals;
@@ -404,7 +348,7 @@ let record_answer t response =
 let answer t query =
   Log.debug (fun m -> m "answer: %s" (Squery.to_string query));
   Obs.span t.trace "server.answer" @@ fun () ->
-  let pruned = Obs.span t.trace "server.prune" (fun () -> prune t in_order query) in
+  let pruned = Obs.span t.trace "server.prune" (fun () -> prune t query) in
   let response = respond t pruned in
   record_answer t response;
   Log.debug (fun m ->
@@ -420,7 +364,7 @@ let answer t query =
    one block ships. *)
 let answer_extreme t query ~key_range ~direction =
   Obs.span t.trace "server.answer_extreme" @@ fun () ->
-  let pass, levels = prune t in_order query in
+  let pass, levels = prune t query in
   let distinguished = last_level levels in
   let lo, hi = key_range in
   let entries = Metadata.index_range t.index ~lo ~hi in
@@ -548,24 +492,3 @@ let answer_padded t query ~extra =
   Obs.Metric.add M.blocks_shipped (List.length pad);
   Obs.Metric.add M.bytes_shipped pad_bytes;
   { real with blocks; bytes = real.bytes + pad_bytes }
-
-(* ------------------------------------------------------------------ *)
-(* Server-visible metadata summary (the planner's statistics source)   *)
-
-type index_stats = {
-  btree_entries : int;
-  key_lo : int64 option;
-  key_hi : int64 option;
-  table_tokens : int;
-  universe_intervals : int;
-  block_count : int;
-}
-
-let index_stats t =
-  let trees = Array.to_list t.index in
-  { btree_entries = List.fold_left (fun acc tree -> acc + Btree.length tree) 0 trees;
-    key_lo = List.find_map Btree.min_key trees;
-    key_hi = List.find_map Btree.max_key (List.rev trees);
-    table_tokens = Hashtbl.length t.table;
-    universe_intervals = Dsi.Universe.size t.universe;
-    block_count = t.block_count }

@@ -90,26 +90,6 @@ val explain : t -> Squery.path -> step_report list
     and predicate filtering.  Evaluation work is the same as
     {!answer}'s pruning phase; no blocks are selected. *)
 
-type plan = {
-  pivot : int;
-      (** a step whose seed is tightened first and back-propagated to
-          the earlier steps' seeds; [0] evaluates left to right *)
-  hoisted : int list;
-      (** the pivot's predicates applied before back-propagation (self
-          value-range predicates only; others stay in place) *)
-  order : int -> int -> int list;
-      (** [order step count]: the order a step's predicates apply in *)
-}
-(** The inputs an evaluation plan ({!module:Engine}) gives the forward
-    pass.  A plan changes only the order work happens in: the pivot's
-    back-propagation removes only candidates with no successor, so the
-    shipped blocks stay a superset of what the client needs. *)
-
-val answer_planned : t -> plan -> Squery.path -> response * step_report list
-(** {!answer} under a plan, with each main-chain step's seed size
-    (after any tightening) and survivor count.  No [server.answer]
-    span and no answer counters: the caller accounts for the round. *)
-
 val all_blocks : t -> Encrypt.block list
 (** Everything — the naive method's response. *)
 
@@ -130,11 +110,6 @@ val answer_padded : t -> Squery.path -> extra:int list -> response
 
 val stored_bytes : t -> int
 (** Ciphertext bytes held by the server (headers included). *)
-
-val test_count : t -> Squery.test -> int
-(** Candidate count of a test without materialising the token merge —
-    the planner's selectivity input.  Multi-token sums may
-    double-count; exact for the common single-token case. *)
 
 (** {1 List adaptors}
 
@@ -176,7 +151,7 @@ val join_backward :
   t -> Dsi.Interval.t list -> Xpath.Ast.axis -> Dsi.Interval.t list ->
   Dsi.Interval.t list
 (** Tighten an origin set to the members with a surviving successor —
-    the sound direction for pre-applying a selective later step. *)
+    the back-propagation through a predicate chain. *)
 
 val btree_targets :
   t -> (int64 * int64) list -> Metadata.target list * int
@@ -197,16 +172,3 @@ val select_blocks :
 (** Step 3 of {!answer}: map surviving intervals to the blocks that
     must ship (representative covers a witness, or representative lies
     inside a distinguished interval). *)
-
-type index_stats = {
-  btree_entries : int;          (** value-index size *)
-  key_lo : int64 option;        (** smallest OPESS key present *)
-  key_hi : int64 option;        (** largest OPESS key present *)
-  table_tokens : int;           (** distinct DSI-table entries *)
-  universe_intervals : int;     (** total intervals across all entries *)
-  block_count : int;
-}
-
-val index_stats : t -> index_stats
-(** Summary of the server-visible metadata; everything a cost model may
-    read is derived from what the server already stores. *)

@@ -49,7 +49,6 @@ type t = {
   scheme : Scheme.t;
   db : Encrypt.db;
   metadata : Metadata.t;
-  value_index : Metadata.index_policy;
   client : Client.t;
   server : Server.t;
   link : link;
@@ -148,10 +147,10 @@ let make_link ?session_config ?faults keys server =
 
 (* A fresh hosting of [db] and [metadata]: its client, server and link,
    a new generation and no observers yet. *)
-let host ~keys ~master ~cipher ~value_index ~pool ~trace ~ledger ~doc ~constraints
-    ~scheme ~db metadata =
+let host ~keys ~master ~cipher ~pool ~trace ~ledger ~doc ~constraints ~scheme ~db
+    metadata =
   let server = Server.of_metadata ~trace metadata (Encrypt.server_blocks db) in
-  { doc; master; cipher; constraints; scheme; db; metadata; value_index;
+  { doc; master; cipher; constraints; scheme; db; metadata;
     client = Client.create ~keys metadata db;
     server;
     link = make_link keys server;
@@ -161,8 +160,8 @@ let host ~keys ~master ~cipher ~value_index ~pool ~trace ~ledger ~doc ~constrain
     generation = next_generation ();
     observers = ref [] }
 
-let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
-    ?(value_index = Metadata.All_leaves) ?pool doc scs kind =
+let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea) ?pool
+    doc scs kind =
   let keys = Crypto.Keys.create ~suite:cipher ~master () in
   let trace = Obs.Trace.create () in
   let ledger = Obs.Ledger.create () in
@@ -172,7 +171,7 @@ let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
    | Error msg -> invalid_arg ("System.setup: scheme does not enforce SCs: " ^ msg));
   let db, encrypt_ms = timed (fun () -> Encrypt.encrypt ?pool ~keys doc scheme) in
   let metadata, metadata_ms =
-    timed (fun () -> Metadata.build ?pool ~keys ~policy:value_index db)
+    timed (fun () -> Metadata.build ?pool ~keys db)
   in
   Log.info (fun m ->
       m "setup: scheme %s, %d blocks (%.0f ms), metadata %d B (%.0f ms), cipher %s"
@@ -183,8 +182,8 @@ let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
         metadata_ms
         (Crypto.Cipher.suite_to_string cipher));
   let system =
-    host ~keys ~master ~cipher ~value_index ~pool ~trace ~ledger ~doc
-      ~constraints:scs ~scheme ~db metadata
+    host ~keys ~master ~cipher ~pool ~trace ~ledger ~doc ~constraints:scs ~scheme ~db
+      metadata
   in
   let cost =
     { scheme_build_ms;
@@ -200,14 +199,13 @@ let setup ?(master = "secure-xml-master-key") ?(cipher = Crypto.Cipher.Xtea)
 (* Rebuild the live client/server pair from persisted parts (used by
    Persist.load); no scheme construction, encryption or metadata work
    happens here. *)
-let restore ~master ?(cipher = Crypto.Cipher.Xtea)
-    ?(value_index = Metadata.All_leaves) ?pool ~doc ~constraints ~scheme ~db
-    ~metadata () =
+let restore ~master ?(cipher = Crypto.Cipher.Xtea) ?pool ~doc ~constraints ~scheme
+    ~db ~metadata () =
   let keys = Crypto.Keys.create ~suite:cipher ~master () in
   (* A restored ring never ran [Encrypt.encrypt]: warm its derived-key
      memo before any pooled decryption can read it concurrently. *)
   Encrypt.prewarm_block_keys ~keys;
-  host ~keys ~master ~cipher ~value_index ~pool ~trace:(Obs.Trace.create ())
+  host ~keys ~master ~cipher ~pool ~trace:(Obs.Trace.create ())
     ~ledger:(Obs.Ledger.create ()) ~doc ~constraints ~scheme ~db metadata
 
 (* Rewire the same hosted system behind a chaotic link.  The server
@@ -757,8 +755,7 @@ let apply_plan t (plan : Update.plan) ~plan_ms =
     let (metadata', change), patch_ms =
       span "delta.patch" (fun () ->
           timed (fun () ->
-              Metadata.patch ~keys ~policy:t.value_index t.metadata plan ~old_db:t.db
-                ~new_db:db'))
+              Metadata.patch ~keys t.metadata plan ~old_db:t.db ~new_db:db'))
     in
     let server' =
       span "delta.server" (fun () ->

@@ -68,7 +68,6 @@ type setup_cost = {
 val setup :
   ?master:string ->
   ?cipher:Crypto.Cipher.suite ->
-  ?value_index:Metadata.index_policy ->
   ?pool:Parallel.Pool.t ->
   Xmlcore.Doc.t -> Sc.t list -> Scheme.kind -> t * setup_cost
 (** When [pool] is given, block encryption and OPESS catalog building
@@ -81,8 +80,7 @@ val setup :
     (should not happen for the four built-in kinds). *)
 
 val restore :
-  master:string -> ?cipher:Crypto.Cipher.suite ->
-  ?value_index:Metadata.index_policy -> ?pool:Parallel.Pool.t ->
+  master:string -> ?cipher:Crypto.Cipher.suite -> ?pool:Parallel.Pool.t ->
   doc:Xmlcore.Doc.t ->
   constraints:Sc.t list -> scheme:Scheme.t -> db:Encrypt.db ->
   metadata:Metadata.t -> unit -> t

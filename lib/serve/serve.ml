@@ -214,7 +214,7 @@ let submit t ~tenant q =
    transport fields; synthesize a System.cost with a clean link. *)
 let cost_of_report (r : Engine.report) : Secure.System.cost =
   {
-    translate_ms = r.translate_ms +. r.plan_ms;
+    translate_ms = r.translate_ms;
     server_ms = r.server_ms;
     transmit_bytes = r.transmit_bytes;
     transmit_ms = float_of_int r.transmit_bytes /. Secure.System.link_bytes_per_ms;

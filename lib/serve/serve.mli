@@ -56,7 +56,7 @@ type route =
   [ `Wire     (** {!Secure.System.try_evaluate} through the session
                   link — retries, faults and [Gave_up]s feed the
                   breaker *)
-  | `Engine   (** {!Engine.evaluate_report} — planned and cached,
+  | `Engine   (** {!Engine.evaluate_report} — memoised and cached,
                   bypasses the wire, never trips the breaker *) ]
 
 type reject =

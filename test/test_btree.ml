@@ -54,14 +54,6 @@ let duplicates () =
     [ 1; 2; 3; 4; 5 ] (List.map snd (Btree.range t ~lo:7L ~hi:7L));
   Alcotest.(check (list int)) "absent key" [] (List.map snd (Btree.range t ~lo:8L ~hi:8L))
 
-let min_max () =
-  let empty = Btree.bulk_load [] in
-  Alcotest.(check (option int64)) "empty min" None (Btree.min_key empty);
-  Alcotest.(check (option int64)) "empty max" None (Btree.max_key empty);
-  let t = Btree.bulk_load (List.map (fun k -> Int64.of_int k, k) [ 42; 7; 99; 0; 13 ]) in
-  Alcotest.(check (option int64)) "min" (Some 0L) (Btree.min_key t);
-  Alcotest.(check (option int64)) "max" (Some 99L) (Btree.max_key t)
-
 let growth () =
   (* Height grows logarithmically; all leaves at one depth is part of
      validate, so just sanity-check the trend. *)
@@ -170,7 +162,6 @@ let () =
   Alcotest.run "btree"
     [ ( "unit",
         [ Alcotest.test_case "duplicates" `Quick duplicates;
-          Alcotest.test_case "min/max" `Quick min_max;
           Alcotest.test_case "growth" `Quick growth;
           Alcotest.test_case "sorted insert orders" `Quick ascending_descending;
           Alcotest.test_case "empty ranges" `Quick empty_range;

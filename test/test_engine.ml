@@ -1,10 +1,10 @@
-(* Engine tests: LRU mechanics, planner shape, answer equality across
-   schemes and cache configurations (including immediately after an
-   update), eviction behaviour at tiny capacities, the engine following
-   its hosting through every kind of succession, the server-side
-   sortedness invariant behind the lookup fast path, and cache-key
-   hygiene (the key is exactly the wire request; plaintext never
-   reaches it). *)
+(* Engine tests: LRU mechanics, answer equality across schemes and
+   cache configurations (including immediately after an update),
+   ledger rounds equal to the protocol's with the caches off, eviction
+   behaviour at tiny capacities, the engine following its hosting
+   through every kind of succession, the server-side sortedness
+   invariant behind the lookup fast path, and cache-key hygiene (the
+   key is exactly the wire request; plaintext never reaches it). *)
 
 module System = Secure.System
 module Scheme = Secure.Scheme
@@ -76,53 +76,16 @@ let lru_clear_keeps_counters () =
   Alcotest.(check int) "hits survive clear" 1 (Engine.Lru.hits c);
   Alcotest.(check bool) "misses survive clear" true (Engine.Lru.misses c >= 2)
 
-(* --- Planner -------------------------------------------------------- *)
-
 let squery_of kind q =
   Secure.Client.translate (System.client (system kind)) (parse q)
 
-let planner_identity_when_disabled () =
-  let sys = system Scheme.Opt in
-  let est = Engine.Estimate.of_server (System.server sys) in
-  let squery = squery_of Scheme.Opt "//patient[age>=60]/pname" in
-  let plan = Engine.Planner.compile ~reorder:false est squery in
-  Alcotest.(check int) "step count preserved"
-    (List.length squery.Secure.Squery.steps)
-    (List.length plan.Engine.Plan.steps);
-  Alcotest.(check bool) "not reordered" false plan.Engine.Plan.reordered;
-  Alcotest.(check int) "no pivot span" 0 (Engine.Plan.reorder_span plan)
-
-let planner_plans_every_workload_query () =
-  let sys = system Scheme.Opt in
-  let est = Engine.Estimate.of_server (System.server sys) in
-  List.iter
-    (fun q ->
-      let squery = Secure.Client.translate (System.client sys) q in
-      let plan = Engine.Planner.compile est squery in
-      Alcotest.(check int) "plan covers all steps"
-        (List.length squery.Secure.Squery.steps)
-        (List.length plan.Engine.Plan.steps);
-      (* A pivot, when chosen, is a valid step index. *)
-      Alcotest.(check bool) "pivot in range" true
-        (plan.Engine.Plan.pivot >= 0
-        && plan.Engine.Plan.pivot < max 1 (List.length plan.Engine.Plan.steps)))
-    (workload ())
-
-let application_order_sanitised () =
-  Alcotest.(check (list int)) "dedup, drop out-of-range, append missing"
-    [ 2; 0; 1 ]
-    (Engine.Exec.application_order [ 2; 0; 0; 5 ] 3);
-  Alcotest.(check (list int)) "empty order is identity" [ 0; 1 ]
-    (Engine.Exec.application_order [] 2)
-
 (* --- Answer equality ------------------------------------------------ *)
 
-let off_config =
-  { Engine.default_config with Engine.planner = false; Engine.caches = false }
+let off_config = { Engine.result_capacity = 0; block_capacity = 0 }
 
 let equality_across_schemes () =
-  (* Cold, warm and fully-disabled engine runs must all agree with the
-     unplanned, uncached System.evaluate, for every scheme. *)
+  (* Cold, warm and capacity-0 engine runs must all agree with the
+     uncached System.evaluate, for every scheme. *)
   let queries = workload () in
   List.iter
     (fun kind ->
@@ -139,9 +102,43 @@ let equality_across_schemes () =
             (Engine.evaluate eng q = reference);
           Alcotest.(check bool) (label "warm") true
             (Engine.evaluate eng q = reference);
-          Alcotest.(check bool) (label "caches+planner off") true
+          Alcotest.(check bool) (label "caches off") true
             (Engine.evaluate off q = reference))
         queries)
+    Scheme.all_kinds
+
+(* With both capacities 0 the engine keeps nothing, so each of its
+   reads is the protocol's round: its ledger row must carry exactly the
+   wire facts of System.evaluate's row for the same query. *)
+let rounds_are_protocol_rounds () =
+  let queries = workload () in
+  let wire (r : Obs.Ledger.round) =
+    Printf.sprintf "up=%d down=%d intervals=%d btree=%d blocks=[%s]" r.Obs.Ledger.bytes_up
+      r.Obs.Ledger.bytes_down r.Obs.Ledger.intervals_touched r.Obs.Ledger.btree_hits
+      (String.concat ";" (List.map string_of_int r.Obs.Ledger.block_ids))
+  in
+  List.iter
+    (fun kind ->
+      let sys, _ = System.setup ~master:"test-engine-rounds" doc scs kind in
+      let ledger = System.ledger sys in
+      Obs.Ledger.set_enabled ledger true;
+      let off = Engine.create ~config:off_config sys in
+      List.iter
+        (fun q ->
+          ignore (System.evaluate sys q);
+          ignore (Engine.evaluate off q))
+        queries;
+      let rows label =
+        List.filter_map
+          (fun r -> if r.Obs.Ledger.label = label then Some (wire r) else None)
+          (Obs.Ledger.rounds ledger)
+      in
+      Alcotest.(check int)
+        (Scheme.kind_to_string kind ^ ": one engine round per query")
+        (List.length queries) (List.length (rows "engine"));
+      Alcotest.(check (list string))
+        (Scheme.kind_to_string kind ^ ": engine rounds = protocol rounds")
+        (rows "evaluate") (rows "engine"))
     Scheme.all_kinds
 
 let update_invalidates () =
@@ -164,11 +161,11 @@ let update_invalidates () =
     ((Engine.stats eng).Engine.Stats.invalidations >= 1)
 
 (* The incremental-update contract: a delta applied to the engine's
-   hosting flushes the result memo but keeps compiled plans and every
-   untouched block's decrypted-subtree entry — only the touched blocks'
-   (id, generation) keys are evicted, and no counters reset.  This is
-   the cache-survival pin: before this path existed, ANY update flushed
-   all three caches wholesale. *)
+   hosting flushes the result memo but keeps every untouched block's
+   decrypted-subtree entry — only the touched blocks' (id, generation)
+   keys are evicted, and no counters reset.  This is the cache-survival
+   pin: before this path existed, ANY update flushed every cache
+   wholesale. *)
 let delta_preserves_untouched_block_cache () =
   let sys, _ = System.setup ~master:"test-engine-delta" doc scs Scheme.Opt in
   let eng = Engine.create sys in
@@ -180,7 +177,7 @@ let delta_preserves_untouched_block_cache () =
   let a = List.nth pnames 0 and b = List.nth pnames 1 in
   let q_warm = parse (Printf.sprintf "//patient[pname='%s']//policy#" a) in
   let q_touched = parse (Printf.sprintf "//patient[pname='%s']//policy#" b) in
-  (* Warm both queries' blocks (and plans, and result memos). *)
+  (* Warm both queries' blocks (and result memos). *)
   ignore (Engine.evaluate eng q_warm);
   ignore (Engine.evaluate eng q_touched);
   let _, warm = Engine.evaluate_report eng q_warm in
@@ -195,14 +192,11 @@ let delta_preserves_untouched_block_cache () =
   in
   Alcotest.(check bool) "edit stayed incremental" false cost.System.fell_back;
   Alcotest.(check bool) "edit touched a block" true (cost.System.blocks_touched >= 1);
-  (* Untouched region: every block entry survived (zero misses), the
-     compiled plan survived, and the counters kept climbing — only the
-     result memo was flushed. *)
+  (* Untouched region: every block entry survived (zero misses) and the
+     counters kept climbing — only the result memo was flushed. *)
   let answers, post = Engine.evaluate_report eng q_warm in
   Alcotest.(check bool) "untouched blocks still cached" true
     (post.Engine.block_misses = 0 && post.Engine.block_hits > 0);
-  Alcotest.(check bool) "plan survived the delta" true
-    (post.Engine.plan_outcome = Engine.Hit);
   Alcotest.(check bool) "result memo flushed" true
     (post.Engine.result_outcome = Engine.Miss);
   Alcotest.(check bool) "block-hit counter not reset" true
@@ -283,17 +277,11 @@ let follows_journal_update =
           Secure.Persist.journal_system j ))
 
 let tiny_capacity_eviction () =
-  (* Capacities of 1/1/2 force constant eviction; answers must not
+  (* Capacities of 1/2 force constant eviction; answers must not
      change, only hit rates. *)
   let sys = system Scheme.Opt in
   let eng =
-    Engine.create
-      ~config:
-        { Engine.default_config with
-          Engine.plan_capacity = 1;
-          Engine.result_capacity = 1;
-          Engine.block_capacity = 2 }
-      sys
+    Engine.create ~config:{ Engine.result_capacity = 1; block_capacity = 2 } sys
   in
   let queries = workload () in
   List.iter
@@ -369,16 +357,11 @@ let () =
           Alcotest.test_case "zero capacity" `Quick lru_zero_capacity;
           Alcotest.test_case "clear keeps counters" `Quick
             lru_clear_keeps_counters ] );
-      ( "planner",
-        [ Alcotest.test_case "identity when disabled" `Quick
-            planner_identity_when_disabled;
-          Alcotest.test_case "plans every workload query" `Quick
-            planner_plans_every_workload_query;
-          Alcotest.test_case "application order sanitised" `Quick
-            application_order_sanitised ] );
       ( "equality",
         [ Alcotest.test_case "all schemes, warm/cold/off" `Slow
             equality_across_schemes;
+          Alcotest.test_case "engine rounds are protocol rounds" `Quick
+            rounds_are_protocol_rounds;
           Alcotest.test_case "update invalidates" `Quick update_invalidates;
           Alcotest.test_case "delta keeps untouched blocks warm" `Quick
             delta_preserves_untouched_block_cache;

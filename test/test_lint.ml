@@ -152,7 +152,7 @@ let layering_engine_cannot_reach_xmlcore () =
   check_rules "fresh engine file: layering only" [ "layering" ]
     "lib/engine/evil.ml" "let leak d = Xmlcore.Doc.tag d 0";
   check_rules "listed engine module: both rules" [ "layering"; "trust-boundary" ]
-    "lib/engine/exec.ml" "let leak d = Xmlcore.Doc.tag d 0"
+    "lib/engine/engine.ml" "let leak d = Xmlcore.Doc.tag d 0"
 
 let layering_engine_declared_deps_ok () =
   check_rules "engine may use xpath/dsi/secure" [] "lib/engine/fine.ml"
@@ -226,7 +226,7 @@ let boundary_rejects_keys_in_engine () =
      deps, so layering fires alongside. *)
   check_rules "engine may not touch the key ring"
     [ "layering"; "trust-boundary" ]
-    "lib/engine/exec.ml" "let k keys = Crypto.Keys.block_key keys 0"
+    "lib/engine/engine.ml" "let k keys = Crypto.Keys.block_key keys 0"
 
 let boundary_rejects_plaintext_in_obs () =
   (* A metric or ledger row that could name the plaintext-document

@@ -235,22 +235,6 @@ let batch_matches_one_by_one () =
             cost.System.degraded)
         batch)
 
-let engine_batch_matches_engine () =
-  let doc = Workload.Health.doc () in
-  let scs = Workload.Health.constraints () in
-  with_pool (fun pool ->
-      let par, _ = System.setup ~pool doc scs Scheme.Opt in
-      let engine = Engine.create par in
-      let qs = Array.of_list (queries ()) in
-      let batch = Engine.evaluate_batch engine qs in
-      Array.iteri
-        (fun i (answers, _) ->
-          let expected = Engine.evaluate engine qs.(i) in
-          Alcotest.(check (list string))
-            ("engine batch " ^ List.nth query_strings i)
-            (serialize expected) (serialize answers))
-        batch)
-
 let determinism_survives_update_and_rotate () =
   let doc = Workload.Health.doc () in
   let scs = Workload.Health.constraints () in
@@ -295,6 +279,5 @@ let () =
         [ Alcotest.test_case "hosting across schemes" `Quick
             hosting_is_deterministic_across_schemes;
           Alcotest.test_case "batch = one-by-one" `Quick batch_matches_one_by_one;
-          Alcotest.test_case "engine batch" `Quick engine_batch_matches_engine;
           Alcotest.test_case "after update and rotate" `Quick
             determinism_survives_update_and_rotate ] ) ]

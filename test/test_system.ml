@@ -348,38 +348,6 @@ let cost_fields_populated () =
         -. (float_of_int cost.System.transmit_bytes /. System.link_bytes_per_ms))
      < 1e-9)
 
-let encrypted_only_index_policy () =
-  let doc = Workload.Health.generate ~patients:50 () in
-  let scs = Workload.Health.constraints () in
-  let full, _ = System.setup doc scs Scheme.Opt in
-  let lean, _ =
-    System.setup ~value_index:Secure.Metadata.Encrypted_only doc scs Scheme.Opt
-  in
-  (* The lean index is genuinely smaller. *)
-  Alcotest.(check bool) "fewer index entries" true
-    ((Secure.Metadata.index_summary (System.metadata lean)).Secure.Metadata.entries
-     < (Secure.Metadata.index_summary (System.metadata full)).Secure.Metadata.entries);
-  (* Correctness is unchanged, including value predicates on attributes
-     that are no longer indexed (age, @coverage are plaintext under
-     opt): the server keeps every candidate, the client filters. *)
-  List.iter
-    (fun q ->
-      let query = Xpath.Parser.parse q in
-      Helpers.check_trees_equal ("lean " ^ q)
-        (System.reference lean query)
-        (fst (System.evaluate lean query)))
-    [ "//patient[age>=60]/pname"; "//patient[.//disease='flu']/SSN";
-      "//insurance[@coverage>=500000]";
-      "//patient[age>=60][.//disease='flu']/pname" ];
-  (* Unindexed attributes fall back to the ordinary protocol for
-     aggregates and still agree. *)
-  List.iter
-    (fun dir ->
-      Alcotest.(check (option string)) "aggregate fallback"
-        (System.reference_aggregate lean dir (Xpath.Parser.parse "//age"))
-        (fst (System.aggregate lean dir (Xpath.Parser.parse "//age"))))
-    [ `Min; `Max ]
-
 let key_rotation () =
   let doc = Workload.Health.doc () in
   let scs = Workload.Health.constraints () in
@@ -559,7 +527,6 @@ let () =
           Alcotest.test_case "xmark value queries" `Slow value_queries_on_numeric_domains;
           Alcotest.test_case "union queries" `Quick union_queries;
           Alcotest.test_case "aes cipher suite" `Quick aes_hosted_system;
-          Alcotest.test_case "encrypted-only value index" `Quick encrypted_only_index_policy;
           Alcotest.test_case "key rotation" `Quick key_rotation;
           Alcotest.test_case "empty answers" `Quick empty_answers;
           Alcotest.test_case "answers in document order" `Quick answers_in_document_order;
