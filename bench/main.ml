@@ -1791,6 +1791,20 @@ let micro () =
   let xmark_1500_blocks =
     (Secure.Encrypt.encrypt ~keys:block_keys xmark_1500 xmark_1500_scheme).Secure.Encrypt.blocks
   in
+  (* One wide read's client side: the 3,000 blocks /site/people/person
+     ships from the wide workload's hosting, decrypted and
+     post-processed. *)
+  let wide_sys, _ =
+    Secure.System.setup ~master:"bench" xmark_1500 (Workload.Xmark.constraints ())
+      Secure.Scheme.Opt
+  in
+  let wide_client = Secure.System.client wide_sys in
+  let wide_query = Xpath.Parser.parse "/site/people/person" in
+  let wide_blocks =
+    (Secure.Server.answer (Secure.System.server wide_sys)
+       (Secure.Client.translate wide_client wide_query))
+      .Secure.Server.blocks
+  in
   (* The sel workload's hosting (NASA, 500 datasets): one child step
      over its DSI universe, and one selective read's post-processing. *)
   let nasa_500 = Workload.Nasa.generate ~datasets:500 () in
@@ -1899,6 +1913,14 @@ let micro () =
         Test.make ~name:"postprocess-nasa-500"
           (Staged.stage (fun () ->
                Secure.Client.evaluate_with nasa_client ~decrypted:nasa_decrypted nasa_query));
+        Test.make ~name:"wide-read-client-xmark-1500"
+          (Staged.stage (fun () ->
+               let decrypted =
+                 List.map
+                   (fun b -> b.Secure.Encrypt.id, Secure.Client.decrypt_block wide_client b)
+                   wide_blocks
+               in
+               Secure.Client.evaluate_with wide_client ~decrypted wide_query));
         Test.make ~name:"opess-build-300-values"
           (Staged.stage (fun () ->
                Secure.Opess.build ~key:"b" ~attr_id:0 ~tag:"v" big_hist));

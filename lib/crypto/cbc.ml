@@ -31,19 +31,22 @@ let encrypt_prepared p ~nonce plaintext =
   done;
   Bytes.unsafe_to_string buf
 
+let iv_key p = p.iv_mac
+
 (* The last block is decrypted first, into a scratch block, so that the
    padding is known before the output is allocated at its exact
    length; every other block is copied once, from the ciphertext
    straight into its place in the output. *)
-let decrypt_prepared p ~nonce ?len ciphertext =
+let decrypt_iv p ~iv ~iv_off ?len ciphertext =
   let len = Option.value len ~default:(String.length ciphertext) in
   if len > String.length ciphertext then invalid_arg "Cbc.decrypt: length out of bounds";
   if len <= 0 || len mod block_bytes <> 0 then
     invalid_arg "Cbc.decrypt: ciphertext length must be a positive multiple of 8";
+  if iv_off < 0 || iv_off > Bytes.length iv - block_bytes then
+    invalid_arg "Cbc.decrypt: IV out of bounds";
   let src = Bytes.unsafe_of_string ciphertext in
-  let iv = iv_of_prepared p ~nonce in
   let unchain dst o at =
-    if at = 0 then xor8 dst o iv 0 else xor8 dst o src (at - block_bytes)
+    if at = 0 then xor8 dst o iv iv_off else xor8 dst o src (at - block_bytes)
   in
   let last = len - block_bytes in
   let tail = Bytes.create block_bytes in
@@ -64,6 +67,9 @@ let decrypt_prepared p ~nonce ?len ciphertext =
   done;
   Bytes.blit tail 0 out last (block_bytes - pad_len);
   Bytes.unsafe_to_string out
+
+let decrypt_prepared p ~nonce ?len ciphertext =
+  decrypt_iv p ~iv:(iv_of_prepared p ~nonce) ~iv_off:0 ?len ciphertext
 
 let encrypt ~key ~nonce plaintext = encrypt_prepared (prepare key) ~nonce plaintext
 

@@ -19,6 +19,16 @@ val decrypt_prepared : prepared -> nonce:string -> ?len:int -> string -> string
 (** Decrypts the first [len] bytes of the ciphertext (default: all of
     it) where they lie; only the plaintext is allocated. *)
 
+val iv_key : prepared -> Hmac.prepared
+(** The key the IVs are derived under: a nonce's IV is the first 8
+    bytes of its HMAC tag over ["cbc-iv\x00" ^ nonce]. *)
+
+val decrypt_iv : prepared -> iv:Bytes.t -> iv_off:int -> ?len:int -> string -> string
+(** {!decrypt_prepared} with the IV given, as the 8 bytes of [iv] from
+    [iv_off], instead of derived from a nonce.
+    @raise Invalid_argument as {!decrypt}, or if [iv] has no 8 bytes at
+    [iv_off]. *)
+
 val encrypt : key:string -> nonce:string -> string -> string
 (** [encrypt ~key ~nonce plaintext] returns the ciphertext (the IV is
     derivable, so it is not stored).  Output length is the input length

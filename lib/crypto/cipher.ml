@@ -64,12 +64,14 @@ let aes_encrypt ~key ~iv_mac ~nonce plaintext =
   done;
   Bytes.unsafe_to_string buf
 
-let aes_decrypt ~key ~iv_mac ~nonce ~len ciphertext =
+let aes_decrypt ~key ~iv ~iv_off ~len ciphertext =
   if len > String.length ciphertext then invalid_arg "Cipher.decrypt: length out of bounds";
   if len <= 0 || len mod aes_block <> 0 then
     invalid_arg "Cipher.decrypt: ciphertext length must be a positive multiple of 16";
+  if iv_off < 0 || iv_off > Bytes.length iv - aes_block then
+    invalid_arg "Cipher.decrypt: IV out of bounds";
   let buf = Bytes.sub (Bytes.unsafe_of_string ciphertext) 0 len in
-  let prev = Bytes.of_string (String.sub (aes_iv iv_mac ~nonce) 0 aes_block) in
+  let prev = Bytes.sub iv iv_off aes_block in
   let scratch = Bytes.create aes_block in
   for b = 0 to (len / aes_block) - 1 do
     let off = b * aes_block in
@@ -87,11 +89,24 @@ let encrypt prepared ~nonce plaintext =
   | P_xtea p -> Cbc.encrypt_prepared p ~nonce plaintext
   | P_aes { key; iv_mac } -> aes_encrypt ~key ~iv_mac ~nonce plaintext
 
-let decrypt prepared ~nonce ?len ciphertext =
+let iv_bytes = aes_block
+
+let iv_key = function
+  | P_xtea p -> Cbc.iv_key p
+  | P_aes { iv_mac; _ } -> iv_mac
+
+let decrypt_iv prepared ~iv ~iv_off ?len ciphertext =
   let len = Option.value len ~default:(String.length ciphertext) in
   match prepared with
-  | P_xtea p -> Cbc.decrypt_prepared p ~nonce ~len ciphertext
-  | P_aes { key; iv_mac } -> aes_decrypt ~key ~iv_mac ~nonce ~len ciphertext
+  | P_xtea p -> Cbc.decrypt_iv p ~iv ~iv_off ~len ciphertext
+  | P_aes { key; _ } -> aes_decrypt ~key ~iv ~iv_off ~len ciphertext
+
+let decrypt prepared ~nonce ?len ciphertext =
+  match prepared with
+  | P_xtea p -> Cbc.decrypt_prepared p ~nonce ?len ciphertext
+  | P_aes { iv_mac; _ } ->
+    decrypt_iv prepared ~iv:(Bytes.unsafe_of_string (aes_iv iv_mac ~nonce)) ~iv_off:0 ?len
+      ciphertext
 
 let ciphertext_length suite n =
   match suite with

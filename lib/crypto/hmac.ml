@@ -70,20 +70,50 @@ let absorb_int p n =
   do () done;
   Sha256.update_sub p.ctx (Bytes.unsafe_to_string p.digits) !pos (20 - !pos)
 
-let eval p prefix i j suffix =
+(* An evaluation opened up: [start] resets the context to the key's
+   inner state, the [add]s hash the label's parts where they lie, and
+   [finish] runs the outer pass over the inner digest, all in the
+   evaluator's own scratch. *)
+let start p = Sha256.reset p.ctx ~from:p.key.inner
+let add p s = Sha256.update p.ctx s
+let add_sub p s off len = Sha256.update_sub p.ctx s off len
+
+let add_int p n =
+  if n < 0 then invalid_arg "Hmac.add_int: negative";
+  absorb_int p n
+
+let finish p =
   let ctx = p.ctx in
-  Sha256.reset ctx ~from:p.key.inner;
-  Sha256.update ctx prefix;
-  if i >= 0 then absorb_int p i;
-  if j >= 0 then begin
-    Sha256.update ctx "\x00";
-    absorb_int p j
-  end;
-  Sha256.update ctx suffix;
   Sha256.finalize_into ctx p.out 0;
   Sha256.reset ctx ~from:p.key.outer;
   Sha256.update_sub ctx (Bytes.unsafe_to_string p.out) 0 32;
   Sha256.finalize_into ctx p.out 0
+
+let eval p prefix i j suffix =
+  start p;
+  add p prefix;
+  if i >= 0 then absorb_int p i;
+  if j >= 0 then begin
+    add p "\x00";
+    absorb_int p j
+  end;
+  add p suffix;
+  finish p
+
+let blit p dst off len =
+  if len < 0 || len > 32 then invalid_arg "Hmac.blit: length";
+  Bytes.blit p.out 0 dst off len
+
+(* Every byte is folded into one accumulator: no early exit. *)
+let matches p s off len =
+  if len < 0 || len > 32 || off < 0 || off > String.length s - len then
+    invalid_arg "Hmac.matches: range";
+  let acc = ref 0 in
+  for i = 0 to len - 1 do
+    acc :=
+      !acc lor (Char.code (Bytes.unsafe_get p.out i) lxor Char.code (String.unsafe_get s (off + i)))
+  done;
+  !acc = 0
 
 let bits p k =
   if k < 1 || k > 62 then invalid_arg "Hmac.bits: k must be in [1, 62]";

@@ -45,6 +45,46 @@ val eval : prf -> string -> int -> int -> string -> unit
     it.  The output stays in [p] until the next evaluation; read it
     with {!bits} or {!below}. *)
 
+(** {3 The kernel opened up}
+
+    For labels of another shape, an evaluation is [start], then the
+    label's parts in order, then [finish]: [eval p prefix i j suffix]
+    is [start p; add p prefix; add_int p i; add p "\x00"; add_int p j;
+    add p suffix; finish p] (the [add_int]s as {!eval} guards them).
+    None of them allocates. *)
+
+val start : prf -> unit
+(** Begin an evaluation, discarding any label absorbed so far. *)
+
+val add : prf -> string -> unit
+(** Absorb a label part. *)
+
+val add_sub : prf -> string -> int -> int -> unit
+(** [add_sub p s off len] absorbs [len] bytes of [s] from [off], in
+    place.
+    @raise Invalid_argument if the range is not within [s]. *)
+
+val add_int : prf -> int -> unit
+(** Absorb the decimal digits of an int, as [string_of_int] renders it.
+    @raise Invalid_argument if it is negative. *)
+
+val finish : prf -> unit
+(** End the evaluation: the output is the HMAC of the label absorbed
+    since {!start}, and stays in [p] until the next one. *)
+
+val blit : prf -> Bytes.t -> int -> int -> unit
+(** [blit p dst off len] copies the first [len] bytes of the last
+    output into [dst] at [off].
+    @raise Invalid_argument unless [0 <= len <= 32] and the range is
+    within [dst]. *)
+
+val matches : prf -> string -> int -> int -> bool
+(** [matches p s off len] is whether the first [len] bytes of the last
+    output equal [len] bytes of [s] from [off], compared in constant
+    time: a MAC tag is checked where it lies.
+    @raise Invalid_argument unless [0 <= len <= 32] and the range is
+    within [s]. *)
+
 val bits : prf -> int -> int
 (** [bits p k] is the first [k] bits of the last output, big-endian:
     [bits p 53] is its first 8 bytes shifted right by 11, a uniform

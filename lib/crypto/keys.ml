@@ -48,6 +48,22 @@ let block_nonce _t ?(generation = 0) ~block_id () =
   if generation = 0 then "blk-" ^ string_of_int block_id
   else String.concat "" [ "blk-"; string_of_int block_id; "."; string_of_int generation ]
 
+let block_iv_prf t = Hmac.prf (Cipher.iv_key (block_cipher t))
+
+(* The label [Cipher] derives an IV from, ["cbc-iv\x00" ^ block_nonce],
+   absorbed in parts. *)
+let block_iv prf ?(generation = 0) ~block_id dst off =
+  if block_id < 0 || generation < 0 then invalid_arg "Keys.block_iv: negative";
+  Hmac.start prf;
+  Hmac.add prf "cbc-iv\x00blk-";
+  Hmac.add_int prf block_id;
+  if generation <> 0 then begin
+    Hmac.add prf ".";
+    Hmac.add_int prf generation
+  end;
+  Hmac.finish prf;
+  Hmac.blit prf dst off Cipher.iv_bytes
+
 let tag_key t = derive t "tag-vernam"
 
 let tag_pad_id tag = "tag\x00" ^ tag

@@ -37,6 +37,19 @@ val block_nonce : t -> ?generation:int -> block_id:int -> unit -> string
     and is bumped by incremental re-encryption so the same block id
     never reuses a nonce for different plaintext. *)
 
+val block_iv_prf : t -> Hmac.prf
+(** A fresh evaluator of the PRF {!block_cipher} derives its IVs with,
+    for {!block_iv}. *)
+
+val block_iv : Hmac.prf -> ?generation:int -> block_id:int -> Bytes.t -> int -> unit
+(** [block_iv prf ~generation ~block_id dst off] writes the IV that
+    {!block_cipher} derives from [block_nonce ~generation ~block_id]
+    into [dst] at [off]: {!Cipher.iv_bytes} bytes, of which each suite
+    reads its block size.  [prf] must come from {!block_iv_prf} of the
+    ring; the derivation allocates nothing.
+    @raise Invalid_argument on a negative id or generation, or if [dst]
+    has no room at [off]. *)
+
 val tag_key : t -> string
 (** Key for the Vernam tag pads. *)
 

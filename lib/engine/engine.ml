@@ -36,7 +36,7 @@ let make_counters () =
 type t = {
   mutable system : Secure.System.t;
   results : (string, Secure.Server.response) Lru.t;
-  blocks : (int * int, Secure.Client.answer) Lru.t;
+  blocks : (int * int, Secure.Client.decrypted) Lru.t;
       (* keyed by (block id, block generation): a delta bumps only the
          touched blocks' generations, so untouched entries stay valid
          and warm across updates *)
@@ -186,18 +186,18 @@ let evaluate_report t query =
             let id = b.Secure.Encrypt.id in
             let key = id, b.Secure.Encrypt.generation in
             match Lru.find t.blocks key with
-            | Some tree ->
+            | Some doc ->
               incr hits;
-              id, tree
+              id, doc
             | None ->
               incr misses;
               shipped :=
                 !shipped
                 + String.length b.Secure.Encrypt.ciphertext
                 + Secure.Encrypt.block_header_bytes;
-              let tree = Secure.Client.decrypt_block client b in
-              Lru.put t.blocks key tree;
-              id, tree)
+              let doc = Secure.Client.decrypt_block client b in
+              Lru.put t.blocks key doc;
+              id, doc)
           response.Secure.Server.blocks)
   in
   let result_hit = if result_outcome = Hit then 1 else 0 in

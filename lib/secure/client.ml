@@ -13,13 +13,38 @@ type t = {
       (* block id -> the generation the client hosted, -1 for an id it
          does not host: the provider writes a block record's generation
          itself, so it is checked against this, not trusted *)
+  ivs : Bytes.t;
+      (* block id -> the IV of its hosted generation, at
+         [id * Cipher.iv_bytes]; meaningless where the id is not
+         hosted *)
 }
 
 let keys t = t.keys
 
+let iv_bytes = Crypto.Cipher.iv_bytes
+
+let generations_of db =
+  Array.map (function Some b -> b.Encrypt.generation | None -> -1) db.Encrypt.block_by_id
+
+(* Each hosted block's IV, derived once per (id, generation): copied
+   from [previous] where its generation there is the same, derived
+   with one evaluator everywhere else. *)
+let derive_ivs keys generations ~previous:(old_generations, old_ivs) =
+  let n = Array.length generations in
+  let ivs = Bytes.create (n * iv_bytes) in
+  let kept = Int.min n (Array.length old_generations) in
+  Bytes.blit old_ivs 0 ivs 0 (kept * iv_bytes);
+  let prf = Crypto.Keys.block_iv_prf keys in
+  Array.iteri
+    (fun id generation ->
+      if generation >= 0 && not (id < kept && old_generations.(id) = generation) then
+        Crypto.Keys.block_iv prf ~generation ~block_id:id ivs (id * iv_bytes))
+    generations;
+  ivs
+
 (* The translation tables are a few entries per attribute and are
    rebuilt whole; the skeleton's index is what costs. *)
-let make ~keys meta db skeleton =
+let make ~keys meta db skeleton ~generations ~ivs =
   let set_of tags =
     let h = Hashtbl.create 32 in
     List.iter (fun tag -> Hashtbl.replace h tag ()) tags;
@@ -33,18 +58,22 @@ let make ~keys meta db skeleton =
     encrypted_tags = set_of db.Encrypt.encrypted_tags;
     plaintext_tags = set_of db.Encrypt.plaintext_tags;
     skeleton;
-    generations =
-      Array.map
-        (function Some b -> b.Encrypt.generation | None -> -1)
-        db.Encrypt.block_by_id }
+    generations;
+    ivs }
 
 let prepare db = Composite.prepare db.Encrypt.skeleton ~anchors:(Encrypt.anchors db)
 
-let create ~keys meta db = make ~keys meta db (prepare db)
+let create ~keys meta db =
+  let generations = generations_of db in
+  make ~keys meta db (prepare db) ~generations
+    ~ivs:(derive_ivs keys generations ~previous:([||], Bytes.empty))
 
 let patch t meta db =
+  let generations = generations_of db in
   make ~keys:t.keys meta db
     (if Composite.doc t.skeleton == db.Encrypt.skeleton then t.skeleton else prepare db)
+    ~generations
+    ~ivs:(derive_ivs t.keys generations ~previous:(t.generations, t.ivs))
 
 (* ------------------------------------------------------------------ *)
 (* Translation                                                         *)
@@ -131,24 +160,23 @@ let aggregate_range t p =
 
 type answer = Tree.t
 
+type decrypted = Doc.t
+
 (* A block whose id the client does not host, or whose generation is
    not the one it hosted, is refused before its MAC is checked: a
    superseded record verifies under its own generation, so the MAC
-   alone cannot tell it from the current one. *)
+   alone cannot tell it from the current one.  The IV is the one
+   derived for that (id, generation). *)
 let decrypt_block t b =
   let id = b.Encrypt.id in
   if id < 0 || id >= Array.length t.generations || t.generations.(id) <> b.Encrypt.generation
   then raise (Encrypt.Tampered id);
-  Encrypt.decrypt_block ~keys:t.keys b
-
-let composite t ~decrypted =
-  Composite.create t.skeleton
-    ~blocks:(List.map (fun (id, tree) -> id, Doc.of_tree tree) decrypted)
+  Encrypt.decrypt_block_iv ~keys:t.keys ~iv:t.ivs ~iv_off:(id * iv_bytes) b
 
 let evaluate_with t ~decrypted query =
-  let view = composite t ~decrypted in
+  let view = Composite.create t.skeleton ~blocks:decrypted in
   List.map (Composite.subtree view) (Composite.Eval.eval view query)
 
 let evaluate_union_with t ~decrypted queries =
-  let view = composite t ~decrypted in
+  let view = Composite.create t.skeleton ~blocks:decrypted in
   List.map (Composite.subtree view) (Composite.Eval.eval_union view queries)

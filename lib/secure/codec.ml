@@ -1,11 +1,7 @@
 exception Error of string
 
 module W = struct
-  let i64 b v =
-    for i = 0 to 7 do
-      Buffer.add_char b
-        (Char.chr (Int64.to_int (Int64.shift_right_logical v (i * 8)) land 0xFF))
-    done
+  let i64 b v = Buffer.add_int64_le b v
 
   let int b v = i64 b (Int64.of_int v)
   let float b v = i64 b (Int64.bits_of_float v)
@@ -30,13 +26,9 @@ module R = struct
 
   let i64 r =
     need r 8;
-    let v = ref 0L in
-    for i = 7 downto 0 do
-      v := Int64.logor (Int64.shift_left !v 8)
-             (Int64.of_int (Char.code r.data.[r.pos + i]))
-    done;
+    let v = String.get_int64_le r.data r.pos in
     r.pos <- r.pos + 8;
-    !v
+    v
 
   let int r =
     let v = Int64.to_int (i64 r) in

@@ -45,18 +45,27 @@ let prepare doc ~anchors =
 
 let doc skel = skel.doc
 
+(* The returned blocks' placeholders in document order, each anchor
+   packed with its block id into one int ([anchor lsl 31 lor id]) so
+   that sorting them moves no pairs. *)
 let create skel ~blocks =
-  let block_docs = Hashtbl.create 16 in
-  List.iter (fun (id, doc) -> Hashtbl.replace block_docs id doc) blocks;
-  let placed =
-    Array.of_list
-      (List.sort_uniq
-         (fun (a, _) (b, _) -> Int.compare a b)
-         (List.filter_map
-            (fun (id, _) -> Option.map (fun a -> a, id) (Hashtbl.find_opt skel.anchor_of id))
-            blocks))
-  in
-  { skel; blocks = block_docs; anchors = Array.map fst placed; ids = Array.map snd placed }
+  let count = List.length blocks in
+  let block_docs = Hashtbl.create count in
+  let packed = Array.make count 0 and placed = ref 0 in
+  List.iter
+    (fun (id, doc) ->
+      Hashtbl.replace block_docs id doc;
+      match Hashtbl.find skel.anchor_of id with
+      | a ->
+        packed.(!placed) <- (a lsl 31) lor id;
+        incr placed
+      | exception Not_found -> ())
+    blocks;
+  let packed = Forest.of_unsorted (Array.sub packed 0 !placed) in
+  { skel;
+    blocks = block_docs;
+    anchors = Array.map (fun p -> p lsr 31) packed;
+    ids = Array.map (fun p -> p land 0x7FFF_FFFF) packed }
 
 (* A skeleton node resolves to itself, to a block root (returned
    placeholder), or to nothing (unreturned placeholder). *)
@@ -194,13 +203,6 @@ module Navigation = struct
   let tag = tag
   let value = value
   let compare_node = compare_node
-
-  (* Node by node, for answer materialisation only. *)
-  let children t = function
-    | Skel n -> List.filter_map (resolve t) (Doc.children t.skel.doc n)
-    | In (anchor, id, m) ->
-      let doc = Hashtbl.find t.blocks id in
-      List.map (fun c -> In (anchor, id, c)) (Doc.children doc m)
 end
 
 module E = Xpath.Eval.Make (Navigation)
@@ -210,18 +212,30 @@ module Eval = struct
   let eval_union = E.eval_union
 end
 
+(* Answers are the only trees post-processing builds: each is read
+   straight off the skeleton's and the blocks' arrays, a child list at
+   a time, with no node list in between. *)
 let rec subtree t node =
   match node with
   | Skel n ->
-    (match Doc.value t.skel.doc n with
-     | Some v -> Tree.leaf (Doc.tag t.skel.doc n) v
+    let d = t.skel.doc in
+    (match Doc.value d n with
+     | Some v -> Tree.leaf (Doc.tag d n) v
      | None ->
-       Tree.element (Doc.tag t.skel.doc n)
-         (List.map (subtree t) (Navigation.children t (Skel n))))
-  | In (anchor, id, m) ->
-    let doc = Hashtbl.find t.blocks id in
-    (match Doc.value doc m with
-     | Some v -> Tree.leaf (Doc.tag doc m) v
-     | None ->
-       Tree.element (Doc.tag doc m)
-         (List.map (fun c -> subtree t (In (anchor, id, c))) (Doc.children doc m)))
+       Tree.element (Doc.tag d n)
+         (skeleton_children t (n + 1) (n + Doc.subtree_node_count d n)))
+  | In (_, id, m) -> Doc.subtree (Hashtbl.find t.blocks id) m
+
+(* The trees of the skeleton children from [c] on, up to [stop]; a
+   placeholder stands for its block's tree when the block was returned
+   and for nothing otherwise. *)
+and skeleton_children t c stop =
+  if c >= stop then []
+  else
+    let rest = skeleton_children t (c + Doc.subtree_node_count t.skel.doc c) stop in
+    let id = t.skel.block_at.(c) in
+    if id < 0 then subtree t (Skel c) :: rest
+    else
+      match Hashtbl.find t.blocks id with
+      | doc -> Doc.to_tree doc :: rest
+      | exception Not_found -> rest

@@ -36,20 +36,18 @@ val doc : skeleton -> Xmlcore.Doc.t
 type t
 
 val create : skeleton -> blocks:(int * Xmlcore.Doc.t) list -> t
-(** The view over the returned decrypted block documents. *)
+(** The view over the returned decrypted block documents, each entered
+    at its placeholder. *)
 
 val subtree : t -> node -> Xmlcore.Tree.t
 (** Materialise the subtree rooted at a composite node (splicing any
-    returned blocks below it; unreturned placeholders are dropped). *)
+    returned blocks below it; unreturned placeholders are dropped).
+    The only trees post-processing builds are these answers. *)
 
 module Navigation : sig
   include Xpath.Nav.S with type doc = t and type node = node
 
   val tag : t -> node -> string
-
-  val children : t -> node -> node list
-  (** Child nodes in document order, attributes included (answer
-      materialisation walks these). *)
 end
 
 module Eval : sig

@@ -52,19 +52,6 @@ let add_decoy decoy ~root tree =
     Tree.Element (tag, Tree.leaf decoy_attribute (decoy_value decoy ~root) :: children)
   | Tree.Text _ -> assert false
 
-let strip_decoy tree =
-  match tree with
-  | Tree.Element (tag, children) ->
-    let children =
-      List.filter
-        (function
-          | Tree.Element (t, _) -> not (String.equal t decoy_attribute)
-          | Tree.Text _ -> true)
-        children
-    in
-    Tree.Element (tag, children)
-  | Tree.Text _ -> tree
-
 exception Tampered of int
 
 let mac_tag_bytes = 16
@@ -75,17 +62,21 @@ let mac_tag_bytes = 16
    verifies under its own generation, so rollback is refused by the
    client, which checks the generation it hosted under the id
    ([Client.decrypt_block]).  Generation 0 keeps the historical MAC
-   input so freshly hosted blocks stay byte-identical; the "#"
-   separator cannot collide with it because ids render as bare
-   digits. *)
-let block_mac ~keys ~id ~generation ciphertext len =
-  let prefix =
-    if generation = 0 then string_of_int id ^ "\x00"
-    else String.concat "" [ string_of_int id; "#"; string_of_int generation; "\x00" ]
-  in
-  String.sub
-    (Crypto.Hmac.mac_slice (Crypto.Keys.block_mac_key keys) ~prefix ciphertext 0 len)
-    0 mac_tag_bytes
+   input, [id ^ "\x00" ^ body], so freshly hosted blocks stay
+   byte-identical; later ones MAC [id ^ "#" ^ generation ^ "\x00" ^
+   body], and the "#" cannot collide because ids render as bare
+   digits.  The input is absorbed where it lies, into [prf]'s scratch:
+   an evaluator of the block-MAC key. *)
+let block_mac prf ~id ~generation ciphertext len =
+  Crypto.Hmac.start prf;
+  Crypto.Hmac.add_int prf id;
+  if generation > 0 then begin
+    Crypto.Hmac.add prf "#";
+    Crypto.Hmac.add_int prf generation
+  end;
+  Crypto.Hmac.add prf "\x00";
+  Crypto.Hmac.add_sub prf ciphertext 0 len;
+  Crypto.Hmac.finish prf
 
 let encrypt_one ~keys ~decoy ?(generation = 0) doc ~id root =
   let has_decoy = Doc.is_leaf doc root in
@@ -98,7 +89,11 @@ let encrypt_one ~keys ~decoy ?(generation = 0) doc ~id root =
         ~nonce:(Crypto.Keys.block_nonce keys ~generation ~block_id:id ())
         serialized
     in
-    body ^ block_mac ~keys ~id ~generation body (String.length body)
+    let mac = Crypto.Hmac.prf (Crypto.Keys.block_mac_key keys) in
+    block_mac mac ~id ~generation body (String.length body);
+    let tag = Bytes.create mac_tag_bytes in
+    Crypto.Hmac.blit mac tag 0 mac_tag_bytes;
+    body ^ Bytes.unsafe_to_string tag
   in
   { id;
     root;
@@ -325,28 +320,57 @@ let reencrypt_blocks ?pool ~keys doc jobs =
     Parallel.Pool.mapi p (fun _ job -> re job) jobs
   | Some _ | None -> Array.map re jobs
 
+(* What one domain decrypts with under one key ring: evaluators of the
+   block-MAC key and of the IV PRF, and an IV block.  Kept per domain
+   and re-made only when the ring changes, so a block costs no hashing
+   context of its own. *)
+type scratch = {
+  ring : Crypto.Keys.t;
+  mac : Crypto.Hmac.prf;
+  iv_prf : Crypto.Hmac.prf;
+  iv : Bytes.t;
+}
+
+let scratch_slot = Parallel.Local.make (fun () -> ref None)
+
+let scratch keys =
+  let slot = Parallel.Local.get scratch_slot in
+  match !slot with
+  | Some s when s.ring == keys -> s
+  | Some _ | None ->
+    let s =
+      { ring = keys;
+        mac = Crypto.Hmac.prf (Crypto.Keys.block_mac_key keys);
+        iv_prf = Crypto.Keys.block_iv_prf keys;
+        iv = Bytes.create Crypto.Cipher.iv_bytes }
+    in
+    slot := Some s;
+    s
+
 (* The body is the ciphertext minus its trailing tag; it is MAC'd and
-   decrypted where it lies, never copied out. *)
-let decrypt_block ~keys block =
+   decrypted where it lies, never copied out, and parsed straight into
+   a document, shedding the decoy as it goes. *)
+let decrypt_block_iv ~keys ~iv ~iv_off block =
   let ciphertext = block.ciphertext in
   let body_len = String.length ciphertext - mac_tag_bytes in
-  if body_len < 0 then raise (Tampered block.id);
-  let tag = String.sub ciphertext body_len mac_tag_bytes in
-  if
-    not
-      (Crypto.Eq.constant_time tag
-         (block_mac ~keys ~id:block.id ~generation:block.generation ciphertext
-            body_len))
-  then raise (Tampered block.id);
+  (* No block was ever MAC'd under a negative id or generation. *)
+  if body_len < 0 || block.id < 0 || block.generation < 0 then raise (Tampered block.id);
+  let mac = (scratch keys).mac in
+  block_mac mac ~id:block.id ~generation:block.generation ciphertext body_len;
+  if not (Crypto.Hmac.matches mac ciphertext body_len mac_tag_bytes) then
+    raise (Tampered block.id);
   let serialized =
-    Crypto.Cipher.decrypt (Crypto.Keys.block_cipher keys)
-      ~nonce:
-        (Crypto.Keys.block_nonce keys ~generation:block.generation
-           ~block_id:block.id ())
-      ~len:body_len ciphertext
+    Crypto.Cipher.decrypt_iv (Crypto.Keys.block_cipher keys) ~iv ~iv_off ~len:body_len
+      ciphertext
   in
-  let tree = Xmlcore.Parser.parse serialized in
-  if block.has_decoy then strip_decoy tree else tree
+  if block.has_decoy then Xmlcore.Parser.parse_doc ~drop:decoy_attribute serialized
+  else Xmlcore.Parser.parse_doc serialized
+
+let decrypt_block ~keys block =
+  if block.id < 0 || block.generation < 0 then raise (Tampered block.id);
+  let s = scratch keys in
+  Crypto.Keys.block_iv s.iv_prf ~generation:block.generation ~block_id:block.id s.iv 0;
+  decrypt_block_iv ~keys ~iv:s.iv ~iv_off:0 block
 
 let block_id_of_node db n =
   let id = db.node_block.(n) in

@@ -127,12 +127,21 @@ val prewarm_block_keys : keys:Crypto.Keys.t -> unit
     on several domains must warm the ring first; after that, workers
     only read it.  [encrypt] warms its ring itself. *)
 
-val decrypt_block : keys:Crypto.Keys.t -> block -> Xmlcore.Tree.t
-(** Verify, decrypt and parse one block; the decoy (if any) is removed.
-    The MAC is checked under the generation the block record carries,
-    which the provider writes: a superseded record verifies.  Readers
-    of server responses go through {!Client.decrypt_block}, which also
-    checks the generation against the hosted one.
+val decrypt_block : keys:Crypto.Keys.t -> block -> Xmlcore.Doc.t
+(** Verify, decrypt and parse one block straight into a document; the
+    decoy (if any) is dropped while parsing.  The MAC is checked under
+    the generation the block record carries, which the provider writes:
+    a superseded record verifies.  Readers of server responses go
+    through {!Client.decrypt_block}, which also checks the generation
+    against the hosted one.  The block's IV is derived per call.
+    @raise Tampered when the authentication tag fails. *)
+
+val decrypt_block_iv :
+  keys:Crypto.Keys.t -> iv:Bytes.t -> iv_off:int -> block -> Xmlcore.Doc.t
+(** {!decrypt_block} with the block's IV given, as {!Crypto.Cipher.iv_bytes}
+    bytes of [iv] from [iv_off] ({!Crypto.Keys.block_iv} of the block's
+    id and generation), instead of derived per call: how a client that
+    derived its hosting's IVs once decrypts.
     @raise Tampered when the authentication tag fails. *)
 
 val block_of_node : db -> Xmlcore.Doc.node -> block option

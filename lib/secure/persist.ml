@@ -483,7 +483,7 @@ let verify ~master data =
       List.filter_map
         (fun (b : Encrypt.block) ->
           match Encrypt.decrypt_block ~keys b with
-          | (_ : Xmlcore.Tree.t) -> None
+          | (_ : Xmlcore.Doc.t) -> None
           | exception Encrypt.Tampered id ->
             Some (id, "authentication tag mismatch")
           | exception _ -> Some (b.Encrypt.id, "undecryptable"))

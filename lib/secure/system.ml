@@ -635,7 +635,7 @@ let rotate t ~new_master = rehost t ~master:new_master t.doc
 
 let update t edit =
   Log.info (fun m -> m "update: %s; re-hosting" (Update.describe edit));
-  let edited = Doc.of_tree (Update.apply t.doc edit) in
+  let edited = Update.apply_all t.doc [ edit ] in
   rehost t ~master:t.master edited
 
 (* ------------------------------------------------------------------ *)

@@ -1,5 +1,11 @@
 type node = int
 
+(* tag -> its index in [tag_sets].  A one-node document, most
+   decrypted blocks, has its one tag at index 0 and needs no table. *)
+type tag_ids =
+  | One of string
+  | Many of (string, int) Hashtbl.t
+
 type t = {
   tags : string array;
   values : string option array;
@@ -7,7 +13,7 @@ type t = {
   depths : int array;
   subtree_sizes : int array;      (* node count of subtree rooted here *)
   forest : Forest.t;              (* [parents] and [subtree_sizes] as a join forest *)
-  tag_ids : (string, int) Hashtbl.t;  (* tag -> its index in [tag_sets] *)
+  tag_ids : tag_ids;
   tag_sets : int array array;     (* per tag, its nodes in document order *)
   elements : int array;           (* every non-attribute node *)
 }
@@ -30,43 +36,13 @@ let is_leaf t n = t.values.(n) <> None
 let depth_of t n = t.depths.(n)
 let subtree_node_count t n = t.subtree_sizes.(n)
 
-let of_tree tree =
-  let tags = ref [] and values = ref [] and parents = ref [] in
-  let next_id = ref 0 in
-  (* Assign preorder ids; returns subtree node count. *)
-  let rec walk parent node =
-    match node with
-    | Tree.Text _ -> invalid_arg "Doc.of_tree: bare text node (mixed content unsupported)"
-    | Tree.Element (tag, child_list) ->
-      let id = !next_id in
-      incr next_id;
-      let value, element_children =
-        match child_list with
-        | [ Tree.Text v ] -> Some v, []
-        | cs ->
-          let elements =
-            List.map
-              (function
-                | Tree.Element _ as e -> e
-                | Tree.Text _ ->
-                  invalid_arg "Doc.of_tree: mixed content (text beside elements)")
-              cs
-          in
-          None, elements
-      in
-      tags := tag :: !tags;
-      values := value :: !values;
-      parents := parent :: !parents;
-      let size =
-        List.fold_left (fun acc c -> acc + walk id c) 1 element_children
-      in
-      size
-  in
-  let _total = walk (-1) tree in
-  let n = !next_id in
-  let tags = Array.of_list (List.rev !tags) in
-  let values = Array.of_list (List.rev !values) in
-  let parents = Array.of_list (List.rev !parents) in
+(* The arrays past [tags], [values] and [parents], derived once from
+   them: depths, subtree sizes, the per-tag node sets (a counting sort
+   over numbered tags) and the element set.  Loops, not closures: a
+   decrypted block is a document of a node or a few, so what indexing
+   one allocates beyond its arrays is most of its cost. *)
+let index ~tags ~values ~parents =
+  let n = Array.length tags in
   let depths = Array.make n 0 in
   for i = 1 to n - 1 do
     depths.(i) <- depths.(parents.(i)) + 1
@@ -75,33 +51,137 @@ let of_tree tree =
   for i = n - 1 downto 1 do
     subtree_sizes.(parents.(i)) <- subtree_sizes.(parents.(i)) + subtree_sizes.(i)
   done;
-  (* Per-tag node sets by counting sort over numbered tags. *)
   let tag_ids = Hashtbl.create 16 in
-  let numbered =
-    Array.map
-      (fun tag ->
-        match Hashtbl.find_opt tag_ids tag with
-        | Some k -> k
-        | None ->
-          Hashtbl.add tag_ids tag (Hashtbl.length tag_ids);
-          Hashtbl.length tag_ids - 1)
-      tags
-  in
-  let fill = Array.make (Hashtbl.length tag_ids) 0 in
-  Array.iter (fun k -> fill.(k) <- fill.(k) + 1) numbered;
-  let tag_sets = Array.map (fun count -> Array.make count 0) fill in
-  Array.fill fill 0 (Array.length fill) 0;
-  Array.iteri
-    (fun i k ->
-      tag_sets.(k).(fill.(k)) <- i;
-      fill.(k) <- fill.(k) + 1)
-    numbered;
-  let elements =
-    Array.of_list (List.filter (fun i -> not (Tree.is_attribute_tag tags.(i))) (List.init n Fun.id))
-  in
+  let numbered = Array.make n 0 and elements = ref 0 in
+  for i = 0 to n - 1 do
+    let tag = tags.(i) in
+    numbered.(i) <-
+      (match Hashtbl.find tag_ids tag with
+       | k -> k
+       | exception Not_found ->
+         let k = Hashtbl.length tag_ids in
+         Hashtbl.add tag_ids tag k;
+         k);
+    if not (Tree.is_attribute_tag tag) then incr elements
+  done;
+  let distinct = Hashtbl.length tag_ids in
+  let fill = Array.make distinct 0 in
+  for i = 0 to n - 1 do
+    fill.(numbered.(i)) <- fill.(numbered.(i)) + 1
+  done;
+  let tag_sets = Array.make distinct [||] in
+  for k = 0 to distinct - 1 do
+    tag_sets.(k) <- Array.make fill.(k) 0;
+    fill.(k) <- 0
+  done;
+  let element_set = Array.make !elements 0 and next = ref 0 in
+  for i = 0 to n - 1 do
+    let k = numbered.(i) in
+    tag_sets.(k).(fill.(k)) <- i;
+    fill.(k) <- fill.(k) + 1;
+    if not (Tree.is_attribute_tag tags.(i)) then begin
+      element_set.(!next) <- i;
+      incr next
+    end
+  done;
   { tags; values; parents; depths; subtree_sizes;
     forest = Forest.make ~parent:parents ~size:subtree_sizes;
-    tag_ids; tag_sets; elements }
+    tag_ids = Many tag_ids; tag_sets; elements = element_set }
+
+(* Most decrypted blocks are a single leaf.  A one-node document owns
+   its tag and value and shares every structural array (documents are
+   never mutated in place). *)
+let zero = [| 0 |]
+let root_parent = [| -1 |]
+let one = [| 1 |]
+let single_forest = Forest.make ~parent:root_parent ~size:one
+let single_tag_sets = [| zero |]
+
+let single tag value =
+  { tags = [| tag |];
+    values = [| value |];
+    parents = root_parent;
+    depths = zero;
+    subtree_sizes = one;
+    forest = single_forest;
+    tag_ids = One tag;
+    tag_sets = single_tag_sets;
+    elements = (if Tree.is_attribute_tag tag then [||] else zero) }
+
+module Builder = struct
+  type doc = t
+
+  type t = {
+    mutable tags : string array;
+    mutable values : string option array;
+    mutable parents : int array;
+    mutable count : int;
+    mutable current : int;  (* the innermost open node, -1 when none *)
+  }
+
+  let create ?(capacity = 16) () =
+    let capacity = max 1 capacity in
+    { tags = Array.make capacity "";
+      values = Array.make capacity None;
+      parents = Array.make capacity (-1);
+      count = 0;
+      current = -1 }
+
+  let grow b =
+    let size = 2 * Array.length b.tags in
+    let extend a fill =
+      let a' = Array.make size fill in
+      Array.blit a 0 a' 0 b.count;
+      a'
+    in
+    b.tags <- extend b.tags "";
+    b.values <- extend b.values None;
+    b.parents <- extend b.parents (-1)
+
+  let open_node b tag =
+    if b.count > 0 && b.current < 0 then invalid_arg "Doc.Builder: a second root";
+    if b.count = Array.length b.tags then grow b;
+    let n = b.count in
+    b.tags.(n) <- tag;
+    b.parents.(n) <- b.current;
+    b.count <- n + 1;
+    b.current <- n
+
+  let has_children b = b.current >= 0 && b.count > b.current + 1
+
+  let close_node b value =
+    let n = b.current in
+    if n < 0 then invalid_arg "Doc.Builder: no open node";
+    b.values.(n) <- value;
+    b.current <- b.parents.(n)
+
+  let finish b : doc =
+    if b.count = 0 || b.current >= 0 then invalid_arg "Doc.Builder: unfinished document";
+    let n = b.count in
+    if n = 1 then single b.tags.(0) b.values.(0)
+    else
+      let trim a = if Array.length a = n then a else Array.sub a 0 n in
+      index ~tags:(trim b.tags) ~values:(trim b.values) ~parents:(trim b.parents)
+end
+
+let of_tree tree =
+  let b = Builder.create () in
+  let rec walk = function
+    | Tree.Text _ -> invalid_arg "Doc.of_tree: bare text node (mixed content unsupported)"
+    | Tree.Element (tag, [ Tree.Text v ]) ->
+      Builder.open_node b tag;
+      Builder.close_node b (Some v)
+    | Tree.Element (tag, children) ->
+      Builder.open_node b tag;
+      List.iter
+        (function
+          | Tree.Element _ as e -> walk e
+          | Tree.Text _ -> invalid_arg "Doc.of_tree: mixed content (text beside elements)")
+        children;
+      Builder.close_node b None
+  in
+  walk tree;
+  Builder.finish b
 
 (* A value edit changes one array: every other one is shared. *)
 let set_values t edits =
@@ -114,6 +194,14 @@ type splice = {
   new_of_old : int array;
   inserted : node list;
 }
+
+let table t =
+  match t.tag_ids with
+  | Many ids -> ids
+  | One tag ->
+    let ids = Hashtbl.create 1 in
+    Hashtbl.add ids tag 0;
+    ids
 
 (* The edited document from the old one's arrays: one sweep numbers the
    survivors and reserves each inserted subtree's id run, the node
@@ -201,11 +289,12 @@ let splice t ~delete ~insert =
     if !k = count then out else Array.sub out 0 !k
   in
   let merge set nodes = Forest.union set (Forest.of_unsorted (Array.of_list nodes)) in
+  let old_ids = table t in
   let tag_ids =
-    if Hashtbl.fold (fun tag _ known -> known && Hashtbl.mem t.tag_ids tag) added true
-    then t.tag_ids
+    if Hashtbl.fold (fun tag _ known -> known && Hashtbl.mem old_ids tag) added true
+    then old_ids
     else begin
-      let tag_ids = Hashtbl.copy t.tag_ids in
+      let tag_ids = Hashtbl.copy old_ids in
       Hashtbl.iter
         (fun tag _ ->
           if not (Hashtbl.mem tag_ids tag) then Hashtbl.add tag_ids tag (Hashtbl.length tag_ids))
@@ -225,7 +314,7 @@ let splice t ~delete ~insert =
   let doc =
     { tags; values; parents; depths; subtree_sizes;
       forest = Forest.make ~parent:parents ~size:subtree_sizes;
-      tag_ids; tag_sets;
+      tag_ids = Many tag_ids; tag_sets;
       elements = merge (renumber t.elements) !added_elements }
   in
   { doc; new_of_old; inserted = List.map (fun (r, _, _, _) -> r) planted }
@@ -260,7 +349,10 @@ let fold t f acc =
   !acc
 
 let tagged t tag =
-  match Hashtbl.find_opt t.tag_ids tag with Some k -> t.tag_sets.(k) | None -> [||]
+  match t.tag_ids with
+  | One only -> if String.equal tag only then t.tag_sets.(0) else [||]
+  | Many ids -> (
+    match Hashtbl.find ids tag with k -> t.tag_sets.(k) | exception Not_found -> [||])
 let nodes_with_tag t tag = Array.to_list (tagged t tag)
 let elements t = t.elements
 let forest t = t.forest

@@ -19,6 +19,37 @@ val of_tree : Tree.t -> t
     @raise Invalid_argument if the root is a bare text node or some
     element mixes child elements with text. *)
 
+(** Building a document node by node, in preorder: how {!of_tree} and
+    {!Parser.parse_doc} fill the arrays without a {!Tree.t} between.
+    The depths, subtree sizes, tag sets and element set are derived
+    once, by {!Builder.finish}. *)
+module Builder : sig
+  type doc = t
+  type t
+
+  val create : ?capacity:int -> unit -> t
+  (** An empty builder; [capacity] (default 16) sizes its arrays, which
+      grow as needed. *)
+
+  val open_node : t -> string -> unit
+  (** Append a node with this tag as the last child of the innermost
+      open node (the root when none is open), and open it.
+      @raise Invalid_argument if the root was already closed. *)
+
+  val close_node : t -> string option -> unit
+  (** Close the innermost open node with its leaf value ([None] for an
+      interior element).
+      @raise Invalid_argument when no node is open. *)
+
+  val has_children : t -> bool
+  (** Whether the innermost open node has a child yet. *)
+
+  val finish : t -> doc
+  (** The document.
+      @raise Invalid_argument if no node was added or one is still
+      open. *)
+end
+
 val to_tree : t -> Tree.t
 (** Reconstruct the pure tree (inverse of {!of_tree}). *)
 

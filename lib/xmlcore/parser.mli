@@ -17,5 +17,11 @@ val parse : string -> Tree.t
 (** [parse s] parses a complete document, returning the root element.
     @raise Parse_error on malformed input. *)
 
-val parse_doc : string -> Doc.t
-(** [parse_doc s] = [Doc.of_tree (parse s)]. *)
+val parse_doc : ?drop:string -> string -> Doc.t
+(** [parse_doc s] is [Doc.of_tree (parse s)], read straight into the
+    document's arrays by the same tokenizer: no {!Tree.t} is built.
+    [drop] names an attribute by its ["@"]-prefixed tag that is left
+    out wherever it occurs on the root element (how a decrypted block
+    sheds its decoy, which sits beside a leaf root's text).
+    @raise Parse_error on malformed input, and on an element that holds
+    text beside attributes, which no {!Doc.t} can hold. *)

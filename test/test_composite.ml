@@ -37,7 +37,7 @@ let fixture ~return_blocks =
     List.filter_map
       (fun b ->
         if return_blocks b.Secure.Encrypt.id then
-          Some (b.Secure.Encrypt.id, Doc.of_tree (Secure.Encrypt.decrypt_block ~keys b))
+          Some (b.Secure.Encrypt.id, Secure.Encrypt.decrypt_block ~keys b)
         else None)
       db.Secure.Encrypt.blocks
   in
@@ -194,9 +194,7 @@ let pruning_matches_reference =
         List.filter_map
           (fun b ->
             if returned b then
-              Some
-                ( b.Secure.Encrypt.id,
-                  Doc.of_tree (Secure.Encrypt.decrypt_block ~keys b) )
+              Some (b.Secure.Encrypt.id, Secure.Encrypt.decrypt_block ~keys b)
             else None)
           db.Secure.Encrypt.blocks
       in

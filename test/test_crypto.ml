@@ -341,6 +341,32 @@ let prf_kernel_agrees =
          = Int64.to_int
              (Int64.rem (Int64.shift_right_logical first64 1) (Int64.of_int bound)))
 
+(* A block's IV, derived in parts with no allocation, is the leading
+   bytes of the HMAC the cipher derives from the block's nonce string,
+   under either suite's key. *)
+let block_iv_agrees =
+  QCheck.Test.make ~name:"Keys.block_iv = HMAC of \"cbc-iv\\x00\" ^ block_nonce" ~count:200
+    QCheck.(triple bool (int_bound 1_000_000) (int_bound 50))
+    (fun (aes, block_id, generation) ->
+      let suite = if aes then Crypto.Cipher.Aes else Crypto.Cipher.Xtea in
+      let keys = Crypto.Keys.create ~suite ~master:"iv" () in
+      let prf = Crypto.Keys.block_iv_prf keys in
+      let iv = Bytes.make 20 '\255' in
+      Crypto.Keys.block_iv prf ~generation ~block_id iv 2;
+      let expected =
+        Crypto.Hmac.mac_prepared
+          (Crypto.Cipher.iv_key (Crypto.Keys.block_cipher keys))
+          ("cbc-iv\x00" ^ Crypto.Keys.block_nonce keys ~generation ~block_id ())
+      in
+      Bytes.sub_string iv 2 Crypto.Cipher.iv_bytes = String.sub expected 0 Crypto.Cipher.iv_bytes
+      && Bytes.get iv 1 = '\255'
+      && Bytes.get iv (2 + Crypto.Cipher.iv_bytes) = '\255'
+      && Crypto.Hmac.matches prf expected 0 32
+      && not
+           (Crypto.Hmac.matches prf
+              (String.mapi (fun i c -> if i = 31 then Char.chr (Char.code c lxor 1) else c) expected)
+              0 32))
+
 (* --- AES and cipher suites ---------------------------------------- *)
 
 let aes_vectors () =
@@ -462,7 +488,7 @@ let () =
             [ ope_monotone; ope_roundtrip; ope_batch_is_pointwise ] );
       ( "prf",
         Alcotest.test_case "allocates nothing" `Quick prf_kernel_allocates_nothing
-        :: List.map QCheck_alcotest.to_alcotest [ prf_kernel_agrees ] );
+        :: List.map QCheck_alcotest.to_alcotest [ prf_kernel_agrees; block_iv_agrees ] );
       ( "aes",
         [ Alcotest.test_case "FIPS/NIST vectors" `Quick aes_vectors;
           Alcotest.test_case "suites differ" `Quick cipher_suites_differ ]

@@ -497,6 +497,25 @@ let flow_through_qualified_field_argument () =
   Alcotest.(check bool) "witness passes the call site" true (mentions "leakm.ml");
   Alcotest.(check bool) "witness names the source" true (mentions "(source)")
 
+let flow_decrypted_block_is_a_source () =
+  (* What the read path decrypts with an IV it was given — a block
+     document, or the raw plaintext from the cipher — is plaintext: its
+     reaching a sink is a leak, wherever the IV came from. *)
+  let found =
+    secret_flow
+      (Taint.check_files Policy.default
+         [ ( "lib/serve/leakd.ml",
+             "let show keys ivs b =\n\
+             \  let d = Secure.Encrypt.decrypt_block_iv ~keys ~iv:ivs ~iv_off:0 b in\n\
+             \  print_endline (Xmlcore.Doc.tag d 0)" );
+           ( "lib/secure/leake.ml",
+             "let show cipher iv body =\n\
+             \  let p = Crypto.Cipher.decrypt_iv cipher ~iv ~iv_off:0 body in\n\
+             \  print_endline p" ) ])
+  in
+  Alcotest.(check (list string)) "both flagged" [ "lib/secure/leake.ml"; "lib/serve/leakd.ml" ]
+    (List.sort String.compare (List.map (fun f -> f.Finding.file) found))
+
 let flow_suppression () =
   (* Through the full [check_sources] pipeline: a suppression comment on
      the sink line swallows the finding like any token-level rule. *)
@@ -681,7 +700,22 @@ let policy_names_are_declared () =
         @ flow.sinks));
     let seeds = seedable_source_params root in
     Alcotest.(check (list (pair string string))) "source params that seed nothing" []
-      (List.filter (fun sp -> not (seeds sp)) flow.source_params)
+      (List.filter (fun sp -> not (seeds sp)) flow.source_params);
+    (* A path the policy names but the tree lacks governs nothing — and
+       a stale trusted path would exempt whatever file later lands
+       there from the flow analysis, unseen.  Entries ending in "/" are
+       directory prefixes. *)
+    let policy = Policy.default in
+    let missing path =
+      let full = Filename.concat root path in
+      if String.ends_with ~suffix:"/" path then
+        not (Sys.file_exists full && Sys.is_directory full)
+      else not (Sys.file_exists full)
+    in
+    Alcotest.(check (list string)) "policy paths missing from the tree" []
+      (List.filter missing
+         (flow.trusted_files @ flow.sink_files @ List.map fst policy.boundary
+        @ policy.concurrency_ok @ policy.total_paths @ policy.random_ok))
 
 let () =
   Alcotest.run "lint"
@@ -777,6 +811,8 @@ let () =
             flow_projection_through_record;
           Alcotest.test_case "qualified field argument" `Quick
             flow_through_qualified_field_argument;
+          Alcotest.test_case "decrypted block is a source" `Quick
+            flow_decrypted_block_is_a_source;
           Alcotest.test_case "suppression honoured" `Quick flow_suppression;
           Alcotest.test_case "trusted interior skipped" `Quick
             flow_trusted_interior_is_skipped;

@@ -287,6 +287,27 @@ let variants_roundtrip () =
   | _ -> Alcotest.fail "empty request must be rejected"
   | exception Protocol.Malformed _ -> ()
 
+(* The encodings' bytes, pinned: the SHA-256 of one fixed request and
+   of its response, as the codec wrote them when it built each 64-bit
+   word a byte at a time.  A codec that writes and reads whole words
+   must keep every byte. *)
+let pinned_bytes () =
+  let sys, _ =
+    System.setup (Workload.Health.doc ()) (Workload.Health.constraints ()) Secure.Scheme.Opt
+  in
+  let squery =
+    Secure.Client.translate (System.client sys)
+      (Xpath.Parser.parse "//patient[pname='Betty']//disease")
+  in
+  let request = Protocol.encode_request squery in
+  let response = Protocol.encode_response (Secure.Server.answer (System.server sys) squery) in
+  Alcotest.(check (pair int string)) "request"
+    (184, "96a868b33a0e4659e07b74b692e2eafb2a0df2a8bc98a0027e435ff2fb86ccc5")
+    (String.length request, Crypto.Sha256.hex request);
+  Alcotest.(check (pair int string)) "response"
+    (460, "7415fe7cfd8a825e04c0a77025b8f639bbcaa7289cfd3e83e73d925248c5c515")
+    (String.length response, Crypto.Sha256.hex response)
+
 let () =
   Alcotest.run "protocol"
     [ ( "requests",
@@ -295,7 +316,9 @@ let () =
           Alcotest.test_case "fetch/padded variants roundtrip" `Quick
             variants_roundtrip ]
         @ List.map QCheck_alcotest.to_alcotest [ request_roundtrip_prop ] );
-      ("responses", [ Alcotest.test_case "roundtrip" `Quick response_roundtrip ]);
+      ( "responses",
+        [ Alcotest.test_case "roundtrip" `Quick response_roundtrip;
+          Alcotest.test_case "pinned bytes" `Quick pinned_bytes ] );
       ( "adversarial",
         [ Alcotest.test_case "fuzzed buffers" `Quick fuzz_decoders;
           Alcotest.test_case "deep nesting" `Quick deep_nesting_rejected ] ) ]

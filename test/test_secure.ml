@@ -240,12 +240,57 @@ let encrypt_roundtrip () =
     (List.length db.Secure.Encrypt.blocks);
   List.iter
     (fun b ->
-      let tree = Secure.Encrypt.decrypt_block ~keys b in
+      let block = Secure.Encrypt.decrypt_block ~keys b in
       Alcotest.(check bool)
         (Printf.sprintf "block %d decrypts to its subtree" b.Secure.Encrypt.id)
         true
-        (Tree.equal tree (Doc.subtree doc b.Secure.Encrypt.root)))
+        (Tree.equal (Doc.to_tree block) (Doc.subtree doc b.Secure.Encrypt.root)))
     db.Secure.Encrypt.blocks
+
+(* The client derives every hosted block's IV once, at creation; a
+   block must decrypt through that table exactly as through an IV
+   derived per call, and as through the cipher's own nonce path (which
+   derives the IV from the nonce string, independently of
+   [Keys.block_iv]) — under both cipher suites. *)
+let iv_table_agrees () =
+  List.iter
+    (fun cipher ->
+      let suite = Crypto.Cipher.suite_to_string cipher in
+      let sys, _ =
+        Secure.System.setup ~cipher (health_doc ()) (health_scs ()) Secure.Scheme.Opt
+      in
+      let client = Secure.System.client sys in
+      let keys = Secure.Client.keys client in
+      let doc = Secure.System.doc sys in
+      let blocks = (Secure.System.db sys).Secure.Encrypt.blocks in
+      Alcotest.(check bool) (suite ^ ": blocks hosted") true (List.length blocks > 3);
+      List.iter
+        (fun b ->
+          let id = b.Secure.Encrypt.id in
+          (* the ciphertext minus its 16-byte tag *)
+          let body = String.length b.Secure.Encrypt.ciphertext - 16 in
+          let via_nonce =
+            Crypto.Cipher.decrypt (Crypto.Keys.block_cipher keys)
+              ~nonce:(Crypto.Keys.block_nonce keys ~generation:b.Secure.Encrypt.generation ~block_id:id ())
+              ~len:body b.Secure.Encrypt.ciphertext
+          in
+          let via_nonce =
+            if b.Secure.Encrypt.has_decoy then
+              Xmlcore.Parser.parse_doc ~drop:Secure.Encrypt.decoy_attribute via_nonce
+            else Xmlcore.Parser.parse_doc via_nonce
+          in
+          let expected = Doc.subtree doc b.Secure.Encrypt.root in
+          List.iter
+            (fun (path, got) ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: block %d through %s" suite id path)
+                true
+                (Tree.equal expected (Doc.to_tree got)))
+            [ "the IV table", Secure.Client.decrypt_block client b;
+              "a per-call IV", Secure.Encrypt.decrypt_block ~keys b;
+              "the nonce", via_nonce ])
+        blocks)
+    [ Crypto.Cipher.Xtea; Crypto.Cipher.Aes ]
 
 let encrypt_decoys_diversify () =
   let doc = health_doc () in
@@ -267,7 +312,9 @@ let encrypt_decoys_diversify () =
        (b1.Secure.Encrypt.ciphertext = b2.Secure.Encrypt.ciphertext);
      (* Decoy stripped on decryption. *)
      Alcotest.(check bool) "decoy removed" true
-       (Tree.equal (Secure.Encrypt.decrypt_block ~keys b1) (Tree.leaf "disease" "diarrhea"))
+       (Tree.equal
+          (Doc.to_tree (Secure.Encrypt.decrypt_block ~keys b1))
+          (Tree.leaf "disease" "diarrhea"))
    | _ -> Alcotest.fail "expected two blocks")
 
 let encrypt_skeleton () =
@@ -1044,6 +1091,7 @@ let () =
         @ List.map QCheck_alcotest.to_alcotest [ scheme_no_nested_blocks ] );
       ( "encryption",
         [ Alcotest.test_case "roundtrip" `Quick encrypt_roundtrip;
+          Alcotest.test_case "IV table = per-call IV" `Quick iv_table_agrees;
           Alcotest.test_case "decoys" `Quick encrypt_decoys_diversify;
           Alcotest.test_case "skeleton hides secrets" `Quick encrypt_skeleton;
           Alcotest.test_case "tampering rejected" `Quick tampered_blocks_rejected;

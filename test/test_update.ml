@@ -558,15 +558,26 @@ let superseded_block_rejected () =
     (old_block.Encrypt.generation, (block sys2 3).Encrypt.generation);
   Alcotest.check_raises "the successor refuses the superseded record" (Encrypt.Tampered 3)
     (fun () -> ignore (Secure.Client.decrypt_block (System.client sys2) old_block));
+  let keys = Secure.Client.keys (System.client sys) in
+  let tree c b = Xmlcore.Doc.to_tree (Secure.Client.decrypt_block c b) in
   Alcotest.(check bool) "the predecessor still decrypts it" true
-    (Tree.equal
-       (Secure.Client.decrypt_block (System.client sys) old_block)
-       (Encrypt.decrypt_block ~keys:(Secure.Client.keys (System.client sys)) old_block));
+    (Tree.equal (tree (System.client sys) old_block)
+       (Xmlcore.Doc.to_tree (Encrypt.decrypt_block ~keys old_block)));
   Alcotest.check_raises "an id the client does not host" (Encrypt.Tampered 99_999)
     (fun () ->
       ignore
         (Secure.Client.decrypt_block (System.client sys2) { old_block with Encrypt.id = 99_999 }));
-  ignore (Secure.Client.decrypt_block (System.client sys2) (block sys2 3))
+  (* The successor derived the re-encrypted block's IV when it was
+     patched: through its table, the block decrypts as a per-call IV
+     derivation does, and it differs from the superseded record. *)
+  let successor = tree (System.client sys2) (block sys2 3) in
+  Alcotest.(check bool) "the successor decrypts the re-encrypted block" true
+    (Tree.equal successor (Xmlcore.Doc.to_tree (Encrypt.decrypt_block ~keys (block sys2 3))));
+  Alcotest.(check bool) "which carries the edit" false
+    (Tree.equal successor (tree (System.client sys) old_block));
+  Alcotest.check_raises "and the successor still refuses the superseded record"
+    (Encrypt.Tampered 3)
+    (fun () -> ignore (Secure.Client.decrypt_block (System.client sys2) old_block))
 
 (* --- Patched parts equal built ones --------------------------------- *)
 module Server = Secure.Server

@@ -242,6 +242,116 @@ let stats_totals_prop =
                  (Doc.nodes_with_tag doc tag)))
         (Xmlcore.Stats.all_histograms doc))
 
+(* --- The direct document parse ------------------------------------ *)
+
+let decoy = "@_decoy"
+
+(* The path [Parser.parse_doc] replaced: the tree parse, the decoy
+   filtered from the root's children (as decryption stripped it), then
+   [Doc.of_tree]. *)
+let via_tree ?drop s =
+  let tree =
+    match drop, Xmlcore.Parser.parse s with
+    | Some d, Tree.Element (tag, children) ->
+      Tree.Element
+        (tag,
+         List.filter
+           (function Tree.Element (t, _) -> not (String.equal t d) | Tree.Text _ -> true)
+           children)
+    | _, tree -> tree
+  in
+  Doc.of_tree tree
+
+let same_index a b =
+  let n = Doc.node_count a in
+  let nodes = List.init n Fun.id in
+  n = Doc.node_count b
+  && List.for_all
+       (fun i ->
+         Doc.tag a i = Doc.tag b i
+         && Doc.value a i = Doc.value b i
+         && Doc.parent a i = Doc.parent b i
+         && Doc.depth_of a i = Doc.depth_of b i
+         && Doc.subtree_node_count a i = Doc.subtree_node_count b i
+         && Doc.tagged a (Doc.tag a i) = Doc.tagged b (Doc.tag a i))
+       nodes
+  && Doc.elements a = Doc.elements b
+  && Doc.tagged a "absent" = Doc.tagged b "absent"
+
+(* Random block-shaped trees: attributes first, values that need
+   escaping or carry edge whitespace, empty elements, leaf and interior
+   roots, and leaf roots salted with a decoy beside their text. *)
+let block_gen =
+  let open QCheck.Gen in
+  let tag = oneofl [ "a"; "b"; "name"; "policy#"; "x-y"; "c.d" ] in
+  let value = oneofl [ "v"; "1 < 2"; "a & b"; "\"q\" 'x'"; " pad "; "x\ny"; "&amp;"; "]]>" ] in
+  let attribute = map2 (fun n v -> Tree.attribute n v) (oneofl [ "k"; "id"; "_x" ]) value in
+  let rec element depth =
+    if depth = 0 then oneof [ map2 Tree.leaf tag value; map (fun t -> Tree.element t []) tag ]
+    else
+      frequency
+        [ 2, map2 Tree.leaf tag value;
+          1, map (fun t -> Tree.element t []) tag;
+          3,
+          map3
+            (fun t attrs children -> Tree.element t (attrs @ children))
+            tag (list_size (int_bound 2) attribute)
+            (list_size (int_range 1 3) (element (depth - 1))) ]
+  in
+  frequency
+    [ 3, map (fun e -> e, None) (element 3);
+      1,
+      map2
+        (fun t v -> Tree.element t [ Tree.leaf decoy "quwzbl"; Tree.Text v ], Some decoy)
+        tag value;
+      1, map (fun e -> e, Some decoy) (element 2) ]
+
+let arbitrary_block =
+  QCheck.make
+    ~print:(fun (t, _) -> Xmlcore.Printer.tree_to_string t)
+    block_gen
+
+let parse_doc_agrees =
+  QCheck.Test.make ~name:"parse_doc = Doc.of_tree of the tree parse" ~count:500
+    arbitrary_block (fun (tree, drop) ->
+      let s = Xmlcore.Printer.tree_to_string tree in
+      same_index (Xmlcore.Parser.parse_doc ?drop s) (via_tree ?drop s))
+
+let outcome f = match f () with d -> Some d | exception (Xmlcore.Parser.Parse_error _ | Invalid_argument _) -> None
+
+(* A mutated block either parses the same both ways or fails both
+   ways; the direct parse fails only with [Parse_error]. *)
+let parse_doc_rejects_alike =
+  QCheck.Test.make ~name:"parse_doc fails where the tree path fails" ~count:1000
+    QCheck.(pair arbitrary_block (pair small_nat (int_bound 255)))
+    (fun ((tree, drop), (pos, byte)) ->
+      let b = Bytes.of_string (Xmlcore.Printer.tree_to_string tree) in
+      Bytes.set b (pos mod Bytes.length b) (Char.chr byte);
+      let s = Bytes.to_string b in
+      let direct =
+        match Xmlcore.Parser.parse_doc ?drop s with
+        | d -> Some d
+        | exception Xmlcore.Parser.Parse_error _ -> None
+      in
+      match direct, outcome (fun () -> via_tree ?drop s) with
+      | Some a, Some b -> same_index a b
+      | None, None -> true
+      | Some _, None | None, Some _ -> false)
+
+let parse_doc_errors () =
+  let fails s =
+    match Xmlcore.Parser.parse_doc s with
+    | _ -> Alcotest.fail (Printf.sprintf "%S should not parse" s)
+    | exception Xmlcore.Parser.Parse_error _ -> ()
+  in
+  fails "<a k=\"1\">text</a>" (* text beside an attribute *);
+  fails "<a>text<b/></a>";
+  fails "<a><b></a></b>";
+  fails "<a>&#-5;</a>";
+  let d = Xmlcore.Parser.parse_doc ~drop:decoy "<a _decoy=\"xyz\">text</a>" in
+  Alcotest.(check (option string)) "decoy dropped beside text" (Some "text") (Doc.value d 0);
+  Alcotest.(check int) "one node" 1 (Doc.node_count d)
+
 let () =
   Alcotest.run "xmlcore"
     [ ("tree", [ Alcotest.test_case "basics" `Quick tree_basics ]);
@@ -255,9 +365,11 @@ let () =
           Alcotest.test_case "entities" `Quick parser_entities;
           Alcotest.test_case "cdata & prolog" `Quick parser_cdata_comments;
           Alcotest.test_case "whitespace" `Quick parser_whitespace;
-          Alcotest.test_case "errors" `Quick parser_errors ]
+          Alcotest.test_case "errors" `Quick parser_errors;
+          Alcotest.test_case "parse_doc errors" `Quick parse_doc_errors ]
         @ List.map QCheck_alcotest.to_alcotest
-            [ parser_fuzz_total; parser_fuzz_mutations ] );
+            [ parser_fuzz_total; parser_fuzz_mutations; parse_doc_agrees;
+              parse_doc_rejects_alike ] );
       ( "printer",
         Alcotest.test_case "escaping" `Quick printer_escaping
         :: List.map QCheck_alcotest.to_alcotest
