@@ -63,6 +63,15 @@ let load_doc path =
 
 let parse_scs = List.map Secure.Sc.parse
 
+(* One read through the secure protocol; a link that gives up is
+   reported, not raised. *)
+let read sys request =
+  match Secure.System.read sys request with
+  | Ok reply -> reply
+  | Error e ->
+    Printf.eprintf "sxq: read failed: %s\n" (Secure.Session.error_to_string e);
+    exit 1
+
 (* ------------------------------------------------------------------ *)
 (* generate                                                            *)
 
@@ -366,7 +375,9 @@ let query_cmd =
     let answers, cost =
       match branches with
       | [ q ] -> Secure.System.evaluate sys q
-      | many -> Secure.System.evaluate_union sys many
+      | many ->
+        let reply = read sys (Secure.System.Union many) in
+        reply.Secure.System.answers, reply.Secure.System.cost
     in
     List.iter
       (fun t -> print_endline (Xmlcore.Printer.tree_to_string t))
@@ -508,8 +519,11 @@ let aggregate_cmd =
     let doc = load_doc path in
     let sys, _ = Secure.System.setup ~master doc (parse_scs scs) scheme in
     let q = Xpath.Parser.parse query in
-    let result, cost = Secure.System.aggregate sys dir q in
-    print_endline (Option.value ~default:"(no answers)" result);
+    let { Secure.System.answers; cost } = read sys (Secure.System.Extreme (dir, q)) in
+    print_endline
+      (match answers with
+       | [ Xmlcore.Tree.Element (_, [ Xmlcore.Tree.Text v ]) ] -> v
+       | _ -> "(no answers)");
     Printf.eprintf "%d block(s) shipped, %.2f ms\n" cost.Secure.System.blocks_returned
       (Secure.System.total_ms cost)
   in

@@ -59,7 +59,11 @@ let () =
   let sys, _ = System.setup doc scs Scheme.Opt in
   let q = List.hd queries in
   let _, secure_cost = System.evaluate sys q in
-  let _, naive_cost = System.naive_evaluate sys q in
+  let naive_cost =
+    match System.read sys (System.Naive q) with
+    | Ok reply -> reply.System.cost
+    | Error e -> failwith (Secure.Session.error_to_string e)
+  in
   Printf.printf
     "\nnaive method on the first query: %.1f ms vs %.1f ms secure (%.0f%% saved)\n"
     (System.total_ms naive_cost) (System.total_ms secure_cost)

@@ -44,9 +44,11 @@ let () =
     cost.System.blocks_returned (System.total_ms cost);
 
   (* Aggregates: MAX ships at most one block. *)
-  let oldest, agg_cost = System.aggregate sys `Max (parse "//patient/age") in
-  Printf.printf "oldest patient age: %s (%d block(s) shipped)\n"
-    (Option.value ~default:"-" oldest) agg_cost.System.blocks_returned;
+  (match System.read sys (System.Extreme (`Max, parse "//patient/age")) with
+   | Ok oldest ->
+     show_answers "oldest patient age" oldest.System.answers;
+     Printf.printf "  (%d block(s) shipped)\n" oldest.System.cost.System.blocks_returned
+   | Error e -> failwith (Secure.Session.error_to_string e));
 
   (* Day 30: updates — admit a patient, correct a record, discharge one. *)
   let admit =

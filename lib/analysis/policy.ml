@@ -22,6 +22,13 @@ type t = {
   flow : flow;
 }
 
+(* The server's answering functions: only the endpoint behind the
+   session link calls them (and the engine's cache miss), so every read
+   a client makes is a framed round on the link. *)
+let server_answering =
+  [ "Secure.Server.answer"; "Secure.Server.answer_extreme";
+    "Secure.Server.answer_padded"; "Secure.Server.fetch" ]
+
 (* The layering DAG mirrors the dune dependency graph on purpose: dune
    enforces link-time reachability, this table enforces *intent*.  A
    library absent from a right-hand side cannot be referenced even
@@ -114,12 +121,15 @@ let default =
           [ "json"; "metric"; "trace"; "ledger"; "obs" ]
       (* The serving tier never holds plaintext or key material of any
          tenant: answers flow through it as the opaque
-         Secure.Client.answer alias, and hostings arrive pre-keyed. *)
+         Secure.Client.answer alias, and hostings arrive pre-keyed.  It
+         reads through the link like any client, never by calling the
+         server's answering functions in process. *)
       @ List.concat_map
           (fun name ->
             let forbidden =
               [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
                 "Xmlcore.Printer"; "Crypto.Keys" ]
+              @ server_answering
             in
             [ "lib/serve/" ^ name ^ ".ml", forbidden;
               "lib/serve/" ^ name ^ ".mli", forbidden ])
@@ -128,11 +138,15 @@ let default =
          (ledger rounds, the stored tables' counts) plus the auxiliary
          knowledge its caller grants it, so reaching for the plaintext
          document layer or the key ring would let the "adversary"
-         cheat.  [attack.ml] is the facade unit, which has no
-         interface of its own. *)
+         cheat.  Its mitigations buy traffic on the link, so they may
+         not call the server's answering functions either: a round
+         that skips the link is one the ledger never sees.
+         [attack.ml] is the facade unit, which has no interface of its
+         own. *)
       @ (let forbidden =
            [ "Xmlcore.Doc"; "Xmlcore.Tree"; "Xmlcore.Parser";
              "Xmlcore.Printer"; "Crypto.Keys" ]
+           @ server_answering
          in
          ("lib/attack/attack.ml", forbidden)
          :: List.concat_map
@@ -280,6 +294,7 @@ let default =
           [ "Secure.Protocol.encode_request";
             "Secure.Protocol.encode_fetch";
             "Secure.Protocol.encode_padded";
+            "Secure.Protocol.encode_extreme";
             "Secure.Protocol.encode_response";
             "Secure.Transport.exchange";
             "Secure.Session.call";

@@ -43,43 +43,43 @@ let draw_dummies t universe n =
 let evaluate t sys query =
   let answers, cost =
     if t.config.pad then (
-      let envelope = Secure.Server.block_ids (Secure.System.server sys) in
-      match Secure.System.try_evaluate_padded sys ~extra:envelope query with
-      | Ok result -> result
-      | Error _ ->
-        (* The degradation ladder ships every block — already the full
-           padding envelope, so the fallback stays padded in effect. *)
-        Secure.System.evaluate sys query)
+      let reply =
+        match
+          Secure.System.read sys
+            (Secure.System.Padded (query, Secure.System.block_ids sys))
+        with
+        | Ok reply -> reply
+        | Error _ -> (
+          (* A naive read ships every block — the full padding envelope
+             — and shows the server no query, so the fallback stays
+             padded; a plain query round would not. *)
+          match Secure.System.read sys (Secure.System.Naive query) with
+          | Ok reply ->
+            { reply with
+              Secure.System.cost = { reply.Secure.System.cost with degraded = true } }
+          | Error e -> raise (Secure.System.Unavailable e))
+      in
+      reply.Secure.System.answers, reply.Secure.System.cost)
     else Secure.System.evaluate sys query
   in
   let cost =
     if t.config.dummies <= 0 then cost
     else (
-      let universe =
-        Array.of_list (Secure.Server.block_ids (Secure.System.server sys))
-      in
+      let universe = Array.of_list (Secure.System.block_ids sys) in
       match draw_dummies t universe t.config.dummies with
       | [] -> cost
       | ids -> (
-        match Secure.System.fetch_blocks sys ids with
-        | Ok fetch_cost -> add_cover cost fetch_cost
+        match Secure.System.read sys (Secure.System.Fetch ids) with
+        | Ok fetch -> add_cover cost fetch.Secure.System.cost
         | Error _ -> cost (* cover traffic is best-effort *)))
   in
   answers, cost
 
+(* Sequentially, in wire order, so the PRNG stream (and thus the trace)
+   is deterministic. *)
 let evaluate_batch t sys queries =
-  let n = Array.length queries in
-  let order = Array.init n (fun i -> i) in
-  if t.config.shuffle && n > 1 then Crypto.Prng.shuffle t.rng order;
-  let indexed =
-    if t.config.pad || t.config.dummies > 0 then
-      (* Per-query wire variants: evaluate sequentially in wire order so
-         the PRNG stream (and thus the trace) is deterministic. *)
-      Array.map (fun i -> i, evaluate t sys queries.(i)) order
-    else (
-      let shuffled = Array.map (fun i -> queries.(i)) order in
-      let results = Secure.System.evaluate_batch sys shuffled in
-      Array.mapi (fun k i -> i, results.(k)) order)
-  in
+  let order = Array.init (Array.length queries) Fun.id in
+  if t.config.shuffle && Array.length queries > 1 then Crypto.Prng.shuffle t.rng order;
+  let indexed = Array.map (fun i -> i, evaluate t sys queries.(i)) order in
   Array.sort (fun (a, _) (b, _) -> compare a b) indexed;
   Array.map snd indexed

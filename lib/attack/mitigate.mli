@@ -5,9 +5,11 @@
     E14:
 
     - {b pad} — every query goes over the {!Secure.Protocol.Padded}
-      wire variant with the full block universe as the envelope, so
-      all query responses carry the same block set (size and frequency
-      classes collapse into one);
+      wire variant with the full block universe
+      ({!Secure.System.block_ids}) as the envelope, so all query
+      responses carry the same block set (size and frequency classes
+      collapse into one); when that round gives up, a naive read —
+      every block, no query — answers instead;
     - {b dummy} — after each query a {!Secure.Protocol.Fetch} round of
       PRNG-chosen cover blocks crosses the wire and is discarded
       undecrypted (flattens the fetch histogram);
@@ -49,10 +51,13 @@ val evaluate :
   Secure.Client.answer list * Secure.System.cost
 (** One mitigated query round.  The returned cost folds the cover
     traffic's bytes and time into the query's — what the mitigation
-    actually charges the caller. *)
+    actually charges the caller.
+    @raise Secure.System.Unavailable when the query's rounds all gave
+    up, as {!Secure.System.evaluate} does. *)
 
 val evaluate_batch :
   t -> Secure.System.t -> Xpath.Ast.path array ->
   (Secure.Client.answer list * Secure.System.cost) array
-(** Mitigated batch: result [i] always answers [queries.(i)], whatever
+(** Mitigated batch: {!evaluate} of each query in wire order (shuffled
+    when bought); result [i] always answers [queries.(i)], whatever
     order the wire saw. *)

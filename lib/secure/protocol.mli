@@ -39,7 +39,25 @@ val encode_padded : Squery.path -> int list -> string
 
 val decode_any : string -> request
 (** Dispatching decoder used by the server endpoint.
-    @raise Malformed on garbage. *)
+    @raise Malformed on garbage, and on an {!encode_extreme} request
+    (as a server that predates it would). *)
+
+(** The MIN/MAX request (Section 6.4): the translated query, the value
+    index key range of its output attribute and the direction.  It
+    claims its own magic byte rather than a {!request} constructor, so
+    matches over {!request} stay exhaustive; the endpoint tries
+    {!decode_extreme} before {!decode_any}. *)
+type extreme = {
+  query : Squery.path;
+  key_range : int64 * int64;
+  direction : [ `Min | `Max ];
+}
+
+val encode_extreme : extreme -> string
+
+val decode_extreme : string -> extreme option
+(** [None] when the message is not an extreme request.
+    @raise Malformed on an extreme request that does not decode. *)
 
 val encode_response : Server.response -> string
 val decode_response : string -> Server.response

@@ -123,16 +123,10 @@ let patch t meta (change : Metadata.change) blocks =
     assemble ~trace:t.trace ~table ~universe ~block_table:meta.Metadata.block_table
       ~index ~blocks
 
-let all_blocks t =
-  Hashtbl.fold (fun _ b acc -> b :: acc) t.blocks_by_id []
-  |> List.sort (fun a b -> compare a.Encrypt.id b.Encrypt.id)
-
 let block_bytes blocks =
   List.fold_left
     (fun acc b -> acc + String.length b.Encrypt.ciphertext + Encrypt.block_header_bytes)
     0 blocks
-
-let stored_bytes t = block_bytes (all_blocks t)
 
 (* ------------------------------------------------------------------ *)
 (* Query evaluation                                                    *)
@@ -448,15 +442,12 @@ let select_blocks t ~witnesses ~distinguished ~candidate_intervals ~btree_hits =
     ~candidate_intervals ~btree_hits
 
 (* ------------------------------------------------------------------ *)
-(* Mitigation support: dummy fetches and padded answers                *)
+(* Fetches and padded answers                                         *)
 
-let block_ids t =
-  Hashtbl.fold (fun id _ acc -> id :: acc) t.blocks_by_id []
-  |> List.sort compare
-
-(* Cover traffic: ship the requested blocks verbatim.  Unknown ids are
-   skipped — a dishonest client probing the id space learns only what
-   the block universe already reveals. *)
+(* Ship the requested blocks verbatim: cover traffic, and the naive
+   read of every hosted id.  Unknown ids are skipped — a dishonest
+   client probing the id space learns only what the block universe
+   already reveals. *)
 let fetch t ids =
   Obs.span t.trace "server.fetch" @@ fun () ->
   let blocks =

@@ -90,16 +90,10 @@ val explain : t -> Squery.path -> step_report list
     and predicate filtering.  Evaluation work is the same as
     {!answer}'s pruning phase; no blocks are selected. *)
 
-val all_blocks : t -> Encrypt.block list
-(** Everything — the naive method's response. *)
-
-val block_ids : t -> int list
-(** Ids of every stored block, sorted — the block universe a padding
-    envelope draws from.  Block ids are already server-visible. *)
-
 val fetch : t -> int list -> response
-(** Cover traffic ({!Protocol.Fetch}): ship the requested blocks
-    verbatim, unknown ids skipped.  No index work is done
+(** {!Protocol.Fetch}: ship the requested blocks verbatim, sorted by
+    id, unknown and repeated ids skipped.  Cover traffic, and the naive
+    read (every hosted id).  No index work is done
     ([candidate_intervals] and [btree_hits] are 0). *)
 
 val answer_padded : t -> Squery.path -> extra:int list -> response
@@ -107,9 +101,6 @@ val answer_padded : t -> Squery.path -> extra:int list -> response
     ({!Protocol.Padded}).  The shipment remains a superset of the
     honest answer, so client-side filtering yields byte-identical
     answers; only the traffic shape changes. *)
-
-val stored_bytes : t -> int
-(** Ciphertext bytes held by the server (headers included). *)
 
 (** {1 List adaptors}
 

@@ -6,8 +6,8 @@ let log_src = Logs.Src.create "secure.system" ~doc:"Hosted-system lifecycle"
 module Log = (val Logs.src_log log_src)
 
 (* Process-wide system counters on Obs.Metric.default (disabled by
-   default).  [system.degraded] makes naive-evaluate fallbacks visible
-   to operators without tracing: before it existed a degraded query was
+   default).  [system.degraded] makes naive fallbacks visible to
+   operators without tracing: before it existed a degraded query was
    indistinguishable from a clean one unless the caller inspected every
    cost record or enabled the ledger. *)
 module M = struct
@@ -24,12 +24,12 @@ end
 
 (* The wire between client and server: a framed session over a
    (possibly fault-injecting) transport.  Built once per system; the
-   endpoint wraps the server's answer function. *)
+   endpoint wraps the server's answering functions, and is their only
+   caller in the library but the engine's cache miss. *)
 type link = {
   transport : Transport.t;
   session : Session.t;
   endpoint : Session.endpoint;
-  faulty : bool;
 }
 
 (* What a delta update changed, block-wise: enough for per-block cache
@@ -127,10 +127,14 @@ let make_link ?session_config ?faults keys server =
   let mac_key = Crypto.Keys.derive keys session_mac_label in
   let handler request =
     let response =
-      match Protocol.decode_any request with
-      | Protocol.Query q -> Server.answer server q
-      | Protocol.Fetch ids -> Server.fetch server ids
-      | Protocol.Padded (q, extra) -> Server.answer_padded server q ~extra
+      match Protocol.decode_extreme request with
+      | Some { Protocol.query; key_range; direction } ->
+        Server.answer_extreme server query ~key_range ~direction
+      | None ->
+        (match Protocol.decode_any request with
+         | Protocol.Query q -> Server.answer server q
+         | Protocol.Fetch ids -> Server.fetch server ids
+         | Protocol.Padded (q, extra) -> Server.answer_padded server q ~extra)
     in
     Protocol.encode_response response
   in
@@ -142,8 +146,7 @@ let make_link ?session_config ?faults keys server =
     | Some (profile, seed) -> Transport.faulty ~profile ~seed transport
   in
   { transport; session = Session.client ?config:session_config ~mac_key transport;
-    endpoint;
-    faulty = faults <> None }
+    endpoint }
 
 (* A fresh hosting of [db] and [metadata]: its client, server and link,
    a new generation and no observers yet. *)
@@ -246,14 +249,29 @@ let server t = t.server
 let pool t = t.pool
 
 (* ------------------------------------------------------------------ *)
-(* The read pipeline                                                   *)
+(* Reads                                                               *)
 
-(* Every read is one Figure 1 round: the client translates, the server
-   prunes and ships candidate blocks, the client decrypts and
-   post-processes.  The entry points below differ only in what they
-   ship and how they evaluate; the round itself ([ship]), the client
-   step ([deliver]), the ledger row ([record]), the cost record
-   ([cost_of]) and the degradation ladder ([degrade]) exist once. *)
+(* Every read is one Figure 1 exchange over the link: the client
+   translates, the server prunes and ships blocks, the client decrypts
+   and post-processes.  The request kinds differ only in what they send
+   and how the client evaluates the shipment; the round ([ship]), the
+   client step ([deliver]), the ledger row ([record]) and the cost
+   record ([cost_of]) exist once. *)
+
+type request =
+  | Query of Xpath.Ast.path
+  | Union of Xpath.Ast.path list
+  | Padded of Xpath.Ast.path * int list
+  | Extreme of [ `Min | `Max ] * Xpath.Ast.path
+  | Naive of Xpath.Ast.path
+  | Fetch of int list
+
+type reply = {
+  answers : Tree.t list;
+  cost : cost;
+}
+
+exception Unavailable of Session.error
 
 (* What the server side of the wire saw of one read: byte counts, index
    statistics, the shipped blocks and the session counters the read
@@ -274,31 +292,19 @@ type shipment = {
   degraded : bool;
 }
 
-(* A read that crossed no wire: one clean attempt, nothing shipped. *)
+(* The shipment before its first response. *)
 let nothing =
   { bytes_up = 0; bytes_down = 0; intervals_touched = 0; btree_hits = 0;
     blocks = []; server_ms = 0.0; attempts = 1; retransmitted_bytes = 0;
     faults_absorbed = 0; replays = 0; degraded = false }
 
-let add ?(bytes_up = 0) s (r : Server.response) =
+let add ~bytes_up s (r : Server.response) =
   { s with
     bytes_up = s.bytes_up + bytes_up;
     bytes_down = s.bytes_down + r.Server.bytes;
     intervals_touched = s.intervals_touched + r.Server.candidate_intervals;
     btree_hits = s.btree_hits + r.Server.btree_hits;
     blocks = s.blocks @ r.Server.blocks }
-
-(* What the naive path ships: every stored block, read from the server
-   state directly (no metadata round trip to fail). *)
-let everything t =
-  let blocks = Server.all_blocks t.server in
-  { nothing with
-    bytes_down =
-      List.fold_left
-        (fun acc b ->
-          acc + String.length b.Encrypt.ciphertext + Encrypt.block_header_bytes)
-        0 blocks;
-    blocks }
 
 (* Session counters around a group of calls.  The replay-cache hits the
    endpoint saw are the retransmit-linkability count of the leakage
@@ -352,10 +358,11 @@ let translate t query =
    retries), unframe, decode; the first failure aborts.  A response
    that authenticates but fails protocol decoding is reported as
    Malformed rather than letting the exception escape — under a
-   surviving fault schedule the caller must never crash. *)
-let ship t requests =
+   surviving fault schedule the caller must never crash.  The session
+   counters are taken from [before], by default the round's start. *)
+let ship ?before t requests =
   Obs.span t.trace "wire.exchange" @@ fun () ->
-  let before = snapshot t.link in
+  let before = match before with Some b -> b | None -> snapshot t.link in
   let rec go s = function
     | [] -> Ok s
     | request :: rest ->
@@ -374,8 +381,8 @@ let ship t requests =
    verify+decrypt is independent (nonce and MAC are keyed by the block
    id) and results keep list order, so the pooled fan-out returns
    exactly what the sequential fold would; called from inside a pool
-   worker (a batch lane) the nested map degrades to sequential on that
-   worker — correct either way. *)
+   worker (a tenant group of [Serve]) the nested map degrades to
+   sequential on that worker — correct either way. *)
 let deliver t ~label ~translate_ms s eval =
   let decrypted, decrypt_ms =
     Obs.span t.trace "client.decrypt" @@ fun () ->
@@ -389,170 +396,28 @@ let deliver t ~label ~translate_ms s eval =
     Obs.span t.trace "client.postprocess" @@ fun () -> timed (fun () -> eval decrypted)
   in
   record t label s;
-  answers, cost_of s ~translate_ms ~decrypt_ms ~postprocess_ms ~answers:(List.length answers)
+  { answers;
+    cost = cost_of s ~translate_ms ~decrypt_ms ~postprocess_ms ~answers:(List.length answers) }
 
 let answers_of t query decrypted = Client.evaluate_with t.client ~decrypted query
 
-let union_of t queries decrypted =
-  Client.evaluate_union_with t.client ~decrypted queries
-
-(* Every exchange crosses the wire format: the server decodes the
-   request bytes, the client decodes the response bytes — exactly the
-   Figure 1 data flow, framed and retried by the session layer. *)
 let wire_read t ~label ~translate_ms requests eval =
   Result.map (fun s -> deliver t ~label ~translate_ms s eval) (ship t requests)
 
-(* Degradation ladder: the metadata path retries inside Session.call;
-   if it still fails, fall back to the naive ship-everything semantics
-   evaluated from the server state directly (no metadata round trip to
-   fail), so answers stay exact under any survivable fault schedule.
-   The fallback's row and cost carry what the failed attempt cost on
-   [link] since [before]. *)
-let degrade t ~link ~before err eval =
-  Log.warn (fun m ->
-      m "metadata path failed (%s): degrading to naive evaluation"
-        (Session.error_to_string err));
-  Obs.Metric.incr M.degraded;
-  Obs.span t.trace "system.degraded" @@ fun () ->
-  deliver t ~label:"degraded" ~translate_ms:0.0
-    (moved link before { (everything t) with degraded = true })
-    eval
-
-let with_ladder t eval attempt =
-  let before = snapshot t.link in
-  match attempt () with
-  | Ok result -> result
-  | Error err -> degrade t ~link:t.link ~before err eval
-
-let try_evaluate t query =
-  Obs.span t.trace "system.evaluate" @@ fun () ->
+let query_read t ~label query encode =
   let squery, translate_ms = translate t query in
-  wire_read t ~label:"evaluate" ~translate_ms
-    [ Protocol.encode_request squery ]
-    (answers_of t query)
+  wire_read t ~label ~translate_ms [ encode squery ] (answers_of t query)
 
-let naive_evaluate t query =
-  Obs.span t.trace "system.naive_evaluate" @@ fun () ->
-  deliver t ~label:"naive" ~translate_ms:0.0 (everything t) (answers_of t query)
+(* The ids of every hosted block, from the client's own record of the
+   hosting. *)
+let block_ids t = List.sort compare (ids_of t.db.Encrypt.blocks)
 
-let evaluate t query =
-  with_ladder t (answers_of t query) (fun () -> try_evaluate t query)
-
-(* ------------------------------------------------------------------ *)
-(* Mitigation primitives (the Mitigate layer's wire operations)        *)
-
-(* Cover traffic: a Fetch round whose blocks the client discards
-   undecrypted — only the traffic shape matters, so the cost carries no
-   decrypt/postprocess time and no answers. *)
-let fetch_blocks t ids =
-  Obs.span t.trace "system.fetch" @@ fun () ->
+(* A fetch of every hosted block, evaluated on the client: the naive
+   read, and the rung [evaluate] falls back on. *)
+let naive ?before ?(degraded = false) t ~label query =
   Result.map
-    (fun s ->
-      record t "fetch" s;
-      cost_of s ~translate_ms:0.0 ~decrypt_ms:0.0 ~postprocess_ms:0.0 ~answers:0)
-    (ship t [ Protocol.encode_fetch ids ])
-
-(* The padded twin of [try_evaluate]: the shipment is widened to the
-   requested envelope but stays a superset of the honest answer, and
-   client-side filtering is already superset-tolerant (the naive path
-   ships everything), so answers are byte-identical to the unpadded
-   round. *)
-let try_evaluate_padded t ~extra query =
-  Obs.span t.trace "system.evaluate_padded" @@ fun () ->
-  let squery, translate_ms = translate t query in
-  wire_read t ~label:"padded" ~translate_ms
-    [ Protocol.encode_padded squery extra ]
-    (answers_of t query)
-
-(* Union queries: one server round per branch, one combined block set
-   (a block two branches share ships twice but decrypts once), one
-   client-side union evaluation (node-level dedup). *)
-let try_evaluate_union t queries =
-  Obs.span t.trace "system.evaluate_union" @@ fun () ->
-  let translated = List.map (translate t) queries in
-  let translate_ms = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 translated in
-  Result.map
-    (fun s ->
-      let blocks =
-        List.sort_uniq (fun a b -> Int.compare a.Encrypt.id b.Encrypt.id) s.blocks
-      in
-      deliver t ~label:"union" ~translate_ms { s with blocks } (union_of t queries))
-    (ship t (List.map (fun (squery, _) -> Protocol.encode_request squery) translated))
-
-let evaluate_union t queries =
-  with_ladder t (union_of t queries) (fun () -> try_evaluate_union t queries)
-
-(* ------------------------------------------------------------------ *)
-(* Batched evaluation                                                  *)
-
-(* Fan the independent queries of a workload across the pool, against
-   the shared read-only server.  Three things keep this exactly
-   equivalent to evaluating the queries one at a time:
-
-   - translation happens up front on the calling domain, in query
-     order: it derives tag keys through [Crypto.Keys]' derivation memo,
-     a mutable table that parallel translation would race on;
-
-   - each lane is the system behind a private session link (the
-     system's own session is stateful: sequence numbers, stats), built
-     over the same endpoint handler, so every request/response crosses
-     the same wire format and the server answers from the same
-     read-only state;
-
-   - results merge by input index (the pool's deterministic-merge
-     contract), so answers and costs line up with the query array.
-
-   Lanes never trace, and record their ledger row on a private ledger:
-   the tracer, the ledger and the metric registry are single-domain
-   structures.  The rows (label "batch"), and any fallback down the
-   degradation ladder, are taken after the merge, on the calling
-   domain, in query order.  A chaotic link serialises: retry schedules
-   are deterministic per session, and interleaving lanes over a shared
-   fault schedule would change which faults hit which query. *)
-let evaluate_batch t queries =
-  match t.pool with
-  | Some p when Parallel.Pool.size p > 1 && not t.link.faulty ->
-    let keys = Client.keys t.client in
-    (* Lane links derive the session MAC key from the (mutable) key
-       ring memo: warm it before fanning out. *)
-    ignore (Crypto.Keys.derive keys session_mac_label);
-    let translated =
-      Array.map (fun q -> q, timed (fun () -> Client.translate t.client q)) queries
-    in
-    let lanes =
-      Parallel.Pool.map p
-        (fun (query, (squery, translate_ms)) ->
-          let lane =
-            { t with
-              link = make_link keys t.server;
-              trace = Obs.Trace.create ();
-              ledger = Obs.Ledger.create ~enabled:(Obs.Ledger.enabled t.ledger) () }
-          in
-          let before = snapshot lane.link in
-          ( wire_read lane ~label:"batch" ~translate_ms
-              [ Protocol.encode_request squery ]
-              (answers_of t query),
-            lane,
-            before ))
-        translated
-    in
-    Array.map2
-      (fun query (result, lane, before) ->
-        List.iter (Obs.Ledger.record t.ledger) (Obs.Ledger.rounds lane.ledger);
-        match result with
-        | Ok result -> result
-        | Error err -> degrade t ~link:lane.link ~before err (answers_of t query))
-      queries lanes
-  | Some _ | None -> Array.map (evaluate t) queries
-
-let reference_union t queries =
-  List.map (fun n -> Doc.subtree t.doc n) (Xpath.Eval.eval_union t.doc queries)
-
-let reference t query =
-  List.map (fun n -> Doc.subtree t.doc n) (Xpath.Eval.eval t.doc query)
-
-(* ------------------------------------------------------------------ *)
-(* Aggregates (Section 6.4)                                            *)
+    (fun s -> deliver t ~label ~translate_ms:0.0 { s with degraded } (answers_of t query))
+    (ship ?before t [ Protocol.encode_fetch (block_ids t) ])
 
 (* Compare values the way predicate evaluation does: numerically when
    both sides parse as numbers. *)
@@ -561,60 +426,117 @@ let value_compare a b =
   | Some x, Some y -> Float.compare x y
   | Some _, None | None, Some _ | None, None -> String.compare a b
 
-let leaf_values trees =
-  List.filter_map
-    (function
-      | Tree.Element (_, [ Tree.Text v ]) -> Some v
-      | Tree.Element _ | Tree.Text _ -> None)
-    trees
-
-let extreme direction values =
-  let better a b =
+(* The leaf answer holding the [direction]-most value, with that value;
+   ties go to the first in document order. *)
+let extreme direction trees =
+  let better ((a, _) as x) ((b, _) as y) =
     match direction with
-    | `Min -> if value_compare a b <= 0 then a else b
-    | `Max -> if value_compare a b >= 0 then a else b
+    | `Min -> if value_compare a b <= 0 then x else y
+    | `Max -> if value_compare a b >= 0 then x else y
   in
-  match values with
+  let leaf = function
+    | Tree.Element (_, [ Tree.Text v ]) as tree -> Some (v, tree)
+    | Tree.Element _ | Tree.Text _ -> None
+  in
+  match List.filter_map leaf trees with
   | [] -> None
-  | v :: rest -> Some (List.fold_left better v rest)
+  | x :: rest -> Some (List.fold_left better x rest)
 
-let aggregate t direction query =
-  Obs.span t.trace "system.aggregate" @@ fun () ->
-  let squery, translate_ms = translate t query in
-  match
+let read t = function
+  | Query query ->
+    Obs.span t.trace "system.evaluate" @@ fun () ->
+    query_read t ~label:"evaluate" query Protocol.encode_request
+  | Padded (query, extra) ->
+    (* The shipment is widened to the requested envelope but stays a
+       superset of the honest answer, and client-side filtering is
+       superset-tolerant, so answers are those of the unpadded read. *)
+    Obs.span t.trace "system.evaluate_padded" @@ fun () ->
+    query_read t ~label:"padded" query (fun squery -> Protocol.encode_padded squery extra)
+  | Union queries ->
+    (* One server round per branch, one combined block set (a block two
+       branches share ships twice but decrypts once), one client-side
+       union evaluation (node-level dedup). *)
+    Obs.span t.trace "system.evaluate_union" @@ fun () ->
+    let translated = List.map (translate t) queries in
+    let translate_ms = List.fold_left (fun acc (_, ms) -> acc +. ms) 0.0 translated in
+    Result.map
+      (fun s ->
+        let blocks =
+          List.sort_uniq (fun a b -> Int.compare a.Encrypt.id b.Encrypt.id) s.blocks
+        in
+        deliver t ~label:"union" ~translate_ms { s with blocks } (fun decrypted ->
+            Client.evaluate_union_with t.client ~decrypted queries))
+      (ship t (List.map (fun (squery, _) -> Protocol.encode_request squery) translated))
+  | Extreme (direction, query) ->
+    Obs.span t.trace "system.aggregate" @@ fun () ->
+    let squery, translate_ms = translate t query in
     (* The no-decryption fast path needs the server's candidate set to
        be exact, which structural joins guarantee only in the absence
        of value predicates (those are resolved at block granularity and
-       may admit false positives under coarse schemes). *)
-    if Squery.has_value_predicate squery then None
-    else Client.aggregate_range t.client query
-  with
-  | None ->
-    (* Fall back to the ordinary protocol and aggregate client-side. *)
-    let answers, cost = evaluate t query in
-    extreme direction (leaf_values answers), cost
-  | Some key_range ->
-    (* The extreme-entry exchange has no wire encoding yet: the server
-       answers in-process, so nothing goes up the wire. *)
-    let response, server_ms =
-      timed (fun () -> Server.answer_extreme t.server squery ~key_range ~direction)
+       may admit false positives under coarse schemes).  Otherwise the
+       query round runs and the client aggregates; its cost is then the
+       query round's. *)
+    let range =
+      if Squery.has_value_predicate squery then None
+      else Client.aggregate_range t.client query
     in
-    let answers, cost =
-      deliver t ~label:"aggregate" ~translate_ms
-        { (add nothing response) with server_ms }
-        (answers_of t query)
+    let label, request =
+      match range with
+      | None -> "evaluate", Protocol.encode_request squery
+      | Some key_range ->
+        "aggregate", Protocol.encode_extreme { Protocol.query = squery; key_range; direction }
     in
-    let result = extreme direction (leaf_values answers) in
-    result, { cost with answer_count = (match result with Some _ -> 1 | None -> 0) }
+    Result.map
+      (fun r ->
+        let answers = Option.to_list (Option.map snd (extreme direction r.answers)) in
+        { answers;
+          cost =
+            (match range with
+             | None -> r.cost
+             | Some _ -> { r.cost with answer_count = List.length answers }) })
+      (wire_read t ~label ~translate_ms [ request ] (answers_of t query))
+  | Naive query ->
+    Obs.span t.trace "system.naive_evaluate" @@ fun () -> naive t ~label:"naive" query
+  | Fetch ids ->
+    (* Cover traffic: the blocks are discarded undecrypted — only the
+       traffic shape matters, so the cost carries no decrypt or
+       post-processing time and no answers. *)
+    Obs.span t.trace "system.fetch" @@ fun () ->
+    Result.map
+      (fun s ->
+        record t "fetch" s;
+        { answers = [];
+          cost = cost_of s ~translate_ms:0.0 ~decrypt_ms:0.0 ~postprocess_ms:0.0 ~answers:0 })
+      (ship t [ Protocol.encode_fetch ids ])
 
-let count t query =
-  (* COUNT cannot be answered from the index (splitting and scaling
-     distort entry counts, Section 5.2): decrypt and count. *)
-  let answers, cost = evaluate t query in
-  List.length answers, cost
+(* The degradation rung: when the query round gives up, one naive round
+   over the same link, which the server sees as a fetch of every block.
+   Its row and cost also carry what the failed round cost the session.
+   When that round fails too, nothing is left to try. *)
+let evaluate t query =
+  let before = snapshot t.link in
+  match read t (Query query) with
+  | Ok r -> r.answers, r.cost
+  | Error err ->
+    Log.warn (fun m ->
+        m "query round failed (%s): degrading to a naive read" (Session.error_to_string err));
+    (match
+       Obs.span t.trace "system.degraded" @@ fun () ->
+       naive ~before ~degraded:true t ~label:"degraded" query
+     with
+     | Ok r ->
+       Obs.Metric.incr M.degraded;
+       r.answers, r.cost
+     | Error err -> raise (Unavailable err))
+
+let reference_union t queries =
+  List.map (fun n -> Doc.subtree t.doc n) (Xpath.Eval.eval_union t.doc queries)
+
+let reference t query =
+  List.map (fun n -> Doc.subtree t.doc n) (Xpath.Eval.eval t.doc query)
 
 let reference_aggregate t direction query =
-  extreme direction (leaf_values (reference t query))
+  Option.map fst (extreme direction (reference t query))
 
 (* ------------------------------------------------------------------ *)
 (* Updates                                                             *)

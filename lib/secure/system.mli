@@ -9,16 +9,16 @@
     byte counts at a configurable link speed), client decryption and
     client post-processing.
 
-    {!naive_evaluate} is the Section 7.3 baseline: the server ships
-    every block, the client decrypts everything and evaluates
+    Every read is one call of {!read}, and every read crosses the
+    wire: the client and the server meet only through framed, verified
+    messages, as in Figure 1, and the server's view is what the
+    endpoint decoded.  The request kinds differ only in what they send
+    and how the client evaluates the shipment; one round, one client
+    step (decrypt, post-process) and one function each making the
+    ledger row and the {!cost} record serve them all, so their ledger
+    rows carry the same fields.  {!Naive} is the Section 7.3 baseline: the
+    client fetches every block, decrypts everything and evaluates
     locally.
-
-    Every read entry point is a thin caller of one private pipeline:
-    one verified round, one client step (decrypt, post-process), one
-    builder each for the ledger row and the {!cost} record, and one
-    degradation ladder.  The entry points differ only in what they ship
-    and how the client evaluates it, so their ledger rows carry the
-    same fields.
 
     A hosting is superseded by {!update}, {!rotate} or {!apply_delta}.
     Observers registered with {!on_succession} are handed the
@@ -47,7 +47,8 @@ type cost = {
       (** replay-cache hits the endpoint saw this query — retransmitted
           frames the server linked with certainty *)
   degraded : bool;
-      (** the metadata path gave up and the naive fallback answered *)
+      (** the query round gave up and {!evaluate}'s naive round
+          answered *)
 }
 
 val total_ms : cost -> float
@@ -72,7 +73,7 @@ val setup :
   Xmlcore.Doc.t -> Sc.t list -> Scheme.kind -> t * setup_cost
 (** When [pool] is given, block encryption and OPESS catalog building
     fan out across its domains during hosting, and the system keeps the
-    pool for candidate-block decryption and {!evaluate_batch}.  All
+    pool for the decryption of each read's shipped blocks.  All
     outputs — ciphertexts, metadata, answers — are byte-identical to a
     pool-less setup; systems derived by {!update} / {!rotate} /
     {!apply_delta} inherit the pool.
@@ -141,7 +142,7 @@ val on_succession : t -> (t -> delta_event option -> unit) -> unit
 
 (** {2 Transport faults and the session layer}
 
-    Every {!evaluate} round trip is framed by {!Session} (sequence
+    Every {!read} round trip is framed by {!Session} (sequence
     numbers + HMAC trailer) and crosses a {!Transport}.  A freshly
     {!setup} or {!restore}d system uses a perfect loopback; rewire it
     with {!with_faults} to exercise the retry and degradation
@@ -175,98 +176,94 @@ val endpoint_stats : t -> Session.endpoint_stats
     [server.*] spans nest inside [system.*] ones) and a leakage ledger
     recording per-round server-visible facts.  Both start disabled and
     cost one boolean test per instrumentation point; enable them with
-    [Obs.Trace.set_enabled] / [Obs.Ledger.set_enabled].  The pooled
-    {!evaluate_batch} path records ledger rounds after the
-    deterministic merge (label ["batch"], the same fields as a
-    sequential ["evaluate"] round) and never traces from pool workers;
+    [Obs.Trace.set_enabled] / [Obs.Ledger.set_enabled].
     {!with_faults} shares both with the system it rewires.
     See docs/OBSERVABILITY.md. *)
 
 val tracer : t -> Obs.Trace.t
 val ledger : t -> Obs.Ledger.t
 
+(** {2 Reads}
+
+    One function, {!read}, makes every read: each request kind is one
+    or more framed, verified rounds on the link, served by the
+    endpoint behind it, and records one ledger row (label in
+    brackets).  {!evaluate} adds the degradation rung on top. *)
+
+type request =
+  | Query of Xpath.Ast.path
+      (** the paper's protocol (["evaluate"], span [system.evaluate]) *)
+  | Union of Xpath.Ast.path list
+      (** union query ([p1 | p2 | ...], cf. {!Xpath.Parser.parse_union}):
+          one round per branch, one combined decryption and a
+          node-deduplicated union evaluation; [translate_ms] sums the
+          branches' translations (["union"], [system.evaluate_union]) *)
+  | Padded of Xpath.Ast.path * int list
+      (** {!Query} through {!Protocol.Padded}: the server widens the
+          shipment with the listed pad blocks (unknown and already
+          shipped ids skipped), so answers are those of the unpadded
+          round while the traffic shape moves toward the envelope; used
+          by the {!Mitigate} layer ([lib/attack]) (["padded"],
+          [system.evaluate_padded]) *)
+  | Extreme of [ `Min | `Max ] * Xpath.Ast.path
+      (** MIN/MAX (Section 6.4) through {!Protocol.encode_extreme}: OPE
+          order in the value index locates the extreme encrypted
+          occurrence, so at most one block ships and is decrypted
+          (["aggregate"], [system.aggregate]).  A query with a value
+          predicate, or whose output is not an indexed attribute, makes
+          a {!Query} round instead, its row an ["evaluate"] row and its
+          cost the query round's.  The reply's answers are the leaf
+          holding the extreme value (ties: the first in document order;
+          none when the query selects no leaf).  Numeric comparison is
+          used when values parse as numbers.  COUNT cannot be pushed to
+          the server — splitting and scaling distort index entry counts
+          — so it is the length of a {!Query} reply. *)
+  | Naive of Xpath.Ast.path
+      (** the Section 7.3 baseline: a {!Protocol.Fetch} of every hosted
+          block ({!block_ids}), all decrypted, the query evaluated on
+          the client (["naive"], [system.naive_evaluate]) *)
+  | Fetch of int list
+      (** cover traffic: the blocks cross the wire and are discarded
+          undecrypted — no answers, no decryption cost (["fetch"],
+          [system.fetch]) *)
+
+type reply = {
+  answers : Xmlcore.Tree.t list;  (** in document order *)
+  cost : cost;
+}
+
+val read : t -> request -> (reply, Session.error) result
+(** One read over the link, strict: [Error (Gave_up _)] once the
+    session layer exhausts its attempts on any of its rounds, and
+    never a raise on transport faults.  Answers are exact:
+    [Q(δ(Qs(η(D)))) = Q(D)]. *)
+
+exception Unavailable of Session.error
+(** Raised by {!evaluate} when both of its rungs failed. *)
+
 val evaluate : t -> Xpath.Ast.path -> Xmlcore.Tree.t list * cost
-(** Full protocol round trip.  Total under any fault schedule the
-    session layer can survive: retries absorb transient faults, and
-    once the configured attempts are exhausted the query {e degrades}
-    to {!naive_evaluate} semantics evaluated against the server state
-    directly ([cost.degraded = true]) — answers stay exact
-    ([Q(δ(Qs(η(D)))) = Q(D)]) either way. *)
+(** [read t (Query q)], with the degradation rung: when that round
+    fails, one {!Naive} round over the same link, labelled
+    ["degraded"] (span [system.degraded]), with [cost.degraded = true]
+    and the failed round's session counters added to its own.  Answers
+    are exact either way.
+    @raise Unavailable when the naive round fails too. *)
 
-val try_evaluate :
-  t -> Xpath.Ast.path -> (Xmlcore.Tree.t list * cost, Session.error) result
-(** Strict variant: no degradation ladder.  [Error (Gave_up _)] after
-    the session layer exhausts its attempts; never raises on transport
-    faults. *)
-
-val try_evaluate_padded :
-  t -> extra:int list ->
-  Xpath.Ast.path -> (Xmlcore.Tree.t list * cost, Session.error) result
-(** {!try_evaluate} through the {!Protocol.Padded} wire variant: the
-    server widens the shipment with the pad blocks [extra] (unknown and
-    already-shipped ids are skipped), keeping it a superset of the
-    honest answer, so answers are byte-identical to the unpadded round
-    while the traffic shape moves toward the padding envelope.  Ledger
-    rounds are labelled ["padded"].  Used by the {!Mitigate} layer
-    ([lib/attack]). *)
-
-val fetch_blocks : t -> int list -> (cost, Session.error) result
-(** Cover traffic through the {!Protocol.Fetch} wire variant: the
-    requested blocks cross the wire and are discarded undecrypted
-    (no answers, no decryption cost).  Ledger rounds are labelled
-    ["fetch"]. *)
-
-val evaluate_batch : t -> Xpath.Ast.path array -> (Xmlcore.Tree.t list * cost) array
-(** Evaluate independent queries of a workload, fanning them across
-    the system's pool against the shared read-only server (one private
-    session lane per query).  Result [i] — answers, protocol bytes,
-    blocks returned — is exactly what [evaluate t queries.(i)] returns,
-    and so is its ledger round but for the label; only wall-clock
-    changes.  Without a pool (or behind a
-    {!with_faults} link, whose deterministic fault schedule is
-    per-session) the queries run sequentially. *)
-
-val evaluate_union : t -> Xpath.Ast.path list -> Xmlcore.Tree.t list * cost
-(** Union query ([p1 | p2 | ...], cf. {!Xpath.Parser.parse_union}): one
-    server round per branch, a single combined decryption and a
-    node-deduplicated union evaluation.  [translate_ms] sums the
-    branches' translations. *)
-
-val try_evaluate_union :
-  t -> Xpath.Ast.path list -> (Xmlcore.Tree.t list * cost, Session.error) result
-(** Strict union evaluation (first failing branch aborts). *)
-
-val reference_union : t -> Xpath.Ast.path list -> Xmlcore.Tree.t list
-
-val naive_evaluate : t -> Xpath.Ast.path -> Xmlcore.Tree.t list * cost
-(** Ship-everything baseline; also the degradation fallback.  Reads the
-    server state directly (no metadata round trip), so it succeeds
-    regardless of the fault schedule.  The MIN/MAX fast path of
-    {!aggregate} likewise bypasses the transport (its extreme-entry
-    exchange has no wire encoding yet). *)
+val block_ids : t -> int list
+(** Ids of every hosted block, sorted, from the client's own record of
+    the hosting: what a {!Naive} read fetches, and the universe a
+    padding envelope or cover fetch draws from.  Block ids are already
+    server-visible. *)
 
 val reference : t -> Xpath.Ast.path -> Xmlcore.Tree.t list
 (** Ground truth: the query evaluated directly on the plaintext
     document (what [Q(D)] returns). *)
 
-(** {2 Aggregates (Section 6.4)}
-
-    MIN and MAX evaluate {e without decrypting the candidate set}: OPE
-    order in the value index locates the extreme encrypted occurrence,
-    so at most one block ships.  COUNT cannot be pushed to the server —
-    splitting and scaling distort index entry counts — so it decrypts
-    like an ordinary query (exactly the paper's trade-off). *)
-
-val aggregate : t -> [ `Min | `Max ] -> Xpath.Ast.path -> string option * cost
-(** [aggregate t `Max q] is the largest leaf value among [q]'s answers
-    ([None] when the query selects nothing).  Numeric comparison is
-    used when values parse as numbers. *)
-
-val count : t -> Xpath.Ast.path -> int * cost
-(** Number of answers; pays full decryption like {!evaluate}. *)
+val reference_union : t -> Xpath.Ast.path list -> Xmlcore.Tree.t list
 
 val reference_aggregate : t -> [ `Min | `Max ] -> Xpath.Ast.path -> string option
-(** Ground-truth aggregate on the plaintext document. *)
+(** Ground-truth aggregate on the plaintext document: the leaf value an
+    {!Extreme} reply holds. *)
 
 (** {2 Updates (the paper's future-work item 3)}
 

@@ -290,11 +290,11 @@ let evaluate_job tn q =
   | `Engine, Some eng ->
     let answers, report = Engine.evaluate_report eng q in
     Ok (answers, cost_of_report report, Secure.System.generation (Engine.system eng))
-  | _ -> (
-    match Secure.System.try_evaluate tn.sys q with
-    | Ok (answers, cost) ->
-      Ok (answers, cost, Secure.System.generation tn.sys)
-    | Error e -> Error e)
+  | _ ->
+    Result.map
+      (fun r ->
+        r.Secure.System.answers, r.Secure.System.cost, Secure.System.generation tn.sys)
+      (Secure.System.read tn.sys (Secure.System.Query q))
 
 let shed_queue tn out =
   let shed = ref [] in

@@ -53,7 +53,7 @@ val default_config : config
     cooldown 2. *)
 
 type route =
-  [ `Wire     (** {!Secure.System.try_evaluate} through the session
+  [ `Wire     (** {!Secure.System.read} of a [Query] through the session
                   link — retries, faults and [Gave_up]s feed the
                   breaker *)
   | `Engine   (** {!Engine.evaluate_report} — memoised and cached,

@@ -40,3 +40,16 @@ let norm_trees trees =
 
 let check_trees_equal msg expected got =
   Alcotest.(check (list string)) msg (norm_trees expected) (norm_trees got)
+
+(* One read on a link that is not expected to fail. *)
+let read sys request =
+  match Secure.System.read sys request with
+  | Ok reply -> reply
+  | Error e -> Alcotest.failf "read failed: %s" (Secure.Session.error_to_string e)
+
+(* The value an [Extreme] reply holds, as [System.reference_aggregate]
+   returns it. *)
+let extreme_value (reply : Secure.System.reply) =
+  match reply.Secure.System.answers with
+  | [ Tree.Element (_, [ Tree.Text v ]) ] -> Some v
+  | _ -> None

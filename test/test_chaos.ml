@@ -1,10 +1,11 @@
 (* Chaos suite: the full protocol under injected transport faults.
 
    Acceptance property: for every fault profile in the sweep, every
-   query either completes with byte-exact answers (same as the
+   read either completes with byte-exact answers (same as the
    fault-free run) or fails with a typed [Gave_up] — never a crash,
-   never a wrong answer.  [System.evaluate] additionally never fails:
-   it degrades to the naive fallback and stays exact. *)
+   never a wrong answer.  [System.evaluate] adds one naive round over
+   the same link when the query round gives up; it either returns
+   exact answers or raises [System.Unavailable], and nothing else. *)
 
 module System = Secure.System
 module Session = Secure.Session
@@ -69,8 +70,8 @@ let sweep_exact_or_gave_up () =
               in
               List.iter2
                 (fun q expected ->
-                  match System.try_evaluate faulty q with
-                  | Ok (answers, cost) ->
+                  match System.read faulty (System.Query q) with
+                  | Ok { System.answers; cost } ->
                     incr succeeded;
                     Alcotest.(check bool)
                       (Printf.sprintf "exact under drop=%.2f corrupt=%.2f dup=%.2f: %s"
@@ -100,36 +101,69 @@ let clean_profile_has_no_overhead () =
       ~seed:7L sys
   in
   let q = Xpath.Parser.parse "//patient[age>=50]/pname" in
-  match System.try_evaluate faulty q with
+  match System.read faulty (System.Query q) with
   | Error e -> Alcotest.failf "calm link failed: %s" (Session.error_to_string e)
-  | Ok (_, cost) ->
+  | Ok { System.cost; _ } ->
     Alcotest.(check int) "one attempt" 1 cost.System.attempts;
     Alcotest.(check int) "no retransmits" 0 cost.System.retransmitted_bytes;
     Alcotest.(check int) "no faults" 0 cost.System.faults_absorbed
 
-let evaluate_is_total_and_exact () =
-  (* A near-dead link with a tight retry budget: [evaluate] must still
-     answer every query exactly, flagging degradation in the cost. *)
+let evaluate_exact_or_unavailable () =
+  (* A lossy link with a tight retry budget: each [evaluate] answers on
+     the query round, answers on the naive round (flagged degraded), or
+     raises [Unavailable] when that round gives up too.  Answers are
+     exact whichever round gave them, and no other exception escapes. *)
   let sys = build () in
   let queries = query_set sys in
   let session = { Session.default_config with Session.max_attempts = 2 } in
   let faulty =
     System.with_faults ~session
-      ~profile:(Transport.chaos ~drop:0.9 ~flip:0.4 ())
+      ~profile:(Transport.chaos ~drop:0.5 ~flip:0.1 ())
       ~seed:13L sys
   in
-  let degraded = ref 0 in
+  let clean = ref 0 and degraded = ref 0 and unavailable = ref 0 in
   List.iter
     (fun q ->
       let expected = Helpers.norm_trees (fst (System.evaluate sys q)) in
-      let answers, cost = System.evaluate faulty q in
-      if cost.System.degraded then incr degraded;
-      Alcotest.(check bool)
-        ("total evaluation stays exact: " ^ Xpath.Ast.to_string q)
-        true
-        (Helpers.norm_trees answers = expected))
+      match System.evaluate faulty q with
+      | answers, cost ->
+        incr (if cost.System.degraded then degraded else clean);
+        Alcotest.(check bool)
+          ("evaluation stays exact: " ^ Xpath.Ast.to_string q)
+          true
+          (Helpers.norm_trees answers = expected)
+      | exception System.Unavailable (Session.Gave_up _) -> incr unavailable
+      | exception System.Unavailable e ->
+        Alcotest.failf "non-terminal error escaped: %s" (Session.error_to_string e))
     queries;
-  Alcotest.(check bool) "degradation exercised" true (!degraded > 0)
+  Alcotest.(check bool) "query round answered" true (!clean > 0);
+  Alcotest.(check bool) "degradation exercised" true (!degraded > 0);
+  Alcotest.(check bool) "both rungs failed at least once" true (!unavailable > 0)
+
+let dead_link_gives_up () =
+  (* A link that drops every frame: no request kind gets through, and
+     [evaluate]'s naive round fails like its query round did. *)
+  let sys = build () in
+  let session = { Session.default_config with Session.max_attempts = 2 } in
+  let dead =
+    System.with_faults ~session ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:1L sys
+  in
+  let q = Xpath.Parser.parse "//patient[age>=50]/pname" in
+  List.iter
+    (fun (name, request) ->
+      match System.read dead request with
+      | Error (Session.Gave_up 2) -> ()
+      | Error e -> Alcotest.failf "%s: expected Gave_up, got %s" name (Session.error_to_string e)
+      | Ok _ -> Alcotest.failf "%s: answered over a dead link" name)
+    [ "query", System.Query q;
+      "union", System.Union [ q; Xpath.Parser.parse "//treat/doctor" ];
+      "padded", System.Padded (q, [ 0; 1 ]);
+      "extreme", System.Extreme (`Max, Xpath.Parser.parse "//patient/age");
+      "naive", System.Naive q;
+      "fetch", System.Fetch [ 0; 1 ] ];
+  match System.evaluate dead q with
+  | _ -> Alcotest.fail "evaluate answered over a dead link"
+  | exception System.Unavailable (Session.Gave_up 2) -> ()
 
 let union_and_session_stats () =
   let sys = build () in
@@ -140,19 +174,17 @@ let union_and_session_stats () =
   let union =
     Xpath.Parser.parse_union "//patient/pname | //treat/doctor"
   in
-  let expected = Helpers.norm_trees (fst (System.evaluate_union sys union)) in
-  (* Strict union either matches or gives up... *)
-  (match System.try_evaluate_union faulty union with
-   | Ok (answers, _) ->
-     Alcotest.(check bool) "strict union exact" true
+  let expected =
+    Helpers.norm_trees (Helpers.read sys (System.Union union)).System.answers
+  in
+  (* A union either matches or gives up. *)
+  (match System.read faulty (System.Union union) with
+   | Ok { System.answers; _ } ->
+     Alcotest.(check bool) "union exact" true
        (Helpers.norm_trees answers = expected)
    | Error (Session.Gave_up _) -> ()
    | Error e ->
      Alcotest.failf "unexpected union error %s" (Session.error_to_string e));
-  (* ...total union always matches. *)
-  let answers, _ = System.evaluate_union faulty union in
-  Alcotest.(check bool) "total union exact" true
-    (Helpers.norm_trees answers = expected);
   (* Retries showed up in the layered statistics. *)
   let s = System.session_stats faulty in
   Alcotest.(check bool) "session saw the calls" true (s.Session.calls > 0);
@@ -192,6 +224,8 @@ let () =
         [ Alcotest.test_case "exact or Gave_up" `Quick sweep_exact_or_gave_up;
           Alcotest.test_case "calm corner clean" `Quick clean_profile_has_no_overhead ] );
       ( "degradation",
-        [ Alcotest.test_case "evaluate total and exact" `Quick evaluate_is_total_and_exact;
+        [ Alcotest.test_case "evaluate exact or unavailable" `Quick
+            evaluate_exact_or_unavailable;
+          Alcotest.test_case "dead link gives up" `Quick dead_link_gives_up;
           Alcotest.test_case "union + stats" `Quick union_and_session_stats;
           Alcotest.test_case "replay audit" `Quick replay_linkability_audited ] ) ]

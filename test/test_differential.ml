@@ -5,10 +5,9 @@
    Paths compared, warm and cold:
 
    - [System.reference]       plaintext oracle (tree navigation)
-   - [System.naive_evaluate]  ship-everything baseline
+   - [System.read] [Naive]    fetch-everything baseline
    - [System.evaluate]        the paper's protocol, 1-domain pool
    - [System.evaluate]        4-domain pool (parallel block decryption)
-   - [System.evaluate_batch]  pooled lanes
    - [Engine.evaluate]        result memo + block cache, first (cold)
                               and second (warm) run
 
@@ -74,23 +73,19 @@ let sweep_doc pool1 pool4 doc =
       let sys1, _ = System.setup ~master:"diff-master" ~pool:pool1 doc scs kind in
       let sys4, _ = System.setup ~master:"diff-master" ~pool:pool4 doc scs kind in
       let eng = Engine.create sys1 in
-      let batch4 =
-        System.evaluate_batch sys4 (Array.of_list queries)
-      in
-      List.iteri
-        (fun i q ->
+      List.iter
+        (fun q ->
           let name path =
             Printf.sprintf "%s %s: %s" (Scheme.kind_to_string kind) path
               (Xpath.Ast.to_string q)
           in
           let expected = printed (System.reference sys1 q) in
           check_one ~label:(name "naive") ~expected
-            (fst (System.naive_evaluate sys1 q));
+            (Helpers.read sys1 (System.Naive q)).System.answers;
           check_one ~label:(name "evaluate/pool1") ~expected
             (fst (System.evaluate sys1 q));
           check_one ~label:(name "evaluate/pool4") ~expected
             (fst (System.evaluate sys4 q));
-          check_one ~label:(name "batch/pool4") ~expected (fst batch4.(i));
           check_one ~label:(name "engine/cold") ~expected (Engine.evaluate eng q);
           check_one ~label:(name "engine/warm") ~expected (Engine.evaluate eng q))
         queries)
@@ -112,9 +107,9 @@ let deterministic_sweep () =
   (* Each case is one (doc, scheme, query, path, cache-state)
      comparison; the floor below is on (doc, scheme, query) triples. *)
   Alcotest.(check bool)
-    (Printf.sprintf "sweep covered >= 200 triples (got %d)" (!cases / 6))
+    (Printf.sprintf "sweep covered >= 200 triples (got %d)" (!cases / 5))
     true
-    (!cases / 6 >= 200)
+    (!cases / 5 >= 200)
 
 (* ------------------------------------------------------------------ *)
 (* Update equivalence: applying a sequence of deltas to a hosted
@@ -227,9 +222,8 @@ let update_equiv_cell ~seed doc edits kind =
     System.setup ~master:(System.master sysn) (System.doc sysn)
       (System.constraints sysn) kind
   in
-  let batch = System.evaluate_batch sysn (Array.of_list update_queries) in
-  List.iteri
-    (fun i q ->
+  List.iter
+    (fun q ->
       let name path =
         Printf.sprintf "update %Ld %s %s: %s" seed
           (Scheme.kind_to_string kind) path (Xpath.Ast.to_string q)
@@ -239,10 +233,9 @@ let update_equiv_cell ~seed doc edits kind =
       check_one ~label:(name "fresh/evaluate") ~expected
         (fst (System.evaluate fresh q));
       check_one ~label:(name "delta/naive") ~expected
-        (fst (System.naive_evaluate sysn q));
+        (Helpers.read sysn (System.Naive q)).System.answers;
       check_one ~label:(name "delta/evaluate") ~expected
         (fst (System.evaluate sysn q));
-      check_one ~label:(name "delta/batch") ~expected (fst batch.(i));
       check_one ~label:(name "delta/engine-warm") ~expected
         (Engine.evaluate eng q);
       (* The superseded hosting keeps answering its own document. *)
@@ -318,34 +311,42 @@ let pin_kind buf kind =
     line "%s %s %s" name (answer_digest answers) (cost_line cost)
   in
   let strict name = function
-    | Ok result -> answered name result
+    | Ok r -> answered name (r.System.answers, r.System.cost)
     | Error e -> line "%s error %s" name (Secure.Session.error_to_string e)
   in
+  (* Each line keeps the name of the entry point that made this read
+     before [System.read] replaced it. *)
   line "scheme %s" (Scheme.kind_to_string kind);
   answered "evaluate" (System.evaluate sys q);
-  strict "try_evaluate" (System.try_evaluate sys q);
-  strict "try_evaluate_padded"
-    (System.try_evaluate_padded sys ~extra:[ 0; 2; 5; 9 ] q);
-  (match System.fetch_blocks sys [ 1; 3; 4 ] with
-   | Ok cost -> line "fetch_blocks %s" (cost_line cost)
+  strict "try_evaluate" (System.read sys (System.Query q));
+  strict "try_evaluate_padded" (System.read sys (System.Padded (q, [ 0; 2; 5; 9 ])));
+  (match System.read sys (System.Fetch [ 1; 3; 4 ]) with
+   | Ok r -> line "fetch_blocks %s" (cost_line r.System.cost)
    | Error e -> line "fetch_blocks error %s" (Secure.Session.error_to_string e));
-  answered "naive_evaluate" (System.naive_evaluate sys q);
-  (let n, cost = System.count sys q2 in
-   line "count %d %s" n (cost_line cost));
-  answered "evaluate_union" (System.evaluate_union sys [ q; q2 ]);
-  strict "try_evaluate_union" (System.try_evaluate_union sys [ q; q2 ]);
-  Array.iter (answered "evaluate_batch") (System.evaluate_batch sys [| q; q2 |]);
+  strict "naive_evaluate" (System.read sys (System.Naive q));
+  (let answers, cost = System.evaluate sys q2 in
+   line "count %d %s" (List.length answers) (cost_line cost));
+  strict "evaluate_union" (System.read sys (System.Union [ q; q2 ]));
+  strict "try_evaluate_union" (System.read sys (System.Union [ q; q2 ]));
+  List.iter (fun query -> answered "evaluate_batch" (System.evaluate sys query)) [ q; q2 ];
   List.iter
     (fun (name, dir, query) ->
-      let v, cost = System.aggregate sys dir (Xpath.Parser.parse query) in
-      line "%s %s %s" name (Option.value v ~default:"-") (cost_line cost))
+      match System.read sys (System.Extreme (dir, Xpath.Parser.parse query)) with
+      | Ok r ->
+        line "%s %s %s" name
+          (Option.value (Helpers.extreme_value r) ~default:"-")
+          (cost_line r.System.cost)
+      | Error e -> line "%s error %s" name (Secure.Session.error_to_string e))
     [ "aggregate/fast", `Max, "//patient/age";
       "aggregate/fallback", `Min, "//patient[age>=40]/age" ];
   let faulty =
     System.with_faults ~profile:(Secure.Transport.chaos ~drop:0.9 ()) ~seed:5L sys
   in
-  answered "faulty/evaluate" (System.evaluate faulty q);
-  answered "faulty/evaluate_union" (System.evaluate_union faulty [ q; q2 ]);
+  (match System.evaluate faulty q with
+   | result -> answered "faulty/evaluate" result
+   | exception System.Unavailable e ->
+     line "faulty/evaluate unavailable %s" (Secure.Session.error_to_string e));
+  strict "faulty/evaluate_union" (System.read faulty (System.Union [ q; q2 ]));
   let eng = Engine.create sys in
   List.iter
     (fun name ->
@@ -357,8 +358,12 @@ let pin_kind buf kind =
 (* Captured on the tree before the read pipeline was shared; must not
    change with it.  Re-captured once when the engine lost its plan
    cache: only the engine report's [plan=] field and the engine rows'
-   plan-cache hit or miss went. *)
-let pinned_view = "3e207556ebf9eecb0868711532393207"
+   plan-cache hit or miss went.  Re-captured once more when every read
+   went onto the wire: the naive and aggregate/fast rows gained their
+   request bytes, the two faulty reads now give up (the naive rung
+   crosses the same dropping link), so their degraded rows went and the
+   engine rows moved up two places; every other line is unchanged. *)
+let pinned_view = "7e1ede31e580a16e7ccb9592f9985dd9"
 
 let server_view_pinned () =
   let buf = Buffer.create 4096 in
@@ -383,7 +388,8 @@ let arbitrary_doc_agreement =
           List.for_all
             (fun q ->
               let expected = Helpers.norm_trees (System.reference sys q) in
-              Helpers.norm_trees (fst (System.naive_evaluate sys q)) = expected
+              Helpers.norm_trees (Helpers.read sys (System.Naive q)).System.answers
+              = expected
               && Helpers.norm_trees (fst (System.evaluate sys q)) = expected
               && Helpers.norm_trees (Engine.evaluate eng q) = expected
               && Helpers.norm_trees (Engine.evaluate eng q) = expected)

@@ -179,7 +179,7 @@ let layering_serve_is_the_top () =
   (* The serving tier may orchestrate over the system/engine surface
      but nothing below it may reach up: serve at the top of the DAG. *)
   check_rules "serve may use its declared deps" [] "lib/serve/fine.ml"
-    "let a s q = Secure.System.try_evaluate s q\n\
+    "let a s q = Secure.System.read s q\n\
      let b e q = Engine.evaluate e q\n\
      let c p f xs = Parallel.Pool.map p f xs\n\
      let d r = Obs.Metric.snapshot r";
@@ -271,6 +271,18 @@ let boundary_rejects_plaintext_in_attack () =
   check_rules "ledger-only inputs are fine" [] "lib/attack/budget.ml"
     "let n l = List.length (Obs.Ledger.rounds l)\n\
      let u = Crypto.Prng.create ~seed:1L"
+
+let boundary_rejects_server_calls_off_the_link () =
+  (* Only the endpoint behind the session link answers: a mitigation
+     that fetched cover blocks straight from the server would make
+     traffic the ledger never sees, and a tenant served in process
+     would bypass its own breaker.  Reading through the link is fine. *)
+  check_rules "attack may not fetch from the server directly" [ "trust-boundary" ]
+    "lib/attack/mitigate.ml" "let cover sys ids = Secure.Server.fetch (Secure.System.server sys) ids";
+  check_rules "serve may not answer in process" [ "trust-boundary" ]
+    "lib/serve/serve.ml" "let run sys q = Secure.Server.answer (Secure.System.server sys) q";
+  check_rules "reads through the link are fine" [] "lib/attack/mitigate.ml"
+    "let cover sys ids = Secure.System.read sys (Secure.System.Fetch ids)"
 
 let boundary_allows_plain_obs_code () =
   check_rules "self-contained obs code is clean" [] "lib/obs/metric.ml"
@@ -515,6 +527,19 @@ let flow_decrypted_block_is_a_source () =
   in
   Alcotest.(check (list string)) "both flagged" [ "lib/secure/leake.ml"; "lib/serve/leakd.ml" ]
     (List.sort String.compare (List.map (fun f -> f.Finding.file) found))
+
+let flow_extreme_request_is_a_sink () =
+  (* The MIN/MAX request crosses the wire like every other: a key
+     reaching its encoder is a leak, a translated query is not. *)
+  let found =
+    secret_flow
+      (Taint.check_files Policy.default
+         (leak_fixture
+            "let () = ignore (Secure.Protocol.encode_extreme { query = v; key_range = (0L, 1L); direction = `Max })"))
+  in
+  Alcotest.(check int) "one finding" 1 (List.length found);
+  Alcotest.(check string) "fires in the leaking unit" "lib/secure/leakc.ml"
+    (List.hd found).Finding.file
 
 let flow_suppression () =
   (* Through the full [check_sources] pipeline: a suppression comment on
@@ -769,7 +794,9 @@ let () =
           Alcotest.test_case "plaintext/keys rejected in serve" `Quick
             boundary_rejects_plaintext_in_serve;
           Alcotest.test_case "plaintext/keys rejected in attack" `Quick
-            boundary_rejects_plaintext_in_attack ] );
+            boundary_rejects_plaintext_in_attack;
+          Alcotest.test_case "server calls off the link rejected" `Quick
+            boundary_rejects_server_calls_off_the_link ] );
       ( "crypto-hygiene",
         [ Alcotest.test_case "String.equal flagged" `Quick
             ct_rule_flags_string_equal;
@@ -813,6 +840,8 @@ let () =
             flow_through_qualified_field_argument;
           Alcotest.test_case "decrypted block is a source" `Quick
             flow_decrypted_block_is_a_source;
+          Alcotest.test_case "extreme request is a sink" `Quick
+            flow_extreme_request_is_a_sink;
           Alcotest.test_case "suppression honoured" `Quick flow_suppression;
           Alcotest.test_case "trusted interior skipped" `Quick
             flow_trusted_interior_is_skipped;

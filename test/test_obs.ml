@@ -7,9 +7,8 @@
 
    - the leakage ledger's per-round replay counts sum exactly to the
      session endpoint's replay-cache hits under seeded transport faults;
-   - a pooled {!Secure.System.evaluate_batch} records, per query, the
-     same ledger round as a sequential evaluation, but for its
-     ["batch"] label;
+   - a hosting with a domain pool records, per query, the same ledger
+     round as one without: the pool fans out decryption only;
    - a rehost ({!Secure.System.update} / {!Secure.System.rotate} of the
      engine's hosting, which the engine follows) resets every engine
      counter except [invalidations], so stats always describe the
@@ -388,51 +387,35 @@ let replay_accounting_agrees () =
   Alcotest.(check int) "ledger rounds sum to the endpoint's replay count"
     (after - before) ledger_replays
 
-(* --- Pooled batch rows = sequential rows ------------------------------ *)
+(* --- Pooled rows = sequential rows ------------------------------------ *)
 
-(* A pooled [evaluate_batch] lane is the same read as a sequential
-   [evaluate], so its ledger round must carry the same server-visible
-   facts — a row with zero bytes_up, intervals_touched or btree_hits
-   under-reports what the server learned; only the label differs. *)
-let pooled_batch_rows_match_sequential () =
+(* A hosting with a domain pool fans out each read's block decryption
+   and nothing else, so its ledger rounds must carry the same
+   server-visible facts, label included, as a pool-less hosting's. *)
+let pooled_rows_match_sequential () =
   let doc = Workload.Health.generate ~patients:30 () in
   let scs = Workload.Health.constraints () in
   let pool = Parallel.Pool.create ~domains:2 () in
   Fun.protect
     ~finally:(fun () -> Parallel.Pool.shutdown pool)
     (fun () ->
-      let sys, _ = System.setup ~master:"obs-batch" ~pool doc scs Secure.Scheme.Opt in
-      let ledger = System.ledger sys in
-      Ledger.set_enabled ledger true;
       let queries =
-        Array.of_list
-          (Xpath.Parser.parse "//patient[age>=40]/pname"
-          :: Workload.Querygen.generate ~seed:5L doc Workload.Querygen.Qm ~count:4)
+        Xpath.Parser.parse "//patient[age>=40]/pname"
+        :: Workload.Querygen.generate ~seed:5L doc Workload.Querygen.Qm ~count:4
       in
-      let rows f =
-        Ledger.clear ledger;
-        f ();
-        List.map (fun r -> { r with Ledger.label = "" }) (Ledger.rounds ledger)
+      let rows ?pool () =
+        let sys, _ = System.setup ~master:"obs-pool" ?pool doc scs Secure.Scheme.Opt in
+        Ledger.set_enabled (System.ledger sys) true;
+        List.iter (fun q -> ignore (System.evaluate sys q)) queries;
+        List.map
+          (fun r -> Json.to_string (Ledger.round_to_json r))
+          (Ledger.rounds (System.ledger sys))
       in
-      let sequential =
-        rows (fun () -> Array.iter (fun q -> ignore (System.evaluate sys q)) queries)
-      in
-      let labels = ref [] in
-      let pooled =
-        rows (fun () ->
-            ignore (System.evaluate_batch sys queries);
-            labels := List.map (fun r -> r.Ledger.label) (Ledger.rounds ledger))
-      in
-      Alcotest.(check (list string)) "pooled rows keep the batch label"
-        (List.map (fun _ -> "batch") sequential) !labels;
-      Alcotest.(check int) "one row per query" (Array.length queries)
-        (List.length pooled);
-      List.iter2
-        (fun s p ->
-          Alcotest.(check string) "pooled row = sequential row"
-            (Json.to_string (Ledger.round_to_json s))
-            (Json.to_string (Ledger.round_to_json p)))
-        sequential pooled)
+      let sequential = rows () in
+      Alcotest.(check int) "one row per query" (List.length queries)
+        (List.length sequential);
+      Alcotest.(check (list string)) "pooled rows = sequential rows" sequential
+        (rows ~pool ()))
 
 (* --- Engine counters reset on rehost --------------------------------- *)
 
@@ -494,9 +477,10 @@ let snapshot_prefix_carves_tenant_views () =
    | _ -> Alcotest.fail "exact-name prefix should match one counter")
 
 let degraded_fallbacks_are_counted () =
-  (* A near-dead link forces [System.evaluate] onto the naive fallback;
-     the default registry's [system.degraded] counter must agree with
-     the per-query cost flags. *)
+  (* A lossy link sends some [System.evaluate] calls down to the naive
+     round; the default registry's [system.degraded] counter must agree
+     with the per-query cost flags, and count no call that raised
+     because that round gave up too. *)
   let module System = Secure.System in
   let module Transport = Secure.Transport in
   let module Session = Secure.Session in
@@ -506,7 +490,7 @@ let degraded_fallbacks_are_counted () =
   let faulty =
     System.with_faults
       ~session:{ Session.default_config with Session.max_attempts = 2 }
-      ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:11L sys
+      ~profile:(Transport.chaos ~drop:0.5 ()) ~seed:11L sys
   in
   let reg = Obs.Metric.default in
   let counter = Obs.Metric.counter reg "system.degraded" in
@@ -514,14 +498,16 @@ let degraded_fallbacks_are_counted () =
   Obs.Metric.set_enabled reg true;
   let before = Obs.Metric.value counter in
   let q = Xpath.Parser.parse "//patient/pname" in
-  let degraded = ref 0 in
-  for _ = 1 to 5 do
-    let _, cost = System.evaluate faulty q in
-    if cost.System.degraded then incr degraded
+  let degraded = ref 0 and unavailable = ref 0 in
+  for _ = 1 to 20 do
+    match System.evaluate faulty q with
+    | _, cost -> if cost.System.degraded then incr degraded
+    | exception System.Unavailable _ -> incr unavailable
   done;
   let seen = Obs.Metric.value counter - before in
   Obs.Metric.set_enabled reg was_enabled;
-  Alcotest.(check bool) "dead link degrades every query" true (!degraded = 5);
+  Alcotest.(check bool) "the link degraded some queries" true (!degraded > 0);
+  Alcotest.(check bool) "and lost both rounds of others" true (!unavailable > 0);
   Alcotest.(check int) "counter agrees with cost flags" !degraded seen
 
 (* --- Labels --------------------------------------------------------- *)
@@ -614,8 +600,8 @@ let () =
             ledger_disabled_is_inert;
           Alcotest.test_case "replay accounting agrees" `Quick
             replay_accounting_agrees;
-          Alcotest.test_case "pooled batch rows = sequential rows" `Quick
-            pooled_batch_rows_match_sequential ] );
+          Alcotest.test_case "pooled rows = sequential rows" `Quick
+            pooled_rows_match_sequential ] );
       ( "label",
         [ Alcotest.test_case "sanitize" `Quick label_sanitize;
           Alcotest.test_case "tenant metric names" `Quick

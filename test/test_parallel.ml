@@ -1,8 +1,8 @@
 (* The domain pool's contract (Pool.map is observably Array.map:
    chunk coverage, deterministic merge and exception choice, nested
    calls, reusability after failure) and the system-level determinism
-   it promises: hosting, evaluation and batches are byte-identical
-   with and without a pool, across schemes and after update/rotate. *)
+   it promises: hosting and evaluation are byte-identical with and
+   without a pool, across schemes and after update/rotate. *)
 
 module Pool = Parallel.Pool
 module Doc = Xmlcore.Doc
@@ -209,32 +209,6 @@ let hosting_is_deterministic_across_schemes () =
           check_same_system (Scheme.kind_to_string kind) seq par)
         Scheme.all_kinds)
 
-let batch_matches_one_by_one () =
-  let doc = Workload.Health.doc () in
-  let scs = Workload.Health.constraints () in
-  with_pool (fun pool ->
-      let par, _ = System.setup ~pool doc scs Scheme.Opt in
-      let qs = Array.of_list (queries ()) in
-      let batch = System.evaluate_batch par qs in
-      Alcotest.(check int) "one result per query" (Array.length qs)
-        (Array.length batch);
-      Array.iteri
-        (fun i (answers, cost) ->
-          let expected, ecost = System.evaluate par qs.(i) in
-          let label = List.nth query_strings i in
-          Alcotest.(check (list string))
-            ("batch answers " ^ label)
-            (serialize expected) (serialize answers);
-          Alcotest.(check int)
-            ("batch wire bytes " ^ label)
-            ecost.System.transmit_bytes cost.System.transmit_bytes;
-          Alcotest.(check int)
-            ("batch blocks " ^ label)
-            ecost.System.blocks_returned cost.System.blocks_returned;
-          Alcotest.(check bool) ("batch not degraded " ^ label) false
-            cost.System.degraded)
-        batch)
-
 let determinism_survives_update_and_rotate () =
   let doc = Workload.Health.doc () in
   let scs = Workload.Health.constraints () in
@@ -278,6 +252,5 @@ let () =
       ( "determinism",
         [ Alcotest.test_case "hosting across schemes" `Quick
             hosting_is_deterministic_across_schemes;
-          Alcotest.test_case "batch = one-by-one" `Quick batch_matches_one_by_one;
           Alcotest.test_case "after update and rotate" `Quick
             determinism_survives_update_and_rotate ] ) ]

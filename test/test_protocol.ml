@@ -123,6 +123,10 @@ let fuzz_decoders () =
     let buf = random_buffer () in
     decode_only_malformed ~what:"decode_request" Protocol.decode_request buf;
     decode_only_malformed ~what:"decode_any" Protocol.decode_any buf;
+    decode_only_malformed ~what:"decode_extreme" Protocol.decode_extreme buf;
+    (* The same bytes behind the extreme magic reach its decoder. *)
+    decode_only_malformed ~what:"decode_extreme (magic)" Protocol.decode_extreme
+      ("\004" ^ buf);
     decode_only_malformed ~what:"decode_response" Protocol.decode_response buf
   done;
   (* The versioned variants under the same truncate/flip battery. *)
@@ -156,7 +160,21 @@ let fuzz_decoders () =
         decode_only_malformed ~what:"decode_response (flipped)"
           Protocol.decode_response (flipped data)
       done)
-    responses
+    responses;
+  (* Last, so the draws above cover the corpus they always covered. *)
+  let extreme =
+    Protocol.encode_extreme
+      { Protocol.query =
+          Secure.Client.translate (System.client sys) (Xpath.Parser.parse "//patient/age");
+        key_range = -5L, 1_000_000L;
+        direction = `Min }
+  in
+  for _ = 1 to 500 do
+    decode_only_malformed ~what:"decode_extreme (truncated)" Protocol.decode_extreme
+      (truncated extreme);
+    decode_only_malformed ~what:"decode_extreme (flipped)" Protocol.decode_extreme
+      (flipped extreme)
+  done
 
 let deep_nesting_rejected () =
   (* A hand-built predicate tower deeper than any honest translation:
@@ -287,6 +305,37 @@ let variants_roundtrip () =
   | _ -> Alcotest.fail "empty request must be rejected"
   | exception Protocol.Malformed _ -> ()
 
+(* The MIN/MAX request: its own magic byte, which [decode_any] rejects
+   as an older server would, and which no other encoding starts with. *)
+let extreme_roundtrip () =
+  let sys, _ =
+    System.setup (Workload.Health.doc ()) (Workload.Health.constraints ()) Secure.Scheme.Opt
+  in
+  let query =
+    Secure.Client.translate (System.client sys) (Xpath.Parser.parse "//patient/age")
+  in
+  List.iter
+    (fun (key_range, direction) ->
+      let e = { Protocol.query; key_range; direction } in
+      let data = Protocol.encode_extreme e in
+      (match Protocol.decode_extreme data with
+       | Some d ->
+         Alcotest.(check string) "query survives" (Squery.to_string query)
+           (Squery.to_string d.Protocol.query);
+         Alcotest.(check bool) "key range survives" true (d.Protocol.key_range = key_range);
+         Alcotest.(check bool) "direction survives" true (d.Protocol.direction = direction)
+       | None -> Alcotest.fail "extreme request not recognised");
+      match Protocol.decode_any data with
+      | _ -> Alcotest.fail "decode_any accepted an extreme request"
+      | exception Protocol.Malformed _ -> ())
+    [ (0L, 1L), `Max; (-7L, Int64.max_int), `Min ];
+  List.iter
+    (fun data ->
+      Alcotest.(check bool) "other requests are not extreme" true
+        (Protocol.decode_extreme data = None))
+    [ Protocol.encode_request query; Protocol.encode_fetch [ 1; 2 ];
+      Protocol.encode_padded query [ 3 ]; "" ]
+
 (* The encodings' bytes, pinned: the SHA-256 of one fixed request and
    of its response, as the codec wrote them when it built each 64-bit
    word a byte at a time.  A codec that writes and reads whole words
@@ -314,7 +363,8 @@ let () =
         [ Alcotest.test_case "real queries roundtrip" `Quick translate_all;
           Alcotest.test_case "malformed rejected" `Quick malformed_rejected;
           Alcotest.test_case "fetch/padded variants roundtrip" `Quick
-            variants_roundtrip ]
+            variants_roundtrip;
+          Alcotest.test_case "extreme request roundtrip" `Quick extreme_roundtrip ]
         @ List.map QCheck_alcotest.to_alcotest [ request_roundtrip_prop ] );
       ( "responses",
         [ Alcotest.test_case "roundtrip" `Quick response_roundtrip;

@@ -321,7 +321,7 @@ let reset_link_gets_fresh_incarnation () =
     (before.Session.replayed > 0);
   let fresh = System.reset_link faulty in
   (* The superseded incarnation refuses instead of limping on. *)
-  (match System.try_evaluate faulty q with
+  (match System.read faulty (System.Query q) with
    | Error Session.Closed -> ()
    | Ok _ -> Alcotest.fail "old link still answers after reset"
    | Error e -> Alcotest.failf "expected Closed, got %s" (Session.error_to_string e));

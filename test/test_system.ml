@@ -60,7 +60,7 @@ let naive_agrees () =
     (fun q ->
       let query = Xpath.Parser.parse q in
       let expected = System.reference sys query in
-      let got, cost = System.naive_evaluate sys query in
+      let { System.answers = got; cost } = Helpers.read sys (System.Naive query) in
       Helpers.check_trees_equal ("naive: " ^ q) expected got;
       Alcotest.(check int) "naive ships everything"
         (Scheme.block_count (System.scheme sys))
@@ -137,7 +137,7 @@ let aggregates_match_reference () =
           List.iter
             (fun dir ->
               let expected = System.reference_aggregate sys dir query in
-              let got, _ = System.aggregate sys dir query in
+              let got = Helpers.extreme_value (Helpers.read sys (System.Extreme (dir, query))) in
               Alcotest.(check (option string))
                 (Printf.sprintf "%s %s %s" (Scheme.kind_to_string kind)
                    (match dir with `Min -> "min" | `Max -> "max")
@@ -153,12 +153,14 @@ let aggregate_ships_one_block () =
   let sys, _ = System.setup doc scs Scheme.Top in
   (* Structural MIN/MAX under the coarsest scheme must still ship at
      most one block — that is the whole point of the OPE order. *)
-  let _, cost = System.aggregate sys `Max (Xpath.Parser.parse "//age") in
-  Alcotest.(check bool) "at most one block" true (cost.System.blocks_returned <= 1);
+  let reply = Helpers.read sys (System.Extreme (`Max, Xpath.Parser.parse "//age")) in
+  Alcotest.(check bool) "at most one block" true
+    (reply.System.cost.System.blocks_returned <= 1);
   (* With value predicates the fast path is off; correctness over
-     block-shipping, but the answer must still be right (checked above). *)
-  let n, _ = System.count sys (Xpath.Parser.parse "//patient") in
-  Alcotest.(check int) "count" 80 n
+     block-shipping, but the answer must still be right (checked above).
+     COUNT is the length of an ordinary read. *)
+  let answers, _ = System.evaluate sys (Xpath.Parser.parse "//patient") in
+  Alcotest.(check int) "count" 80 (List.length answers)
 
 let numeric_aggregate_semantics () =
   let doc = Workload.Health.doc () in
@@ -166,14 +168,16 @@ let numeric_aggregate_semantics () =
   let sys, _ = System.setup doc scs Scheme.Opt in
   (* ages 35 and 40: numeric max is 40 (string compare would agree
      here, so also check a coverage value where they differ). *)
-  let got, _ = System.aggregate sys `Max (Xpath.Parser.parse "//age") in
-  Alcotest.(check (option string)) "max age" (Some "40") got;
+  let aggregate dir q =
+    Helpers.extreme_value (Helpers.read sys (System.Extreme (dir, Xpath.Parser.parse q)))
+  in
+  Alcotest.(check (option string)) "max age" (Some "40") (aggregate `Max "//age");
   (* coverage: {1000000, 10000, 5000}: numeric max 1000000, but string
      max would be "5000". *)
-  let got, _ = System.aggregate sys `Max (Xpath.Parser.parse "//insurance/@coverage") in
-  Alcotest.(check (option string)) "numeric max" (Some "1000000") got;
-  let got, _ = System.aggregate sys `Min (Xpath.Parser.parse "//insurance/@coverage") in
-  Alcotest.(check (option string)) "numeric min" (Some "5000") got
+  Alcotest.(check (option string)) "numeric max" (Some "1000000")
+    (aggregate `Max "//insurance/@coverage");
+  Alcotest.(check (option string)) "numeric min" (Some "5000")
+    (aggregate `Min "//insurance/@coverage")
 
 (* --- Translation internals ---------------------------------------- *)
 
@@ -399,7 +403,7 @@ let union_queries () =
         (fun q ->
           let branches = Xpath.Parser.parse_union q in
           let expected = System.reference_union sys branches in
-          let got, _ = System.evaluate_union sys branches in
+          let got = (Helpers.read sys (System.Union branches)).System.answers in
           Helpers.check_trees_equal
             (Printf.sprintf "%s union %s" (Scheme.kind_to_string kind) q)
             expected got)
@@ -518,6 +522,95 @@ let redrive_matches_answer () =
       health, Workload.Health.constraints (),
       pool health @ List.map Xpath.Parser.parse health_queries ]
 
+(* --- Every read crosses the link ------------------------------------- *)
+
+module Protocol = Secure.Protocol
+module Session = Secure.Session
+
+(* Each request kind makes rounds on the link that the endpoint serves,
+   and its ledger row counts the bytes of those rounds: [bytes_up] the
+   request payloads, [bytes_down] what the server's answering function
+   reported for each.  The expected rounds are rebuilt here from the
+   same translation the client makes, and answered by calling the
+   server directly. *)
+let reads_cross_the_link () =
+  let sys, _ =
+    System.setup ~master:"wire-master" (Workload.Health.generate ~patients:20 ())
+      (Workload.Health.constraints ()) Scheme.Opt
+  in
+  let client = System.client sys and server = System.server sys in
+  let ledger = System.ledger sys in
+  Obs.Ledger.set_enabled ledger true;
+  let translate = Secure.Client.translate client in
+  let q = Xpath.Parser.parse "//patient[age>=40]/pname" in
+  let q2 = Xpath.Parser.parse "//treat/disease" in
+  let age = Xpath.Parser.parse "//patient/age" in
+  let extra = [ 0; 2; 5 ] and ids = [ 1; 3; 4 ] in
+  let key_range = Option.get (Secure.Client.aggregate_range client age) in
+  let query sq = Protocol.encode_request sq, Server.answer server sq in
+  let fetch ids = Protocol.encode_fetch ids, Server.fetch server ids in
+  let check name rounds read =
+    let calls = (System.session_stats sys).Session.calls in
+    let served = (System.endpoint_stats sys).Session.served in
+    Obs.Ledger.clear ledger;
+    read ();
+    let n = List.length rounds in
+    Alcotest.(check int) (name ^ ": session calls") n
+      ((System.session_stats sys).Session.calls - calls);
+    Alcotest.(check int) (name ^ ": endpoint served") n
+      ((System.endpoint_stats sys).Session.served - served);
+    match Obs.Ledger.rounds ledger with
+    | [ row ] ->
+      Alcotest.(check int) (name ^ ": bytes_up")
+        (List.fold_left (fun acc (request, _) -> acc + String.length request) 0 rounds)
+        row.Obs.Ledger.bytes_up;
+      Alcotest.(check int) (name ^ ": bytes_down")
+        (List.fold_left (fun acc (_, response) -> acc + response.Server.bytes) 0 rounds)
+        row.Obs.Ledger.bytes_down
+    | rows -> Alcotest.failf "%s: %d ledger rows" name (List.length rows)
+  in
+  let read request () = ignore (Helpers.read sys request) in
+  check "query" [ query (translate q) ] (read (System.Query q));
+  check "union" [ query (translate q); query (translate q2) ] (read (System.Union [ q; q2 ]));
+  check "padded"
+    [ Protocol.encode_padded (translate q) extra, Server.answer_padded server (translate q) ~extra ]
+    (read (System.Padded (q, extra)));
+  check "extreme"
+    [ ( Protocol.encode_extreme { Protocol.query = translate age; key_range; direction = `Max },
+        Server.answer_extreme server (translate age) ~key_range ~direction:`Max ) ]
+    (read (System.Extreme (`Max, age)));
+  check "naive" [ fetch (System.block_ids sys) ] (read (System.Naive q));
+  check "fetch" [ fetch ids ] (read (System.Fetch ids));
+  (* A link that loses the first round's response: the query round
+     gives up after the endpoint served it, and the naive round
+     answers.  The degraded row holds the round that answered. *)
+  let faulty =
+    System.with_faults
+      ~session:{ Session.default_config with Session.max_attempts = 1 }
+      ~profile:(Secure.Transport.chaos ~drop:0.5 ()) ~seed:71L sys
+  in
+  let calls = (System.session_stats faulty).Session.calls in
+  let served = (System.endpoint_stats faulty).Session.served in
+  Obs.Ledger.clear ledger;
+  let answers, cost = System.evaluate faulty q in
+  Alcotest.(check bool) "degraded" true cost.System.degraded;
+  Alcotest.(check int) "the first round lost its response" 1
+    (System.transport_stats faulty).Secure.Transport.dropped_responses;
+  Helpers.check_trees_equal "degraded answers" (System.reference sys q) answers;
+  Alcotest.(check int) "degraded: session calls" 2
+    ((System.session_stats faulty).Session.calls - calls);
+  Alcotest.(check int) "degraded: endpoint served" 2
+    ((System.endpoint_stats faulty).Session.served - served);
+  let request, response = fetch (System.block_ids sys) in
+  match Obs.Ledger.rounds ledger with
+  | [ row ] ->
+    Alcotest.(check string) "degraded: label" "degraded" row.Obs.Ledger.label;
+    Alcotest.(check int) "degraded: attempts of both rounds" 2 row.Obs.Ledger.attempts;
+    Alcotest.(check int) "degraded: bytes_up" (String.length request) row.Obs.Ledger.bytes_up;
+    Alcotest.(check int) "degraded: bytes_down" response.Server.bytes
+      row.Obs.Ledger.bytes_down
+  | rows -> Alcotest.failf "degraded: %d ledger rows" (List.length rows)
+
 let () =
   Alcotest.run "system"
     [ ( "correctness",
@@ -546,6 +639,7 @@ let () =
           Alcotest.test_case "candidate indistinguishability" `Quick
             candidates_indistinguishable ]
         @ List.map QCheck_alcotest.to_alcotest [ random_association_scs ] );
+      ( "wire", [ Alcotest.test_case "every read crosses the link" `Quick reads_cross_the_link ] );
       ( "costs",
         [ Alcotest.test_case "setup ordering" `Quick setup_costs_sane;
           Alcotest.test_case "cost fields" `Quick cost_fields_populated ] ) ]
