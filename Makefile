@@ -41,12 +41,16 @@ bench:
 # counts must match exactly under every scheme.  The fifth pins every
 # scheme's stored bytes on the same datasets (E6) against BENCH_4.json:
 # block counts, byte sizes and the SHA-256 of each hosting's bundle.
+# The sixth pins the session layer's fault accounting (E9: attempts,
+# retransmitted bytes, absorbed faults, replays, degraded and given-up
+# reads per fault profile) against BENCH_5.json; E9 ignores --scale.
 bench-smoke:
 	dune build bench/main.exe && dune exec bench/main.exe -- e10 e11 e12 e13 e14 --scale tiny --json /tmp/bench-smoke.json --compare BENCH_1.json
 	dune exec bench/main.exe -- e15 --scale tiny --json /dev/null --compare BENCH_2.json
 	dune exec bench/main.exe -- e10 e11 e12 --scale tiny --json /dev/null --compare /tmp/bench-smoke.json
 	dune exec bench/main.exe -- e2 --scale tiny --json /dev/null --compare BENCH_3.json
 	dune exec bench/main.exe -- e6 --scale tiny --json /dev/null --compare BENCH_4.json
+	dune exec bench/main.exe -- e9 --json /dev/null --compare BENCH_5.json
 	rm -f /tmp/bench-smoke.json
 
 # The observability CLI end to end: generate a document, trace a query

@@ -962,8 +962,7 @@ let serve_cmd =
       in
       let sys =
         if chaos && i = 1 then
-          Secure.System.with_faults
-            ~session:{ Secure.Session.default_config with max_attempts = 2 }
+          Secure.System.with_faults ~max_attempts:2
             ~profile:(Secure.Transport.chaos ~drop:1.0 ()) ~seed:3L sys
         else sys
       in
@@ -1120,11 +1119,6 @@ let lint_cmd =
     Arg.(value & opt (some string) None & info [ "baseline" ] ~docv:"FILE"
            ~doc:"Baseline file (default: \\$(docv) is ROOT/lint.baseline).")
   in
-  let no_cache_flag =
-    Arg.(value & flag & info [ "no-cache" ]
-           ~doc:"Disable the per-file result cache under \
-                 ROOT/_build/.lintcache.")
-  in
   let finding_json (f : Analysis.Finding.t) =
     Obs.Json.Obj
       [ "rule", Obs.Json.Str f.rule;
@@ -1134,11 +1128,7 @@ let lint_cmd =
         "message", Obs.Json.Str f.message;
         "witness", Obs.Json.List (List.map (fun h -> Obs.Json.Str h) f.witness) ]
   in
-  let run root baseline no_cache json =
-    let cache_dir =
-      if no_cache then None
-      else Some (Filename.concat root "_build/.lintcache")
-    in
+  let run root baseline json =
     (* The run's own observability goes through the metrics registry
        like everything else; a local registry keeps the gauge out of
        the process-wide one the serving layers share. *)
@@ -1146,7 +1136,7 @@ let lint_cmd =
     let duration = Obs.Metric.gauge reg ~help:"wall-clock lint time" "lint.duration_ms" in
     let started = Unix.gettimeofday () in
     let findings, baselined =
-      Analysis.Lint.run ?baseline ?cache_dir ~root ()
+      Analysis.Lint.run ?baseline ~root ()
     in
     Obs.Metric.set duration ((Unix.gettimeofday () -. started) *. 1000.0);
     let duration_ms = Obs.Metric.gauge_value duration in
@@ -1175,7 +1165,7 @@ let lint_cmd =
     (Cmd.info "lint"
        ~doc:"Run the trust-boundary, crypto-hygiene and secret-flow static \
              analysis (see docs/STATIC_ANALYSIS.md).")
-    Term.(const run $ root_arg $ baseline_arg $ no_cache_flag $ json_flag)
+    Term.(const run $ root_arg $ baseline_arg $ json_flag)
 
 let () =
   (* SXQ_DEBUG=1 turns on debug logging from the secure.* sources. *)

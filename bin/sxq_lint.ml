@@ -8,12 +8,9 @@
 
 let usage =
   "usage: sxq_lint [--root DIR] [--baseline FILE] [--update-baseline]\n\
-  \                [--cache DIR] [--no-cache]\n\
    \n\
    Lints lib/, bin/ and test/ under the root (default: the current\n\
-   directory) against the policy in lib/analysis/policy.ml.  Per-file\n\
-   token results are cached under ROOT/_build/.lintcache (keyed on\n\
-   content digest and policy; --no-cache disables, --cache relocates).\n\
+   directory) against the policy in lib/analysis/policy.ml.\n\
    See docs/STATIC_ANALYSIS.md for the rules and how to suppress\n\
    findings."
 
@@ -21,8 +18,6 @@ let () =
   let root = ref "." in
   let baseline = ref None in
   let update = ref false in
-  let cache = ref None in
-  let no_cache = ref false in
   let rec parse = function
     | [] -> ()
     | "--root" :: dir :: rest ->
@@ -34,12 +29,6 @@ let () =
     | "--update-baseline" :: rest ->
       update := true;
       parse rest
-    | "--cache" :: dir :: rest ->
-      cache := Some dir;
-      parse rest
-    | "--no-cache" :: rest ->
-      no_cache := true;
-      parse rest
     | ("--help" | "-h") :: _ ->
       print_endline usage;
       exit 0
@@ -49,21 +38,13 @@ let () =
       exit 2
   in
   parse (List.tl (Array.to_list Sys.argv));
-  let cache_dir =
-    if !no_cache then None
-    else
-      Some
-        (match !cache with
-         | Some dir -> dir
-         | None -> Filename.concat !root "_build/.lintcache")
-  in
   let baseline_path =
     match !baseline with
     | Some p -> p
     | None -> Filename.concat !root "lint.baseline"
   in
   if !update then begin
-    let findings = Analysis.Lint.check_tree ?cache_dir ~root:!root () in
+    let findings = Analysis.Lint.check_tree ~root:!root () in
     Analysis.Lint.write_baseline baseline_path findings;
     Printf.eprintf "sxq-lint: wrote %d fingerprint(s) to %s\n"
       (List.length findings) baseline_path;
@@ -71,7 +52,7 @@ let () =
   end;
   let started = Sys.time () in
   let findings, baselined =
-    Analysis.Lint.run ~baseline:baseline_path ?cache_dir ~root:!root ()
+    Analysis.Lint.run ~baseline:baseline_path ~root:!root ()
   in
   let duration_ms = (Sys.time () -. started) *. 1000.0 in
   List.iter

@@ -32,8 +32,7 @@ let suppressed (lex : Lexer.t) f = suppressed_by lex.comments f
 (* Everything derivable from one file in isolation: the token-level
    findings (suppressions already applied), the comments (needed to
    apply suppressions to whole-tree taint findings later), and the
-   def-use graph for [lib/*.ml] units.  This is the value the
-   incremental cache stores per content digest. *)
+   def-use graph for [lib/*.ml] units. *)
 type unit_result = {
   u_findings : Finding.t list;
   u_comments : Lexer.comment list;
@@ -56,54 +55,6 @@ let unit_of ?(policy = Policy.default) ~rel content =
 
 let check_source ?(policy = Policy.default) ~rel content =
   (unit_of ~policy ~rel content).u_findings
-
-(* --- Incremental cache ---------------------------------------------- *)
-
-(* One cache file per source path, holding [digest * unit_result]
-   marshalled; the digest covers the file content, the policy and a
-   format version, so a stale entry can never be mistaken for current.
-   Any I/O or unmarshalling failure degrades to a plain re-lint. *)
-let cache_version = "sxq-lint-cache-1"
-
-let cache_key policy content =
-  Digest.to_hex
-    (Digest.string
-       (cache_version ^ "\000"
-       ^ Digest.to_hex (Digest.string (Marshal.to_string policy []))
-       ^ "\000" ^ content))
-
-let cache_file cache_dir rel =
-  Filename.concat cache_dir
-    (String.map (fun c -> if c = '/' || c = '\\' then '_' else c) rel)
-
-let cache_load cache_dir policy ~rel content =
-  let path = cache_file cache_dir rel in
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic -> (
-    let entry =
-      match (Marshal.from_channel ic : string * unit_result) with
-      | exception _ -> None
-      | stamp, result when String.equal stamp (cache_key policy content) ->
-        Some result
-      | _ -> None
-    in
-    close_in_noerr ic;
-    entry)
-
-let cache_store cache_dir policy ~rel content result =
-  (try
-     if not (Sys.file_exists cache_dir) then Sys.mkdir cache_dir 0o755
-   with Sys_error _ -> ());
-  let path = cache_file cache_dir rel in
-  match open_out_bin (path ^ ".tmp") with
-  | exception Sys_error _ -> ()
-  | oc ->
-    (try
-       Marshal.to_channel oc (cache_key policy content, result) [];
-       close_out oc;
-       Sys.rename (path ^ ".tmp") path
-     with Sys_error _ -> close_out_noerr oc)
 
 (* --- Baseline ------------------------------------------------------- *)
 
@@ -187,7 +138,10 @@ let source_files ~root =
 (* Token findings per unit, then the whole-tree taint pass over the
    collected graphs; taint findings honour the same suppression
    comments as everything else. *)
-let check_units policy units =
+let check_sources ?(policy = Policy.default) files =
+  let units =
+    List.map (fun (rel, content) -> rel, unit_of ~policy ~rel content) files
+  in
   let token = List.concat_map (fun (_, u) -> u.u_findings) units in
   let graphs = List.filter_map (fun (_, u) -> u.u_graph) units in
   let comments_of =
@@ -202,38 +156,19 @@ let check_units policy units =
   in
   List.sort Finding.compare (token @ taint)
 
-let check_sources ?(policy = Policy.default) files =
-  check_units policy
-    (List.map (fun (rel, content) -> rel, unit_of ~policy ~rel content) files)
+let check_tree ?(policy = Policy.default) ~root () =
+  check_sources ~policy
+    (List.map
+       (fun rel -> rel, read_file (Filename.concat root rel))
+       (source_files ~root))
 
-let check_tree ?(policy = Policy.default) ?cache_dir ~root () =
-  let units =
-    List.map
-      (fun rel ->
-        let content = read_file (Filename.concat root rel) in
-        let unit =
-          match cache_dir with
-          | None -> unit_of ~policy ~rel content
-          | Some dir -> (
-            match cache_load dir policy ~rel content with
-            | Some u -> u
-            | None ->
-              let u = unit_of ~policy ~rel content in
-              cache_store dir policy ~rel content u;
-              u)
-        in
-        rel, unit)
-      (source_files ~root)
-  in
-  check_units policy units
-
-let run ?(policy = Policy.default) ?baseline ?cache_dir ~root () =
+let run ?(policy = Policy.default) ?baseline ~root () =
   let baseline_path =
     match baseline with
     | Some p -> p
     | None -> Filename.concat root "lint.baseline"
   in
-  let findings = check_tree ~policy ?cache_dir ~root () in
+  let findings = check_tree ~policy ~root () in
   let kept = apply_baseline (load_baseline baseline_path) findings in
   let kept = List.sort Finding.compare kept in
   kept, List.length findings - List.length kept

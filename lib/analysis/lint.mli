@@ -41,19 +41,13 @@ val source_files : root:string -> string list
 (** Repo-relative [.ml]/[.mli] paths under [lib/], [bin/] and [test/],
     sorted. *)
 
-val check_tree :
-  ?policy:Policy.t -> ?cache_dir:string -> root:string -> unit ->
-  Finding.t list
-(** Lint the whole tree rooted at [root]; suppressions applied,
-    baseline not.  With [cache_dir], per-file lexing/rule/def-use
-    results are reused when the content (and policy) digest matches —
-    the whole-tree taint pass still runs every time, on the cached
-    graphs.  Cache corruption or I/O failure silently degrades to a
-    full re-lint; results are identical with and without the cache. *)
+val check_tree : ?policy:Policy.t -> root:string -> unit -> Finding.t list
+(** {!check_sources} over every {!source_files} file under [root]:
+    suppressions applied, baseline not. *)
 
 val run :
-  ?policy:Policy.t -> ?baseline:string -> ?cache_dir:string ->
-  root:string -> unit -> Finding.t list * int
+  ?policy:Policy.t -> ?baseline:string -> root:string -> unit ->
+  Finding.t list * int
 (** [run ~root ()] lints the tree and applies the baseline at
     [baseline] (default [<root>/lint.baseline]).  Returns the surviving
     findings (sorted) and the number absorbed by the baseline. *)

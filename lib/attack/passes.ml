@@ -178,7 +178,7 @@ let linkability rounds =
            subject = Printf.sprintf "round %d" r.seq;
            candidates = 1;
            witness =
-             [ Printf.sprintf "round %d [%s]: %d replay-cache hit%s" r.seq
+             [ Printf.sprintf "round %d [%s]: %d replayed frame%s" r.seq
                  r.label r.replays
                  (if r.replays = 1 then "" else "s");
                "retransmitted frames are byte-identical — the server links them to \

@@ -2,7 +2,7 @@
     the query trace: the leakage ledger's rounds, oldest first
     ({!Obs.Ledger.rounds}).  Every field a pass reads is a wire fact the
     server already holds — response sizes, shipped-block access
-    patterns, replay-cache hits.
+    patterns, the endpoint's replays.
 
     Each pass emits one finding per inferable fact, carrying the
     candidate-set size the adversary achieves for it and a hop-by-hop
@@ -51,7 +51,7 @@ val cooccurrence : Obs.Ledger.round list -> finding list
 
 val linkability : Obs.Ledger.round list -> finding list
 (** Replay-linked retransmits (the ledger's [replays] column): a
-    replay-cache hit links a retransmitted frame to its original with
+    replayed frame links a retransmitted frame to its original with
     certainty — candidate set 1, by construction.  No pass counts
     repeated {e requests}: the ledger does not record request bytes. *)
 

@@ -20,19 +20,6 @@ let outcome_to_string = function
   | Hit -> "hit"
   | Miss -> "miss"
 
-(* Per-engine metric registry (always enabled — the engine's own stats
-   are part of its contract).  Counters live here rather than in
-   mutable fields so a rehost flush can reset them wholesale and
-   external consumers (sxq stats) can snapshot them uniformly. *)
-type counters = {
-  reg : Obs.Metric.registry;
-  queries : Obs.Metric.counter;
-}
-
-let make_counters () =
-  let reg = Obs.Metric.create ~enabled:true () in
-  { reg; queries = Obs.Metric.counter reg "engine.queries" ~help:"queries evaluated" }
-
 type t = {
   mutable system : Secure.System.t;
   results : (string, Secure.Server.response) Lru.t;
@@ -40,11 +27,11 @@ type t = {
       (* keyed by (block id, block generation): a delta bumps only the
          touched blocks' generations, so untouched entries stay valid
          and warm across updates *)
-  c : counters;
+  mutable queries : int;  (* this hosting generation's; [flush] resets it *)
   mutable invalidations : int;
       (* monotone across rehosts by design: it counts hosting
          generations this engine outlived, unlike the per-generation
-         registry counters which {!flush} resets *)
+         counters which [flush] resets *)
 }
 
 let flush t =
@@ -56,7 +43,7 @@ let flush t =
      count itself. *)
   Lru.reset_counters t.results;
   Lru.reset_counters t.blocks;
-  Obs.Metric.reset t.c.reg;
+  t.queries <- 0;
   t.invalidations <- t.invalidations + 1;
   Log.debug (fun m -> m "caches flushed (invalidation %d)" t.invalidations)
 
@@ -99,14 +86,13 @@ let create ?(config = default_config) system =
     { system;
       results = Lru.create config.result_capacity;
       blocks = Lru.create config.block_capacity;
-      c = make_counters ();
+      queries = 0;
       invalidations = 0 }
   in
   follow t system;
   t
 
 let system t = t.system
-let registry t = t.c.reg
 
 (* The memo key IS the wire request: the ciphertext encoding of the
    translated query (Vernam tokens + OPESS ranges) that the server
@@ -162,7 +148,7 @@ let record_round ledger (response : Secure.Server.response) ~request_bytes
 let evaluate_report t query =
   let tracer = Secure.System.tracer t.system in
   Obs.span tracer "engine.evaluate" @@ fun () ->
-  Obs.Metric.incr t.c.queries;
+  t.queries <- t.queries + 1;
   let client = Secure.System.client t.system in
   let squery, translate_ms = timed (fun () -> Secure.Client.translate client query) in
   let req = Secure.Protocol.encode_request squery in
@@ -227,7 +213,7 @@ let evaluate_report t query =
 let evaluate t query = fst (evaluate_report t query)
 
 let stats t =
-  { Stats.queries = Obs.Metric.value t.c.queries;
+  { Stats.queries = t.queries;
     invalidations = t.invalidations;
     plan_hits = 0;
     plan_misses = 0;

@@ -57,15 +57,6 @@ val system : t -> Secure.System.t
 (** The hosting currently bound: the latest successor of the one the
     engine was created on. *)
 
-val registry : t -> Obs.Metric.registry
-(** The engine's private (always-enabled) metric registry —
-    [engine.queries].  Reset wholesale by {!flush}, so its counters
-    always describe the current hosting generation. *)
-
-val flush : t -> unit
-(** Manual invalidation, counted like a re-host: empties both caches
-    and resets every counter except [invalidations]. *)
-
 val wire_request : t -> Xpath.Ast.path -> string
 (** The ciphertext request encoding used as the result-memo key —
     exactly {!Secure.Protocol.encode_request} of the translated query,
@@ -100,5 +91,5 @@ val evaluate : t -> Xpath.Ast.path -> Secure.Client.answer list
 
 val stats : t -> Stats.t
 (** Snapshot of the current hosting generation's counters.  A rehost
-    (or manual {!flush}) resets every counter except [invalidations],
-    which counts generations this engine outlived. *)
+    empties both caches and resets every counter except
+    [invalidations], which counts generations this engine outlived. *)

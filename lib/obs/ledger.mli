@@ -7,9 +7,9 @@
     explicitly leaves unhidden.  Every field is derived from data the
     server already holds or sees: wire bytes, DSI intervals surviving
     structural joins, B-tree entries touched, ciphertext blocks
-    shipped, cache outcomes keyed on ciphertext artifacts, and
-    replay-cache hits (retransmitted frames are byte-identical, so the
-    server links them with certainty; see docs/SECURITY.md).
+    shipped, cache outcomes keyed on ciphertext artifacts, and the
+    session endpoint's replays (retransmitted frames are byte-identical,
+    so the server links them with certainty; see docs/SECURITY.md).
 
     The ledger is bounded: once [capacity] rounds are held the oldest
     round is dropped (totals keep accumulating).  Recording on a

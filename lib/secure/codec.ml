@@ -41,7 +41,10 @@ module R = struct
     need r 1;
     let c = r.data.[r.pos] in
     r.pos <- r.pos + 1;
-    c = '\001'
+    match c with
+    | '\000' -> false
+    | '\001' -> true
+    | _ -> raise (Error "bad boolean byte")
 
   let string r =
     let n = int r in

@@ -27,6 +27,8 @@ module R : sig
 
   val float : t -> float
   val bool : t -> bool
+  (** @raise Error on any byte other than [\000] and [\001]. *)
+
   val string : t -> string
 
   val list : t -> (t -> 'a) -> 'a list

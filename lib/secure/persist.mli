@@ -54,8 +54,6 @@ val to_string : ?applied_seq:int -> System.t -> string
 val of_string : master:string -> string -> System.t
 (** In-memory decoding (what {!load} reads). *)
 
-val of_string_seq : master:string -> string -> System.t * int
-
 (** {2 Verification (fsck for hosted bundles)} *)
 
 type verdict =

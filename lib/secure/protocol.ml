@@ -265,6 +265,3 @@ let decode_response data =
     if not (R.at_end r) then raise (Codec.Error "trailing bytes");
     { Server.blocks; bytes; candidate_intervals; btree_hits }
   with Codec.Error m -> raise (Malformed m)
-
-let roundtrip_request q = decode_request (encode_request q)
-let roundtrip_response resp = decode_response (encode_response resp)

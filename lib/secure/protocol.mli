@@ -62,9 +62,3 @@ val decode_extreme : string -> extreme option
 val encode_response : Server.response -> string
 val decode_response : string -> Server.response
 (** @raise Malformed on garbage. *)
-
-val roundtrip_request : Squery.path -> Squery.path
-(** [decode_request (encode_request q)] — used by the system driver to
-    force every query through the wire format. *)
-
-val roundtrip_response : Server.response -> Server.response

@@ -17,7 +17,7 @@ module M = struct
   let gave_up = Obs.Metric.counter reg "session.gave_up" ~help:"calls abandoned after max attempts"
   let retransmitted_bytes = Obs.Metric.counter reg "session.retransmitted_bytes" ~help:"bytes sent again verbatim"
   let served = Obs.Metric.counter reg "session.server.served" ~help:"fresh requests answered"
-  let replayed = Obs.Metric.counter reg "session.server.replayed" ~help:"replay-cache hits (linkable retransmits)"
+  let replayed = Obs.Metric.counter reg "session.server.replayed" ~help:"repeats of the last answered request (linkable retransmits)"
   let discarded = Obs.Metric.counter reg "session.server.discarded" ~help:"unauthenticated frames ignored"
 end
 
@@ -37,13 +37,9 @@ let error_to_string = function
   | Gave_up n -> Printf.sprintf "gave up after %d attempts" n
   | Closed -> "session closed"
 
-type config = {
-  max_attempts : int;
-  base_backoff_ms : float;
-  max_backoff_ms : float;
-}
-
-let default_config = { max_attempts = 4; base_backoff_ms = 10.0; max_backoff_ms = 200.0 }
+(* Simulated backoff before each retry: 10 ms, doubling to a 200 ms cap. *)
+let base_backoff_ms = 10.0
+let max_backoff_ms = 200.0
 
 type stats = {
   calls : int;
@@ -125,7 +121,7 @@ let decode_frame ~mac_key ~expect ?expect_seq data =
 (* --- Client -------------------------------------------------------- *)
 
 type t = {
-  cfg : config;
+  max_attempts : int;
   mac_key : string;
   transport : Transport.t;
   mutable next_seq : int64;
@@ -133,17 +129,16 @@ type t = {
   mutable closed : bool;
 }
 
-let client ?(config = default_config) ~mac_key transport =
-  if config.max_attempts < 1 then invalid_arg "Session.client: max_attempts < 1";
-  { cfg = config; mac_key; transport; next_seq = 0L; st = zero_stats;
+let client ?(max_attempts = 4) ~mac_key transport =
+  if max_attempts < 1 then invalid_arg "Session.client: max_attempts < 1";
+  { max_attempts; mac_key; transport; next_seq = 0L; st = zero_stats;
     closed = false }
 
 let stats t = t.st
-let config t = t.cfg
 
 (* Closing is the client-side half of a link teardown: the session
-   refuses further calls so a superseding incarnation (fresh endpoint,
-   fresh replay cache, sequence numbers restarted) is the only wire
+   refuses further calls so a superseding incarnation (fresh endpoint
+   with nothing stored, sequence numbers restarted) is the only wire
    path left.  Idempotent; the transport itself holds no state worth
    releasing in this simulation. *)
 let close t = t.closed <- true
@@ -172,13 +167,13 @@ let call t payload =
   t.st <- { t.st with calls = t.st.calls + 1 };
   Obs.Metric.incr M.calls;
   let frame = encode_frame ~mac_key:t.mac_key ~kind:Request ~seq payload in
-  let backoff = ref t.cfg.base_backoff_ms in
+  let backoff = ref base_backoff_ms in
   let rec attempt n =
-    if n > t.cfg.max_attempts then begin
+    if n > t.max_attempts then begin
       t.st <- { t.st with gave_up = t.st.gave_up + 1 };
       Obs.Metric.incr M.gave_up;
-      Log.warn (fun m -> m "seq %Ld: gave up after %d attempts" seq t.cfg.max_attempts);
-      Error (Gave_up t.cfg.max_attempts)
+      Log.warn (fun m -> m "seq %Ld: gave up after %d attempts" seq t.max_attempts);
+      Error (Gave_up t.max_attempts)
     end
     else begin
       if n > 1 then begin
@@ -189,7 +184,7 @@ let call t payload =
                             backoff_ms = t.st.backoff_ms +. !backoff };
         Obs.Metric.incr M.retries;
         Obs.Metric.add M.retransmitted_bytes (String.length frame);
-        backoff := Float.min (!backoff *. 2.0) t.cfg.max_backoff_ms
+        backoff := Float.min (!backoff *. 2.0) max_backoff_ms
       end;
       t.st <- { t.st with attempts = t.st.attempts + 1 };
       Obs.Metric.incr M.attempts;
@@ -205,7 +200,7 @@ let call t payload =
       | Error fault ->
         record_fault t fault;
         Log.debug (fun m ->
-            m "seq %Ld attempt %d/%d: %s" seq n t.cfg.max_attempts
+            m "seq %Ld attempt %d/%d: %s" seq n t.max_attempts
               (error_to_string fault));
         attempt (n + 1)
     end
@@ -215,64 +210,25 @@ let call t payload =
 
 (* --- Server endpoint ----------------------------------------------- *)
 
-(* Bounded LRU over request digests.  Capacity is small (default 128),
-   so the O(capacity) eviction scan is cheaper than a second index. *)
-module Lru = struct
-  type 'a t = {
-    capacity : int;
-    table : (string, 'a * int ref) Hashtbl.t;
-    mutable tick : int;
-  }
-
-  let create capacity = { capacity = max 1 capacity; table = Hashtbl.create 64; tick = 0 }
-
-  let touch t gen =
-    t.tick <- t.tick + 1;
-    gen := t.tick
-
-  let find t key =
-    match Hashtbl.find_opt t.table key with
-    | None -> None
-    | Some (v, gen) ->
-      touch t gen;
-      Some v
-
-  let add t key v =
-    if not (Hashtbl.mem t.table key) then begin
-      if Hashtbl.length t.table >= t.capacity then begin
-        let oldest =
-          Hashtbl.fold
-            (fun k (_, gen) acc ->
-              match acc with
-              | Some (_, best) when best <= !gen -> acc
-              | _ -> Some (k, !gen))
-            t.table None
-        in
-        match oldest with
-        | Some (k, _) -> Hashtbl.remove t.table k
-        | None -> ()
-      end;
-      let gen = ref 0 in
-      touch t gen;
-      Hashtbl.add t.table key (v, gen)
-    end
-end
-
 type endpoint_stats = {
   served : int;
   replayed : int;
   discarded : int;
 }
 
+(* A client retransmits the frame of the one call it has in flight and
+   sends nothing new until that call ends, so the last answered request
+   frame and its response are the only exchange a retransmit or a
+   duplicate can repeat. *)
 type endpoint = {
   e_mac_key : string;
   handler : string -> string;
-  cache : string Lru.t;
+  mutable last : (string * string) option;  (* request frame, response frame *)
   mutable est : endpoint_stats;
 }
 
-let endpoint ?(replay_cache = 128) ~mac_key ~handler () =
-  { e_mac_key = mac_key; handler; cache = Lru.create replay_cache;
+let endpoint ~mac_key ~handler =
+  { e_mac_key = mac_key; handler; last = None;
     est = { served = 0; replayed = 0; discarded = 0 } }
 
 let endpoint_stats e = e.est
@@ -286,13 +242,12 @@ let serve e frame =
     Obs.Metric.incr M.discarded;
     raise Transport.Dropped
   | Ok (seq, payload) ->
-    let digest = Crypto.Sha256.digest frame in
-    (match Lru.find e.cache digest with
-     | Some cached ->
+    (match e.last with
+     | Some (request, resp) when String.equal request frame ->
        e.est <- { e.est with replayed = e.est.replayed + 1 };
        Obs.Metric.incr M.replayed;
-       cached
-     | None ->
+       resp
+     | Some _ | None ->
        (match e.handler payload with
         | exception Protocol.Malformed _ ->
           e.est <- { e.est with discarded = e.est.discarded + 1 };
@@ -300,7 +255,7 @@ let serve e frame =
           raise Transport.Dropped
         | answer ->
           let resp = encode_frame ~mac_key:e.e_mac_key ~kind:Response ~seq answer in
-          Lru.add e.cache digest resp;
+          e.last <- Some (frame, resp);
           e.est <- { e.est with served = e.est.served + 1 };
           Obs.Metric.incr M.served;
           resp))

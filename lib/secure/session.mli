@@ -10,15 +10,17 @@
     stops a reflected request from passing as a response.
 
     {!call} retries on timeout, corruption and stale delivery with
-    capped exponential backoff.  Backoff time is {e simulated} (counted
-    in {!stats}, never slept) to match the repo's modelled-latency cost
+    capped exponential backoff: 10 ms before the first retry, doubling
+    to a 200 ms cap.  Backoff time is {e simulated} (counted in
+    {!stats}, never slept) to match the repo's modelled-latency cost
     convention; see {!System.link_bytes_per_ms}.
 
     The server side ({!endpoint}) verifies request frames, discards
     unverifiable ones (raising {!Transport.Dropped}, i.e. silence on
-    the wire), and keeps a bounded LRU of recent request digests so a
-    duplicated or retransmitted request is answered from cache instead
-    of re-evaluated — retries are idempotent by construction. *)
+    the wire), and keeps the last exchange it answered: a call is
+    synchronous and retransmits its one frame verbatim, so a duplicated
+    or retransmitted request is answered from that stored response
+    instead of re-evaluated — retries are idempotent by construction. *)
 
 type error =
   | Timeout          (** nothing came back before the (simulated) deadline *)
@@ -29,15 +31,6 @@ type error =
   | Closed           (** the session was {!close}d; re-establish the link *)
 
 val error_to_string : error -> string
-
-type config = {
-  max_attempts : int;       (** total tries per call, >= 1 *)
-  base_backoff_ms : float;  (** simulated wait before the first retry *)
-  max_backoff_ms : float;   (** cap for the exponential schedule *)
-}
-
-val default_config : config
-(** 4 attempts, 10 ms doubling to a 200 ms cap. *)
 
 type stats = {
   calls : int;
@@ -61,7 +54,8 @@ val faults_absorbed : stats -> int
 
 type t
 
-val client : ?config:config -> mac_key:string -> Transport.t -> t
+val client : ?max_attempts:int -> mac_key:string -> Transport.t -> t
+(** [max_attempts] (default 4, >= 1) is the number of tries per call. *)
 
 val call : t -> string -> (string, error) result
 (** [call t payload] runs one framed, verified, retried exchange and
@@ -71,15 +65,13 @@ val call : t -> string -> (string, error) result
 val stats : t -> stats
 (** Cumulative; diff around a {!call} for per-call numbers. *)
 
-val config : t -> config
-
 val close : t -> unit
 (** Tear the client side of the session down: every later {!call}
     returns [Error Closed] without touching the transport.  Idempotent.
     Closing the old session before re-establishing a link guarantees no
     frame of the dead incarnation can reach the replacement endpoint —
-    the new incarnation's replay cache starts empty and can never be
-    warmed by a ghost retransmit (see {!Secure.System.reset_link}). *)
+    the new incarnation starts with no stored exchange and can never be
+    handed one by a ghost retransmit (see {!Secure.System.reset_link}). *)
 
 val closed : t -> bool
 
@@ -87,14 +79,14 @@ val closed : t -> bool
 
 type endpoint
 
-val endpoint :
-  ?replay_cache:int -> mac_key:string -> handler:(string -> string) ->
-  unit -> endpoint
-(** [endpoint ~handler ()] wraps a raw request handler (payload bytes
-    to payload bytes) into a frame handler.  [replay_cache] bounds the
-    digest LRU (default 128 entries).  [handler] exceptions of type
-    {!Protocol.Malformed} are treated as an unanswerable request and
-    dropped. *)
+val endpoint : mac_key:string -> handler:(string -> string) -> endpoint
+(** [endpoint ~handler] wraps a raw request handler (payload bytes to
+    payload bytes) into a frame handler.  A verified frame byte-equal
+    to the last request answered gets that request's response again;
+    any other goes to [handler], and its exchange replaces the stored
+    one.  [handler] exceptions of type {!Protocol.Malformed} are
+    treated as an unanswerable request and dropped, leaving the stored
+    exchange as it was. *)
 
 val serve : endpoint -> string -> string
 (** Frame handler suitable for {!Transport.loopback}.
@@ -102,7 +94,7 @@ val serve : endpoint -> string -> string
 
 type endpoint_stats = {
   served : int;      (** requests evaluated by the handler *)
-  replayed : int;    (** requests answered from the replay cache *)
+  replayed : int;    (** repeats of the last answered request, sent its stored response *)
   discarded : int;   (** frames dropped as unverifiable *)
 }
 

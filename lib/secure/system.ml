@@ -123,7 +123,7 @@ let timed f =
 
 let session_mac_label = "session-mac"
 
-let make_link ?session_config ?faults keys server =
+let make_link ?max_attempts ?faults keys server =
   let mac_key = Crypto.Keys.derive keys session_mac_label in
   let handler request =
     let response =
@@ -138,15 +138,14 @@ let make_link ?session_config ?faults keys server =
     in
     Protocol.encode_response response
   in
-  let endpoint = Session.endpoint ~mac_key ~handler () in
+  let endpoint = Session.endpoint ~mac_key ~handler in
   let transport = Transport.loopback (Session.serve endpoint) in
   let transport =
     match faults with
     | None -> transport
     | Some (profile, seed) -> Transport.faulty ~profile ~seed transport
   in
-  { transport; session = Session.client ?config:session_config ~mac_key transport;
-    endpoint }
+  { transport; session = Session.client ?max_attempts ~mac_key transport; endpoint }
 
 (* A fresh hosting of [db] and [metadata]: its client, server and link,
    a new generation and no observers yet. *)
@@ -213,22 +212,21 @@ let restore ~master ?(cipher = Crypto.Cipher.Xtea) ?pool ~doc ~constraints ~sche
 
 (* Rewire the same hosted system behind a chaotic link.  The server
    state is shared; only the wire path (and retry policy) changes. *)
-let with_faults ?session ~profile ~seed t =
+let with_faults ?max_attempts ~profile ~seed t =
   let keys = Crypto.Keys.create ~suite:t.cipher ~master:t.master () in
-  { t with
-    link = make_link ?session_config:session ~faults:(profile, seed) keys t.server }
+  { t with link = make_link ?max_attempts ~faults:(profile, seed) keys t.server }
 
 (* Link incarnation boundary: close the old session (it refuses further
    calls) and build a fresh link — new client sequence numbers, new
-   endpoint, and therefore an *empty* replay cache.  Without the close,
-   a caller still holding the old record could warm the dead
-   incarnation's cache and make replay accounting lie across the
-   teardown; with it, the two incarnations are observably disjoint. *)
-let reset_link ?session ?faults t =
+   endpoint, and therefore *no* stored exchange to replay.  Without the
+   close, a caller still holding the old record could keep feeding the
+   dead incarnation's endpoint and make replay accounting lie across
+   the teardown; with it, the two incarnations are observably disjoint. *)
+let reset_link ?max_attempts ?faults t =
   Session.close t.link.session;
   Obs.Metric.incr M.relinks;
   let keys = Crypto.Keys.create ~suite:t.cipher ~master:t.master () in
-  { t with link = make_link ?session_config:session ?faults keys t.server }
+  { t with link = make_link ?max_attempts ?faults keys t.server }
 
 let session_stats t = Session.stats t.link.session
 let transport_stats t = Transport.stats t.link.transport
@@ -306,7 +304,7 @@ let add ~bytes_up s (r : Server.response) =
     btree_hits = s.btree_hits + r.Server.btree_hits;
     blocks = s.blocks @ r.Server.blocks }
 
-(* Session counters around a group of calls.  The replay-cache hits the
+(* Session counters around a group of calls.  The replays the
    endpoint saw are the retransmit-linkability count of the leakage
    ledger (retransmitted frames are byte-identical; see
    docs/SECURITY.md). *)
@@ -741,13 +739,3 @@ let apply_delta t edit =
   let started = now_ms () in
   let plan = Update.delta t.doc edit in
   apply_plan t plan ~plan_ms:(now_ms () -. started)
-
-let apply_deltas t edits =
-  let t, costs =
-    List.fold_left
-      (fun (t, costs) edit ->
-        let t', cost = apply_delta t edit in
-        t', cost :: costs)
-      (t, []) edits
-  in
-  t, List.rev costs

@@ -44,8 +44,8 @@ type cost = {
   faults_absorbed : int;
       (** transport faults survived by the session layer *)
   replays : int;
-      (** replay-cache hits the endpoint saw this query — retransmitted
-          frames the server linked with certainty *)
+      (** repeats of an answered request the endpoint replayed this
+          query — retransmitted frames the server linked with certainty *)
   degraded : bool;
       (** the query round gave up and {!evaluate}'s naive round
           answered *)
@@ -149,19 +149,20 @@ val on_succession : t -> (t -> delta_event option -> unit) -> unit
     machinery under a deterministic chaos schedule. *)
 
 val with_faults :
-  ?session:Session.config -> profile:Transport.profile -> seed:int64 -> t -> t
+  ?max_attempts:int -> profile:Transport.profile -> seed:int64 -> t -> t
 (** [with_faults ~profile ~seed t] shares [t]'s server state but
-    routes the wire path through {!Transport.faulty}.  Systems derived
-    by {!update} / {!rotate} revert to the perfect loopback. *)
+    routes the wire path through {!Transport.faulty}; [max_attempts]
+    is the new session's tries per call ({!Session.client}).  Systems
+    derived by {!update} / {!rotate} revert to the perfect loopback. *)
 
 val reset_link :
-  ?session:Session.config -> ?faults:Transport.profile * int64 -> t -> t
+  ?max_attempts:int -> ?faults:Transport.profile * int64 -> t -> t
 (** Tear the current link down and re-establish it: the old session is
     {!Session.close}d (it refuses further calls with [Error Closed]),
     and the returned system carries a fresh session {e and} a fresh
-    endpoint, so the replay cache of the previous incarnation cannot
+    endpoint, so the exchange the previous incarnation stored cannot
     leak across — a retransmit of a pre-reset frame is a fresh request
-    to the new endpoint, never a replay hit.  [faults] rewires the new
+    to the new endpoint, never a replay.  [faults] rewires the new
     link through {!Transport.faulty}; omitting it yields a perfect
     loopback (how a tripped tenant repairs itself).  Server state,
     ledger, tracer and succession observers are shared with [t]. *)
@@ -270,8 +271,8 @@ val reference_aggregate : t -> [ `Min | `Max ] -> Xpath.Ast.path -> string optio
     The re-host strategy: apply the edit to the owner's plaintext,
     then rebuild scheme, blocks and metadata under the same master key
     and constraints.  Always secure — enforcement is re-checked — at
-    full setup cost; {!Dsi.Assign.interval_in_gap} is the primitive an
-    incremental protocol would use instead. *)
+    full setup cost; {!apply_delta} below is the incremental protocol
+    that pays per touched block instead. *)
 
 val update : t -> Update.edit -> t * setup_cost
 (** Apply one edit and re-host; the {!on_succession} observers get the
@@ -346,6 +347,3 @@ val apply_plan : t -> Update.plan -> plan_ms:float -> t * delta_cost
     [delta.enforce] (the full {!Scheme.enforces} check of the edited
     document), [delta.reencrypt], [delta.patch], [delta.server] and
     [delta.client]. *)
-
-val apply_deltas : t -> Update.edit list -> t * delta_cost list
-(** Fold {!apply_delta} over a batch, left to right. *)

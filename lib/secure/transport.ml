@@ -130,8 +130,9 @@ let faulty ?(profile = calm) ~seed inner =
       raise Dropped
     end;
     let deliver () = inner.exchange msg in
-    (* Duplicate delivery: the server processes (or replay-caches) the
-       request twice; the client hears one answer. *)
+    (* Duplicate delivery: the server receives the request twice (the
+       second time it replays its stored answer); the client hears one
+       answer. *)
     let resp =
       if hit f profile.duplicate then begin
         f.st <- { f.st with duplicated = f.st.duplicated + 1 };

@@ -1,16 +1,14 @@
 (** Document updates (the paper's future-work item 3).
 
-    Edits address nodes through XPath and rebuild the plaintext tree;
-    {!System.update} then re-hosts the edited document under the same
-    master key and security constraints (the {e re-host} strategy —
-    always secure, because the fresh setup re-derives the scheme and
-    re-checks enforcement).
-
-    The DSI layer's contribution to cheaper updates is exposed
-    separately as {!Dsi.Assign.interval_in_gap}: the deliberate gaps
-    between sibling intervals can absorb inserted subtrees without
-    renumbering, which is what an incremental server protocol would
-    build on. *)
+    Edits address nodes through XPath and rebuild the plaintext tree.
+    {!System.update} re-hosts the edited document under the same master
+    key and security constraints (the {e re-host} strategy — always
+    secure, because the fresh setup re-derives the scheme and re-checks
+    enforcement).  {!System.apply_delta} and {!System.apply_plan} are
+    the incremental protocol: {!delta} plans the edit with its node
+    correspondence, and an inserted subtree draws its DSI intervals
+    from the gap between its siblings' ({!Dsi.Assign.interval_in_gap})
+    without renumbering the rest. *)
 
 type edit =
   | Insert_child of {

@@ -358,9 +358,9 @@ let drain t ?(max_rounds = 64) () =
   done;
   List.rev !out
 
-let relink t ~tenant ?session ?faults () =
+let relink t ~tenant ?max_attempts ?faults () =
   let tn = find t tenant in
-  tn.sys <- Secure.System.reset_link ?session ?faults tn.sys
+  tn.sys <- Secure.System.reset_link ?max_attempts ?faults tn.sys
 
 let rehost t ~tenant ~new_master =
   let tn = find t tenant in

@@ -163,11 +163,11 @@ val drain : t -> ?max_rounds:int -> unit -> completion list
 
 val relink :
   t -> tenant:string ->
-  ?session:Secure.Session.config ->
+  ?max_attempts:int ->
   ?faults:Secure.Transport.profile * int64 -> unit -> unit
 (** Tear down and re-establish one tenant's link via
     {!Secure.System.reset_link} (fresh session, fresh endpoint — the
-    old incarnation's replay cache cannot leak across).  Omitting
+    old incarnation's stored exchange cannot leak across).  Omitting
     [faults] yields a perfect loopback: how an operator repairs a
     tripped tenant before its breaker's probe fires.  The breaker is
     {e not} reset — recovery must be proven by the probe. *)

@@ -115,9 +115,8 @@ let evaluate_exact_or_unavailable () =
      exact whichever round gave them, and no other exception escapes. *)
   let sys = build () in
   let queries = query_set sys in
-  let session = { Session.default_config with Session.max_attempts = 2 } in
   let faulty =
-    System.with_faults ~session
+    System.with_faults ~max_attempts:2
       ~profile:(Transport.chaos ~drop:0.5 ~flip:0.1 ())
       ~seed:13L sys
   in
@@ -144,9 +143,8 @@ let dead_link_gives_up () =
   (* A link that drops every frame: no request kind gets through, and
      [evaluate]'s naive round fails like its query round did. *)
   let sys = build () in
-  let session = { Session.default_config with Session.max_attempts = 2 } in
   let dead =
-    System.with_faults ~session ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:1L sys
+    System.with_faults ~max_attempts:2 ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:1L sys
   in
   let q = Xpath.Parser.parse "//patient[age>=50]/pname" in
   List.iter

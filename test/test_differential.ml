@@ -17,7 +17,7 @@
    documents on top.
 
    The update sweep applies each edit chain once, through
-   [System.apply_deltas]; a warm engine created on the first hosting
+   [System.apply_delta]; a warm engine created on the first hosting
    follows the chain of successors by itself.  A pin renders what the
    server sees on every read path of one fixed hosting (ledger rows,
    integer cost fields, answer digests) into one dump whose digest is a
@@ -213,7 +213,7 @@ let update_equiv_cell ~seed doc edits kind =
      so the post-update runs cross a warm cache. *)
   List.iter (fun q -> ignore (Engine.evaluate eng q)) update_queries;
   (* The engine follows the chain of successors by itself. *)
-  let sysn, _costs = System.apply_deltas sys0 edits in
+  let sysn, _costs = List.fold_left_map System.apply_delta sys0 edits in
   Alcotest.(check bool)
     (Printf.sprintf "update %Ld %s: engine follows" seed (Scheme.kind_to_string kind))
     true

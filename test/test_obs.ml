@@ -483,13 +483,11 @@ let degraded_fallbacks_are_counted () =
      because that round gave up too. *)
   let module System = Secure.System in
   let module Transport = Secure.Transport in
-  let module Session = Secure.Session in
   let doc = Workload.Health.generate ~patients:5 () in
   let scs = Workload.Health.constraints () in
   let sys, _ = System.setup ~master:"obs-degraded" doc scs Secure.Scheme.Opt in
   let faulty =
-    System.with_faults
-      ~session:{ Session.default_config with Session.max_attempts = 2 }
+    System.with_faults ~max_attempts:2
       ~profile:(Transport.chaos ~drop:0.5 ()) ~seed:11L sys
   in
   let reg = Obs.Metric.default in

@@ -12,7 +12,7 @@ let translate_all () =
   List.iter
     (fun q ->
       let squery = Secure.Client.translate (System.client sys) (Xpath.Parser.parse q) in
-      let roundtripped = Protocol.roundtrip_request squery in
+      let roundtripped = Protocol.decode_request (Protocol.encode_request squery) in
       Alcotest.(check string) q (Squery.to_string squery)
         (Squery.to_string roundtripped))
     [ "//patient"; "//patient[pname='Betty']//disease"; "//insurance/policy#";
@@ -30,7 +30,7 @@ let response_roundtrip () =
       (Xpath.Parser.parse "//patient[pname='Betty']//disease")
   in
   let response = Secure.Server.answer (System.server sys) squery in
-  let rt = Protocol.roundtrip_response response in
+  let rt = Protocol.decode_response (Protocol.encode_response response) in
   Alcotest.(check int) "block count"
     (List.length response.Secure.Server.blocks)
     (List.length rt.Secure.Server.blocks);
@@ -269,7 +269,9 @@ let squery_gen =
 let request_roundtrip_prop =
   QCheck.Test.make ~name:"encode/decode request = id" ~count:300
     (QCheck.make ~print:Squery.to_string squery_gen)
-    (fun q -> Squery.to_string (Protocol.roundtrip_request q) = Squery.to_string q)
+    (fun q ->
+      Squery.to_string (Protocol.decode_request (Protocol.encode_request q))
+      = Squery.to_string q)
 
 (* --- Versioned request variants (Fetch / Padded) -------------------- *)
 
@@ -304,6 +306,30 @@ let variants_roundtrip () =
   match Protocol.decode_any "" with
   | _ -> Alcotest.fail "empty request must be rejected"
   | exception Protocol.Malformed _ -> ()
+
+(* A plain query's first byte is its absolute flag, so every leading
+   byte that flag and the variant magics do not claim is garbage: an
+   honest request that starts with one must not decode as a relative
+   path. *)
+let unclaimed_leading_bytes_rejected () =
+  let sys, _ =
+    System.setup (Workload.Health.doc ()) (Workload.Health.constraints ()) Secure.Scheme.Opt
+  in
+  let request =
+    Protocol.encode_request
+      (Secure.Client.translate (System.client sys) (Xpath.Parser.parse "//patient/pname"))
+  in
+  for c = 5 to 255 do
+    let data = Bytes.of_string request in
+    Bytes.set data 0 (Char.chr c);
+    let data = Bytes.to_string data in
+    (match Protocol.decode_request data with
+     | _ -> Alcotest.failf "decode_request accepted leading byte %d" c
+     | exception Protocol.Malformed _ -> ());
+    match Protocol.decode_any data with
+    | _ -> Alcotest.failf "decode_any accepted leading byte %d" c
+    | exception Protocol.Malformed _ -> ()
+  done
 
 (* The MIN/MAX request: its own magic byte, which [decode_any] rejects
    as an older server would, and which no other encoding starts with. *)
@@ -364,7 +390,9 @@ let () =
           Alcotest.test_case "malformed rejected" `Quick malformed_rejected;
           Alcotest.test_case "fetch/padded variants roundtrip" `Quick
             variants_roundtrip;
-          Alcotest.test_case "extreme request roundtrip" `Quick extreme_roundtrip ]
+          Alcotest.test_case "extreme request roundtrip" `Quick extreme_roundtrip;
+          Alcotest.test_case "unclaimed leading bytes rejected" `Quick
+            unclaimed_leading_bytes_rejected ]
         @ List.map QCheck_alcotest.to_alcotest [ request_roundtrip_prop ] );
       ( "responses",
         [ Alcotest.test_case "roundtrip" `Quick response_roundtrip;

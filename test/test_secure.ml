@@ -1058,7 +1058,7 @@ let index_in_key_order () =
   check "nasa" (host (Workload.Nasa.generate ~datasets:20 ()) (Workload.Nasa.constraints ()));
   let parse = Xpath.Parser.parse in
   let edited, _ =
-    Secure.System.apply_deltas health
+    List.fold_left_map Secure.System.apply_delta health
       [ Secure.Update.Set_value (parse "//patient[age>=50]/insurance/policy#", "12345");
         Secure.Update.Set_value (parse "//age", "33");
         Secure.Update.Insert_child

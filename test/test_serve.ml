@@ -185,8 +185,7 @@ let chaos_isolation_gate () =
     healthy;
   let sick_clean = build ~master:"master-sick" ~patients:5 in
   let sick_faulty =
-    System.with_faults
-      ~session:{ Session.default_config with Session.max_attempts = 2 }
+    System.with_faults ~max_attempts:2
       ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:3L sick_clean
   in
   Obs.Ledger.set_enabled (System.ledger sick_faulty) true;
@@ -327,8 +326,7 @@ let trajectory_is_deterministic () =
     let srv = Serve.create ~config ?pool () in
     Serve.register srv ~id:"h" (build ~master:"h-m" ~patients:4);
     let sick =
-      System.with_faults
-        ~session:{ Session.default_config with Session.max_attempts = 2 }
+      System.with_faults ~max_attempts:2
         ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:9L
         (build ~master:"s-m" ~patients:5)
     in

@@ -1,5 +1,6 @@
-(* Session layer tests: frame codec, retry policy, replay cache, and
-   the deterministic fault schedule of the faulty transport. *)
+(* Session layer tests: frame codec, retry policy, the endpoint's replay
+   of the call in flight, and the deterministic fault schedule of the
+   faulty transport. *)
 
 module Transport = Secure.Transport
 module Session = Secure.Session
@@ -88,7 +89,7 @@ let frame_pin () =
 (* --- Client retry policy ------------------------------------------- *)
 
 let echo_endpoint () =
-  Session.endpoint ~mac_key ~handler:(fun payload -> "echo:" ^ payload) ()
+  Session.endpoint ~mac_key ~handler:(fun payload -> "echo:" ^ payload)
 
 let clean_call () =
   let ep = echo_endpoint () in
@@ -132,8 +133,7 @@ let gives_up_on_total_loss () =
     Transport.faulty ~profile:(Transport.chaos ~drop:1.0 ()) ~seed:1L
       (Transport.loopback (Session.serve ep))
   in
-  let config = { Session.default_config with Session.max_attempts = 3 } in
-  let client = Session.client ~config ~mac_key transport in
+  let client = Session.client ~max_attempts:3 ~mac_key transport in
   (match Session.call client "void" with
    | Error (Session.Gave_up 3) -> ()
    | Ok _ -> Alcotest.fail "call cannot succeed on a dead link"
@@ -141,10 +141,9 @@ let gives_up_on_total_loss () =
   let s = Session.stats client in
   Alcotest.(check int) "three attempts" 3 s.Session.attempts;
   Alcotest.(check int) "gave up once" 1 s.Session.gave_up;
-  (* Backoff doubles from the base and is capped. *)
+  (* Backoff doubles from the base and is capped at 200 ms. *)
   Alcotest.(check bool) "backoff simulated, never slept" true
-    (s.Session.backoff_ms
-     <= float_of_int s.Session.attempts *. config.Session.max_backoff_ms)
+    (s.Session.backoff_ms <= float_of_int s.Session.attempts *. 200.0)
 
 let corruption_is_detected_and_retried () =
   (* Corrupt the first response's MAC only; the retry must recover. *)
@@ -168,14 +167,12 @@ let corruption_is_detected_and_retried () =
   Alcotest.(check int) "no timeouts" 0 s.Session.timeouts;
   Alcotest.(check int) "fault absorbed" 1 (Session.faults_absorbed s)
 
-(* --- Server-side replay cache -------------------------------------- *)
+(* --- Server-side replay of the call in flight ---------------------- *)
 
 let replay_answered_from_cache () =
   let evaluations = ref 0 in
   let ep =
-    Session.endpoint ~mac_key
-      ~handler:(fun p -> incr evaluations; "r:" ^ p)
-      ()
+    Session.endpoint ~mac_key ~handler:(fun p -> incr evaluations; "r:" ^ p)
   in
   let frame = Session.encode_frame ~mac_key ~kind:Session.Request ~seq:1L "dup" in
   let r1 = Session.serve ep frame in
@@ -186,26 +183,41 @@ let replay_answered_from_cache () =
   Alcotest.(check int) "served" 1 s.Session.served;
   Alcotest.(check int) "replayed" 1 s.Session.replayed
 
-let replay_cache_is_bounded () =
+(* The endpoint stores one exchange, the last request it answered: only
+   a repeat of that frame is replayed, an older one is evaluated again,
+   and a request the handler rejects leaves the stored exchange alone. *)
+let replay_window_is_last_exchange () =
   let evaluations = ref 0 in
-  let ep =
-    Session.endpoint ~replay_cache:2 ~mac_key
-      ~handler:(fun p -> incr evaluations; p)
-      ()
+  let handler p =
+    if p = "q9" then raise (Secure.Protocol.Malformed "unanswerable");
+    incr evaluations;
+    p
   in
-  let frame i =
-    Session.encode_frame ~mac_key ~kind:Session.Request ~seq:(Int64.of_int i)
-      (Printf.sprintf "q%d" i)
+  let ep = Session.endpoint ~mac_key ~handler in
+  let serve i =
+    ignore
+      (Session.serve ep
+         (Session.encode_frame ~mac_key ~kind:Session.Request ~seq:(Int64.of_int i)
+            (Printf.sprintf "q%d" i)))
   in
-  ignore (Session.serve ep (frame 0));
-  ignore (Session.serve ep (frame 1));
-  ignore (Session.serve ep (frame 2));
-  (* frame 0 was evicted (capacity 2): replaying it re-evaluates. *)
-  ignore (Session.serve ep (frame 0));
-  Alcotest.(check int) "four evaluations (one eviction)" 4 !evaluations;
-  (* frame 0 is now cached again. *)
-  ignore (Session.serve ep (frame 0));
-  Alcotest.(check int) "fifth serve replayed" 4 !evaluations
+  serve 0;
+  serve 1;
+  serve 2;
+  (* frame 1 was answered, but frame 2 came after it. *)
+  serve 1;
+  Alcotest.(check int) "re-sent frame 1 served again, not replayed" 4 !evaluations;
+  (* frame 0 is older still: replaying it re-evaluates. *)
+  serve 0;
+  Alcotest.(check int) "five evaluations (none stored)" 5 !evaluations;
+  (* frame 0 is now the stored exchange. *)
+  serve 0;
+  Alcotest.(check int) "sixth serve replayed" 5 !evaluations;
+  (match serve 9 with
+   | () -> Alcotest.fail "an unanswerable request must be dropped"
+   | exception Transport.Dropped -> ());
+  serve 0;
+  Alcotest.(check int) "a dropped request keeps the stored exchange" 2
+    (Session.endpoint_stats ep).Session.replayed
 
 let unverifiable_frames_discarded () =
   let ep = echo_endpoint () in
@@ -299,10 +311,10 @@ let close_refuses_calls () =
   Alcotest.(check int) "endpoint saw only the live call" 1 s.Session.served
 
 let reset_link_gets_fresh_incarnation () =
-  (* A duplicate-heavy schedule warms the endpoint's replay cache; after
+  (* A duplicate-heavy schedule makes the endpoint replay; after
      [System.reset_link] the old session refuses calls and the new
-     incarnation's cache starts empty — no pre-reset frame can leak
-     across as a replay hit. *)
+     incarnation starts with no stored exchange — no pre-reset frame
+     can leak across as a replay. *)
   let module System = Secure.System in
   let doc = Workload.Health.generate ~patients:5 () in
   let scs = Workload.Health.constraints () in
@@ -317,7 +329,7 @@ let reset_link_gets_fresh_incarnation () =
     ignore (System.evaluate faulty q)
   done;
   let before = System.endpoint_stats faulty in
-  Alcotest.(check bool) "duplicates warmed the replay cache" true
+  Alcotest.(check bool) "duplicates were replayed" true
     (before.Session.replayed > 0);
   let fresh = System.reset_link faulty in
   (* The superseded incarnation refuses instead of limping on. *)
@@ -325,10 +337,10 @@ let reset_link_gets_fresh_incarnation () =
    | Error Session.Closed -> ()
    | Ok _ -> Alcotest.fail "old link still answers after reset"
    | Error e -> Alcotest.failf "expected Closed, got %s" (Session.error_to_string e));
-  (* The new incarnation starts with an empty replay cache... *)
+  (* The new incarnation starts with nothing replayed... *)
   let s0 = System.endpoint_stats fresh in
   Alcotest.(check int) "fresh endpoint served nothing" 0 s0.Session.served;
-  Alcotest.(check int) "fresh replay cache empty" 0 s0.Session.replayed;
+  Alcotest.(check int) "fresh endpoint replayed nothing" 0 s0.Session.replayed;
   (* ...and serves cleanly (reset without [faults] is a loopback). *)
   let answers, cost = System.evaluate fresh q in
   Alcotest.(check bool) "answers exact after relink" true
@@ -354,7 +366,8 @@ let () =
           Alcotest.test_case "corruption detected" `Quick corruption_is_detected_and_retried ] );
       ( "replay",
         [ Alcotest.test_case "answered from cache" `Quick replay_answered_from_cache;
-          Alcotest.test_case "cache bounded" `Quick replay_cache_is_bounded;
+          Alcotest.test_case "window is the last exchange" `Quick
+            replay_window_is_last_exchange;
           Alcotest.test_case "unverifiable discarded" `Quick unverifiable_frames_discarded ] );
       ( "chaos",
         [ Alcotest.test_case "deterministic schedule" `Quick schedule_is_deterministic;

@@ -585,8 +585,7 @@ let reads_cross_the_link () =
      gives up after the endpoint served it, and the naive round
      answers.  The degraded row holds the round that answered. *)
   let faulty =
-    System.with_faults
-      ~session:{ Session.default_config with Session.max_attempts = 1 }
+    System.with_faults ~max_attempts:1
       ~profile:(Secure.Transport.chaos ~drop:0.5 ()) ~seed:71L sys
   in
   let calls = (System.session_stats faulty).Session.calls in

@@ -242,7 +242,7 @@ let delta_delete_last_block_node () =
   (* Betty's insurance block: delete its policy# leaves, then the
      @coverage attribute — the block root ends up childless but alive. *)
   let sys2, costs =
-    System.apply_deltas sys
+    List.fold_left_map System.apply_delta sys
       [ Update.Delete_nodes (parse "//patient[pname='Betty']/insurance/policy#");
         Update.Delete_nodes (parse "//patient[pname='Betty']/insurance/@coverage") ]
   in
@@ -274,7 +274,7 @@ let delta_delete_last_block_node () =
 let delta_insert_into_empty_group () =
   let sys, _ = fresh_system () in
   let sys2, _ =
-    System.apply_deltas sys
+    List.fold_left_map System.apply_delta sys
       [ Update.Delete_nodes (parse "//patient[pname='Betty']/insurance/policy#");
         Update.Delete_nodes (parse "//patient[pname='Betty']/insurance/@coverage") ]
   in
